@@ -1,15 +1,15 @@
 """Price dynamics driven by the demand/supply ratio.
 
-Simulation, exact and quadrature densities of the ratio of jointly normal
-order flows, tail-class prediction and estimation, and recovery of the
-price-response family from observed price series.
+Simulation, closed-form densities and CDFs of the ratio of jointly normal
+order flows at every correlation, tail-class prediction and estimation,
+and recovery of the price-response family from observed price series.
 """
 
 __version__ = "0.1.0"
 
 from .density import (CurveMethod, DensityCurve, OrderFlowParams, PowerMap,
                       TailPrediction, TransformedDensity, positive_ratio_mass,
-                      ratio_cdf_anticorr, ratio_density,
+                      ratio_cdf, ratio_cdf_anticorr, ratio_density,
                       ratio_density_anticorr, tail_prediction,
                       transform_density)
 from .fitting import (FitResult, WindowSpec, exponent_report, fit_g,
@@ -32,9 +32,9 @@ __all__ = [
     "reciprocal_log_grid", "invert_monotone",
     # density
     "OrderFlowParams", "ratio_density_anticorr", "ratio_cdf_anticorr",
-    "ratio_density", "positive_ratio_mass", "PowerMap", "transform_density",
-    "TransformedDensity", "TailPrediction", "tail_prediction",
-    "CurveMethod", "DensityCurve",
+    "ratio_density", "ratio_cdf", "positive_ratio_mass", "PowerMap",
+    "transform_density", "TransformedDensity", "TailPrediction",
+    "tail_prediction", "CurveMethod", "DensityCurve",
     # simulate
     "SimConfig", "PriceSeries", "RatioSample", "RejectionPolicy",
     "sample_bivariate", "sample_ratio", "simulate_path", "simulate_gbm",

@@ -27,27 +27,28 @@ from .density import (CurveMethod, DensityCurve, OrderFlowParams, PowerMap,
                       TransformedDensity, ratio_density,
                       ratio_density_anticorr)
 from .errors import (DegenerateTailError, DomainError, GridError,
-                     InputFormatError, InsufficientTailError,
-                     NonIdentifiableError, NonpositiveRatioError,
-                     NonpositiveSampleError, QuadratureError, RangeError,
-                     RatioTailsError, RejectionRateError, RootFindError,
-                     TimestampError, WindowError)
+                     InputFormatError, InputMismatchError,
+                     InsufficientTailError, NonIdentifiableError,
+                     NonpositiveRatioError, NonpositiveSampleError,
+                     RangeError, RatioTailsError, RejectionRateError,
+                     RootFindError, TimestampError, WindowError)
 from .fileio import (RunManifest, format_key_values, key_values_csv,
                      load_price_series, load_response_table, load_samples,
                      save_density_curve, save_price_series, sha256_file,
                      write_atomic)
-from .fitting import WindowSpec, exponent_report, fit_price_series
+from .fitting import (WindowSpec, _uniform_step, exponent_report,
+                      fit_price_series)
 from .response import (Family, ResponseSpec, check_admissibility,
                        reciprocal_log_grid)
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
                        simulate_path)
 from .tails import TailKind, classify_tail, threshold_sweep
 
-_INPUT_ERRORS = (InputFormatError, DomainError, WindowError, TimestampError,
-                 GridError, InsufficientTailError, NonpositiveSampleError,
-                 RangeError)
-_RUNTIME_ERRORS = (QuadratureError, RootFindError, RejectionRateError,
-                   NonpositiveRatioError, DegenerateTailError)
+_INPUT_ERRORS = (InputFormatError, InputMismatchError, DomainError,
+                 WindowError, TimestampError, GridError,
+                 InsufficientTailError, NonpositiveSampleError, RangeError)
+_RUNTIME_ERRORS = (RootFindError, RejectionRateError, NonpositiveRatioError,
+                   DegenerateTailError)
 
 _CANDIDATE_KINDS = {"power": TailKind.POWER_LAW,
                     "exp": TailKind.EXPONENTIAL,
@@ -74,14 +75,15 @@ def _build_response(family: str, q) -> ResponseSpec:
     return ResponseSpec(fam, float(q))
 
 
-def _manifest_for(command: str, params: dict, seed=None, inputs=()) -> RunManifest:
+def _manifest_for(args, params: dict, seed=None, inputs=()) -> RunManifest:
+    """The manifest of the running command, stamped with its start time."""
     hashes = {}
     for path in inputs:
         hashes[os.path.basename(path)] = sha256_file(path)
-    return RunManifest(command=command,
+    return RunManifest(command=args.command,
                        params={k: str(v) for k, v in params.items()},
                        seed=seed, version=__version__,
-                       input_hashes=hashes, started=RunManifest.now())
+                       input_hashes=hashes, started=args.started)
 
 
 def _finish(manifest: RunManifest, out_path: str | None):
@@ -114,7 +116,7 @@ def _run_check(args) -> int:
               "table": args.table or "", "normalize": str(args.normalize).lower(),
               "grid-max-log": args.grid_max_log,
               "grid-points": args.grid_points, "out": args.out or ""}
-    manifest = _manifest_for("check", params, inputs=inputs)
+    manifest = _manifest_for(args, params, inputs=inputs)
     if args.out:
         write_atomic(args.out, text + "\n")
     _finish(manifest, args.out)
@@ -142,21 +144,16 @@ def _run_density(args) -> int:
     if args.transform == "none":
         if params.is_anticorrelated:
             fn = lambda x: ratio_density_anticorr(params, x)
-            method = CurveMethod.EXACT_ANTICORR
         else:
             fn = lambda x: ratio_density(params, x)
-            method = CurveMethod.QUADRATURE
+    elif args.transform == "pow":
+        if args.q is None:
+            raise InputFormatError("--transform pow requires --q")
+        fn = TransformedDensity(params, PowerMap(args.q))
     else:
-        if args.transform == "pow":
-            if args.q is None:
-                raise InputFormatError("--transform pow requires --q")
-            fn = TransformedDensity(params, PowerMap(args.q))
-        else:
-            fn = TransformedDensity(params, _build_response(args.transform,
-                                                            args.q))
-        method = CurveMethod.QUADRATURE
+        fn = TransformedDensity(params, _build_response(args.transform, args.q))
 
-    curve = DensityCurve.from_function(fn, grid, method)
+    curve = DensityCurve.from_function(fn, grid, CurveMethod.EXACT)
     save_density_curve(curve, args.out)
 
     print(f"points={len(grid)} mass={curve.mass:.6f}")
@@ -175,7 +172,7 @@ def _run_density(args) -> int:
                   "x-min": args.x_min, "x-max": args.x_max,
                   "points": args.points,
                   "log-grid": str(args.log_grid).lower(), "out": args.out}
-    manifest = _manifest_for("density", cli_params)
+    manifest = _manifest_for(args, cli_params)
     _finish(manifest, args.out)
     return 0
 
@@ -218,7 +215,7 @@ def _run_simulate(args) -> int:
     print(f"steps={args.steps} mean_log_return={np.mean(r):.6e} "
           f"var_log_return={np.var(r):.6e} "
           f"rejected={series.meta.get('rejected', 0)}")
-    manifest = _manifest_for("simulate", cli_params, seed=seed)
+    manifest = _manifest_for(args, cli_params, seed=seed)
     if config_digest is not None:
         manifest.input_hashes["config"] = config_digest
     _finish(manifest, args.out)
@@ -231,7 +228,10 @@ def _run_simulate(args) -> int:
 
 def _returns_from_prices(path: str, delta_t: float) -> np.ndarray:
     series = load_price_series(path)
-    h = np.median(np.diff(series.times))
+    h = _uniform_step(series.times)
+    if h is None:
+        raise TimestampError(
+            f"{path}: --as-returns needs uniformly spaced timestamps")
     j = delta_t / h
     if abs(j - round(j)) > 1e-6 * max(j, 1.0) or round(j) < 1:
         raise TimestampError(
@@ -288,7 +288,7 @@ def _run_tails(args) -> int:
                   "threshold-quantile": args.threshold_quantile,
                   "side": args.side, "out": args.out or "",
                   "csv": args.csv or ""}
-    manifest = _manifest_for("tails", cli_params, inputs=inputs)
+    manifest = _manifest_for(args, cli_params, inputs=inputs)
     _finish(manifest, args.out or args.csv)
     return 0
 
@@ -321,7 +321,7 @@ def _run_fit(args) -> int:
                   "boot": "" if args.boot is None else args.boot,
                   "out": args.out or "", "overlay": args.overlay or "",
                   "csv": args.csv or ""}
-    manifest = _manifest_for("fit", cli_params, inputs=[args.prices])
+    manifest = _manifest_for(args, cli_params, inputs=[args.prices])
     _finish(manifest, args.out or args.overlay or args.csv)
     return 0
 
@@ -352,10 +352,26 @@ def _write_overlay(series, w, result, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 _FLAG_PARAMS = {"normalize", "log-grid", "interpolate"}
+_INPUT_PARAMS = ("table", "samples", "prices")
+
+
+def _check_inputs(manifest: RunManifest) -> None:
+    """Refuse to replay over an input file that changed since the run."""
+    for key in _INPUT_PARAMS:
+        path = manifest.params.get(key, "")
+        recorded = manifest.input_hashes.get(os.path.basename(path))
+        if not (path and recorded and os.path.isfile(path)):
+            continue  # a missing file is the command's own error
+        actual = sha256_file(path)
+        if actual != recorded:
+            raise InputMismatchError(
+                f"input {path} changed since the manifest was written: "
+                f"sha256 {actual}, recorded {recorded}")
 
 
 def _run_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
+    _check_inputs(manifest)
     argv = [manifest.command]
     params = dict(manifest.params)
     if args.out is not None and "out" in params:
@@ -494,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = RunManifest.now()
     try:
         return args.run(args)
     except _INPUT_ERRORS as exc:

@@ -1,14 +1,12 @@
 """Densities of the demand/supply ratio and of its response transforms.
 
-The ratio R = D/S of two jointly normal order flows has a density that is
-available in closed form when the correlation is exactly -1 (the supply is
-then a decreasing affine function of the demand) and by one-dimensional
-quadrature of the defining integral
-
-    f_R(x) = int |s| phi2(x*s, s) ds
-
-for -1 < rho < 1.  Densities of g(R) for an increasing response g follow by
-the change-of-variables rule, conditioned on the positive-ratio event.
+The ratio R = D/S of two jointly normal order flows has a closed-form law
+for every correlation: an elementary one when the correlation is exactly
+-1 (the supply is then a decreasing affine function of the demand),
+Hinkley's (1969) density and a bivariate-normal CDF through Owen's T
+function for -1 < rho < 1.  Densities of g(R) for an increasing response
+g follow by the change-of-variables rule, conditioned on the
+positive-ratio event.
 """
 
 from __future__ import annotations
@@ -18,16 +16,17 @@ import math
 from dataclasses import dataclass, field, InitVar
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ndtr, owens_t
 
-from .errors import (BranchError, DomainError, QuadratureError, RangeError)
-from .response import ResponseSpec, TailClass, TailKind, invert_monotone
+from .errors import BranchError, DomainError, RangeError
+from .response import ResponseSpec, TailClass, TailKind
 
 __all__ = [
     "OrderFlowParams",
     "ratio_density_anticorr",
     "ratio_cdf_anticorr",
     "ratio_density",
+    "ratio_cdf",
     "positive_ratio_mass",
     "PowerMap",
     "transform_density",
@@ -115,8 +114,6 @@ def ratio_cdf_anticorr(params: OrderFlowParams, x):
     u = (mu2*x - mu1)/(sigma2*x + sigma1) turns the density into the
     standard normal one, branch by branch.
     """
-    from scipy.stats import norm
-
     if not params.is_anticorrelated:
         raise BranchError("exact branch requires rho = -1")
     x = np.asarray(x, dtype=float)
@@ -124,73 +121,78 @@ def ratio_cdf_anticorr(params: OrderFlowParams, x):
     u_inf = params.mu2 / params.sigma2  # u at x -> +-inf
     with np.errstate(divide="ignore", invalid="ignore"):
         u = (params.mu2 * x - params.mu1) / (params.sigma2 * x + params.sigma1)
-    below = norm.cdf(u) - norm.cdf(u_inf)          # branch x < pole
-    above = norm.cdf(u) + 1.0 - norm.cdf(u_inf)    # branch x > pole
+    below = ndtr(u) - ndtr(u_inf)          # branch x < pole
+    above = ndtr(u) + 1.0 - ndtr(u_inf)    # branch x > pole
     out = np.where(x < pole, below, above)
-    out = np.where(x == pole, 1.0 - norm.cdf(u_inf), out)
+    out = np.where(x == pole, 1.0 - ndtr(u_inf), out)
     out = np.clip(out, 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
-# general-correlation branch: quadrature of the defining integral
+# general-correlation branch: closed forms
 # ---------------------------------------------------------------------------
 
-def _ratio_integrand_factory(params: OrderFlowParams, x: float):
-    """Integrand |s| phi2(x*s, s) plus the Gaussian profile of s."""
-    s1, s2, rho = params.sigma1, params.sigma2, params.rho
-    mu1, mu2 = params.mu1, params.mu2
-    omr2 = 1.0 - rho * rho
-    norm_c = 1.0 / (2.0 * math.pi * s1 * s2 * math.sqrt(omr2))
+def _standardized(params: OrderFlowParams, x):
+    """(s, m1, m2, a, h, b): the ratio law in units of the spreads.
 
-    def integrand(s):
-        d = x * s - mu1
-        e = s - mu2
-        qf = (d * d / (s1 * s1) - 2.0 * rho * d * e / (s1 * s2)
-              + e * e / (s2 * s2)) / omr2
-        return abs(s) * norm_c * math.exp(-0.5 * qf)
-
-    # exponent is quadratic in s: 0.5*(A s^2 - 2 B s + const)
-    a_coef = (x * x / (s1 * s1) - 2.0 * rho * x / (s1 * s2) + 1.0 / (s2 * s2)) / omr2
-    b_coef = (x * mu1 / (s1 * s1) - rho * (mu1 + mu2 * x) / (s1 * s2)
-              + mu2 / (s2 * s2)) / omr2
-    center = b_coef / a_coef
-    width = 1.0 / math.sqrt(a_coef)
-    return integrand, center, width
-
-
-def ratio_density(params: OrderFlowParams, x, *, abs_tol: float = 1e-10):
-    """Ratio density for -1 < rho < 1 by adaptive quadrature.
-
-    Integrates the defining integral over a window of +-60 profile widths
-    around the Gaussian center of the integrand, splitting at s = 0 where
-    the |s| factor kinks.  The truncated tails are below 1e-300 of the
-    peak.  Raises QuadratureError when the library reports nonconvergence
-    or the error bound misses both the absolute and a 1e-6 relative target.
+    t = x sigma2/sigma1, m_i = mu_i/sigma_i, s = sqrt(1 - rho^2),
+    a = sqrt(t^2 - 2 rho t + 1), h = (m2 t - m1)/a and
+    b = (m1 - rho m2) t + (m2 - rho m1), each formed without cancellation.
     """
+    rho = params.rho
     if params.is_anticorrelated:
-        raise BranchError("rho = -1 has an exact density; "
-                          "use ratio_density_anticorr")
-    if not (-1.0 < params.rho < 1.0):
-        raise DomainError(f"correlation {params.rho} outside (-1, 1)")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        integrand, m, w = _ratio_integrand_factory(params, float(xi))
-        lo = min(0.0, m - 60.0 * w)
-        hi = max(0.0, m + 60.0 * w)
-        pts = sorted({p for p in (0.0, m - 8.0 * w, m, m + 8.0 * w) if lo < p < hi})
-        val, err, info, *msg = quad(integrand, lo, hi, points=pts or None,
-                                    epsabs=abs_tol, epsrel=1e-10,
-                                    limit=200, full_output=1)
-        if msg or (err > abs_tol and err > 1e-6 * abs(val)):
-            raise QuadratureError(
-                f"ratio density quadrature failed at x={xi:g}: "
-                f"estimate {val:g}, error bound {err:g}"
-                + (f", message: {msg[0]}" if msg else ""),
-                value=val, error_bound=err)
-        out[i] = val
-    return out if np.ndim(x) else float(out[0])
+        raise BranchError("rho = -1 has an exact law; "
+                          "use ratio_density_anticorr / ratio_cdf_anticorr")
+    if not (-1.0 < rho < 1.0):
+        raise DomainError(f"correlation {rho} outside (-1, 1)")
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    m1, m2 = params.mu1 / params.sigma1, params.mu2 / params.sigma2
+    t = np.asarray(x, dtype=float) * (params.sigma2 / params.sigma1)
+    a = np.hypot(t - rho, s)
+    b = (m1 - rho * m2) * t + (m2 - rho * m1)
+    return s, m1, m2, a, (m2 * t - m1) / a, b
+
+
+def ratio_density(params: OrderFlowParams, x):
+    """Ratio density for -1 < rho < 1: Hinkley (1969), Biometrika 56(3),
+    eq. (1), in the units of ``_standardized`` and times sigma2/sigma1,
+
+        b phi(h) / a^3 * erf(b/(sqrt(2) s a)) + s/(pi a^2) exp(-c/(2 s^2))
+
+    with c = m1^2 - 2 rho m1 m2 + m2^2.  Hinkley's exponent
+    (b^2 - c a^2)/(2 s^2 a^2) is -h^2/2 by Lagrange's identity.
+    """
+    s, m1, m2, a, h, b = _standardized(params, x)
+    c_s2 = ((m1 - params.rho * m2) / s) ** 2 + m2 * m2
+    # b becomes the density in place: fits score a million changes per
+    # call, and each temporary of that size adds 8 MB to the peak
+    b *= 2.0 * ndtr(b / (s * a)) - 1.0
+    b *= np.exp(-0.5 * h * h)
+    b /= _SQRT_2PI * a ** 3
+    b += s / (math.pi * a * a) * math.exp(-0.5 * c_s2)
+    b *= params.sigma2 / params.sigma1
+    return b if b.ndim else float(b)
+
+
+def ratio_cdf(params: OrderFlowParams, x):
+    """Ratio CDF for -1 < rho < 1: the bivariate-normal orthant pair
+    P(D - xS <= 0 < S) + P(S < 0 <= D - xS) (Marsaglia 2006, JSS 16(4))
+    by Owen's T,
+
+        1 - 2 T(h, b/(h a s)) - 2 T(m2, (rho m2 - m1)/(m2 s)) - [h < 0],
+
+    free of the induced correlation of (D - xS, S), which rounds to +-1
+    at large |x|.  T is even in its first argument and odd in its second,
+    so it is taken at |h|: at the mode h = 0 that is T(0, inf) = 1/4
+    whatever the sign of the zero.
+    """
+    s, m1, m2, a, h, b = _standardized(params, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_h = 2.0 * owens_t(np.abs(h), b / (np.abs(h) * a * s))
+    t_m = 2.0 * owens_t(m2, (params.rho * m2 - m1) / (m2 * s))
+    out = np.clip(np.where(h < 0.0, t_h, 1.0 - t_h) - t_m, 0.0, 1.0)
+    return out if out.ndim else float(out)
 
 
 def _density_fn(params: OrderFlowParams):
@@ -200,23 +202,11 @@ def _density_fn(params: OrderFlowParams):
 
 
 def positive_ratio_mass(params: OrderFlowParams) -> float:
-    """P(R > 0) = P(demand and supply share a sign).
-
-    Closed form for rho = -1; for the general case the density is
-    integrated over (0, inf) with a 1/t fold for the far tail.
-    """
-    from scipy.stats import norm
-
+    """P(R > 0) = P(D > 0, S > 0) + P(D < 0, S < 0) = 1 - P(R <= 0)."""
     if params.is_anticorrelated:
-        return float(norm.cdf(params.mu2 / params.sigma2)
-                     - norm.cdf(-params.mu1 / params.sigma1))
-    fn = _density_fn(params)
-    split = params.mu1 / params.mu2 + 20.0 * (params.sigma1 / params.mu2
-                                              + params.sigma2 * params.mu1 / params.mu2 ** 2)
-    core, _ = quad(fn, 0.0, split, limit=400)
-    # map (split, inf) to (0, 1/split] via t = 1/x
-    tail, _ = quad(lambda t: fn(1.0 / t) / (t * t), 1e-12, 1.0 / split, limit=400)
-    return float(core + tail)
+        return float(ndtr(params.mu2 / params.sigma2)
+                     - ndtr(-params.mu1 / params.sigma1))
+    return 1.0 - ratio_cdf(params, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,56 +214,56 @@ def positive_ratio_mass(params: OrderFlowParams) -> float:
 # ---------------------------------------------------------------------------
 
 class PowerMap:
-    """The pure power map r -> r**q on r > 0 (a transform, not a response)."""
+    """The pure power map r -> r**q on r > 0 (a transform, not a response).
+
+    Offers the value, first derivative and inverse that
+    ``transform_density`` needs; its range is x > 0 only.
+    """
 
     def __init__(self, q: float):
         if not (q > 0):
             raise DomainError(f"power map exponent must be positive, got {q}")
         self.q = float(q)
 
+    def value(self, r):
+        return np.asarray(r, dtype=float) ** self.q
+
+    def deriv(self, r, order: int = 1):
+        if order != 1:
+            raise DomainError("the power map offers its first derivative only")
+        return self.q * np.asarray(r, dtype=float) ** (self.q - 1.0)
+
+    def inverse(self, x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
+            raise RangeError(f"power-map density is supported on x > 0, got "
+                             f"{x.min():g}")
+        out = x ** (1.0 / self.q)
+        return out if out.ndim else float(out)
+
     def label(self) -> str:
         return f"pow(q={self.q:g})"
 
 
-def transform_density(base, transform, x, *, positive_mass: float | None = None,
-                      inverse_rtol: float = 1e-12):
+def transform_density(base, transform, x, *, positive_mass: float):
     """Density of transform(R) given the density of R, conditioned on R > 0.
 
-    ``base`` is a callable density of R.  For an increasing response g the
-    value is f_R(g^-1(x)) / g'(g^-1(x)), divided by P(R > 0) computed from
-    ``base`` (pass ``positive_mass`` to reuse it across calls).  The
-    inverse is found by bracketed root finding; the pure power map uses
-    its closed form f_R(x**(1/q)) * x**(1/q - 1) / q directly and is
-    supported on x > 0 only.
+    ``base`` is a vectorized density of R and ``positive_mass`` is
+    P(R > 0).  For an increasing transform g the value is
+    f_R(g^-1(x)) / g'(g^-1(x)) / P(R > 0); the inverse is the
+    transform's own (analytic for the built-in families and the power
+    map, bracketed for tabulated responses).
     """
-    if positive_mass is None:
-        split = 10.0
-        core, _ = quad(base, 0.0, split, limit=400)
-        tail, _ = quad(lambda t: base(1.0 / t) / (t * t), 1e-12, 1.0 / split,
-                       limit=400)
-        positive_mass = core + tail
     if not (positive_mass > 0.0):
         raise DomainError("base density has no mass on R > 0")
-
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-
-    if isinstance(transform, PowerMap):
-        q = transform.q
-        for i, xi in enumerate(xs):
-            if xi <= 0.0:
-                raise RangeError(f"power-map density is supported on x > 0, got {xi}")
-            r = xi ** (1.0 / q)
-            out[i] = base(r) * r / (q * xi) / positive_mass
-        return out if np.ndim(x) else float(out[0])
-
-    for i, xi in enumerate(xs):
-        r = invert_monotone(transform.value, float(xi), rtol=inverse_rtol)
-        slope = transform.deriv(r, 1)
-        if slope <= 0.0:
-            raise DomainError(f"transform is not increasing at r={r:g}")
-        out[i] = base(r) / slope / positive_mass
-    return out if np.ndim(x) else float(out[0])
+    r = transform.inverse(x)
+    slope = np.asarray(transform.deriv(r, 1))
+    bad = slope <= 0.0
+    if np.any(bad):
+        raise DomainError("transform is not increasing at "
+                          f"r={np.asarray(r)[bad].flat[0]:g}")
+    out = np.asarray(base(r)) / slope / positive_mass
+    return out if out.ndim else float(out)
 
 
 class TransformedDensity:
@@ -350,6 +340,10 @@ def tail_prediction(params: OrderFlowParams, spec: ResponseSpec) -> TailPredicti
 # ---------------------------------------------------------------------------
 
 class CurveMethod(str, enum.Enum):
+    """Model curves are ``exact`` (closed form); ``exact_anticorr`` and
+    ``quadrature`` label older files and stay loadable."""
+
+    EXACT = "exact"
     EXACT_ANTICORR = "exact_anticorr"
     QUADRATURE = "quadrature"
     EMPIRICAL = "empirical"

@@ -18,19 +18,6 @@ class BranchError(RatioTailsError, ValueError):
     """The wrong density branch was requested for the given correlation."""
 
 
-class QuadratureError(RatioTailsError, RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance.
-
-    Carries the last estimate and error bound for diagnostics.
-    """
-
-    def __init__(self, message: str, value: float = float("nan"),
-                 error_bound: float = float("nan")):
-        super().__init__(message)
-        self.value = value
-        self.error_bound = error_bound
-
-
 class RootFindError(RatioTailsError, RuntimeError):
     """Bracketed root finding failed to locate an inverse value."""
 
@@ -80,3 +67,7 @@ class TimestampError(RatioTailsError, ValueError):
 
 class InputFormatError(RatioTailsError, ValueError):
     """A CSV or manifest file does not match its documented schema."""
+
+
+class InputMismatchError(RatioTailsError, ValueError):
+    """An input file no longer matches the sha256 its manifest recorded."""

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from .density import OrderFlowParams, ratio_density
+from .density import (OrderFlowParams, positive_ratio_mass, ratio_cdf,
+                      ratio_density)
 from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
-from .response import Family, ResponseSpec, TailClass
+from .response import Family, ResponseSpec, TailClass, invert_monotone
 from .simulate import PriceSeries
 from .tails import MIN_TAIL_POINTS
 
@@ -191,57 +192,29 @@ class _AnticorrLaw:
         return (1.0 + self.nu * z) / (1.0 - self.nu * z)
 
 
-class _QuadratureLaw:
-    """General-correlation ratio law on a z-parametrized grid.
+class _CorrelatedLaw:
+    """Ratio law for the unit-mean pair with spread nu and correlation
+    -1 < rho < 1, through the closed forms of ``density``."""
 
-    Used only when the nuisance correlation is overridden away from -1:
-    the density comes from the defining-integral quadrature on a grid and
-    is interpolated; adequate for bulk scoring, not for deep tails.
-    """
-
-    def __init__(self, nu: float, rho: float, z_max: float = 8.0, n: int = 401):
-        from scipy.interpolate import PchipInterpolator
-
-        self.nu = float(nu)
-        params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
-        zcap = min(z_max, (1.0 / nu) * (1.0 - 1e-12))
-        z = np.linspace(-zcap, zcap, n)
-        r = (1.0 + nu * z) / (1.0 - nu * z)
-        pdf = np.array([ratio_density(params, float(ri)) for ri in r])
-        logpdf = np.log(np.maximum(pdf, 5e-324))
-        self._logpdf = PchipInterpolator(r, logpdf, extrapolate=False)
-        cdf_r = np.concatenate([[0.0], np.cumsum(
-            0.5 * (pdf[1:] + pdf[:-1]) * np.diff(r))])
-        from .density import positive_ratio_mass
-
-        self.pos_mass = positive_ratio_mass(params)
-        self._cdf = PchipInterpolator(r, cdf_r, extrapolate=False)
-        self._quant = PchipInterpolator(*_dedup(cdf_r, r), extrapolate=False)
-        self._r_range = (float(r[0]), float(r[-1]))
-        self._cdf_total = float(cdf_r[-1])
+    def __init__(self, nu: float, rho: float):
+        self.params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
+        self.pos_mass = positive_ratio_mass(self.params)
 
     def log_pdf(self, r):
-        out = self._logpdf(np.clip(r, *self._r_range))
-        return np.where(np.isfinite(out), out, _LL_FLOOR)
+        return np.log(ratio_density(self.params, r))
 
     def cdf_pos(self, r):
-        val = self._cdf(np.clip(r, *self._r_range))
-        return np.clip(val / self.pos_mass, 0.0, 1.0)
+        return ((ratio_cdf(self.params, r) - (1.0 - self.pos_mass))
+                / self.pos_mass)
 
     def quantile_pos(self, p):
-        target = np.asarray(p) * self.pos_mass
-        return self._quant(np.clip(target, 0.0, self._cdf_total))
-
-
-def _dedup(x, y):
-    keep = np.concatenate([[True], np.diff(x) > 0])
-    return x[keep], y[keep]
+        return invert_monotone(self.cdf_pos, p)
 
 
 def _make_law(nu: float, rho: float):
     if rho == -1.0:
         return _AnticorrLaw(nu)
-    return _QuadratureLaw(nu, rho)
+    return _CorrelatedLaw(nu, rho)
 
 
 # vectorized log-derivatives of the built-in families (fast path for
@@ -378,12 +351,11 @@ def _fit_nuisance(spec: ResponseSpec, a: np.ndarray, bulk: np.ndarray,
             best = (r.fun, float(nu), float(r.x))
     _, nu0, ls0 = best
 
-    if rho == -1.0:  # cheap law: polish spread and scale jointly
-        res = minimize(
-            lambda th: negative(_make_law(_nu_from_t(th[0]), rho), th[1]),
-            x0=np.array([_t_from_nu(nu0), ls0]), method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
-        nu0, ls0 = _nu_from_t(res.x[0]), float(res.x[1])
+    res = minimize(
+        lambda th: negative(_make_law(_nu_from_t(th[0]), rho), th[1]),
+        x0=np.array([_t_from_nu(nu0), ls0]), method="Nelder-Mead",
+        options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
+    nu0, ls0 = _nu_from_t(res.x[0]), float(res.x[1])
     law = _make_law(nu0, rho)
     return nu0, math.exp(ls0), law
 

@@ -340,13 +340,18 @@ class TabulatedResponse:
         return self._eval(self._d1 if order == 1 else self._d2, x)
 
     def inverse(self, y):
-        y = float(y)
+        """Bracketed inverse on the tabulated range, point by point."""
+        ys = np.asarray(y, dtype=float)
         lo, hi = self.x[0], self.x[-1]
         glo, ghi = float(self._interp(lo)), float(self._interp(hi))
-        if not (min(glo, ghi) <= y <= max(glo, ghi)):
-            raise RangeError(f"{y} outside tabulated response range "
-                             f"[{min(glo, ghi):g}, {max(glo, ghi):g}]")
-        return invert_monotone(self.value, y, lo=lo, hi=hi, expand=False)
+        outside = ~((min(glo, ghi) <= ys) & (ys <= max(glo, ghi)))
+        if np.any(outside):
+            raise RangeError(f"{ys[outside].flat[0]} outside tabulated "
+                             f"response range [{min(glo, ghi):g}, "
+                             f"{max(glo, ghi):g}]")
+        out = np.vectorize(lambda v: invert_monotone(
+            self.value, v, lo=lo, hi=hi, expand=False))(ys)
+        return out if out.ndim else float(out)
 
     @property
     def slope_at_unity(self) -> float:

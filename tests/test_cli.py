@@ -2,14 +2,17 @@
 
 import math
 import os
+import time
+from datetime import datetime
 
 import numpy as np
 import pytest
 
-from ratiotails import OrderFlowParams, ratio_density_anticorr
+from ratiotails import OrderFlowParams, PriceSeries, ratio_density_anticorr
 from ratiotails.cli import main
 from ratiotails.fileio import (load_density_curve, load_price_series,
-                               load_samples, parse_key_values, save_samples)
+                               load_samples, parse_key_values,
+                               save_price_series, save_samples)
 
 
 def run(*argv) -> int:
@@ -71,12 +74,24 @@ def test_density_exact_branch_matches_closed_form(tmp_path, capsys):
                "--sigma2", 0.2, "--rho", -1, "--x-min", -1, "--x-max", 5,
                "--points", 201, "--out", out) == 0
     curve = load_density_curve(str(out))
-    assert curve.method.value == "exact_anticorr"
+    assert curve.method.value == "exact"
     params = OrderFlowParams(1, 1, 0.2, 0.2, -1.0)
     assert np.allclose(curve.values,
                        ratio_density_anticorr(params, curve.grid), rtol=1e-12)
     assert "mass=" in capsys.readouterr().out
     assert os.path.exists(str(out) + ".manifest")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rho", -0.5),
+    ("--rho", -0.5, "--transform", "log"),
+    ("--rho", -1, "--transform", "pow", "--q", 2),
+], ids=["correlated", "transformed", "power-map"])
+def test_density_model_curves_are_labelled_exact(tmp_path, argv):
+    out = tmp_path / "curve.csv"
+    assert run("density", *argv, "--x-min", 0.1, "--x-max", 4,
+               "--points", 21, "--out", out) == 0
+    assert load_density_curve(str(out)).method.value == "exact"
 
 
 def test_density_near_zero_mean_diagnostic_reproduces_cauchy(tmp_path):
@@ -184,6 +199,21 @@ def test_tails_from_prices_as_returns(tmp_path):
     assert kv["class"] == "exponential"  # thin-tailed baseline
 
 
+def test_tails_rejects_ragged_timestamps(tmp_path, capsys):
+    # 20k steps of 1e-6 then 20k of 5e-6: the median step is 1e-6, but
+    # the series is not uniform, and fit rejects the same file
+    rng = np.random.default_rng(41)
+    t = np.arange(20002) * 1e-6
+    t = np.concatenate([t, t[-1] + np.arange(1, 20001) * 5e-6])
+    prices = np.exp(np.cumsum(1e-3 * rng.standard_t(3, t.size)))
+    path = tmp_path / "ragged.csv"
+    save_price_series(PriceSeries.from_prices(t, prices), str(path))
+    assert run("tails", "--prices", path, "--as-returns", 1e-6) == 2
+    assert "uniformly spaced" in capsys.readouterr().err
+    assert run("fit", "--prices", path, "--delta-t", 1e-6,
+               "--big-delta-t", 1e-4, "--stride", 1e-4) == 2
+
+
 def test_tails_input_validation(tmp_path):
     assert run("tails") == 2
     missing = tmp_path / "none.csv"
@@ -271,6 +301,41 @@ def test_replay_density_byte_identical(tmp_path):
     replayed = tmp_path / "c2.csv"
     assert run("replay", str(out) + ".manifest", "--out", replayed) == 0
     assert out.read_bytes() == replayed.read_bytes()
+
+
+def test_replay_checks_recorded_input_hashes(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    assert run("simulate", "--model", "gbm", "--dt", 0.01, "--steps", 5000,
+               "--seed", 43, "--out", prices) == 0
+    report = tmp_path / "report.txt"
+    assert run("tails", "--prices", prices, "--as-returns", 0.01,
+               "--out", report) == 0
+    manifest = str(report) + ".manifest"
+    again = tmp_path / "again.txt"
+    assert run("replay", manifest, "--out", again) == 0
+    assert again.read_bytes() == report.read_bytes()
+
+    with open(prices, "a") as fh:  # one more row behind the manifest
+        fh.write("50.01,1.0\n")
+    capsys.readouterr()
+    changed = tmp_path / "changed.txt"
+    assert run("replay", manifest, "--out", changed) == 2
+    assert str(prices) in capsys.readouterr().err
+    assert not changed.exists()
+
+
+def test_manifest_started_stamped_when_the_command_starts(tmp_path):
+    prices = _simulate_prices(tmp_path, "ps.csv", seed=73)
+    report = tmp_path / "fit.txt"
+    t0 = time.perf_counter()
+    assert run("fit", "--prices", prices, "--delta-t", 1e-6,
+               "--big-delta-t", 1e-4, "--stride", 1e-4, "--out", report) == 0
+    wall = time.perf_counter() - t0
+    kv = parse_key_values((tmp_path / "fit.txt.manifest").read_text())
+    stamped = (datetime.fromisoformat(kv["finished"])
+               - datetime.fromisoformat(kv["started"])).total_seconds()
+    # everything but argument parsing and the manifest write lies between
+    assert 0.8 * wall <= stamped <= wall
 
 
 def test_replay_missing_manifest(tmp_path):

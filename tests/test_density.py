@@ -1,14 +1,18 @@
-"""Ratio densities: exact anticorrelated branch, quadrature, transforms."""
+"""Ratio densities: exact anticorrelated branch, Hinkley's closed form
+against a quadrature oracle, the Owen's-T CDF, transforms."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.special import ndtr
+from scipy.stats import multivariate_normal, norm
 
 from ratiotails import (CurveMethod, DensityCurve, Family, OrderFlowParams,
                         PowerMap, ResponseSpec, TransformedDensity,
-                        positive_ratio_mass, ratio_cdf_anticorr,
+                        positive_ratio_mass, ratio_cdf, ratio_cdf_anticorr,
                         ratio_density, ratio_density_anticorr,
                         tail_prediction, transform_density)
 from ratiotails.response import TailKind
@@ -27,6 +31,48 @@ def mc_ratio(params, n, seed):
     s = params.mu2 + params.sigma2 * (params.rho * z1
                                       + math.sqrt(1 - params.rho ** 2) * z2)
     return d / s
+
+
+def quad_oracle(params, x):
+    """Ratio density from its defining integral f(x) = int |s| phi2(xs, s) ds.
+
+    Adaptive quadrature over +-60 profile widths around the Gaussian
+    center of the integrand, split at s = 0 where |s| kinks; the
+    truncated tails are below 1e-300 of the peak.
+    """
+    s1, s2, rho = params.sigma1, params.sigma2, params.rho
+    mu1, mu2 = params.mu1, params.mu2
+    omr2 = (1.0 - rho) * (1.0 + rho)
+    norm_c = 1.0 / (2.0 * math.pi * s1 * s2 * math.sqrt(omr2))
+
+    def integrand(s):
+        d = (x * s - mu1) / s1
+        e = (s - mu2) / s2
+        return abs(s) * norm_c * math.exp(
+            -0.5 * (d * d - 2.0 * rho * d * e + e * e) / omr2)
+
+    # the exponent is quadratic in s: 0.5*(A s^2 - 2 B s + const)
+    a_coef = (x * x / (s1 * s1) - 2.0 * rho * x / (s1 * s2)
+              + 1.0 / (s2 * s2)) / omr2
+    b_coef = (x * mu1 / (s1 * s1) - rho * (mu1 + mu2 * x) / (s1 * s2)
+              + mu2 / (s2 * s2)) / omr2
+    m, w = b_coef / a_coef, 1.0 / math.sqrt(a_coef)
+    lo, hi = min(0.0, m - 60.0 * w), max(0.0, m + 60.0 * w)
+    pts = sorted({p for p in (0.0, m - 8.0 * w, m, m + 8.0 * w) if lo < p < hi})
+    val, _ = quad(integrand, lo, hi, points=pts or None, epsabs=0.0,
+                  epsrel=1e-12, limit=400)
+    return val
+
+
+# random correlated laws: rho in (-0.999, 0.999), means 2 to 10 spreads
+# above zero, x out to |x| = 1e5
+rhos = st.floats(-0.999, 0.999)
+spreads = st.floats(0.2, 0.5)
+means = st.floats(1.0, 2.0)
+flows = st.builds(OrderFlowParams, means, means, spreads, spreads, rhos)
+signed_x = st.one_of(st.floats(-5.0, 5.0),
+                     st.floats(0.0, 5.0).map(lambda e: 10.0 ** e),
+                     st.floats(0.0, 5.0).map(lambda e: -(10.0 ** e)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +166,83 @@ def test_anticorr_histogram_matches_density():
 
 
 # ---------------------------------------------------------------------------
-# quadrature branch
+# general-correlation branch: Hinkley's density, Owen's-T CDF
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(flows, signed_x)
+def test_closed_form_matches_quadrature_oracle(params, x):
+    ref = quad_oracle(params, x)
+    got = ratio_density(params, x)
+    if ref > 1e-250:
+        assert abs(got - ref) <= 1e-9 * ref
+    else:  # both underflow-level: no relative digits to compare
+        assert got <= 1e-240
+
+
+@settings(max_examples=150, deadline=None)
+@given(flows, st.lists(signed_x, min_size=2, max_size=40))
+def test_cdf_is_monotone(params, xs):
+    # nondecreasing up to the rounding of values near one
+    cdf = ratio_cdf(params, np.sort(np.array(xs)))
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+    assert np.all(np.diff(cdf) >= -4.0 * np.finfo(float).eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flows, signed_x)
+def test_cdf_central_difference_matches_density(params, x):
+    h = 1e-6 * max(1.0, abs(x))
+    fd = (ratio_cdf(params, x + h) - ratio_cdf(params, x - h)) / (2.0 * h)
+    f = ratio_density(params, x)
+    # the difference quotient carries ~1e-16/h of CDF rounding
+    assert abs(fd - f) <= 1e-6 * f + 1e-15 / h
+
+
+@settings(max_examples=100, deadline=None)
+@given(flows)
+def test_positive_mass_is_the_orthant_pair(params):
+    assert positive_ratio_mass(params) == 1.0 - ratio_cdf(params, 0.0)
+    # P(D>0, S>0) + P(D<0, S<0) with scipy's bivariate normal
+    m1, m2, rho = (params.mu1 / params.sigma1, params.mu2 / params.sigma2,
+                   params.rho)
+    both_negative = multivariate_normal(
+        [0.0, 0.0], [[1.0, rho], [rho, 1.0]]).cdf([-m1, -m2])
+    reference = 1.0 - ndtr(-m1) - ndtr(-m2) + 2.0 * both_negative
+    assert positive_ratio_mass(params) == pytest.approx(reference, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flows)
+def test_cdf_at_the_mode(params):
+    # x = mu1/mu2 puts D - xS at zero mean: both one-sided limits must agree
+    mode = params.mu1 / params.mu2
+    below = ratio_cdf(params, np.nextafter(mode, -np.inf))
+    at = ratio_cdf(params, mode)
+    above = ratio_cdf(params, np.nextafter(mode, np.inf))
+    assert below - 1e-15 <= at <= above + 1e-15
+    # and the mass between 0 and the mode is the integral of the density
+    mass, _ = quad(lambda t: ratio_density(params, t), 0.0, mode,
+                   epsabs=0.0, epsrel=1e-12, limit=200)
+    assert at - ratio_cdf(params, 0.0) == pytest.approx(mass, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flows)
+def test_cdf_in_the_far_tails(params):
+    # at |x| = 1e12 the tails are f ~ C/x^2, so the tail masses are |x| f
+    big = 1e12
+    left, right = ratio_cdf(params, -big), ratio_cdf(params, big)
+    assert np.isfinite(left) and np.isfinite(right)
+    for tail, x in ((left, -big), (1.0 - right, big)):
+        expected = big * ratio_density(params, x)
+        assert abs(tail - expected) <= 1e-2 * expected + 1e-15
+
+
+def test_cdf_rejects_anticorr():
+    with pytest.raises(BranchError):
+        ratio_cdf(ANTI, 1.0)
+
 
 def test_cauchy_special_case():
     # ratio of independent standard normals is standard Cauchy
@@ -169,7 +290,6 @@ def test_normalization_window():
     spread = (params.sigma1 / params.mu2
               + params.sigma2 * params.mu1 / params.mu2 ** 2)
     L = params.mu1 / params.mu2 + 50.0 * spread
-    from scipy.integrate import quad
     mass, _ = quad(lambda x: ratio_density(params, x), -L, L, limit=400)
     assert 0.999 <= mass <= 1.0 + 1e-6
 
@@ -209,6 +329,16 @@ def test_power_map_closed_form():
         expected = base(x ** (1 / q)) * (1 / q) * x ** (1 / q - 1) / pos
         got = transform_density(base, PowerMap(q), x, positive_mass=pos)
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+def test_power_map_inverse_and_derivative(q, r):
+    pm = PowerMap(q)
+    assert pm.inverse(pm.value(r)) == pytest.approx(r, rel=1e-12)
+    h = 1e-6 * r
+    fd = (pm.value(r + h) - pm.value(r - h)) / (2.0 * h)
+    assert pm.deriv(r) == pytest.approx(fd, rel=1e-6)
 
 
 def test_power_map_rejects_nonpositive_argument():

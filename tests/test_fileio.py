@@ -51,15 +51,17 @@ def test_samples_round_trip(tmp_path):
 
 
 def test_density_curve_round_trip(tmp_path):
+    # every label round-trips, so files written as exact_anticorr or
+    # quadrature by earlier versions still load
     grid = np.linspace(-2, 2, 41)
     vals = np.exp(-0.5 * grid ** 2)
-    curve = DensityCurve(grid, vals, CurveMethod.QUADRATURE)
     path = str(tmp_path / "curve.csv")
-    save_density_curve(curve, path)
-    back = load_density_curve(path)
-    assert back.method is CurveMethod.QUADRATURE
-    assert np.array_equal(back.grid, grid)
-    assert np.array_equal(back.values, vals)
+    for method in CurveMethod:
+        save_density_curve(DensityCurve(grid, vals, method), path)
+        back = load_density_curve(path)
+        assert back.method is method
+        assert np.array_equal(back.grid, grid)
+        assert np.array_equal(back.values, vals)
 
 
 def test_response_table_load(tmp_path):

@@ -262,7 +262,7 @@ def test_report_rendering_log_and_stretched():
 
 
 def test_fit_with_overridden_correlation():
-    # nuisance law built by quadrature when the correlation is not -1
+    # the closed-form nuisance law when the correlation is not -1
     rng = np.random.default_rng(61)
     z1 = rng.standard_normal(2 * 10 ** 5)
     z2 = rng.standard_normal(2 * 10 ** 5)
