@@ -328,18 +328,18 @@ def _run_fit(args) -> int:
 
 def _write_overlay(series, w, result, path: str) -> None:
     """Empirical density of the changes next to the fitted model density."""
-    from .fitting import _log_slope, _make_law, relative_changes
+    from .fitting import _AnticorrLaw, relative_changes
 
     changes = relative_changes(series, w)
     lo, hi = np.quantile(changes, [0.001, 0.999])
     hist, edges = np.histogram(changes, bins=160, range=(lo, hi), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    law = _make_law(result.nuisance_spread, -1.0)
+    law = _AnticorrLaw(result.nuisance_spread)
     spec = result.response
     s = result.nuisance_scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.asarray(spec.inverse(centers / s), dtype=float)
-        model = np.exp(law.log_pdf(r) - _log_slope(spec, r)) / s / law.pos_mass
+        model = np.exp(law.log_pdf(r) - spec.log_deriv(r)) / s / law.pos_mass
     model = np.where(np.isfinite(model), model, 0.0)
     rows = ["x,f_model,f_empirical"]
     rows.extend(f"{repr(float(x))},{repr(float(m))},{repr(float(e))}"

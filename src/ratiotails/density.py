@@ -148,10 +148,25 @@ def _standardized(params: OrderFlowParams, x):
         raise DomainError(f"correlation {rho} outside (-1, 1)")
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     m1, m2 = params.mu1 / params.sigma1, params.mu2 / params.sigma2
-    t = np.asarray(x, dtype=float) * (params.sigma2 / params.sigma1)
+    # callers put the limits at x = +-inf back; inf/inf would be NaN
+    t = _finite(x) * (params.sigma2 / params.sigma1)
     a = np.hypot(t - rho, s)
     b = (m1 - rho * m2) * t + (m2 - rho * m1)
     return s, m1, m2, a, (m2 * t - m1) / a, b
+
+
+def _finite(x):
+    x = np.asarray(x, dtype=float)
+    ends = np.isinf(x)
+    return np.where(ends, 0.0, x) if ends.any() else x
+
+
+def _at_infinity(x, out, lower: float, upper: float):
+    """``out`` with its entries at x = -inf / +inf set to lower / upper."""
+    x = np.asarray(x, dtype=float)
+    if np.isinf(x).any():
+        out = np.where(x == np.inf, upper, np.where(x == -np.inf, lower, out))
+    return out if out.ndim else float(out)
 
 
 def ratio_density(params: OrderFlowParams, x):
@@ -172,7 +187,7 @@ def ratio_density(params: OrderFlowParams, x):
     b /= _SQRT_2PI * a ** 3
     b += s / (math.pi * a * a) * math.exp(-0.5 * c_s2)
     b *= params.sigma2 / params.sigma1
-    return b if b.ndim else float(b)
+    return _at_infinity(x, b, 0.0, 0.0)
 
 
 def ratio_cdf(params: OrderFlowParams, x):
@@ -192,7 +207,7 @@ def ratio_cdf(params: OrderFlowParams, x):
         t_h = 2.0 * owens_t(np.abs(h), b / (np.abs(h) * a * s))
     t_m = 2.0 * owens_t(m2, (params.rho * m2 - m1) / (m2 * s))
     out = np.clip(np.where(h < 0.0, t_h, 1.0 - t_h) - t_m, 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return _at_infinity(x, out, 0.0, 1.0)
 
 
 def _density_fn(params: OrderFlowParams):
@@ -328,7 +343,7 @@ def tail_prediction(params: OrderFlowParams, spec: ResponseSpec) -> TailPredicti
         probes = np.array([6.0, 8.0, 10.0, 12.0, 14.0]) ** (1.0 / p)
         comp = probes ** (1.0 - p) * np.exp(probes ** p)
 
-    values = comp * np.array([density(float(t)) for t in probes])
+    values = comp * density(probes)
     drift = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
     return TailPrediction(tail=tail, prefactor=float(values[-1]),
                           prefactor_drift=float(drift),
@@ -377,8 +392,11 @@ class DensityCurve:
 
     @classmethod
     def from_function(cls, fn, grid, method: CurveMethod) -> "DensityCurve":
+        """Evaluate ``fn`` once on the whole grid: it must accept an array
+        and return one value per grid point, as the closed-form densities
+        and ``TransformedDensity`` do."""
         grid = np.asarray(grid, dtype=float)
-        vals = np.array([float(fn(x)) for x in grid])
+        vals = np.asarray(fn(grid), dtype=float)
         return cls(grid, vals, method)
 
     @classmethod

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .density import (OrderFlowParams, positive_ratio_mass, ratio_cdf,
                       ratio_density)
@@ -40,6 +40,7 @@ __all__ = [
     "exponent_report",
 ]
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LL_FLOOR = math.log(5e-324)  # density below float-min scores as float-min
 _TIE_MARGIN = 1e-4            # per-point score margin for identifiability
 _PARAM_COUNT = {Family.SYM: 0, Family.LOG: 0, Family.POWER: 1,
@@ -164,6 +165,48 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
 # the nuisance ratio law (demand/supply pair with unit means)
 # ---------------------------------------------------------------------------
 
+_NU_LO, _NU_HI = 0.02, 0.97
+_NU_GRID = np.geomspace(0.05, 0.93, 21)
+_CHUNK = 1 << 16  # points per pass; bounds a full-bulk score's temporaries
+
+
+def _ratios(spec: ResponseSpec, scale: float, points: np.ndarray):
+    """The ratios behind ``points`` at ``scale``, one chunk at a time;
+    r = inf marks a point with no positive finite ratio."""
+    for i in range(0, points.size, _CHUNK):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.asarray(spec.inverse(points[i:i + _CHUNK] / scale),
+                           dtype=float)
+        yield np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
+
+
+def _threshold_ratio(spec: ResponseSpec, scale: float, u: float) -> float:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return float(spec.inverse(u / scale))
+
+
+def _scale_seed(spec: ResponseSpec, law, q95: float) -> float:
+    """Log of the scale that puts the law's 0.95 |change| quantile at q95
+    (by symmetry, its signed 0.975 quantile)."""
+    return math.log(q95 / float(spec.value(law.quantile_pos(0.975))))
+
+
+def _maximize(f, grid, values, lo: float, hi: float, xatol: float):
+    """(value, x) of the larger of the best grid point and a bounded Brent
+    maximum of f between that point's neighbours, or out to lo / hi when
+    it is an end of the grid."""
+    from scipy.optimize import minimize_scalar
+
+    i = int(np.argmax(values))
+    a = grid[i - 1] if i > 0 else lo
+    b = grid[i + 1] if i + 1 < len(grid) else hi
+    res = minimize_scalar(lambda x: -f(x), bounds=(a, b), method="bounded",
+                          options={"xatol": xatol})
+    if -res.fun > values[i]:
+        return -float(res.fun), float(res.x)
+    return float(values[i]), float(grid[i])
+
+
 class _AnticorrLaw:
     """Ratio law for the unit-mean anticorrelated pair with spread nu.
 
@@ -174,7 +217,7 @@ class _AnticorrLaw:
 
     def __init__(self, nu: float):
         self.nu = float(nu)
-        self._edge = norm.cdf(1.0 / nu)
+        self._edge = ndtr(1.0 / nu)
         self.pos_mass = 2.0 * self._edge - 1.0
 
     def log_pdf(self, r):
@@ -185,11 +228,84 @@ class _AnticorrLaw:
 
     def cdf_pos(self, r):
         z = (r - 1.0) / (self.nu * (r + 1.0))
-        return (norm.cdf(z) - (1.0 - self._edge)) / self.pos_mass
+        return (ndtr(z) - (1.0 - self._edge)) / self.pos_mass
 
     def quantile_pos(self, p):
-        z = norm.ppf((1.0 - self._edge) + np.asarray(p) * self.pos_mass)
+        z = ndtri((1.0 - self._edge) + np.asarray(p) * self.pos_mass)
         return (1.0 + self.nu * z) / (1.0 - self.nu * z)
+
+    @staticmethod
+    def profile(spec: ResponseSpec, scale: float, points: np.ndarray,
+                u: float):
+        """The mean bulk log-likelihood at ``scale`` as a function of nu
+        (scalar or array), from one pass over ``points``.
+
+        With t = (r-1)/(r+1) and w = -2 log1p(r) - log g'(r) per point
+        the mean separates into c(nu) - sum(t^2)/(2 n nu^2) + sum(w)/n
+        - log s - log pos_mass(nu) - log bulk_mass(nu, s), so the pass
+        keeps only (count, sum t^2, sum w) of the points whose t and w
+        are finite; the rest score the floor, whatever nu.
+        """
+        n_ok, st2, sw = 0, 0.0, 0.0
+        for r in _ratios(spec, scale, points):
+            with np.errstate(invalid="ignore"):
+                t = (r - 1.0) / (r + 1.0)
+                w = -2.0 * np.log1p(r) - spec.log_deriv(r)
+            ok = np.isfinite(t) & np.isfinite(w)
+            t = t[ok]
+            n_ok += t.size
+            st2 += float(np.dot(t, t))
+            sw += float(np.sum(w[ok]))
+        r_u = _threshold_ratio(spec, scale, u)
+        t_u = (r_u - 1.0) / (r_u + 1.0)
+        n = points.size
+        share = n_ok / n
+        rest = (sw - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
+        half_st2 = 0.5 * st2 / n
+
+        def score(nu):
+            edge = ndtr(1.0 / nu)
+            pos_mass = 2.0 * edge - 1.0
+            bulk_mass = 2.0 * (ndtr(t_u / nu) - (1.0 - edge)) / pos_mass - 1.0
+            usable = bulk_mass > 0.0
+            ll = (share * np.log(2.0 / (_SQRT_2PI * nu * pos_mass))
+                  - half_st2 / (nu * nu) + rest
+                  - np.log(np.where(usable, bulk_mass, 1.0)))
+            out = np.where(usable, ll, _LL_FLOOR)
+            return out if out.ndim else float(out)
+
+        return score
+
+    def bulk_score(self, spec: ResponseSpec, scale: float,
+                   points: np.ndarray, u: float) -> float:
+        """Average conditional log-likelihood of the sub-threshold points."""
+        return self.profile(spec, scale, points, u)(self.nu)
+
+    @classmethod
+    def search(cls, spec: ResponseSpec, sub: np.ndarray, u: float,
+               q95: float, rho: float):
+        """Maximize over log-scale the bulk likelihood profiled over nu.
+
+        Each log-scale costs one pass, after which nu is maximized on
+        scalars: the nu grid, then bounded Brent between the best grid
+        point's neighbours (out to _NU_LO / _NU_HI at the grid's ends).
+        Log-scale is searched the same way from the nu grid's scale
+        seeds, 1.5 past the outer seeds.
+        """
+        best_nu = {}
+
+        def profiled(log_scale: float) -> float:
+            score = cls.profile(spec, math.exp(log_scale), sub, u)
+            value, best_nu[log_scale] = _maximize(
+                score, _NU_GRID, score(_NU_GRID), _NU_LO, _NU_HI, 1e-9)
+            return value
+
+        seeds = np.sort([_scale_seed(spec, cls(nu), q95) for nu in _NU_GRID])
+        values = [profiled(ls) for ls in seeds]
+        _, log_scale = _maximize(profiled, seeds, values, seeds[0] - 1.5,
+                                 seeds[-1] + 1.5, 1e-7)
+        nu = best_nu[log_scale]
+        return nu, math.exp(log_scale), cls(nu)
 
 
 class _CorrelatedLaw:
@@ -210,33 +326,65 @@ class _CorrelatedLaw:
     def quantile_pos(self, p):
         return invert_monotone(self.cdf_pos, p)
 
+    def bulk_score(self, spec: ResponseSpec, scale: float,
+                   points: np.ndarray, u: float) -> float:
+        """Average conditional log-likelihood of the sub-threshold points."""
+        total = 0.0
+        for r in _ratios(spec, scale, points):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ll = (self.log_pdf(r) - math.log(scale) - spec.log_deriv(r)
+                      - math.log(self.pos_mass))
+            total += float(np.sum(np.where(np.isfinite(ll), ll, _LL_FLOOR)))
+        r_u = _threshold_ratio(spec, scale, u)
+        bulk_mass = 2.0 * float(self.cdf_pos(r_u)) - 1.0
+        if bulk_mass <= 0.0:
+            return _LL_FLOOR
+        return total / points.size - math.log(bulk_mass)
 
-def _make_law(nu: float, rho: float):
-    if rho == -1.0:
-        return _AnticorrLaw(nu)
-    return _CorrelatedLaw(nu, rho)
+    @classmethod
+    def search(cls, spec: ResponseSpec, sub: np.ndarray, u: float,
+               q95: float, rho: float):
+        """Profile nu on the grid with an inner bounded log-scale fit, then
+        polish (nu, log-scale) by Nelder-Mead.
+
+        The Hinkley density has no nu-free sums, so every step is a pass;
+        a profile over scale would take more of them than this search.
+        """
+        from scipy.optimize import minimize, minimize_scalar
+
+        def negative(law, log_scale: float) -> float:
+            return -law.bulk_score(spec, math.exp(log_scale), sub, u)
+
+        best = (math.inf, None, None)
+        for nu in _NU_GRID:
+            law = cls(float(nu), rho)
+            ls0 = _scale_seed(spec, law, q95)
+            r = minimize_scalar(lambda ls: negative(law, ls),
+                                bounds=(ls0 - 1.5, ls0 + 1.5),
+                                method="bounded", options={"xatol": 1e-7})
+            if r.fun < best[0]:
+                best = (r.fun, float(nu), float(r.x))
+        _, nu0, ls0 = best
+
+        res = minimize(
+            lambda th: negative(cls(_nu_from_t(th[0]), rho), th[1]),
+            x0=np.array([_t_from_nu(nu0), ls0]), method="Nelder-Mead",
+            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
+        nu0, ls0 = _nu_from_t(res.x[0]), float(res.x[1])
+        return nu0, math.exp(ls0), cls(nu0, rho)
 
 
-# vectorized log-derivatives of the built-in families (fast path for
-# likelihood evaluation; cross-checked against ResponseSpec.deriv in tests)
-def _log_slope(spec: ResponseSpec, r: np.ndarray) -> np.ndarray:
-    q = spec.param
-    fam = spec.family
-    lr = np.log(r)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if fam is Family.SYM:
-            return math.log(0.5) + np.log1p(np.exp(-2.0 * lr))
-        if fam is Family.POWER:
-            return math.log(q) + np.logaddexp((q - 1.0) * lr, (-q - 1.0) * lr)
-        if fam is Family.ODD_POWER:
-            n = int(q)
-            u = r - 1.0 / r
-            return (math.log(n) + (n - 1) * np.log(np.abs(u))
-                    + np.log1p(np.exp(-2.0 * lr)))
-        if fam is Family.LOG_POWER:
-            n = int(q)
-            return math.log(n) + (n - 1) * np.log(np.abs(lr)) - lr
-        return -lr
+def _nu_from_t(t: float) -> float:
+    return _NU_LO + (_NU_HI - _NU_LO) / (1.0 + math.exp(-t))
+
+
+def _t_from_nu(nu: float) -> float:
+    nu = min(max(nu, _NU_LO + 1e-6), _NU_HI - 1e-6)
+    return math.log((nu - _NU_LO) / (_NU_HI - nu))
+
+
+def _law_class(rho: float):
+    return _AnticorrLaw if rho == -1.0 else _CorrelatedLaw
 
 
 # ---------------------------------------------------------------------------
@@ -282,82 +430,25 @@ def _spec_for(family: Family, param):
     return ResponseSpec(family, param)
 
 
-def _bulk_quantile(spec: ResponseSpec, law, p: float, scale: float) -> float:
-    # |c| quantile p maps to the signed quantile (1+p)/2 by symmetry
-    r = law.quantile_pos((1.0 + p) / 2.0)
-    return scale * float(spec.value(r))
-
-
-def _bulk_score(spec: ResponseSpec, law, scale: float, bulk: np.ndarray,
-                u: float) -> float:
-    """Average conditional log-likelihood of the sub-threshold changes."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.asarray(spec.inverse(bulk / scale), dtype=float)
-        r = np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
-        ll = (law.log_pdf(r) - math.log(scale) - _log_slope(spec, r)
-              - math.log(law.pos_mass))
-        ll = np.where(np.isfinite(ll), ll, _LL_FLOOR)
-        r_u = float(spec.inverse(u / scale))
-    bulk_mass = 2.0 * float(law.cdf_pos(r_u)) - 1.0
-    if bulk_mass <= 0.0:
-        return _LL_FLOOR
-    return float(np.mean(ll)) - math.log(bulk_mass)
-
-
-_NU_LO, _NU_HI = 0.02, 0.97
-
-
-def _nu_from_t(t: float) -> float:
-    return _NU_LO + (_NU_HI - _NU_LO) / (1.0 + math.exp(-t))
-
-
-def _t_from_nu(nu: float) -> float:
-    nu = min(max(nu, _NU_LO + 1e-6), _NU_HI - 1e-6)
-    return math.log((nu - _NU_LO) / (_NU_HI - nu))
-
-
-def _fit_nuisance(spec: ResponseSpec, a: np.ndarray, bulk: np.ndarray,
+def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
                   u: float, rho: float):
     """Maximize the conditional bulk likelihood over (spread, scale).
 
     The likelihood surface has a long curved ridge (bulk width pins only
-    the product of spread and scale), so the spread is profiled on a grid
-    with an inner one-dimensional scale fit, then polished locally.  The
-    profile runs on a deterministic subsample of the bulk; the winner is
-    scored on the full bulk by the caller.
+    the product of spread and scale).  The search runs on a deterministic
+    subsample of the bulk, seeded at the scales that match the 0.95
+    |change| quantile ``q95`` on a 21-point spread grid; the caller
+    scores the winner on the full bulk.
+
+    At rho = -1 the mean log-likelihood at a fixed scale depends on the
+    points only through three sums, so one pass over the subsample
+    gives the whole spread profile: the search is a bounded Brent over
+    log-scale of that profile, maximized over the spread on scalars.
+    For other rho every evaluation is a pass, and the spread grid with an
+    inner scale fit is polished by Nelder-Mead.
     """
-    from scipy.optimize import minimize, minimize_scalar
-
-    q95 = float(np.quantile(a, 0.95))
-    if not (q95 > 0.0):
-        raise DomainError("changes are identically zero; nothing to fit")
     step = max(1, bulk.size // 30000)
-    sub = bulk[::step]
-
-    def scale_seed(law) -> float:
-        return q95 / _bulk_quantile(spec, law, 0.95, 1.0)
-
-    def negative(law, log_scale: float) -> float:
-        return -_bulk_score(spec, law, math.exp(log_scale), sub, u)
-
-    best = (math.inf, None, None)
-    for nu in np.geomspace(0.05, 0.93, 21):
-        law = _make_law(float(nu), rho)
-        ls0 = math.log(scale_seed(law))
-        r = minimize_scalar(lambda ls: negative(law, ls),
-                            bounds=(ls0 - 1.5, ls0 + 1.5), method="bounded",
-                            options={"xatol": 1e-7})
-        if r.fun < best[0]:
-            best = (r.fun, float(nu), float(r.x))
-    _, nu0, ls0 = best
-
-    res = minimize(
-        lambda th: negative(_make_law(_nu_from_t(th[0]), rho), th[1]),
-        x0=np.array([_t_from_nu(nu0), ls0]), method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
-    nu0, ls0 = _nu_from_t(res.x[0]), float(res.x[1])
-    law = _make_law(nu0, rho)
-    return nu0, math.exp(ls0), law
+    return _law_class(rho).search(spec, bulk[::step], u, q95, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +536,9 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         raise InsufficientTailError(
             f"{exc.size} exceedances above the {threshold_quantile:g} "
             f"quantile; need >= {MIN_TAIL_POINTS}")
+    q95 = float(np.quantile(a, 0.95))
+    if not (q95 > 0.0):
+        raise DomainError("changes are identically zero; nothing to fit")
     bulk = c[a <= u]
     p_tail = exc.size / c.size
 
@@ -454,8 +548,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     for fam in fams:
         param, tail_ll = _tail_stage(fam, exc, u)
         spec = _spec_for(fam, param)
-        nu, scale, law = _fit_nuisance(spec, a, bulk, u, rho)
-        bulk_ll = _bulk_score(spec, law, scale, bulk, u)
+        nu, scale, law = _fit_nuisance(spec, q95, bulk, u, rho)
+        bulk_ll = law.bulk_score(spec, scale, bulk, u)
         score = (1.0 - p_tail) * bulk_ll + p_tail * tail_ll
         fitted[fam] = (spec, param, nu, scale)
         scores[fam.value] = score

@@ -12,6 +12,7 @@ user-supplied responses.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +179,38 @@ class ResponseSpec:
                 out = (n * (n - 1) * lx ** (n - 2) - n * lx ** (n - 1)) / (x * x)
         else:
             out = 1.0 / x if order == 1 else -(x ** -2.0)
+        return out if np.ndim(out) else float(out)
+
+    def log_deriv(self, x):
+        """log g'(x) for x > 0, finite where ``deriv`` overflows.
+
+        Array input is not validated: fits pass millions of ratios per
+        call.  POWER's slope is written through L = q |log x|, the log
+        of u = max(x, 1/x)**q, as log q - log x + L + log1p(exp(-2 L)),
+        so no power of x is formed; SYM and ODD_POWER's 1 + x**-2 factor
+        are its q = 1 case.
+        """
+        fam = self.family
+        n = 1 if self.param is None else int(self.param)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lx = np.log(x)
+            if fam is Family.LOG:
+                out = -lx
+            elif fam is Family.LOG_POWER:
+                # n = 1 skips 0 * log|log x|, which is NaN at x = 1
+                out = (math.log(n) - lx if n == 1 else
+                       math.log(n) + (n - 1) * np.log(np.abs(lx)) - lx)
+            else:
+                # SYM is half of POWER with q = 1, and ODD_POWER's factor
+                # 1 + x**-2 is POWER's slope with q = 1
+                q = self.param if fam is Family.POWER else 1.0
+                big = q * np.abs(lx)
+                out = math.log(q) - lx + big + np.log1p(np.exp(-2.0 * big))
+                if fam is Family.SYM:
+                    out = out + math.log(0.5)
+                elif fam is Family.ODD_POWER and n > 1:
+                    out = out + (math.log(n)
+                                 + (n - 1) * np.log(np.abs(x - 1.0 / x)))
         return out if np.ndim(out) else float(out)
 
     def inverse(self, y):

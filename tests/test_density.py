@@ -466,6 +466,21 @@ def test_tail_prediction_logpower():
     assert pred.tail.shape == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(flows, signed_x)
+def test_limits_at_infinity(params, x):
+    # inf/inf in the standardized units must not leak out as NaN
+    xs = np.array([-np.inf, x, np.inf])
+    assert ratio_density(params, np.inf) == ratio_density(params, -np.inf) == 0.0
+    assert ratio_cdf(params, -np.inf) == 0.0
+    assert ratio_cdf(params, np.inf) == 1.0
+    dens, cdf = ratio_density(params, xs), ratio_cdf(params, xs)
+    assert dens[0] == dens[2] == cdf[0] == 0.0 and cdf[2] == 1.0
+    assert dens[1] == pytest.approx(ratio_density(params, x), rel=1e-14)
+    assert cdf[1] == pytest.approx(ratio_cdf(params, x), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # DensityCurve container
 # ---------------------------------------------------------------------------
@@ -480,6 +495,58 @@ def test_curve_mass_and_validation():
         DensityCurve(grid[::-1], vals, CurveMethod.QUADRATURE)
     with pytest.raises(DomainError):
         DensityCurve(grid, -vals, CurveMethod.QUADRATURE)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: ratio_density(OrderFlowParams(1, 1, 0.2, 0.2, -0.5), x),
+    lambda x: ratio_density_anticorr(ANTI, x),
+    TransformedDensity(OrderFlowParams(1, 1, 0.5, 0.5, -0.5),
+                       ResponseSpec(Family.POWER, 2.0)),
+], ids=["hinkley", "anticorr", "transformed"])
+def test_curve_from_function_is_one_vectorized_call(fn):
+    grid = np.linspace(-1.0, 5.0, 401)
+    if isinstance(fn, TransformedDensity):
+        grid = np.linspace(-3.0, 3.0, 401)
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return fn(x)
+
+    curve = DensityCurve.from_function(counted, grid, CurveMethod.EXACT)
+    assert shapes == [grid.shape]
+    loop = np.array([float(fn(x)) for x in grid])
+    np.testing.assert_allclose(curve.values, loop, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [ResponseSpec(Family.SYM),
+                                  ResponseSpec(Family.LOG),
+                                  ResponseSpec(Family.LOG_POWER, 3)],
+                         ids=lambda s: s.label())
+def test_tail_prediction_matches_the_per_probe_loop(spec, monkeypatch):
+    from ratiotails import density as density_module
+    shapes = []
+
+    def counted(base, transform, x, **kw):
+        shapes.append(np.shape(x))
+        return transform_density(base, transform, x, **kw)
+
+    params = OrderFlowParams(1.0, 1.0, 0.5, 0.5, -0.5)
+    monkeypatch.setattr(density_module, "transform_density", counted)
+    pred = tail_prediction(params, spec)
+    monkeypatch.undo()
+    assert shapes == [(len(pred.probes),)]
+    density = TransformedDensity(params, spec)
+    x, values = np.array(pred.probes).T
+    tail = pred.tail
+    if tail.kind is TailKind.POWER_LAW:
+        comp = x ** tail.density_exponent
+    elif tail.kind is TailKind.EXPONENTIAL:
+        comp = np.exp(tail.rate * x)
+    else:
+        comp = x ** (1.0 - tail.shape) * np.exp(x ** tail.shape)
+    loop = comp * np.array([density(float(t)) for t in x])
+    np.testing.assert_allclose(values, loop, rtol=1e-14, atol=0.0)
 
 
 def test_curve_from_samples():

@@ -1,6 +1,8 @@
 """Windowed change extraction and response-family recovery."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         SimConfig, TailKind, WindowSpec, exponent_report,
                         fit_g, fit_price_series, relative_changes,
                         simulate_gbm, simulate_path)
+from ratiotails import fitting
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
+from ratiotails.fitting import _AnticorrLaw
 
 ANTI_PATH = OrderFlowParams(1.0, 1.0, 0.38, 0.38, -1.0)
 
@@ -275,3 +279,107 @@ def test_fit_with_overridden_correlation():
     result = fit_g(changes, [Family.POWER, Family.LOG], rho=rho)
     assert result.response.family is Family.POWER
     assert result.param_estimate == pytest.approx(1.0, rel=0.3)
+
+
+# ---------------------------------------------------------------------------
+# the rho = -1 nuisance search against the per-point grid + Nelder-Mead oracle
+# ---------------------------------------------------------------------------
+
+def pointwise_score(spec, law, scale, points, u):
+    """Mean conditional bulk log-likelihood, one full per-point pass."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.asarray(spec.inverse(points / scale), dtype=float)
+        r = np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
+        ll = (law.log_pdf(r) - math.log(scale) - spec.log_deriv(r)
+              - math.log(law.pos_mass))
+        ll = np.where(np.isfinite(ll), ll, fitting._LL_FLOOR)
+        r_u = float(spec.inverse(u / scale))
+    bulk_mass = 2.0 * float(law.cdf_pos(r_u)) - 1.0
+    if bulk_mass <= 0.0:
+        return fitting._LL_FLOOR
+    return float(np.mean(ll)) - math.log(bulk_mass)
+
+
+def grid_nelder_mead_oracle(spec, q95, sub, u):
+    """The rho = -1 search the scale profile replaced: a bounded log-scale
+    fit at each point of the 21-point spread grid, then a Nelder-Mead
+    polish of (logit spread, log-scale), each step a per-point pass."""
+    from scipy.optimize import minimize, minimize_scalar
+
+    def negative(nu, log_scale):
+        return -pointwise_score(spec, _AnticorrLaw(nu), math.exp(log_scale),
+                                sub, u)
+
+    best = (math.inf, None, None)
+    for nu in np.geomspace(0.05, 0.93, 21):
+        ls0 = fitting._scale_seed(spec, _AnticorrLaw(nu), q95)
+        r = minimize_scalar(lambda ls: negative(nu, ls),
+                            bounds=(ls0 - 1.5, ls0 + 1.5), method="bounded",
+                            options={"xatol": 1e-7})
+        if r.fun < best[0]:
+            best = (r.fun, float(nu), float(r.x))
+    _, nu0, ls0 = best
+    res = minimize(lambda th: negative(fitting._nu_from_t(th[0]), th[1]),
+                   x0=np.array([fitting._t_from_nu(nu0), ls0]),
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
+    return fitting._nu_from_t(res.x[0]), math.exp(res.x[1])
+
+
+def _split(changes, quantile=0.998):
+    a = np.abs(changes)
+    u = float(np.quantile(a, quantile))
+    return float(np.quantile(a, 0.95)), changes[a <= u], u
+
+
+@pytest.mark.parametrize("family,q,make,ridge", [
+    (Family.POWER, 1.0, lambda r: 1e-6 * (r - 1.0 / r), False),
+    (Family.LOG, None, lambda r: 1e-6 * np.log(r), False),
+    (Family.POWER, 1.0, None, True),
+], ids=["power", "log", "gaussian"])
+def test_profile_search_matches_the_oracle(family, q, make, ridge):
+    if make is None:  # GBM-like changes: a flat ridge in (spread, scale)
+        changes = 1e-4 + 1e-3 * np.random.default_rng(71).standard_normal(30000)
+    else:
+        changes = make(ratio_positive(30000, seed=73))
+    spec = ResponseSpec(family, q)
+    q95, bulk, u = _split(changes)
+    nu, scale, law = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
+    nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u)
+    got = law.bulk_score(spec, scale, bulk, u)
+    ref = pointwise_score(spec, _AnticorrLaw(nu_ref), scale_ref, bulk, u)
+    if ridge:
+        assert abs(got - ref) <= 1e-6
+    else:
+        assert got >= ref - 1e-9
+        assert nu == pytest.approx(nu_ref, rel=1e-5)
+        assert scale == pytest.approx(scale_ref, rel=1e-5)
+
+
+@pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None),
+                                      (Family.ODD_POWER, 3)])
+def test_three_sums_give_the_pointwise_score(family, q):
+    # more points than one chunk, and three far points: under LOG their
+    # ratios leave float range (r = 0 or inf), so they score the floor
+    spec = ResponseSpec(family, q)
+    r = ratio_positive(fitting._CHUNK + 4000, seed=79)
+    points = np.asarray(spec.value(r))
+    points[:3] = [2e3, -2e3, 5e3]
+    u = 500.0
+    for nu, scale in ((0.38, 1.0), (0.05, 0.8), (0.9, 3.0)):
+        law = _AnticorrLaw(nu)
+        ref = pointwise_score(spec, law, scale, points, u)
+        assert law.bulk_score(spec, scale, points, u) == pytest.approx(
+            ref, rel=1e-12, abs=1e-12)
+    profile = _AnticorrLaw.profile(spec, 1.0, points, u)
+    nus = np.array([0.05, 0.38, 0.9])
+    np.testing.assert_allclose(profile(nus), [profile(v) for v in nus],
+                               rtol=1e-14)
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate():
+    code = ("import sys, ratiotails; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.stats', 'scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratiotails import (Family, ResponseSpec, TabulatedResponse, TailKind,
                         check_admissibility, invert_monotone,
@@ -87,6 +88,34 @@ def test_sym_slope_at_one():
 
 def test_log_slope_at_two():
     assert LOG.deriv(2.0) == pytest.approx(0.5, abs=1e-15)
+
+
+ratios = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+specs = st.one_of(
+    st.just(SYM), st.just(LOG),
+    st.floats(0.01, 100.0).map(lambda q: ResponseSpec(Family.POWER, q)),
+    st.integers(0, 49).map(lambda k: ResponseSpec(Family.ODD_POWER, 2 * k + 1)),
+    st.integers(0, 49).map(lambda k: ResponseSpec(Family.LOG_POWER, 2 * k + 1)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(specs, st.lists(ratios, min_size=1, max_size=8))
+def test_log_deriv_is_log_of_deriv(spec, xs):
+    # rel 1e-12 against log(deriv) wherever deriv is a normal float
+    # (absolute where the log is near zero); where deriv overflows,
+    # log_deriv stays finite, and where it underflows, below log(tiny)
+    x = np.array(xs + [1.0])
+    got = spec.log_deriv(x)
+    with np.errstate(over="ignore", under="ignore"):
+        d = np.asarray(spec.deriv(x))
+    tiny = np.finfo(float).tiny
+    normal = np.isfinite(d) & (d >= tiny)
+    want = np.log(d[normal])
+    assert np.all(np.abs(got[normal] - want)
+                  <= 1e-12 * np.maximum(np.abs(want), 1.0))
+    assert np.all(np.isfinite(got[d == np.inf]))
+    assert np.all(got[d < tiny] < math.log(tiny))
+    assert spec.log_deriv(float(x[0])) == got[0]
 
 
 def test_power_q1_second_deriv_at_one():
