@@ -35,7 +35,7 @@ from .errors import (DegenerateTailError, DomainError, GridError,
 from .fileio import (RunManifest, format_key_values, key_values_csv,
                      load_price_series, load_response_table, load_samples,
                      save_density_curve, save_price_series, sha256_file,
-                     write_atomic)
+                     write_atomic, write_csv)
 from .fitting import (WindowSpec, _uniform_step, exponent_report,
                       fit_price_series)
 from .response import (Family, ResponseSpec, check_admissibility,
@@ -341,10 +341,7 @@ def _write_overlay(series, w, result, path: str) -> None:
         r = np.asarray(spec.inverse(centers / s), dtype=float)
         model = np.exp(law.log_pdf(r) - spec.log_deriv(r)) / s / law.pos_mass
     model = np.where(np.isfinite(model), model, 0.0)
-    rows = ["x,f_model,f_empirical"]
-    rows.extend(f"{repr(float(x))},{repr(float(m))},{repr(float(e))}"
-                for x, m, e in zip(centers, model, hist))
-    write_atomic(path, "\n".join(rows) + "\n")
+    write_csv(path, "x,f_model,f_empirical", (centers, model, hist))
 
 
 # ---------------------------------------------------------------------------

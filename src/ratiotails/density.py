@@ -97,14 +97,13 @@ def ratio_density_anticorr(params: OrderFlowParams, x):
     if not params.is_anticorrelated:
         raise BranchError("exact branch requires rho = -1; "
                           "use ratio_density for -1 < rho < 1")
-    x = np.asarray(x, dtype=float)
-    den = params.sigma2 * x + params.sigma1
+    xf = _finite(x)  # the limits at x = +-inf go back in below
+    den = params.sigma2 * xf + params.sigma1
     amp = (params.mu1 * params.sigma2 + params.mu2 * params.sigma1) / _SQRT_2PI
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = (params.mu2 * x - params.mu1) / den
+        u = (params.mu2 * xf - params.mu1) / den
         val = amp * np.exp(-0.5 * u * u) / (den * den)
-    out = np.where(den == 0.0, 0.0, val)
-    return out if out.ndim else float(out)
+    return _at_infinity(x, np.where(den == 0.0, 0.0, val), 0.0, 0.0)
 
 
 def ratio_cdf_anticorr(params: OrderFlowParams, x):
@@ -117,16 +116,16 @@ def ratio_cdf_anticorr(params: OrderFlowParams, x):
     if not params.is_anticorrelated:
         raise BranchError("exact branch requires rho = -1")
     x = np.asarray(x, dtype=float)
+    xf = _finite(x)  # the limits at x = +-inf go back in below
     pole = -params.sigma1 / params.sigma2
     u_inf = params.mu2 / params.sigma2  # u at x -> +-inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = (params.mu2 * x - params.mu1) / (params.sigma2 * x + params.sigma1)
+        u = (params.mu2 * xf - params.mu1) / (params.sigma2 * xf + params.sigma1)
     below = ndtr(u) - ndtr(u_inf)          # branch x < pole
     above = ndtr(u) + 1.0 - ndtr(u_inf)    # branch x > pole
     out = np.where(x < pole, below, above)
     out = np.where(x == pole, 1.0 - ndtr(u_inf), out)
-    out = np.clip(out, 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return _at_infinity(x, np.clip(out, 0.0, 1.0), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,32 @@ shortest round-trip precision):
     density  x,f,method
     tables   x,g
 
-Manifests and reports are plain ``key=value`` text.  All writers go
-through an atomic temp-file rename so a failed command never leaves a
-partial artifact behind.
+Numeric CSVs are read in one np.loadtxt call; a file it cannot take is
+reread line by line, which words the error as path:line.  Manifests and
+reports are plain ``key=value`` text.  All writers, CSV ones streaming
+rows in chunks, go through an atomic temp-file rename so a failed
+command never leaves a partial artifact behind.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .density import CurveMethod, DensityCurve
-from .errors import InputFormatError
+from .errors import DomainError, InputFormatError
 from .simulate import PriceSeries
 
 __all__ = [
     "write_atomic",
+    "write_csv",
     "sha256_file",
     "format_key_values",
     "parse_key_values",
@@ -44,17 +49,13 @@ __all__ = [
 ]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write text via a temp file in the target directory plus rename."""
+def write_atomic(path: str, text) -> None:
+    """Write text, or an iterable of chunks, via a temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -111,7 +112,50 @@ def parse_key_values(text: str) -> dict:
 # CSV schemas
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str, expected_header: str):
+_ROWS = 1 << 16  # rows formatted per written chunk
+_LOOSE = b"\x0b\x0c\x1c\x1d\x1e\x1f"  # splitlines breaks, loadtxt spaces
+
+
+def write_csv(path: str, header: str, columns,
+              label: str | None = None) -> None:
+    """Float columns, then a constant text column ``label`` if given, as
+    shortest round-trip text under ``header``, _ROWS rows per chunk."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+
+    def chunks():
+        yield header + "\n"
+        for i in range(0, columns[0].size, _ROWS):
+            cells = [map(repr, c[i:i + _ROWS].tolist()) for c in columns]
+            cells += [] if label is None else [itertools.repeat(label)]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    write_atomic(path, chunks())
+
+
+def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
+                  too_few: str = "") -> np.ndarray:
+    """The (ncols, rows) columns of a numeric CSV under ``header``: one
+    np.loadtxt call, or the line loop, which alone words errors, for a file
+    that is not plain ASCII, that loadtxt refuses or that is misshapen."""
+    try:
+        with open(path, "rb") as fh:
+            plain = all(b.isascii() and not any(c in b for c in _LOOSE)
+                        for b in iter(lambda: fh.read(1 << 20), b""))
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty body
+            if plain and fh.readline().strip() == header:
+                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                if body.shape[1] == ncols and len(body) >= max(min_rows, 1):
+                    return body.T.copy()
+    except (OSError, ValueError):
+        pass
+    return _read_lines(path, header, ncols, min_rows, too_few)
+
+
+def _read_lines(path: str, header: str, ncols: int, min_rows: int,
+                too_few: str, labels: set | None = None) -> np.ndarray:
+    """The line loop behind _read_numeric; with ``labels`` the last of the
+    ``ncols`` columns is text, collected there."""
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
@@ -119,112 +163,71 @@ def _read_rows(path: str, expected_header: str):
         raise InputFormatError(f"cannot read {path}: {exc}")
     if not lines:
         raise InputFormatError(f"{path} is empty")
-    header = lines[0].strip()
-    if header != expected_header:
+    if lines[0].strip() != header:
         raise InputFormatError(
-            f"{path}: expected header {expected_header!r}, found {header!r}")
-    return lines[1:]
+            f"{path}: expected header {header!r}, found {lines[0].strip()!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        parts = line.split(",") if ncols > 1 else [line]
+        if len(parts) != ncols:
+            raise InputFormatError(f"{path}:{lineno}: expected {ncols} columns")
+        if labels is not None:
+            labels.add(parts.pop().strip())
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise InputFormatError(f"{path}:{lineno}: non-numeric value")
+    if len(rows) < min_rows:
+        raise InputFormatError(f"{path}: {too_few}")
+    width = ncols - (labels is not None)
+    return np.array(rows, dtype=float).reshape(-1, width).T.copy()
 
 
 def save_price_series(series: PriceSeries, path: str) -> None:
-    rows = ["t,price"]
     prices = series.prices
     if not np.all(np.isfinite(prices)):
         raise InputFormatError(
             "prices overflow the float range; this configuration can only "
             "be analyzed in memory via log returns")
-    rows.extend(f"{_fmt(t)},{_fmt(p)}" for t, p in zip(series.times, prices))
-    write_atomic(path, "\n".join(rows) + "\n")
+    write_csv(path, "t,price", (series.times, prices))
 
 
 def load_price_series(path: str) -> PriceSeries:
-    times, prices = [], []
-    for lineno, line in enumerate(_read_rows(path, "t,price"), 2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise InputFormatError(f"{path}:{lineno}: expected 2 columns")
-        try:
-            times.append(float(parts[0]))
-            prices.append(float(parts[1]))
-        except ValueError:
-            raise InputFormatError(f"{path}:{lineno}: non-numeric value")
-    if len(times) < 2:
-        raise InputFormatError(f"{path}: fewer than two price rows")
-    return PriceSeries.from_prices(np.array(times), np.array(prices),
-                                   meta={"source": path})
+    times, prices = _read_numeric(path, "t,price", 2, 2,
+                                  "fewer than two price rows")
+    return PriceSeries.from_prices(times, prices, meta={"source": path})
 
 
 def save_samples(values, path: str) -> None:
-    rows = ["value"]
-    rows.extend(_fmt(v) for v in np.asarray(values, dtype=float))
-    write_atomic(path, "\n".join(rows) + "\n")
+    write_csv(path, "value", (values,))
 
 
 def load_samples(path: str) -> np.ndarray:
-    out = []
-    for lineno, line in enumerate(_read_rows(path, "value"), 2):
-        if not line.strip():
-            continue
-        try:
-            out.append(float(line))
-        except ValueError:
-            raise InputFormatError(f"{path}:{lineno}: non-numeric value")
-    if not out:
-        raise InputFormatError(f"{path}: no sample rows")
-    return np.array(out)
+    return _read_numeric(path, "value", 1, 1, "no sample rows")[0]
 
 
 def save_density_curve(curve: DensityCurve, path: str) -> None:
-    rows = ["x,f,method"]
-    rows.extend(f"{_fmt(x)},{_fmt(f)},{curve.method.value}"
-                for x, f in zip(curve.grid, curve.values))
-    write_atomic(path, "\n".join(rows) + "\n")
+    write_csv(path, "x,f,method", (curve.grid, curve.values),
+              label=curve.method.value)
 
 
 def load_density_curve(path: str) -> DensityCurve:
-    xs, fs, methods = [], [], set()
-    for lineno, line in enumerate(_read_rows(path, "x,f,method"), 2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InputFormatError(f"{path}:{lineno}: expected 3 columns")
-        try:
-            xs.append(float(parts[0]))
-            fs.append(float(parts[1]))
-        except ValueError:
-            raise InputFormatError(f"{path}:{lineno}: non-numeric value")
-        methods.add(parts[2].strip())
-    if not xs:
-        raise InputFormatError(f"{path}: no curve rows")
+    methods = set()
+    xs, fs = _read_lines(path, "x,f,method", 3, 1, "no curve rows", methods)
     if len(methods) != 1:
         raise InputFormatError(f"{path}: mixed methods {sorted(methods)}")
-    return DensityCurve(np.array(xs), np.array(fs),
-                        CurveMethod(methods.pop()))
+    return DensityCurve(xs, fs, CurveMethod(methods.pop()))
 
 
 def load_response_table(path: str):
     """Load a tabulated response from an x,g CSV."""
     from .response import TabulatedResponse
 
-    xs, gs = [], []
-    for lineno, line in enumerate(_read_rows(path, "x,g"), 2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise InputFormatError(f"{path}:{lineno}: expected 2 columns")
-        try:
-            xs.append(float(parts[0]))
-            gs.append(float(parts[1]))
-        except ValueError:
-            raise InputFormatError(f"{path}:{lineno}: non-numeric value")
-    from .errors import DomainError
-
+    xs, gs = _read_numeric(path, "x,g", 2)
     try:
-        return TabulatedResponse(np.array(xs), np.array(gs))
+        return TabulatedResponse(xs, gs)
     except DomainError as exc:
         raise InputFormatError(f"{path}: {exc}")
 

@@ -592,13 +592,11 @@ def _param_stderr(family: Family, param, changes, windows,
     if n_boot <= 0:
         return float(param) / math.sqrt(k_exc) if family is Family.POWER else None
     rng = np.random.default_rng(boot_seed)
+    pool = _ExceedancePool(list(windows), threshold_quantile)
     estimates = []
-    windows = list(windows)
     for _ in range(n_boot):
-        pick = rng.integers(0, len(windows), size=len(windows))
-        sample = np.abs(np.concatenate([windows[i] for i in pick]))
-        u = float(np.quantile(sample, threshold_quantile))
-        exc = sample[sample > u]
+        pick = rng.integers(0, pool.n_windows, size=pool.n_windows)
+        u, exc = pool.resample(pick)
         if exc.size < MIN_TAIL_POINTS:
             continue
         est, _ = _tail_stage(family, exc, u)
@@ -606,6 +604,63 @@ def _param_stderr(family: Family, param, changes, windows,
     if len(estimates) < 2:
         return None
     return float(np.std(estimates, ddof=1))
+
+
+class _ExceedancePool:
+    """|windows| stacked once, and the values of each window at or above a
+    cutoff c, the full sample's 1 - 4(1 - q) quantile, in window order.
+
+    A resample (windows ``pick``, repeats allowed) concatenates the picked
+    |windows|; its threshold is their q quantile and its exceedances the
+    values above it, in order.  When the picked pools hold both order
+    statistics that np.quantile interpolates, the threshold is numpy's own
+    interpolation of those two, and the exceedances are the picked pools'
+    values above it: both equal the full resample's bit for bit.
+    Otherwise the resample is built in full.
+    """
+
+    def __init__(self, windows: list, q: float):
+        self.q = q
+        self.n_windows = len(windows)
+        sizes = np.array([len(w) for w in windows], dtype=np.intp)
+        self.values = _Segments(np.abs(np.concatenate(windows)), sizes)
+        c = np.quantile(self.values.data, max(0.0, 1.0 - 4.0 * (1.0 - q)))
+        keep = self.values.data >= c
+        window_of = np.repeat(np.arange(self.n_windows), sizes)
+        self.pool = _Segments(self.values.data[keep], np.bincount(
+            window_of[keep], minlength=self.n_windows))
+        self.cutoff = float(c)
+
+    def resample(self, pick: np.ndarray):
+        """(threshold, exceedances) of the resample ``pick``."""
+        n = int(self.values.sizes[pick].sum())
+        below = n - int(self.pool.sizes[pick].sum())  # values under c
+        index = (n - 1) * self.q                      # np.quantile's
+        k = math.floor(index)
+        if below <= k < n - 1:
+            pooled = self.pool.gather(pick)
+            j = k - below
+            lo, hi = np.partition(pooled, (j, j + 1))[j:j + 2]
+            u = float(np.quantile(np.array([lo, hi]), index - k))
+            if u >= self.cutoff:
+                return u, pooled[pooled > u]
+        sample = self.values.gather(pick)
+        u = float(np.quantile(sample, self.q))
+        return u, sample[sample > u]
+
+
+class _Segments:
+    """An array cut into consecutive segments of the given sizes."""
+
+    def __init__(self, data: np.ndarray, sizes: np.ndarray):
+        self.data, self.sizes = data, sizes
+        self.starts = np.cumsum(sizes) - sizes
+
+    def gather(self, pick: np.ndarray) -> np.ndarray:
+        """The segments ``pick`` concatenated, in pick order."""
+        lengths = self.sizes[pick]
+        shift = self.starts[pick] - (np.cumsum(lengths) - lengths)
+        return self.data[np.arange(lengths.sum()) + np.repeat(shift, lengths)]
 
 
 def fit_price_series(series: PriceSeries, w: WindowSpec,

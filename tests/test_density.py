@@ -481,6 +481,25 @@ def test_limits_at_infinity(params, x):
     assert cdf[1] == pytest.approx(ratio_cdf(params, x), rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(means, means, spreads, spreads, signed_x)
+def test_anticorr_limits_at_infinity(mu1, mu2, sigma1, sigma2, x):
+    # the rho = -1 twin: sigma2 x + sigma1 is inf there, so u = inf/inf
+    params = OrderFlowParams(mu1, mu2, sigma1, sigma2, -1.0)
+    xs = np.array([-np.inf, x, np.inf])
+    assert (ratio_density_anticorr(params, np.inf)
+            == ratio_density_anticorr(params, -np.inf) == 0.0)
+    assert ratio_cdf_anticorr(params, -np.inf) == 0.0
+    assert ratio_cdf_anticorr(params, np.inf) == 1.0
+    dens = ratio_density_anticorr(params, xs)
+    cdf = ratio_cdf_anticorr(params, xs)
+    assert dens[0] == dens[2] == cdf[0] == 0.0 and cdf[2] == 1.0
+    assert dens[1] == pytest.approx(ratio_density_anticorr(params, x),
+                                    rel=1e-14)
+    assert cdf[1] == pytest.approx(ratio_cdf_anticorr(params, x), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # DensityCurve container
 # ---------------------------------------------------------------------------

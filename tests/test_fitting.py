@@ -383,3 +383,119 @@ def test_import_loads_neither_scipy_stats_nor_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# window bootstrap against the concatenate-and-quantile oracle
+# ---------------------------------------------------------------------------
+
+def bootstrap_oracle(family, windows, q, n_boot, boot_seed):
+    """The window bootstrap written plainly: every resample concatenated
+    and its threshold re-quantiled over all of it."""
+    rng = np.random.default_rng(boot_seed)
+    estimates = []
+    for _ in range(n_boot):
+        pick = rng.integers(0, len(windows), size=len(windows))
+        sample = np.abs(np.concatenate([windows[i] for i in pick]))
+        u = float(np.quantile(sample, q))
+        exc = sample[sample > u]
+        if exc.size < fitting.MIN_TAIL_POINTS:
+            continue
+        est, _ = fitting._tail_stage(family, exc, u)
+        estimates.append(est)
+    if len(estimates) < 2:
+        return None
+    return float(np.std(estimates, ddof=1))
+
+
+def stderr_of(family, windows, q, n_boot, boot_seed):
+    return fitting._param_stderr(family, 1.0, None, windows, q, n_boot,
+                                 boot_seed, 100)
+
+
+@pytest.fixture(scope="module")
+def path_windows():
+    series = sim_series(Family.POWER, 1.0, 2 * 10 ** 5, seed=57)
+    _, windows, _ = relative_changes(series, WindowSpec(1e-6, 1e-4, 1e-4),
+                                     return_windows=True)
+    return windows
+
+
+@pytest.mark.parametrize("q", [0.99, 0.998, 0.9995])
+@pytest.mark.parametrize("family", [Family.POWER, Family.LOG_POWER])
+def test_bootstrap_matches_the_oracle(path_windows, family, q):
+    for seed in (0, 1, 29):
+        got = stderr_of(family, path_windows, q, 30, seed)
+        assert got is not None
+        assert got == bootstrap_oracle(family, path_windows, q, 30, seed)
+
+
+@pytest.mark.parametrize("q", [0.99, 0.998, 0.9995])
+def test_bootstrap_matches_the_oracle_on_ragged_windows(q):
+    rng = np.random.default_rng(5)
+    windows = [rng.standard_t(2.0, size=n)
+               for n in rng.integers(0, 400, size=300)]
+    for seed in (3, 4):
+        got = stderr_of(Family.POWER, windows, q, 30, seed)
+        assert got is not None
+        assert got == bootstrap_oracle(Family.POWER, windows, q, 30, seed)
+
+
+def pool_runs_short():
+    """Twenty windows of 500 whose largest 4% (the pool at q = 0.99) sit
+    300 in window 0 and 10 in each of windows 1-10: a resample without
+    window 0 holds about as many pooled values as its top 1% needs, and
+    often fewer."""
+    rng = np.random.default_rng(8)
+    windows = [np.abs(rng.standard_normal(500)) for _ in range(20)]
+    windows[0][:300] *= 1e4
+    for w in windows[1:11]:
+        w[:10] *= 1e2
+    return windows
+
+
+def test_bootstrap_falls_back_when_the_pool_runs_out(monkeypatch):
+    windows = pool_runs_short()
+    full = []
+    gather = fitting._Segments.gather
+
+    def counting(self, pick):
+        out = gather(self, pick)
+        full.append(out.size == 20 * 500)
+        return out
+
+    monkeypatch.setattr(fitting._Segments, "gather", counting)
+    for seed in (0, 1, 2):
+        full.clear()
+        got = stderr_of(Family.POWER, windows, 0.99, 40, seed)
+        assert any(full) and not all(full)
+        assert got == bootstrap_oracle(Family.POWER, windows, 0.99, 40, seed)
+
+
+@pytest.mark.parametrize("q", [0.99, 0.998])
+def test_pool_resample_is_the_full_resample(q):
+    # threshold and exceedances, bit for bit and in order, over many
+    # resamples of ragged windows, of a few far-apart values (where
+    # interpolation rounds) and of a pool that runs short
+    rng = np.random.default_rng(13)
+    ragged = [rng.standard_t(2.0, size=n)
+              for n in rng.integers(0, 400, size=200)]
+    sparse = [rng.standard_cauchy(size=n) for n in rng.integers(1, 4, size=200)]
+    for windows in (ragged, sparse, pool_runs_short()):
+        pool = fitting._ExceedancePool(windows, q)
+        for _ in range(300):
+            pick = rng.integers(0, len(windows), size=len(windows))
+            sample = np.abs(np.concatenate([windows[i] for i in pick]))
+            u = float(np.quantile(sample, q))
+            got_u, got_exc = pool.resample(pick)
+            assert got_u == u
+            assert np.array_equal(got_exc, sample[sample > u])
+
+
+def test_fit_g_stderr_is_the_oracle_bootstrap(path_windows):
+    flat = np.concatenate(path_windows)
+    result = fit_g(flat, [Family.POWER, Family.LOG], windows=path_windows,
+                   n_boot=20, boot_seed=9)
+    assert result.response.family is Family.POWER
+    assert result.param_stderr == bootstrap_oracle(
+        Family.POWER, path_windows, 0.998, 20, 9)
