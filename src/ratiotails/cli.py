@@ -11,7 +11,18 @@ failure or numerical failure, 2 malformed input or domain violation,
 a ``<output>.manifest`` sidecar and never leave partial files behind.
 
 Environment: RATIOTAILS_SEED and RATIOTAILS_THREADS provide defaults for
---seed and --threads.
+--seed and --threads, which only simulate (and replay, passing it on to
+a replayed simulate) takes; the other commands are serial.
+
+Start-up: the package loads numpy but no scipy module, about 0.25 s on
+a 2-vCPU host, which is all that --help, check --family, simulate,
+tails with the power and exp candidates, density of the plain rho = -1
+law and replay of their manifests pay before computing.  scipy loads
+inside the functions that compute with it, only when they run: fit
+(scipy.special and scipy.optimize, ~0.55 s more), density at rho != -1
+or with --transform (scipy.special, ~0.35 s), tails with the stretched
+candidate (scipy.optimize) and check --table (scipy.interpolate and
+scipy.optimize).
 """
 
 from __future__ import annotations
@@ -368,6 +379,10 @@ def _check_inputs(manifest: RunManifest) -> None:
 
 def _run_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
+    if manifest.version and manifest.version != __version__:
+        raise InputMismatchError(
+            f"{args.manifest} was written by ratiotails {manifest.version}; "
+            f"this is ratiotails {__version__}")
     _check_inputs(manifest)
     argv = [manifest.command]
     params = dict(manifest.params)
@@ -383,7 +398,7 @@ def _run_replay(args) -> int:
         argv.extend([f"--{key}", value])
     if manifest.seed is not None:
         argv.extend(["--seed", str(manifest.seed)])
-    if args.threads is not None:
+    if args.threads is not None and manifest.command == "simulate":
         argv.extend(["--threads", str(args.threads)])
     return main(argv)
 
@@ -416,9 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max-log", type=float, default=6.0)
     p.add_argument("--grid-points", type=int, default=120)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for pipeline uniformity; this command "
-                        "is serial")
     p.set_defaults(run=_run_check)
 
     p = sub.add_parser("density", help="evaluate a density curve to CSV")
@@ -435,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=401)
     p.add_argument("--log-grid", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for pipeline uniformity; this command "
-                        "is serial")
     p.set_defaults(run=_run_density)
 
     p = sub.add_parser("simulate", help="simulate a price path to CSV")
@@ -473,9 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None,
                    help="write the threshold sweep as CSV rows")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for pipeline uniformity; this command "
-                        "is serial")
     p.set_defaults(run=_run_tails)
 
     p = sub.add_parser("fit", help="recover the response family from prices")
@@ -490,15 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--overlay", default=None)
     p.add_argument("--csv", default=None, help="write the result as a CSV row")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for pipeline uniformity; this command "
-                        "is serial")
     p.set_defaults(run=_run_fit)
 
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None, help="override the output path")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker-thread cap for a replayed simulate; "
+                        "never changes results")
     p.set_defaults(run=_run_replay)
 
     return parser

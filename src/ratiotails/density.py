@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, InitVar
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from .errors import BranchError, DomainError, RangeError
 from .response import ResponseSpec, TailClass, TailKind
@@ -115,6 +114,8 @@ def ratio_cdf_anticorr(params: OrderFlowParams, x):
     """
     if not params.is_anticorrelated:
         raise BranchError("exact branch requires rho = -1")
+    from scipy.special import ndtr
+
     x = np.asarray(x, dtype=float)
     xf = _finite(x)  # the limits at x = +-inf go back in below
     pole = -params.sigma1 / params.sigma2
@@ -177,6 +178,8 @@ def ratio_density(params: OrderFlowParams, x):
     with c = m1^2 - 2 rho m1 m2 + m2^2.  Hinkley's exponent
     (b^2 - c a^2)/(2 s^2 a^2) is -h^2/2 by Lagrange's identity.
     """
+    from scipy.special import ndtr
+
     s, m1, m2, a, h, b = _standardized(params, x)
     c_s2 = ((m1 - params.rho * m2) / s) ** 2 + m2 * m2
     # b becomes the density in place: fits score a million changes per
@@ -201,6 +204,8 @@ def ratio_cdf(params: OrderFlowParams, x):
     so it is taken at |h|: at the mode h = 0 that is T(0, inf) = 1/4
     whatever the sign of the zero.
     """
+    from scipy.special import owens_t
+
     s, m1, m2, a, h, b = _standardized(params, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_h = 2.0 * owens_t(np.abs(h), b / (np.abs(h) * a * s))
@@ -218,6 +223,8 @@ def _density_fn(params: OrderFlowParams):
 def positive_ratio_mass(params: OrderFlowParams) -> float:
     """P(R > 0) = P(D > 0, S > 0) + P(D < 0, S < 0) = 1 - P(R <= 0)."""
     if params.is_anticorrelated:
+        from scipy.special import ndtr
+
         return float(ndtr(params.mu2 / params.sigma2)
                      - ndtr(-params.mu1 / params.sigma1))
     return 1.0 - ratio_cdf(params, 0.0)

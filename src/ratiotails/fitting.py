@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .density import (OrderFlowParams, positive_ratio_mass, ratio_cdf,
                       ratio_density)
@@ -216,6 +215,8 @@ class _AnticorrLaw:
     """
 
     def __init__(self, nu: float):
+        from scipy.special import ndtr
+
         self.nu = float(nu)
         self._edge = ndtr(1.0 / nu)
         self.pos_mass = 2.0 * self._edge - 1.0
@@ -227,10 +228,14 @@ class _AnticorrLaw:
                 - 0.5 * z * z - 2.0 * np.log1p(r))
 
     def cdf_pos(self, r):
+        from scipy.special import ndtr
+
         z = (r - 1.0) / (self.nu * (r + 1.0))
         return (ndtr(z) - (1.0 - self._edge)) / self.pos_mass
 
     def quantile_pos(self, p):
+        from scipy.special import ndtri
+
         z = ndtri((1.0 - self._edge) + np.asarray(p) * self.pos_mass)
         return (1.0 + self.nu * z) / (1.0 - self.nu * z)
 
@@ -246,6 +251,8 @@ class _AnticorrLaw:
         keeps only (count, sum t^2, sum w) of the points whose t and w
         are finite; the rest score the floor, whatever nu.
         """
+        from scipy.special import ndtr
+
         n_ok, st2, sw = 0, 0.0, 0.0
         for r in _ratios(spec, scale, points):
             with np.errstate(invalid="ignore"):

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, GridError, RangeError, RootFindError
 
@@ -54,6 +53,16 @@ class Family(str, enum.Enum):
 
 def _is_odd_integer(value: float) -> bool:
     return float(value).is_integer() and int(value) % 2 == 1
+
+
+def _sym_inverse(y, a):
+    """The x > 0 with (x - 1/x)/2 = a for y >= 0 and -a for y < 0, a >= 0.
+
+    a + hypot(a, 1) neither cancels nor squares a; the y < 0 branch
+    is its reciprocal, as SYM(1/x) = -SYM(x).
+    """
+    x = a + np.hypot(a, 1.0)
+    return np.where(y < 0.0, 1.0 / x, x)
 
 
 class TailKind(str, enum.Enum):
@@ -218,21 +227,27 @@ class ResponseSpec:
 
         Every built-in family is a bijection from (0, inf) onto the reals,
         so the inverse is total.  Closed forms; see ``invert_monotone`` for
-        the generic bracketed alternative.
+        the generic bracketed alternative.  SYM and ODD_POWER are formed
+        at |y| and inverted through inverse(-y) = 1/inverse(y), POWER and
+        LOG_POWER take the sign inside their exp, so no branch cancels at
+        large negative y, and no square of y overflows.
         """
         y = np.asarray(y, dtype=float)
         fam = self.family
         q = self.param
         if fam is Family.SYM:
-            out = y + np.sqrt(y * y + 1.0)
+            out = _sym_inverse(y, np.abs(y))
         elif fam is Family.POWER:
             # u = x**q solves u - 1/u = y; log form keeps huge |y| finite
             ay = np.abs(y)
-            u = 0.5 * (ay + np.sqrt(ay * ay + 4.0))
+            with np.errstate(over="ignore"):
+                u = 0.5 * (ay + np.sqrt(ay * ay + 4.0))
+            if np.isinf(u).any():  # ay * ay overflowed; u rounds to ay there
+                u = np.where(np.isinf(u), ay, u)
             out = np.exp(np.sign(y) * np.log(u) / q)
         elif fam is Family.ODD_POWER:
-            w = np.sign(y) * np.abs(y) ** (1.0 / q)
-            out = 0.5 * (w + np.sqrt(w * w + 4.0))
+            # x - 1/x = w for w**q = y is SYM at w/2
+            out = _sym_inverse(y, 0.5 * np.abs(y) ** (1.0 / q))
         elif fam is Family.LOG_POWER:
             out = np.exp(np.sign(y) * np.abs(y) ** (1.0 / q))
         else:
@@ -337,6 +352,8 @@ class TabulatedResponse:
     """
 
     def __init__(self, x, g):
+        from scipy.interpolate import PchipInterpolator
+
         x = np.asarray(x, dtype=float)
         g = np.asarray(g, dtype=float)
         if x.ndim != 1 or x.shape != g.shape or len(x) < 4:

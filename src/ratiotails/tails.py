@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (DegenerateTailError, DomainError, InsufficientTailError,
                      NonpositiveSampleError)
@@ -138,6 +137,8 @@ def stretched_tail_fit(exc: np.ndarray, u: float):
     (u/s)**p - (x/s)**p in the parameters (p, log s); plug-in likelihood
     of the matching conditional density afterwards.
     """
+    from scipy.optimize import least_squares
+
     exc = np.sort(exc)
     k = exc.size
     surv = (k - np.arange(k) - 0.5) / k

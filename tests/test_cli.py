@@ -2,12 +2,15 @@
 
 import math
 import os
+import subprocess
+import sys
 import time
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+import ratiotails
 from ratiotails import OrderFlowParams, PriceSeries, ratio_density_anticorr
 from ratiotails.cli import main
 from ratiotails.fileio import (load_density_curve, load_price_series,
@@ -340,6 +343,114 @@ def test_manifest_started_stamped_when_the_command_starts(tmp_path):
 
 def test_replay_missing_manifest(tmp_path):
     assert run("replay", tmp_path / "nope.manifest") == 2
+
+
+def test_replay_threads_reach_only_simulate(tmp_path):
+    # check, density, tails and fit are serial and take no --threads;
+    # replay --threads still replays their manifests byte-identically
+    prices = _simulate_prices(tmp_path, "p.csv", seed=29)
+    commands = {
+        "check.txt": ["check", "--family", "sym"],
+        "density.csv": ["density", "--rho", -0.5, "--points", 41],
+        "tails.txt": ["tails", "--prices", prices, "--as-returns", 1e-6],
+        "fit.txt": ["fit", "--prices", prices, "--delta-t", 1e-6,
+                    "--big-delta-t", 1e-4, "--stride", 1e-4],
+    }
+    for name, argv in commands.items():
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--threads", 2)
+        assert exc.value.code == 2
+        out = tmp_path / name
+        assert run(*argv, "--out", out) == 0
+        again = tmp_path / ("again-" + name)
+        assert run("replay", str(out) + ".manifest", "--out", again,
+                   "--threads", 2) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+
+def _set_manifest_version(path, version):
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("version=")]
+    if version is not None:
+        lines.insert(1, f"version={version}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_replay_checks_the_version(tmp_path, capsys):
+    out = tmp_path / "orig.csv"
+    assert run("simulate", "--model", "gbm", "--dt", 0.01, "--steps", 1000,
+               "--seed", 47, "--out", out) == 0
+    manifest = tmp_path / "orig.csv.manifest"
+    _set_manifest_version(manifest, "0.0.9")
+    capsys.readouterr()
+    other = tmp_path / "other.csv"
+    assert run("replay", manifest, "--out", other) == 2
+    err = capsys.readouterr().err
+    assert "0.0.9" in err and ratiotails.__version__ in err
+    assert not other.exists()
+
+    _set_manifest_version(manifest, None)  # older manifests carry none
+    unversioned = tmp_path / "unversioned.csv"
+    assert run("replay", manifest, "--out", unversioned) == 0
+    assert unversioned.read_bytes() == out.read_bytes()
+
+
+def _fresh_python(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this ratiotails."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        ratiotails.__file__)))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+
+
+def test_commands_that_do_not_compute_with_scipy_never_load_it(tmp_path):
+    code = """
+import contextlib, io, sys
+from ratiotails.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+    codes = [
+        main(["check", "--family", "sym"]),
+        main(["simulate", "--model", "ratio", "--family", "power", "--q", "1",
+              "--sigma1", "0.38", "--sigma2", "0.38", "--dt", "1e-6",
+              "--steps", "50000", "--seed", "5", "--out", "p.csv"]),
+        main(["tails", "--prices", "p.csv", "--as-returns", "1e-6",
+              "--out", "t.txt"]),
+        main(["replay", "p.csv.manifest", "--out", "r.csv", "--threads", "2"]),
+    ]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = _fresh_python(code, tmp_path)
+    assert out.stdout.strip() == "[0, 0, 0, 0] []"
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+
+
+def test_commands_that_compute_with_scipy_load_it_when_they_run(tmp_path):
+    _simulate_prices(tmp_path, "p.csv", seed=29)
+    xs = np.geomspace(1 / 32, 32, 120)
+    (tmp_path / "g.csv").write_text("x,g\n" + "\n".join(
+        f"{float(x)!r},{float(x - 1.0)!r}" for x in xs) + "\n")
+    # check exits 1: g(x) = x - 1 is not antisymmetric
+    code = """
+import contextlib, io, sys
+from ratiotails.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["check", "--table", "g.csv", "--grid-max-log", "2.7"]),
+        main(["fit", "--prices", "p.csv", "--delta-t", "1e-6",
+              "--big-delta-t", "1e-4", "--stride", "1e-4", "--out", "f.txt"]),
+    ]
+print(codes, "scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
+"""
+    out = _fresh_python(code, tmp_path)
+    assert out.stdout.strip() == "[1, 0] True True"
+    assert parse_key_values((tmp_path / "f.txt").read_text())["family"] \
+        == "power"
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,56 @@ def test_bracketed_inverse_agrees_with_closed_form(spec, y):
     assert bracketed == pytest.approx(spec.inverse(y), rel=1e-11)
 
 
+def exact_log_inverse(spec, y: float) -> float:
+    """log of the exact inverse at y, through asinh: finite for any float."""
+    fam, q = spec.family, spec.param
+    if fam is Family.SYM:
+        return math.asinh(y)
+    if fam is Family.POWER:
+        return math.asinh(0.5 * y) / q
+    if fam is Family.LOG:
+        return y
+    root = math.copysign(abs(y) ** (1.0 / q), y)
+    return math.asinh(0.5 * root) if fam is Family.ODD_POWER else root
+
+
+targets = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0))
+    .map(lambda se: se[0] * 10.0 ** se[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(specs, st.lists(targets, min_size=1, max_size=8))
+def test_inverse_round_trips_for_huge_targets(spec, ys):
+    # for |y| up to 1e300, wherever the exact inverse is a normal float:
+    # value(inverse(y)) = y to 1e-12 |y| plus what moving x by a relative
+    # 1e-13 (1 + |log x|), the cost of exp of a rounded log, moves the
+    # value; and inverse(value(x)) = x to that same relative step
+    y = np.array([v for v in ys if abs(exact_log_inverse(spec, v)) < 708.0])
+    if y.size == 0:
+        return
+    x = np.asarray(spec.inverse(y))
+    assert np.all((x > 0) & np.isfinite(x))
+    step = 1e-13 * (1.0 + np.abs(np.log(x)))
+    spread = spec.value(x * (1.0 + step)) - spec.value(x * (1.0 - step))
+    back = np.asarray(spec.value(x))
+    assert np.all(np.abs(back - y) <= 1e-12 * np.abs(y) + spread)
+
+    again = np.asarray(spec.inverse(back))
+    assert np.all(np.abs(again - x) <= step * x)
+
+
+@pytest.mark.parametrize("spec, y, want", [
+    (SYM, -1e8, 5e-9),
+    (SYM, -1e4, 1.0 / (1e4 + math.hypot(1e4, 1.0))),
+    (ResponseSpec(Family.POWER, 1.0), 1e155, 1e155),
+    (ResponseSpec(Family.ODD_POWER, 3), -1e155, 1e155 ** (-1.0 / 3.0)),
+])
+def test_inverse_at_large_targets(spec, y, want):
+    assert spec.inverse(y) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # spec-level invariants on the standard grid
 # ---------------------------------------------------------------------------
