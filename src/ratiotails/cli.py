@@ -16,13 +16,17 @@ a replayed simulate) takes; the other commands are serial.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
-tails with the power and exp candidates, density of the plain rho = -1
-law and replay of their manifests pay before computing.  scipy loads
-inside the functions that compute with it, only when they run: fit
-(scipy.special and scipy.optimize, ~0.55 s more), density at rho != -1
-or with --transform (scipy.special, ~0.35 s), tails with the stretched
-candidate (scipy.optimize) and check --table (scipy.interpolate and
+tails with the power and exp candidates, density at rho = -1 (plain or
+with --transform) and replay of their manifests pay before computing.
+scipy loads inside the functions that compute with it, only when they
+run: fit (scipy.special and scipy.optimize, ~0.55 s more), density at
+rho != -1 (scipy.special, ~0.35 s), tails with the stretched candidate
+(scipy.optimize) and check --table (scipy.interpolate and
 scipy.optimize).
+
+Manifests record one param.<option> entry per option of the command,
+--seed and --threads aside, read off the parser below; replay rebuilds
+the command line from them.
 """
 
 from __future__ import annotations
@@ -35,20 +39,18 @@ import numpy as np
 
 from . import __version__
 from .density import (CurveMethod, DensityCurve, OrderFlowParams, PowerMap,
-                      TransformedDensity, ratio_density,
-                      ratio_density_anticorr)
-from .errors import (DegenerateTailError, DomainError, GridError,
-                     InputFormatError, InputMismatchError,
-                     InsufficientTailError, NonIdentifiableError,
-                     NonpositiveRatioError, NonpositiveSampleError,
-                     RangeError, RatioTailsError, RejectionRateError,
-                     RootFindError, TimestampError, WindowError)
+                      TransformedDensity, ratio_density)
+from .errors import (DomainError, GridError, InputFormatError,
+                     InputMismatchError, InsufficientTailError,
+                     NonIdentifiableError, NonpositiveSampleError,
+                     RangeError, RatioTailsError, TimestampError,
+                     WindowError)
 from .fileio import (RunManifest, format_key_values, key_values_csv,
                      load_price_series, load_response_table, load_samples,
                      save_density_curve, save_price_series, sha256_file,
                      write_atomic, write_csv)
-from .fitting import (WindowSpec, _uniform_step, exponent_report,
-                      fit_price_series)
+from .fitting import (WindowSpec, exponent_report, fit_price_series,
+                      scaled_returns)
 from .response import (Family, ResponseSpec, check_admissibility,
                        reciprocal_log_grid)
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
@@ -58,8 +60,6 @@ from .tails import TailKind, classify_tail, threshold_sweep
 _INPUT_ERRORS = (InputFormatError, InputMismatchError, DomainError,
                  WindowError, TimestampError, GridError,
                  InsufficientTailError, NonpositiveSampleError, RangeError)
-_RUNTIME_ERRORS = (RootFindError, RejectionRateError, NonpositiveRatioError,
-                   DegenerateTailError)
 
 _CANDIDATE_KINDS = {"power": TailKind.POWER_LAW,
                     "exp": TailKind.EXPONENTIAL,
@@ -86,15 +86,40 @@ def _build_response(family: str, q) -> ResponseSpec:
     return ResponseSpec(fam, float(q))
 
 
-def _manifest_for(args, params: dict, seed=None, inputs=()) -> RunManifest:
-    """The manifest of the running command, stamped with its start time."""
-    hashes = {}
-    for path in inputs:
-        hashes[os.path.basename(path)] = sha256_file(path)
-    return RunManifest(command=args.command,
-                       params={k: str(v) for k, v in params.items()},
-                       seed=seed, version=__version__,
-                       input_hashes=hashes, started=args.started)
+def _input_path(path: str) -> str:
+    """argparse type of an input file option: the manifest records the
+    file's sha256, and replay checks it."""
+    return path
+
+
+def _options(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Option name (no leading --) -> argparse action, for every option
+    of ``command`` but --seed and --threads."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    if command not in sub.choices:
+        raise InputFormatError(f"unknown command {command!r}")
+    return {a.option_strings[-1][2:]: a
+            for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "seed", "threads")}
+
+
+def _manifest_for(args, seed=None) -> RunManifest:
+    """The manifest of the running command, stamped with its start time:
+    one param per option (a flag as true/false, an unset option as ""),
+    and the sha256 of every input file given."""
+    params, hashes = {}, {}
+    for key, action in _options(args.parser, args.command).items():
+        value = getattr(args, action.dest)
+        if isinstance(action, argparse._StoreTrueAction):
+            params[key] = str(value).lower()
+        else:
+            params[key] = "" if value is None else str(value)
+        if action.type is _input_path and value is not None:
+            hashes[os.path.basename(value)] = sha256_file(value)
+    return RunManifest(command=args.command, params=params, seed=seed,
+                       version=__version__, input_hashes=hashes,
+                       started=args.started)
 
 
 def _finish(manifest: RunManifest, out_path: str | None):
@@ -110,12 +135,10 @@ def _finish(manifest: RunManifest, out_path: str | None):
 def _run_check(args) -> int:
     if args.table:
         response = load_response_table(args.table)
-        inputs = [args.table]
     elif args.family:
         response = _build_response(args.family, args.q)
         if args.normalize:
             response = response.normalized()
-        inputs = []
     else:
         raise InputFormatError("provide --family or --table")
 
@@ -123,11 +146,7 @@ def _run_check(args) -> int:
     report = check_admissibility(response, grid)
     text = report.summary()
     print(text)
-    params = {"family": args.family or "", "q": "" if args.q is None else args.q,
-              "table": args.table or "", "normalize": str(args.normalize).lower(),
-              "grid-max-log": args.grid_max_log,
-              "grid-points": args.grid_points, "out": args.out or ""}
-    manifest = _manifest_for(args, params, inputs=inputs)
+    manifest = _manifest_for(args)
     if args.out:
         write_atomic(args.out, text + "\n")
     _finish(manifest, args.out)
@@ -153,10 +172,7 @@ def _run_density(args) -> int:
                              args.rho)
     grid = _density_grid(args)
     if args.transform == "none":
-        if params.is_anticorrelated:
-            fn = lambda x: ratio_density_anticorr(params, x)
-        else:
-            fn = lambda x: ratio_density(params, x)
+        fn = lambda x: ratio_density(params, x)
     elif args.transform == "pow":
         if args.q is None:
             raise InputFormatError("--transform pow requires --q")
@@ -176,14 +192,7 @@ def _run_density(args) -> int:
     except (DomainError, FloatingPointError):
         pass
 
-    cli_params = {"mu1": args.mu1, "mu2": args.mu2, "sigma1": args.sigma1,
-                  "sigma2": args.sigma2, "rho": args.rho,
-                  "transform": args.transform,
-                  "q": "" if args.q is None else args.q,
-                  "x-min": args.x_min, "x-max": args.x_max,
-                  "points": args.points,
-                  "log-grid": str(args.log_grid).lower(), "out": args.out}
-    manifest = _manifest_for(args, cli_params)
+    manifest = _manifest_for(args)
     _finish(manifest, args.out)
     return 0
 
@@ -200,9 +209,6 @@ def _run_simulate(args) -> int:
     if args.model == "gbm":
         series = simulate_gbm(args.mu, args.sigma, args.dt, args.steps,
                               args.p0, seed, threads=threads)
-        cli_params = {"model": "gbm", "mu": args.mu, "sigma": args.sigma,
-                      "dt": args.dt, "steps": args.steps, "p0": args.p0,
-                      "out": args.out}
         config_digest = None
     else:
         params = OrderFlowParams(args.mu1, args.mu2, args.sigma1, args.sigma2,
@@ -213,12 +219,6 @@ def _run_simulate(args) -> int:
                         seed=seed,
                         rejection_policy=RejectionPolicy(args.policy))
         series = simulate_path(cfg, threads=threads)
-        cli_params = {"model": "ratio", "mu1": args.mu1, "mu2": args.mu2,
-                      "sigma1": args.sigma1, "sigma2": args.sigma2,
-                      "rho": args.rho, "family": args.family,
-                      "q": "" if args.q is None else args.q,
-                      "tau0": args.tau0, "dt": args.dt, "steps": args.steps,
-                      "p0": args.p0, "policy": args.policy, "out": args.out}
         config_digest = cfg.digest()
 
     save_price_series(series, args.out)
@@ -226,7 +226,7 @@ def _run_simulate(args) -> int:
     print(f"steps={args.steps} mean_log_return={np.mean(r):.6e} "
           f"var_log_return={np.var(r):.6e} "
           f"rejected={series.meta.get('rejected', 0)}")
-    manifest = _manifest_for(args, cli_params, seed=seed)
+    manifest = _manifest_for(args, seed=seed)
     if config_digest is not None:
         manifest.input_hashes["config"] = config_digest
     _finish(manifest, args.out)
@@ -236,22 +236,6 @@ def _run_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # tails
 # ---------------------------------------------------------------------------
-
-def _returns_from_prices(path: str, delta_t: float) -> np.ndarray:
-    series = load_price_series(path)
-    h = _uniform_step(series.times)
-    if h is None:
-        raise TimestampError(
-            f"{path}: --as-returns needs uniformly spaced timestamps")
-    j = delta_t / h
-    if abs(j - round(j)) > 1e-6 * max(j, 1.0) or round(j) < 1:
-        raise TimestampError(
-            f"--as-returns {delta_t:g} is not a multiple of the sampling "
-            f"step {h:g}")
-    j = int(round(j))
-    lp = series.log_prices
-    return np.expm1(lp[j:] - lp[:-j]) / (j * h)
-
 
 def _parse_candidates(raw: str):
     kinds = []
@@ -272,10 +256,9 @@ def _run_tails(args) -> int:
         raise InputFormatError("--prices requires --as-returns DT")
     if args.samples:
         values = load_samples(args.samples)
-        inputs = [args.samples]
     else:
-        values = _returns_from_prices(args.prices, args.as_returns)
-        inputs = [args.prices]
+        values = scaled_returns(load_price_series(args.prices),
+                                args.as_returns)
 
     kinds = _parse_candidates(args.candidates)
     report = classify_tail(values, kinds,
@@ -293,13 +276,7 @@ def _run_tails(args) -> int:
     if args.csv:
         write_atomic(args.csv,
                      key_values_csv([r.key_values() for r in sweep]))
-    cli_params = {"samples": args.samples or "", "prices": args.prices or "",
-                  "as-returns": "" if args.as_returns is None else args.as_returns,
-                  "candidates": args.candidates,
-                  "threshold-quantile": args.threshold_quantile,
-                  "side": args.side, "out": args.out or "",
-                  "csv": args.csv or ""}
-    manifest = _manifest_for(args, cli_params, inputs=inputs)
+    manifest = _manifest_for(args)
     _finish(manifest, args.out or args.csv)
     return 0
 
@@ -324,15 +301,7 @@ def _run_fit(args) -> int:
         write_atomic(args.csv, key_values_csv([result.key_values()]))
     if args.overlay:
         _write_overlay(series, w, result, args.overlay)
-    cli_params = {"prices": args.prices, "delta-t": args.delta_t,
-                  "big-delta-t": args.big_delta_t, "stride": args.stride,
-                  "candidates": args.candidates,
-                  "threshold-quantile": args.threshold_quantile,
-                  "interpolate": str(args.interpolate).lower(),
-                  "boot": "" if args.boot is None else args.boot,
-                  "out": args.out or "", "overlay": args.overlay or "",
-                  "csv": args.csv or ""}
-    manifest = _manifest_for(args, cli_params, inputs=[args.prices])
+    manifest = _manifest_for(args)
     _finish(manifest, args.out or args.overlay or args.csv)
     return 0
 
@@ -359,13 +328,11 @@ def _write_overlay(series, w, result, path: str) -> None:
 # replay
 # ---------------------------------------------------------------------------
 
-_FLAG_PARAMS = {"normalize", "log-grid", "interpolate"}
-_INPUT_PARAMS = ("table", "samples", "prices")
-
-
-def _check_inputs(manifest: RunManifest) -> None:
+def _check_inputs(manifest: RunManifest, options: dict) -> None:
     """Refuse to replay over an input file that changed since the run."""
-    for key in _INPUT_PARAMS:
+    for key, action in options.items():
+        if action.type is not _input_path:
+            continue
         path = manifest.params.get(key, "")
         recorded = manifest.input_hashes.get(os.path.basename(path))
         if not (path and recorded and os.path.isfile(path)):
@@ -383,19 +350,21 @@ def _run_replay(args) -> int:
         raise InputMismatchError(
             f"{args.manifest} was written by ratiotails {manifest.version}; "
             f"this is ratiotails {__version__}")
-    _check_inputs(manifest)
+    options = _options(args.parser, manifest.command)
+    _check_inputs(manifest, options)
     argv = [manifest.command]
     params = dict(manifest.params)
     if args.out is not None and "out" in params:
         params["out"] = args.out
     for key, value in params.items():
-        if key in _FLAG_PARAMS:
+        if key not in options:
+            raise InputFormatError(f"{args.manifest}: param.{key} is not an "
+                                   f"option of {manifest.command}")
+        if isinstance(options[key], argparse._StoreTrueAction):
             if value == "true":
                 argv.append(f"--{key}")
-            continue
-        if value == "":
-            continue
-        argv.extend([f"--{key}", value])
+        elif value != "":
+            argv.extend([f"--{key}", value])
     if manifest.seed is not None:
         argv.extend(["--seed", str(manifest.seed)])
     if args.threads is not None and manifest.command == "simulate":
@@ -425,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check response admissibility")
     p.add_argument("--family", choices=[f.value for f in Family])
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--table", help="x,g CSV of a tabulated response")
+    p.add_argument("--table", type=_input_path,
+                   help="x,g CSV of a tabulated response")
     p.add_argument("--normalize", action="store_true",
                    help="rescale to unit slope at r=1 before checking")
     p.add_argument("--grid-max-log", type=float, default=6.0)
@@ -472,8 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_simulate)
 
     p = sub.add_parser("tails", help="classify the tail of a sample")
-    p.add_argument("--samples", help="single-column value CSV")
-    p.add_argument("--prices", help="t,price CSV to convert to returns")
+    p.add_argument("--samples", type=_input_path,
+                   help="single-column value CSV")
+    p.add_argument("--prices", type=_input_path,
+                   help="t,price CSV to convert to returns")
     p.add_argument("--as-returns", type=float, default=None,
                    help="return sampling scale for --prices")
     p.add_argument("--candidates", default="power,exp")
@@ -485,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_tails)
 
     p = sub.add_parser("fit", help="recover the response family from prices")
-    p.add_argument("--prices", required=True)
+    p.add_argument("--prices", type=_input_path, required=True)
     p.add_argument("--delta-t", type=float, required=True)
     p.add_argument("--big-delta-t", type=float, required=True)
     p.add_argument("--stride", type=float, required=True)
@@ -513,6 +485,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.started = RunManifest.now()
+    args.parser = parser
     try:
         return args.run(args)
     except _INPUT_ERRORS as exc:
@@ -523,9 +496,6 @@ def main(argv=None) -> int:
         for name, score in sorted(exc.scores.items()):
             print(f"  score {name} = {score:.6f}", file=sys.stderr)
         return 3
-    except _RUNTIME_ERRORS as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
     except RatioTailsError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, InitVar
 
 import numpy as np
 
-from .errors import BranchError, DomainError, RangeError
+from .errors import DomainError, RangeError
 from .response import ResponseSpec, TailClass, TailKind
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "DensityCurve",
 ]
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -94,7 +95,7 @@ def ratio_density_anticorr(params: OrderFlowParams, x):
     with the removable singularity at x = -sigma1/sigma2 set to 0.
     """
     if not params.is_anticorrelated:
-        raise BranchError("exact branch requires rho = -1; "
+        raise DomainError("exact branch requires rho = -1; "
                           "use ratio_density for -1 < rho < 1")
     xf = _finite(x)  # the limits at x = +-inf go back in below
     den = params.sigma2 * xf + params.sigma1
@@ -113,7 +114,7 @@ def ratio_cdf_anticorr(params: OrderFlowParams, x):
     standard normal one, branch by branch.
     """
     if not params.is_anticorrelated:
-        raise BranchError("exact branch requires rho = -1")
+        raise DomainError("exact branch requires rho = -1")
     from scipy.special import ndtr
 
     x = np.asarray(x, dtype=float)
@@ -141,9 +142,6 @@ def _standardized(params: OrderFlowParams, x):
     b = (m1 - rho m2) t + (m2 - rho m1), each formed without cancellation.
     """
     rho = params.rho
-    if params.is_anticorrelated:
-        raise BranchError("rho = -1 has an exact law; "
-                          "use ratio_density_anticorr / ratio_cdf_anticorr")
     if not (-1.0 < rho < 1.0):
         raise DomainError(f"correlation {rho} outside (-1, 1)")
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
@@ -170,14 +168,18 @@ def _at_infinity(x, out, lower: float, upper: float):
 
 
 def ratio_density(params: OrderFlowParams, x):
-    """Ratio density for -1 < rho < 1: Hinkley (1969), Biometrika 56(3),
-    eq. (1), in the units of ``_standardized`` and times sigma2/sigma1,
+    """Ratio density for -1 <= rho < 1.  rho = -1 is the exact law of
+    ``ratio_density_anticorr``; otherwise Hinkley (1969), Biometrika
+    56(3), eq. (1), in the units of ``_standardized`` and times
+    sigma2/sigma1,
 
         b phi(h) / a^3 * erf(b/(sqrt(2) s a)) + s/(pi a^2) exp(-c/(2 s^2))
 
     with c = m1^2 - 2 rho m1 m2 + m2^2.  Hinkley's exponent
     (b^2 - c a^2)/(2 s^2 a^2) is -h^2/2 by Lagrange's identity.
     """
+    if params.is_anticorrelated:
+        return ratio_density_anticorr(params, x)
     from scipy.special import ndtr
 
     s, m1, m2, a, h, b = _standardized(params, x)
@@ -193,7 +195,8 @@ def ratio_density(params: OrderFlowParams, x):
 
 
 def ratio_cdf(params: OrderFlowParams, x):
-    """Ratio CDF for -1 < rho < 1: the bivariate-normal orthant pair
+    """Ratio CDF for -1 <= rho < 1.  rho = -1 is the exact law of
+    ``ratio_cdf_anticorr``; otherwise the bivariate-normal orthant pair
     P(D - xS <= 0 < S) + P(S < 0 <= D - xS) (Marsaglia 2006, JSS 16(4))
     by Owen's T,
 
@@ -204,6 +207,8 @@ def ratio_cdf(params: OrderFlowParams, x):
     so it is taken at |h|: at the mode h = 0 that is T(0, inf) = 1/4
     whatever the sign of the zero.
     """
+    if params.is_anticorrelated:
+        return ratio_cdf_anticorr(params, x)
     from scipy.special import owens_t
 
     s, m1, m2, a, h, b = _standardized(params, x)
@@ -214,19 +219,15 @@ def ratio_cdf(params: OrderFlowParams, x):
     return _at_infinity(x, out, 0.0, 1.0)
 
 
-def _density_fn(params: OrderFlowParams):
-    if params.is_anticorrelated:
-        return lambda t: ratio_density_anticorr(params, t)
-    return lambda t: ratio_density(params, t)
-
-
 def positive_ratio_mass(params: OrderFlowParams) -> float:
-    """P(R > 0) = P(D > 0, S > 0) + P(D < 0, S < 0) = 1 - P(R <= 0)."""
-    if params.is_anticorrelated:
-        from scipy.special import ndtr
+    """P(R > 0) = P(D > 0, S > 0) + P(D < 0, S < 0) = 1 - P(R <= 0).
 
-        return float(ndtr(params.mu2 / params.sigma2)
-                     - ndtr(-params.mu1 / params.sigma1))
+    At rho = -1 that is P(-mu1/sigma1 < Z < mu2/sigma2), as a sum of two
+    erf values, which unlike a difference of normal CDFs cannot cancel.
+    """
+    if params.is_anticorrelated:
+        return 0.5 * (math.erf(params.mu2 / params.sigma2 / _SQRT_2)
+                      + math.erf(params.mu1 / params.sigma1 / _SQRT_2))
     return 1.0 - ratio_cdf(params, 0.0)
 
 
@@ -293,7 +294,7 @@ class TransformedDensity:
     def __init__(self, params: OrderFlowParams, response):
         self.params = params
         self.response = response
-        self.base = _density_fn(params)
+        self.base = lambda r: ratio_density(params, r)
         self.positive_mass = positive_ratio_mass(params)
 
     def __call__(self, x):

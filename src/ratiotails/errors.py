@@ -14,10 +14,6 @@ class GridError(RatioTailsError, ValueError):
     closed under reciprocation, not strictly increasing)."""
 
 
-class BranchError(RatioTailsError, ValueError):
-    """The wrong density branch was requested for the given correlation."""
-
-
 class RootFindError(RatioTailsError, RuntimeError):
     """Bracketed root finding failed to locate an inverse value."""
 

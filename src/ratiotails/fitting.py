@@ -28,11 +28,13 @@ from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
 from .response import Family, ResponseSpec, TailClass, invert_monotone
 from .simulate import PriceSeries
-from .tails import MIN_TAIL_POINTS
+from .tails import (MIN_TAIL_POINTS, exponential_fit, pareto_loglik,
+                    stretched_loglik)
 
 __all__ = [
     "WindowSpec",
     "relative_changes",
+    "scaled_returns",
     "FitResult",
     "fit_g",
     "fit_price_series",
@@ -80,6 +82,30 @@ def _uniform_step(times: np.ndarray) -> float | None:
     return None
 
 
+def _step_multiple(times: np.ndarray, delta_t: float) -> tuple[int, float]:
+    """(j, h): the step h of uniformly spaced ``times`` and the integer j
+    with delta_t = j h.  Ragged stamps, or a delta_t that is no positive
+    multiple of h, raise TimestampError."""
+    h = _uniform_step(times)
+    if h is None:
+        raise TimestampError(
+            f"returns over {delta_t:g} need uniformly spaced timestamps")
+    j = delta_t / h
+    if abs(j - round(j)) > 1e-6 * max(j, 1.0) or round(j) < 1:
+        raise TimestampError(
+            f"delta_t={delta_t:g} is not a positive multiple of the "
+            f"sampling step {h:g}")
+    return int(round(j)), h
+
+
+def scaled_returns(series: PriceSeries, delta_t: float) -> np.ndarray:
+    """(P(t + delta_t) - P(t)) / (P(t) delta_t) at every stamp t of a
+    uniformly stamped series, as expm1 of log-price differences."""
+    j, h = _step_multiple(series.times, delta_t)
+    lp = series.log_prices
+    return np.expm1(lp[j:] - lp[:-j]) / (j * h)
+
+
 def _resample_uniform(series: PriceSeries, step: float,
                       allow_gaps: bool) -> tuple[np.ndarray, float]:
     """Linear interpolation of the log-price onto a uniform grid."""
@@ -118,25 +144,18 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
     if len(series) < 2:
         raise DomainError("need at least two price points")
     notes: list[str] = []
-    h = _uniform_step(series.times)
-    if h is None:
-        if not interpolate:
-            # tolerate ragged stamps only when no gap defeats delta_t/2
-            grid, logp, frac = _resample_uniform(series, w.delta_t, False)
-        else:
-            grid, logp, frac = _resample_uniform(series, w.delta_t, True)
-        h = w.delta_t
+    try:
+        j, h = _step_multiple(series.times, w.delta_t)
+        logp = series.log_prices
+    except TimestampError:
+        if _uniform_step(series.times) is not None:
+            raise  # uniform, but delta_t is no multiple of the step
+        # ragged stamps: resample onto delta_t, which without
+        # interpolation passes only when no gap defeats delta_t/2
+        _, logp, frac = _resample_uniform(series, w.delta_t, interpolate)
+        j, h = 1, w.delta_t
         if frac > 0.001:
             notes.append(f"interpolated={frac:.4%}")
-    else:
-        logp = series.log_prices
-
-    j = w.delta_t / h
-    if abs(j - round(j)) > 1e-6 * max(j, 1.0) or round(j) < 1:
-        raise TimestampError(
-            f"delta_t={w.delta_t:g} is not a positive multiple of the "
-            f"sampling step {h:g}")
-    j = int(round(j))
     dt_eff = j * h
     m = int(math.floor(w.big_delta_t / h * (1 + 1e-12)))
     if m <= j:
@@ -400,41 +419,28 @@ def _law_class(rho: float):
 
 def _tail_stage(family: Family, exc: np.ndarray, u: float):
     """Fit the family parameter on exceedances; return (param, tail score)."""
-    ln_ratio = np.log(exc / u)
-    mean_ln_exc = float(np.mean(np.log(exc)))
-
-    def pareto_ll(alpha):
-        return math.log(alpha) + alpha * math.log(u) - (alpha + 1.0) * mean_ln_exc
-
     if family is Family.SYM:
-        return None, pareto_ll(1.0)
+        return None, pareto_loglik(exc, u, 1.0)
     if family is Family.POWER:
-        alpha = exc.size / float(np.sum(ln_ratio))
+        alpha = exc.size / float(np.sum(np.log(exc / u)))
         alpha = min(max(alpha, 1e-3), 1e3)
-        return 1.0 / alpha, pareto_ll(alpha)
+        return 1.0 / alpha, pareto_loglik(exc, u, alpha)
     if family is Family.ODD_POWER:
-        best = max(_ODD_SCAN, key=lambda n: pareto_ll(1.0 / n))
-        return float(best), pareto_ll(1.0 / best)
+        best = max(_ODD_SCAN, key=lambda n: pareto_loglik(exc, u, 1.0 / n))
+        return float(best), pareto_loglik(exc, u, 1.0 / best)
     if family is Family.LOG:
-        rate = 1.0 / float(np.mean(exc - u))
-        return None, math.log(rate) - 1.0
+        return None, exponential_fit(exc, u)[1]
     if family is Family.LOG_POWER:
-        # profile out the scale: with t = s**-p the conditional stretched
-        # likelihood log p + log t + (p-1) E[ln x] + t (u**p - E[x**p])
-        # peaks at t = 1/(E[x**p] - u**p)
+        # profile out the scale: the stretched likelihood at shape p
+        # peaks where s**p = E[x**p] - u**p
         def profile(n):
             p = 1.0 / n
-            m2 = float(np.mean(exc ** p))
-            t = 1.0 / (m2 - u ** p)
-            return math.log(p) + math.log(t) + (p - 1.0) * mean_ln_exc - 1.0
+            m = float(np.mean(exc ** p))
+            return stretched_loglik(exc, u, p, n * math.log(m - u ** p))
 
         best = max((n for n in _ODD_SCAN if n >= 3), key=profile)
         return float(best), profile(best)
     raise DomainError(f"unsupported candidate family {family}")
-
-
-def _spec_for(family: Family, param):
-    return ResponseSpec(family, param)
 
 
 def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
@@ -554,7 +560,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     scores = {}
     for fam in fams:
         param, tail_ll = _tail_stage(fam, exc, u)
-        spec = _spec_for(fam, param)
+        spec = ResponseSpec(fam, param)
         nu, scale, law = _fit_nuisance(spec, q95, bulk, u, rho)
         bulk_ll = law.bulk_score(spec, scale, bulk, u)
         score = (1.0 - p_tail) * bulk_ll + p_tail * tail_ll
@@ -590,13 +596,9 @@ def _param_stderr(family: Family, param, changes, windows,
                   threshold_quantile, n_boot, boot_seed, k_exc):
     if param is None:
         return None
-    if windows is None:
-        if family is Family.POWER:
-            # delta method through q = 1/alpha: sd(q) ~ q / sqrt(k)
-            return float(param) / math.sqrt(k_exc)
-        return None
     n_boot = 50 if n_boot is None else int(n_boot)
-    if n_boot <= 0:
+    if windows is None or n_boot <= 0:
+        # delta method through q = 1/alpha: sd(q) ~ q / sqrt(k)
         return float(param) / math.sqrt(k_exc) if family is Family.POWER else None
     rng = np.random.default_rng(boot_seed)
     pool = _ExceedancePool(list(windows), threshold_quantile)

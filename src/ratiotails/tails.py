@@ -25,6 +25,9 @@ __all__ = [
     "TailReport",
     "classify_tail",
     "threshold_sweep",
+    "pareto_loglik",
+    "exponential_fit",
+    "stretched_loglik",
     "DEFAULT_CANDIDATES",
 ]
 
@@ -113,20 +116,48 @@ def rank_regression(samples, tail_fraction: float, *,
 # candidate tail-conditional fits
 # ---------------------------------------------------------------------------
 
-def _fit_power(exc: np.ndarray, u: float):
-    alpha = exc.size / float(np.sum(np.log(exc / u)))
-    loglik = float(np.log(alpha) + alpha * np.log(u)
-                   - (alpha + 1.0) * np.mean(np.log(exc)))
-    est = 1.0 + alpha  # density exponent
-    return TailClass.power_law(est), est, alpha / np.sqrt(exc.size), loglik
+def pareto_loglik(exc: np.ndarray, u: float, alpha: float) -> float:
+    """Mean log-likelihood of the exceedances under the Pareto law
+    conditioned on x > u, density alpha u**alpha / x**(alpha + 1).
+
+    Scalar logs here go through numpy, not math.log, which differs in
+    the last bit for a few inputs in a thousand."""
+    return float(np.log(alpha) + alpha * np.log(u)
+                 - (alpha + 1.0) * np.mean(np.log(exc)))
 
 
-def _fit_exponential(exc: np.ndarray, u: float):
+def exponential_fit(exc: np.ndarray, u: float) -> tuple[float, float]:
+    """(rate, mean log-likelihood) of the exponential law conditioned on
+    x > u at its maximum-likelihood rate 1/E[x - u], where the mean
+    log-likelihood log(rate) - rate E[x - u] is log(rate) - 1."""
     mean_excess = float(np.mean(exc - u))
     if mean_excess <= 0.0:
         raise DegenerateTailError("zero mean excess above the threshold")
     rate = 1.0 / mean_excess
-    loglik = float(np.log(rate) - 1.0)
+    return rate, float(np.log(rate) - 1.0)
+
+
+def stretched_loglik(exc: np.ndarray, u: float, p: float,
+                     log_s: float) -> float:
+    """Mean log-likelihood of the exceedances under the stretched law
+    conditioned on x > u, survival exp((u/s)**p - (x/s)**p):
+
+        log p - p log s + (p - 1) E[ln x] + (u/s)**p - E[(x/s)**p]
+    """
+    s = np.exp(log_s)
+    return float(np.log(p) - p * log_s + (p - 1.0) * np.mean(np.log(exc))
+                 + (u / s) ** p - np.mean((exc / s) ** p))
+
+
+def _fit_power(exc: np.ndarray, u: float):
+    alpha = exc.size / float(np.sum(np.log(exc / u)))
+    est = 1.0 + alpha  # density exponent
+    return (TailClass.power_law(est), est, alpha / np.sqrt(exc.size),
+            pareto_loglik(exc, u, alpha))
+
+
+def _fit_exponential(exc: np.ndarray, u: float):
+    rate, loglik = exponential_fit(exc, u)
     return TailClass.exponential(rate), rate, rate / np.sqrt(exc.size), loglik
 
 
@@ -154,7 +185,6 @@ def stretched_tail_fit(exc: np.ndarray, u: float):
     sol = least_squares(residuals, x0=np.array([1.0, np.log(mean_excess + u)]),
                         bounds=([0.02, -60.0], [6.0, 60.0]))
     p, logs = sol.x
-    s = float(np.exp(logs))
     # stderr of p from the Gauss-Newton covariance
     jtj = sol.jac.T @ sol.jac
     dof = max(k - 2, 1)
@@ -164,9 +194,8 @@ def stretched_tail_fit(exc: np.ndarray, u: float):
         p_err = float(np.sqrt(max(cov[0, 0], 0.0)))
     except np.linalg.LinAlgError:
         p_err = float("nan")
-    loglik = float(np.log(p) - p * logs + (p - 1.0) * np.mean(ln_exc)
-                   + (u / s) ** p - np.mean((exc / s) ** p))
-    return TailClass.stretched(float(p)), float(p), p_err, loglik
+    return (TailClass.stretched(float(p)), float(p), p_err,
+            stretched_loglik(exc, u, p, logs))
 
 
 _FITTERS = {

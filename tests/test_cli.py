@@ -15,7 +15,7 @@ from ratiotails import OrderFlowParams, PriceSeries, ratio_density_anticorr
 from ratiotails.cli import main
 from ratiotails.fileio import (load_density_curve, load_price_series,
                                load_samples, parse_key_values,
-                               save_price_series, save_samples)
+                               save_price_series, save_samples, sha256_file)
 
 
 def run(*argv) -> int:
@@ -368,6 +368,131 @@ def test_replay_threads_reach_only_simulate(tmp_path):
         assert again.read_bytes() == out.read_bytes()
 
 
+# each command's manifest as written when the params were listed by hand
+# per command: a simulate manifest then held only its model's options
+EARLIER_MANIFESTS = {
+    "check.txt": ("check", "", """
+param.family=power
+param.q=2.0
+param.table=
+param.normalize=true
+param.grid-max-log=6.0
+param.grid-points=120
+param.out=check.txt"""),
+    "density.csv": ("density", "", """
+param.mu1=1.0
+param.mu2=1.0
+param.sigma1=0.3
+param.sigma2=0.3
+param.rho=-1.0
+param.transform=sym
+param.q=
+param.x-min=0.1
+param.x-max=6.0
+param.points=41
+param.log-grid=true
+param.out=density.csv"""),
+    "gbm.csv": ("simulate", "seed=11", """
+param.model=gbm
+param.mu=0.05
+param.sigma=0.2
+param.dt=0.01
+param.steps=5000
+param.p0=100.0
+param.out=gbm.csv"""),
+    "p.csv": ("simulate", "seed=29", """
+param.model=ratio
+param.mu1=1.0
+param.mu2=1.0
+param.sigma1=0.38
+param.sigma2=0.38
+param.rho=-1.0
+param.family=power
+param.q=1.0
+param.tau0=1.0
+param.dt=1e-06
+param.steps=200000
+param.p0=1.0
+param.policy=resample
+param.out=p.csv"""),
+    "tails.txt": ("tails", "", """
+param.samples=
+param.prices=p.csv
+param.as-returns=1e-06
+param.candidates=power,exp
+param.threshold-quantile=0.99
+param.side=abs
+param.out=tails.txt
+param.csv=
+input.p.csv={sha}"""),
+    "fit.txt": ("fit", "", """
+param.prices=p.csv
+param.delta-t=1e-06
+param.big-delta-t=0.0001
+param.stride=0.0001
+param.candidates=power,log
+param.threshold-quantile=0.998
+param.interpolate=false
+param.boot=
+param.out=fit.txt
+param.overlay=
+param.csv=
+input.p.csv={sha}"""),
+}
+
+
+def test_manifests_of_the_earlier_key_set_replay(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _simulate_prices(tmp_path, "p.csv", seed=29)
+    assert run("check", "--family", "power", "--q", 2, "--normalize",
+               "--out", "check.txt") == 0
+    assert run("density", "--sigma1", 0.3, "--sigma2", 0.3, "--transform",
+               "sym", "--x-min", 0.1, "--points", 41, "--log-grid",
+               "--out", "density.csv") == 0
+    assert run("simulate", "--model", "gbm", "--dt", 0.01, "--steps", 5000,
+               "--p0", 100, "--seed", 11, "--out", "gbm.csv") == 0
+    assert run("tails", "--prices", "p.csv", "--as-returns", 1e-6,
+               "--out", "tails.txt") == 0
+    assert run("fit", "--prices", "p.csv", "--delta-t", 1e-6,
+               "--big-delta-t", 1e-4, "--stride", 1e-4,
+               "--out", "fit.txt") == 0
+    sha = sha256_file("p.csv")
+    for name, (command, seed, params) in EARLIER_MANIFESTS.items():
+        manifest = tmp_path / ("earlier-" + name + ".manifest")
+        manifest.write_text(f"command={command}\n{seed}\n"
+                            f"version={ratiotails.__version__}"
+                            + params.format(sha=sha) + "\n")
+        again = tmp_path / ("again-" + name)
+        assert run("replay", manifest, "--out", again) == 0
+        assert again.read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_manifest_params_are_the_command_options(tmp_path):
+    # every option but --seed and --threads; flags as true/false, unset
+    # options empty; a simulate manifest holds both models' options
+    out = tmp_path / "g.csv"
+    assert run("simulate", "--model", "gbm", "--dt", 0.01, "--steps", 1000,
+               "--seed", 5, "--threads", 2, "--out", out) == 0
+    kv = parse_key_values((tmp_path / "g.csv.manifest").read_text())
+    params = {k[len("param."):]: v for k, v in kv.items()
+              if k.startswith("param.")}
+    assert params == {
+        "model": "gbm", "mu1": "1.0", "mu2": "1.0", "sigma1": "0.35",
+        "sigma2": "0.35", "rho": "-1.0", "family": "sym", "q": "",
+        "tau0": "1.0", "dt": "0.01", "steps": "1000", "p0": "1.0",
+        "policy": "resample", "mu": "0.05", "sigma": "0.2",
+        "out": str(out)}
+    assert kv["seed"] == "5"
+
+
+def test_replay_refuses_a_param_the_command_lacks(tmp_path, capsys):
+    manifest = tmp_path / "odd.manifest"
+    manifest.write_text(f"command=check\nversion={ratiotails.__version__}\n"
+                        "param.family=sym\nparam.colour=red\n")
+    assert run("replay", manifest) == 2
+    assert "param.colour" in capsys.readouterr().err
+
+
 def _set_manifest_version(path, version):
     lines = [line for line in path.read_text().splitlines()
              if not line.startswith("version=")]
@@ -422,11 +547,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["tails", "--prices", "p.csv", "--as-returns", "1e-6",
               "--out", "t.txt"]),
         main(["replay", "p.csv.manifest", "--out", "r.csv", "--threads", "2"]),
+        main(["density", "--rho", "-1", "--out", "d.csv"]),
+        main(["density", "--rho", "-1", "--transform", "sym", "--x-min",
+              "0.1", "--out", "ds.csv"]),
     ]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     out = _fresh_python(code, tmp_path)
-    assert out.stdout.strip() == "[0, 0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
     assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
 

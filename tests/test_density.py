@@ -16,7 +16,7 @@ from ratiotails import (CurveMethod, DensityCurve, Family, OrderFlowParams,
                         ratio_density, ratio_density_anticorr,
                         tail_prediction, transform_density)
 from ratiotails.response import TailKind
-from ratiotails.errors import BranchError, DomainError, RangeError
+from ratiotails.errors import DomainError, RangeError
 
 ANTI = OrderFlowParams(1.0, 1.0, 0.2, 0.2, -1.0)
 ANTI_WIDE = OrderFlowParams(1.0, 1.0, 0.5, 0.5, -1.0)
@@ -127,8 +127,10 @@ def test_anticorr_tight_params_at_one():
 
 
 def test_anticorr_rejects_other_rho():
-    with pytest.raises(BranchError):
+    with pytest.raises(DomainError):
         ratio_density_anticorr(OrderFlowParams(1, 1, 1, 1, -0.5), 1.0)
+    with pytest.raises(DomainError):
+        ratio_cdf_anticorr(OrderFlowParams(1, 1, 1, 1, -0.5), 1.0)
 
 
 def test_anticorr_cdf_matches_density():
@@ -239,9 +241,10 @@ def test_cdf_in_the_far_tails(params):
         assert abs(tail - expected) <= 1e-2 * expected + 1e-15
 
 
-def test_cdf_rejects_anticorr():
-    with pytest.raises(BranchError):
-        ratio_cdf(ANTI, 1.0)
+def test_cdf_takes_the_exact_law_at_anticorrelation():
+    xs = np.array([-np.inf, -3.0, -1.0, 0.0, 0.7, 1.0, 2.5, np.inf])
+    assert np.array_equal(ratio_cdf(ANTI, xs), ratio_cdf_anticorr(ANTI, xs))
+    assert ratio_cdf(ANTI, 1.0) == ratio_cdf_anticorr(ANTI, 1.0)
 
 
 def test_cauchy_special_case():
@@ -251,9 +254,11 @@ def test_cauchy_special_case():
     assert ratio_density(p, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
 
 
-def test_quadrature_rejects_anticorr():
-    with pytest.raises(BranchError):
-        ratio_density(ANTI, 1.0)
+def test_density_takes_the_exact_law_at_anticorrelation():
+    xs = np.array([-np.inf, -3.0, -1.0, 0.0, 0.7, 1.0, 2.5, np.inf])
+    assert np.array_equal(ratio_density(ANTI, xs),
+                          ratio_density_anticorr(ANTI, xs))
+    assert ratio_density(ANTI, 1.0) == ratio_density_anticorr(ANTI, 1.0)
 
 
 def test_quadrature_matches_monte_carlo_at_peak():
@@ -297,6 +302,24 @@ def test_normalization_window():
 def test_positive_ratio_mass_anticorr_closed_form():
     assert positive_ratio_mass(ANTI) == pytest.approx(
         norm.cdf(5.0) - norm.cdf(-5.0), rel=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(*[st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e)] * 4)
+def test_positive_ratio_mass_anticorr_agrees_with_ndtr(mu1, mu2, sigma1, sigma2):
+    # within 2 ulp of the larger normal CDF of the difference
+    got = positive_ratio_mass(OrderFlowParams(mu1, mu2, sigma1, sigma2, -1.0))
+    upper = ndtr(mu2 / sigma2)
+    assert abs(got - (upper - ndtr(-mu1 / sigma1))) <= 2.0 * math.ulp(upper)
+
+
+def test_positive_ratio_mass_anticorr_for_small_means():
+    # P(-a < Z < a) = 2 a phi(0) (1 - a^2/6 + ...): the erf sum keeps
+    # full precision where the difference of normal CDFs cancels
+    a = 1e-6
+    params = OrderFlowParams(a, a, 1.0, 1.0, -1.0)
+    want = 2.0 * a / math.sqrt(2.0 * math.pi) * (1.0 - a * a / 6.0)
+    assert positive_ratio_mass(params) == pytest.approx(want, rel=1e-15)
 
 
 def test_positive_ratio_mass_general():

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
@@ -15,7 +16,7 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
 from ratiotails import fitting
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
-from ratiotails.fitting import _AnticorrLaw
+from ratiotails.fitting import _AnticorrLaw, scaled_returns
 
 ANTI_PATH = OrderFlowParams(1.0, 1.0, 0.38, 0.38, -1.0)
 
@@ -139,6 +140,64 @@ def test_delta_t_must_align_with_sampling():
     series = PriceSeries(t, np.zeros(100))
     with pytest.raises(TimestampError):
         relative_changes(series, WindowSpec(0.7, 10.0, 10.0))
+    with pytest.raises(TimestampError):
+        scaled_returns(series, 0.7)
+
+
+def per_window_loop(logp, step, j, m, stride):
+    """The windows of relative_changes written plainly: windows of m
+    points every ``stride`` points, and in each the change over j steps
+    of ``step`` at every start."""
+    windows = []
+    for start in range(0, len(logp) - m + 1, stride):
+        windows.append(np.array(
+            [math.expm1(logp[start + i + j] - logp[start + i]) / (j * step)
+             for i in range(m - j)]))
+    return windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(1e-6, 10.0), st.integers(1, 4), st.integers(0, 40),
+       st.integers(1, 30), st.integers(0, 150), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_relative_changes_match_the_per_window_loop(step, j, extra, stride,
+                                                    tail, ragged, seed):
+    rng = np.random.default_rng(seed)
+    if ragged:
+        j = 1  # ragged stamps are resampled onto delta_t itself
+    m = 10 * j + 1 + extra  # window points: delta_t <= big_delta_t / 10
+    delta_t = j * step
+    w = WindowSpec(delta_t, m * step, stride * step)
+    if ragged:
+        # gaps of 0.6 to 1.5 steps and one of 2 steps: the delta_t/2
+        # rule rejects them unless interpolation fills the gaps
+        gaps = step * rng.uniform(0.6, 1.5, 2 * m + tail)
+        gaps[rng.integers(gaps.size)] = 2.0 * step
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+    else:
+        times = step * np.arange(m + tail)
+    logp = np.cumsum(0.01 * rng.standard_normal(times.size))
+    series = PriceSeries(times, logp)
+    if ragged:
+        with pytest.raises(TimestampError):
+            relative_changes(series, w)
+        with pytest.raises(TimestampError, match="uniformly spaced"):
+            scaled_returns(series, delta_t)
+        grid = step * np.arange(int(math.floor(times[-1] / step)) + 1)
+        want = per_window_loop(np.interp(grid, times, logp), step, 1, m,
+                               stride)
+    else:
+        want = per_window_loop(logp, step, j, m, stride)
+        returns = [math.expm1(logp[i + j] - logp[i]) / delta_t
+                   for i in range(times.size - j)]
+        np.testing.assert_allclose(scaled_returns(series, delta_t), returns,
+                                   rtol=1e-12, atol=0.0)
+    flat, windows, _ = relative_changes(series, w, interpolate=ragged,
+                                        return_windows=True)
+    assert len(windows) == len(want)
+    for got, expected in zip(windows, want):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(flat, np.concatenate(windows))
 
 
 # ---------------------------------------------------------------------------

@@ -223,17 +223,40 @@ def test_inverse_at_large_targets(spec, y, want):
 GRID = np.geomspace(1e-3, 1e3, 121)
 
 
+def draw_family_and_ratios(data, spec):
+    """``spec`` or its family at a random q, and ratios x = 1 and 10**e
+    with 1e-3 <= |e| <= 8, short of where x**q would overflow.  |e| stays off
+    0 because near x = 1 the rounding of 1/x alone moves log(1/x) by a
+    relative 1e-16/|log x|."""
+    if spec.param is not None:
+        q = (data.draw(st.floats(0.01, 100.0)) if spec.family is Family.POWER
+             else 2 * data.draw(st.integers(0, 49)) + 1)
+        spec = data.draw(st.sampled_from([spec, ResponseSpec(spec.family, q)]))
+    grows = spec.family in (Family.POWER, Family.ODD_POWER)
+    reach = min(8.0, 300.0 / spec.param) if grows else 8.0
+    exps = data.draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                                        st.floats(1e-3, reach)),
+                              min_size=1, max_size=16))
+    return spec, np.array([1.0] + [10.0 ** (sign * e) for sign, e in exps])
+
+
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
-def test_antisymmetry_bound(spec):
-    g = np.asarray(spec.value(GRID))
-    g_recip = np.asarray(spec.value(1.0 / GRID))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_antisymmetry_bound(spec, data):
+    spec, x = draw_family_and_ratios(data, spec)
+    g = np.asarray(spec.value(x))
+    g_recip = np.asarray(spec.value(1.0 / x))
     assert np.all(np.abs(g + g_recip) <= 1e-12 * (1.0 + np.abs(g)))
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
-def test_reciprocal_slope_identity(spec):
-    h = GRID * np.asarray(spec.deriv(GRID, 1))
-    h_recip = (1.0 / GRID) * np.asarray(spec.deriv(1.0 / GRID, 1))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reciprocal_slope_identity(spec, data):
+    spec, x = draw_family_and_ratios(data, spec)
+    h = x * np.asarray(spec.deriv(x, 1))
+    h_recip = (1.0 / x) * np.asarray(spec.deriv(1.0 / x, 1))
     rel = np.abs(h - h_recip) / np.maximum(np.abs(h), 1e-300)
     assert np.max(rel) <= 1e-10
 

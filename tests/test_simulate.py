@@ -49,16 +49,22 @@ def test_sample_bivariate_bit_identical_across_threads():
     assert np.array_equal(s1, s4)
 
 
-def test_sample_ratio_bit_identical_across_threads():
-    n = (1 << 20) + 7
+# one step either side of a chunk boundary and on it
+AROUND_CHUNK = pytest.mark.parametrize(
+    "n", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+
+
+@AROUND_CHUNK
+def test_sample_ratio_bit_identical_across_threads(n):
     r1 = sample_ratio(ANTI_WIDE, n, seed=6, threads=1)
     r4 = sample_ratio(ANTI_WIDE, n, seed=6, threads=4)
     assert np.array_equal(r1.values, r4.values)
     assert r1.nonpositive_s_fraction == r4.nonpositive_s_fraction
 
 
-def test_simulate_path_bit_identical_across_threads_and_runs():
-    cfg = make_config(n_steps=(1 << 20) + 99)
+@AROUND_CHUNK
+def test_simulate_path_bit_identical_across_threads_and_runs(n):
+    cfg = make_config(n_steps=n)
     a = simulate_path(cfg, threads=1)
     b = simulate_path(cfg, threads=3)
     c = simulate_path(cfg, threads=1)
@@ -66,9 +72,10 @@ def test_simulate_path_bit_identical_across_threads_and_runs():
     assert np.array_equal(a.log_prices, c.log_prices)
 
 
-def test_gbm_bit_identical_across_threads():
-    a = simulate_gbm(0.05, 0.2, 0.01, (1 << 20) + 3, 100.0, seed=8, threads=1)
-    b = simulate_gbm(0.05, 0.2, 0.01, (1 << 20) + 3, 100.0, seed=8, threads=4)
+@AROUND_CHUNK
+def test_gbm_bit_identical_across_threads(n):
+    a = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8, threads=1)
+    b = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8, threads=4)
     assert np.array_equal(a.log_prices, b.log_prices)
 
 
