@@ -300,26 +300,25 @@ def _run_fit(args) -> int:
     if args.csv:
         write_atomic(args.csv, key_values_csv([result.key_values()]))
     if args.overlay:
-        _write_overlay(series, w, result, args.overlay)
+        _write_overlay(series, w, result, args.overlay, args.interpolate)
     manifest = _manifest_for(args)
     _finish(manifest, args.out or args.overlay or args.csv)
     return 0
 
 
-def _write_overlay(series, w, result, path: str) -> None:
+def _write_overlay(series, w, result, path: str, interpolate: bool) -> None:
     """Empirical density of the changes next to the fitted model density."""
     from .fitting import _AnticorrLaw, relative_changes
 
-    changes = relative_changes(series, w)
+    changes = relative_changes(series, w, interpolate=interpolate)
     lo, hi = np.quantile(changes, [0.001, 0.999])
     hist, edges = np.histogram(changes, bins=160, range=(lo, hi), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    law = _AnticorrLaw(result.nuisance_spread)
-    spec = result.response
-    s = result.nuisance_scale
+    spec, s = result.response, result.nuisance_scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.asarray(spec.inverse(centers / s), dtype=float)
-        model = np.exp(law.log_pdf(r) - spec.log_deriv(r)) / s / law.pos_mass
+        model = np.exp(_AnticorrLaw(result.nuisance_spread)
+                       .change_log_pdf(spec, s, r))
     model = np.where(np.isfinite(model), model, 0.0)
     write_csv(path, "x,f_model,f_empirical", (centers, model, hist))
 

@@ -6,7 +6,8 @@ windows, then fits candidate response families to the distribution of
 those changes.  Fitting is two-stage: the family's shape parameter comes
 from the exceedance tail by maximum likelihood, while the order-flow
 nuisance (a symmetric coefficient of variation plus an output scale
-absorbing the adjustment time constant) is pinned by bulk quantiles.
+absorbing the adjustment time constant) is fitted by conditional
+likelihood on the bulk, the scale seeded from the 0.95 |change| quantile.
 Families are then ranked by a composite average log-likelihood over bulk
 and tail, and near-ties go to the family with fewer parameters or are
 reported as non-identifiable.
@@ -26,7 +27,7 @@ from .density import (OrderFlowParams, positive_ratio_mass, ratio_cdf,
                       ratio_density)
 from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
-from .response import Family, ResponseSpec, TailClass, invert_monotone
+from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
 from .tails import (MIN_TAIL_POINTS, exponential_fit, pareto_loglik,
                     stretched_loglik)
@@ -106,9 +107,10 @@ def scaled_returns(series: PriceSeries, delta_t: float) -> np.ndarray:
     return np.expm1(lp[j:] - lp[:-j]) / (j * h)
 
 
-def _resample_uniform(series: PriceSeries, step: float,
-                      allow_gaps: bool) -> tuple[np.ndarray, float]:
-    """Linear interpolation of the log-price onto a uniform grid."""
+def _resample_uniform(series: PriceSeries, step: float, allow_gaps: bool
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(grid, log-prices, share of made-up points): linear interpolation
+    of the log-price onto a uniform grid."""
     t, lp = series.times, series.log_prices
     gaps = np.diff(t)
     if not allow_gaps and float(np.max(gaps)) > step / 2.0 + 1e-12 * step:
@@ -225,7 +227,19 @@ def _maximize(f, grid, values, lo: float, hi: float, xatol: float):
     return float(values[i]), float(grid[i])
 
 
-class _AnticorrLaw:
+class _RatioLaw:
+    """What the two nuisance laws share: the density of a change."""
+
+    def change_log_pdf(self, spec: ResponseSpec, scale: float, r):
+        """log f_R(r) - log s - log g'(r) - log P(R > 0): the log density,
+        given R > 0, of the change y = s g(r) at the ratio r behind it.
+        Not finite where r is no positive finite ratio."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return (self.log_pdf(r) - math.log(scale) - spec.log_deriv(r)
+                    - math.log(self.pos_mass))
+
+
+class _AnticorrLaw(_RatioLaw):
     """Ratio law for the unit-mean anticorrelated pair with spread nu.
 
     R = (1 + nu Z)/(1 - nu Z) with Z standard normal; R > 0 exactly when
@@ -310,13 +324,16 @@ class _AnticorrLaw:
     @classmethod
     def search(cls, spec: ResponseSpec, sub: np.ndarray, u: float,
                q95: float, rho: float):
-        """Maximize over log-scale the bulk likelihood profiled over nu.
+        """Maximize over log-scale the bulk likelihood profiled over nu;
+        ``rho`` is -1 and unused.
 
         Each log-scale costs one pass, after which nu is maximized on
         scalars: the nu grid, then bounded Brent between the best grid
         point's neighbours (out to _NU_LO / _NU_HI at the grid's ends).
         Log-scale is searched the same way from the nu grid's scale
-        seeds, 1.5 past the outer seeds.
+        seeds (the closed-form quantile puts each law's 0.95 |change|
+        quantile at ``q95``), 1.5 past the outer seeds.  The result also
+        starts the search at every other rho.
         """
         best_nu = {}
 
@@ -334,7 +351,7 @@ class _AnticorrLaw:
         return nu, math.exp(log_scale), cls(nu)
 
 
-class _CorrelatedLaw:
+class _CorrelatedLaw(_RatioLaw):
     """Ratio law for the unit-mean pair with spread nu and correlation
     -1 < rho < 1, through the closed forms of ``density``."""
 
@@ -349,17 +366,12 @@ class _CorrelatedLaw:
         return ((ratio_cdf(self.params, r) - (1.0 - self.pos_mass))
                 / self.pos_mass)
 
-    def quantile_pos(self, p):
-        return invert_monotone(self.cdf_pos, p)
-
     def bulk_score(self, spec: ResponseSpec, scale: float,
                    points: np.ndarray, u: float) -> float:
         """Average conditional log-likelihood of the sub-threshold points."""
         total = 0.0
         for r in _ratios(spec, scale, points):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ll = (self.log_pdf(r) - math.log(scale) - spec.log_deriv(r)
-                      - math.log(self.pos_mass))
+            ll = self.change_log_pdf(spec, scale, r)
             total += float(np.sum(np.where(np.isfinite(ll), ll, _LL_FLOOR)))
         r_u = _threshold_ratio(spec, scale, u)
         bulk_mass = 2.0 * float(self.cdf_pos(r_u)) - 1.0
@@ -370,34 +382,24 @@ class _CorrelatedLaw:
     @classmethod
     def search(cls, spec: ResponseSpec, sub: np.ndarray, u: float,
                q95: float, rho: float):
-        """Profile nu on the grid with an inner bounded log-scale fit, then
-        polish (nu, log-scale) by Nelder-Mead.
+        """Polish (logit nu, log-scale) by Nelder-Mead, started from the
+        rho = -1 optimum on the same points.
 
-        The Hinkley density has no nu-free sums, so every step is a pass;
-        a profile over scale would take more of them than this search.
+        The Hinkley density has no nu-free sums, so every step is a pass
+        over ``sub``.  From the rho = -1 optimum, on the same ridge, it
+        reached a 21-spread grid search's optimum in about half its passes.
         """
-        from scipy.optimize import minimize, minimize_scalar
+        from scipy.optimize import minimize
 
-        def negative(law, log_scale: float) -> float:
-            return -law.bulk_score(spec, math.exp(log_scale), sub, u)
-
-        best = (math.inf, None, None)
-        for nu in _NU_GRID:
-            law = cls(float(nu), rho)
-            ls0 = _scale_seed(spec, law, q95)
-            r = minimize_scalar(lambda ls: negative(law, ls),
-                                bounds=(ls0 - 1.5, ls0 + 1.5),
-                                method="bounded", options={"xatol": 1e-7})
-            if r.fun < best[0]:
-                best = (r.fun, float(nu), float(r.x))
-        _, nu0, ls0 = best
-
+        nu0, scale0, _ = _AnticorrLaw.search(spec, sub, u, q95, -1.0)
         res = minimize(
-            lambda th: negative(cls(_nu_from_t(th[0]), rho), th[1]),
-            x0=np.array([_t_from_nu(nu0), ls0]), method="Nelder-Mead",
+            lambda th: -cls(_nu_from_t(th[0]), rho).bulk_score(
+                spec, math.exp(th[1]), sub, u),
+            x0=np.array([_t_from_nu(nu0), math.log(scale0)]),
+            method="Nelder-Mead",
             options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
-        nu0, ls0 = _nu_from_t(res.x[0]), float(res.x[1])
-        return nu0, math.exp(ls0), cls(nu0, rho)
+        nu = _nu_from_t(res.x[0])
+        return nu, math.exp(float(res.x[1])), cls(nu, rho)
 
 
 def _nu_from_t(t: float) -> float:
@@ -407,10 +409,6 @@ def _nu_from_t(t: float) -> float:
 def _t_from_nu(nu: float) -> float:
     nu = min(max(nu, _NU_LO + 1e-6), _NU_HI - 1e-6)
     return math.log((nu - _NU_LO) / (_NU_HI - nu))
-
-
-def _law_class(rho: float):
-    return _AnticorrLaw if rho == -1.0 else _CorrelatedLaw
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +447,19 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
 
     The likelihood surface has a long curved ridge (bulk width pins only
     the product of spread and scale).  The search runs on a deterministic
-    subsample of the bulk, seeded at the scales that match the 0.95
-    |change| quantile ``q95`` on a 21-point spread grid; the caller
-    scores the winner on the full bulk.
+    subsample of the bulk; the caller scores the winner on the full bulk.
 
     At rho = -1 the mean log-likelihood at a fixed scale depends on the
     points only through three sums, so one pass over the subsample
     gives the whole spread profile: the search is a bounded Brent over
-    log-scale of that profile, maximized over the spread on scalars.
-    For other rho every evaluation is a pass, and the spread grid with an
-    inner scale fit is polished by Nelder-Mead.
+    log-scale of that profile, maximized over the spread on scalars,
+    seeded at the scales that match the 0.95 |change| quantile ``q95``
+    on a 21-point spread grid.  For other rho every evaluation is a
+    pass, and Nelder-Mead polishes the rho = -1 optimum.
     """
     step = max(1, bulk.size // 30000)
-    return _law_class(rho).search(spec, bulk[::step], u, q95, rho)
+    law = _AnticorrLaw if rho == -1.0 else _CorrelatedLaw
+    return law.search(spec, bulk[::step], u, q95, rho)
 
 
 # ---------------------------------------------------------------------------

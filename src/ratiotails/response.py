@@ -230,9 +230,11 @@ class ResponseSpec:
         the generic bracketed alternative.  SYM and ODD_POWER are formed
         at |y| and inverted through inverse(-y) = 1/inverse(y), POWER and
         LOG_POWER take the sign inside their exp, so no branch cancels at
-        large negative y, and no square of y overflows.
+        large negative y, and no square of y overflows.  A scalar goes
+        through a 1-element array: numpy's 0-d powers can round otherwise.
         """
-        y = np.asarray(y, dtype=float)
+        scalar = np.ndim(y) == 0
+        y = np.atleast_1d(np.asarray(y, dtype=float))
         fam = self.family
         q = self.param
         if fam is Family.SYM:
@@ -252,7 +254,7 @@ class ResponseSpec:
             out = np.exp(np.sign(y) * np.abs(y) ** (1.0 / q))
         else:
             out = np.exp(y)
-        return out if out.ndim else float(out)
+        return float(out[0]) if scalar else out
 
     # -- structural facts used by the admissibility checker -----------------
 

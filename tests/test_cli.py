@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import ratiotails
-from ratiotails import OrderFlowParams, PriceSeries, ratio_density_anticorr
+from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
+                        ScaledResponse, TransformedDensity,
+                        ratio_density_anticorr)
 from ratiotails.cli import main
 from ratiotails.fileio import (load_density_curve, load_price_series,
                                load_samples, parse_key_values,
@@ -257,6 +259,31 @@ def test_fit_recovers_power_from_file(tmp_path):
     assert float(kv["param"]) == pytest.approx(1.0, rel=0.25)
     header = overlay.read_text().splitlines()[0]
     assert header == "x,f_model,f_empirical"
+    # the model column is the fitted law pushed through s g by the
+    # linear-space change of variables of ``density``
+    x, f_model, _ = np.loadtxt(overlay, delimiter=",", skiprows=1).T
+    nu = float(kv["nuisance_spread"])
+    response = ScaledResponse(ResponseSpec(Family.POWER, float(kv["param"])),
+                              float(kv["nuisance_scale"]))
+    want = TransformedDensity(OrderFlowParams(1.0, 1.0, nu, nu, -1.0),
+                              response)(x)
+    np.testing.assert_allclose(f_model, want, rtol=1e-12, atol=0.0)
+
+
+def test_fit_overlay_takes_interpolated_changes(tmp_path):
+    # every 97th row dropped: gaps of 2 steps, beyond delta_t / 2
+    prices = _simulate_prices(tmp_path, "p.csv", steps=50000)
+    head, *rows = prices.read_text().splitlines()
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("\n".join(
+        [head] + [r for i, r in enumerate(rows) if i % 97 != 96]) + "\n")
+    overlay = tmp_path / "overlay.csv"
+    argv = ["fit", "--prices", ragged, "--delta-t", 1e-6,
+            "--big-delta-t", 1e-4, "--stride", 1e-4]
+    assert run(*argv, "--overlay", overlay) == 2
+    assert run(*argv, "--interpolate", "--overlay", overlay) == 0
+    assert overlay.read_text().startswith("x,f_model,f_empirical\n")
+    assert os.path.isfile(f"{overlay}.manifest")
 
 
 def test_fit_non_identifiable_exit_code(tmp_path, capsys):

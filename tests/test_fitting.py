@@ -11,12 +11,12 @@ from scipy.stats import ks_2samp
 
 from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         SimConfig, TailKind, WindowSpec, exponent_report,
-                        fit_g, fit_price_series, relative_changes,
-                        simulate_gbm, simulate_path)
+                        fit_g, fit_price_series, invert_monotone,
+                        relative_changes, simulate_gbm, simulate_path)
 from ratiotails import fitting
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
-from ratiotails.fitting import _AnticorrLaw, scaled_returns
+from ratiotails.fitting import _AnticorrLaw, _CorrelatedLaw, scaled_returns
 
 ANTI_PATH = OrderFlowParams(1.0, 1.0, 0.38, 0.38, -1.0)
 
@@ -32,6 +32,18 @@ def ratio_positive(n, seed, nu=0.38):
         out[filled:filled + len(take)] = take
         filled += len(take)
     return out
+
+
+def correlated_ratios(n, rho, seed, nu=0.38):
+    """The positive ratios among n draws of the unit-mean pair with
+    spreads nu and correlation rho."""
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal(n)
+    z2 = rng.standard_normal(n)
+    d = 1 + nu * z1
+    s = 1 + nu * (rho * z1 + math.sqrt(1 - rho ** 2) * z2)
+    r = d / s
+    return r[r > 0]
 
 
 def sim_series(family, q, n_steps, seed, scale=1e-6):
@@ -326,14 +338,8 @@ def test_report_rendering_log_and_stretched():
 
 def test_fit_with_overridden_correlation():
     # the closed-form nuisance law when the correlation is not -1
-    rng = np.random.default_rng(61)
-    z1 = rng.standard_normal(2 * 10 ** 5)
-    z2 = rng.standard_normal(2 * 10 ** 5)
-    rho, nu = -0.5, 0.38
-    d = 1 + nu * z1
-    s = 1 + nu * (rho * z1 + math.sqrt(1 - rho ** 2) * z2)
-    r = d / s
-    r = r[r > 0]
+    rho = -0.5
+    r = correlated_ratios(2 * 10 ** 5, rho, seed=61)
     changes = 1e-6 * (r - 1.0 / r)
     result = fit_g(changes, [Family.POWER, Family.LOG], rho=rho)
     assert result.response.family is Family.POWER
@@ -341,7 +347,7 @@ def test_fit_with_overridden_correlation():
 
 
 # ---------------------------------------------------------------------------
-# the rho = -1 nuisance search against the per-point grid + Nelder-Mead oracle
+# the nuisance searches against the per-point grid + Nelder-Mead oracle
 # ---------------------------------------------------------------------------
 
 def pointwise_score(spec, law, scale, points, u):
@@ -349,29 +355,33 @@ def pointwise_score(spec, law, scale, points, u):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.asarray(spec.inverse(points / scale), dtype=float)
         r = np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
-        ll = (law.log_pdf(r) - math.log(scale) - spec.log_deriv(r)
-              - math.log(law.pos_mass))
-        ll = np.where(np.isfinite(ll), ll, fitting._LL_FLOOR)
         r_u = float(spec.inverse(u / scale))
+    ll = law.change_log_pdf(spec, scale, r)
+    ll = np.where(np.isfinite(ll), ll, fitting._LL_FLOOR)
     bulk_mass = 2.0 * float(law.cdf_pos(r_u)) - 1.0
     if bulk_mass <= 0.0:
         return fitting._LL_FLOOR
     return float(np.mean(ll)) - math.log(bulk_mass)
 
 
-def grid_nelder_mead_oracle(spec, q95, sub, u):
-    """The rho = -1 search the scale profile replaced: a bounded log-scale
-    fit at each point of the 21-point spread grid, then a Nelder-Mead
-    polish of (logit spread, log-scale), each step a per-point pass."""
+def grid_nelder_mead_oracle(spec, q95, sub, u, rho=-1.0):
+    """The search that the rho = -1 scale profile and the correlated
+    warm start replaced: a bounded log-scale fit at each point of the
+    21-point spread grid, seeded where the law's 0.95 |change| quantile
+    sits at q95, then a Nelder-Mead polish of (logit spread, log-scale),
+    each step a per-point pass."""
     from scipy.optimize import minimize, minimize_scalar
 
+    def law(nu):
+        return _AnticorrLaw(nu) if rho == -1.0 else _CorrelatedLaw(nu, rho)
+
     def negative(nu, log_scale):
-        return -pointwise_score(spec, _AnticorrLaw(nu), math.exp(log_scale),
-                                sub, u)
+        return -pointwise_score(spec, law(nu), math.exp(log_scale), sub, u)
 
     best = (math.inf, None, None)
     for nu in np.geomspace(0.05, 0.93, 21):
-        ls0 = fitting._scale_seed(spec, _AnticorrLaw(nu), q95)
+        r975 = invert_monotone(law(nu).cdf_pos, 0.975)
+        ls0 = math.log(q95 / float(spec.value(r975)))
         r = minimize_scalar(lambda ls: negative(nu, ls),
                             bounds=(ls0 - 1.5, ls0 + 1.5), method="bounded",
                             options={"xatol": 1e-7})
@@ -413,6 +423,26 @@ def test_profile_search_matches_the_oracle(family, q, make, ridge):
         assert got >= ref - 1e-9
         assert nu == pytest.approx(nu_ref, rel=1e-5)
         assert scale == pytest.approx(scale_ref, rel=1e-5)
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5])
+@pytest.mark.parametrize("family,q,make", [
+    (Family.POWER, 1.0, lambda r: 1e-6 * (r - 1.0 / r)),
+    (Family.LOG, None, lambda r: 1e-6 * np.log(r)),
+], ids=["power", "log"])
+def test_correlated_search_matches_the_oracle(family, q, make, rho):
+    # the Nelder-Mead polish from the rho = -1 optimum reaches the
+    # optimum of the spread grid
+    spec = ResponseSpec(family, q)
+    q95, bulk, u = _split(make(correlated_ratios(10000, rho, seed=83)))
+    nu, scale, law = fitting._fit_nuisance(spec, q95, bulk, u, rho)
+    nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u, rho)
+    got = law.bulk_score(spec, scale, bulk, u)
+    ref = pointwise_score(spec, _CorrelatedLaw(nu_ref, rho), scale_ref,
+                          bulk, u)
+    assert got >= ref - 1e-12
+    assert nu == pytest.approx(nu_ref, rel=1e-5)
+    assert scale == pytest.approx(scale_ref, rel=1e-5)
 
 
 @pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None),
