@@ -12,15 +12,20 @@ Numeric CSVs are read in one np.loadtxt call; a file it cannot take is
 reread line by line, which words the error as path:line.  Manifests and
 reports are plain ``key=value`` text.  All writers, CSV ones streaming
 rows in chunks, go through an atomic temp-file rename so a failed
-command never leaves a partial artifact behind.
+command never leaves a partial artifact behind.  CSV chunks may be
+formatted in worker processes (``workers`` of write_csv and
+save_price_series); the parent writes them in order, so the bytes never
+depend on it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -116,20 +121,41 @@ _ROWS = 1 << 16  # rows formatted per written chunk
 _LOOSE = b"\x0b\x0c\x1c\x1d\x1e\x1f"  # splitlines breaks, loadtxt spaces
 
 
+def _format_rows(columns, label: str | None) -> str:
+    """The CSV text of one chunk: rows of the float ``columns`` as
+    shortest round-trip text, then ``label`` if given."""
+    cells = [map(repr, c.tolist()) for c in columns]
+    cells += [] if label is None else [itertools.repeat(label)]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def write_csv(path: str, header: str, columns,
-              label: str | None = None) -> None:
+              label: str | None = None, workers: int = 1) -> None:
     """Float columns, then a constant text column ``label`` if given, as
-    shortest round-trip text under ``header``, _ROWS rows per chunk."""
+    shortest round-trip text under ``header``, _ROWS rows per chunk.
+
+    With ``workers`` > 1 and more than one chunk, a forked pool of up to
+    that many processes formats the chunks; the parent writes them in
+    order, so the bytes are the serial ones."""
     columns = [np.asarray(c, dtype=float) for c in columns]
+    slices = [[c[i:i + _ROWS] for c in columns]
+              for i in range(0, columns[0].size, _ROWS)]
+    format_chunk = functools.partial(_format_rows, label=label)
 
-    def chunks():
-        yield header + "\n"
-        for i in range(0, columns[0].size, _ROWS):
-            cells = [map(repr, c[i:i + _ROWS].tolist()) for c in columns]
-            cells += [] if label is None else [itertools.repeat(label)]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    if workers > 1 and len(slices) > 1:
+        import multiprocessing
 
-    write_atomic(path, chunks())
+        # fork copies only the calling thread, so it waits for a process
+        # that runs no other thread
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            context = multiprocessing.get_context("fork")
+            with context.Pool(min(workers, len(slices))) as pool:
+                write_atomic(path, itertools.chain(
+                    [header + "\n"], pool.imap(format_chunk, slices)))
+            return
+    write_atomic(path, itertools.chain([header + "\n"],
+                                       map(format_chunk, slices)))
 
 
 def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
@@ -185,13 +211,16 @@ def _read_lines(path: str, header: str, ncols: int, min_rows: int,
     return np.array(rows, dtype=float).reshape(-1, width).T.copy()
 
 
-def save_price_series(series: PriceSeries, path: str) -> None:
+def save_price_series(series: PriceSeries, path: str,
+                      workers: int = 1) -> None:
+    """The t,price CSV of ``series``, formatted on up to ``workers``
+    processes (see write_csv)."""
     prices = series.prices
     if not np.all(np.isfinite(prices)):
         raise InputFormatError(
             "prices overflow the float range; this configuration can only "
             "be analyzed in memory via log returns")
-    write_csv(path, "t,price", (series.times, prices))
+    write_csv(path, "t,price", (series.times, prices), workers=workers)
 
 
 def load_price_series(path: str) -> PriceSeries:

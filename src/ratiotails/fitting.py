@@ -672,8 +672,12 @@ class _Segments:
 
 def fit_price_series(series: PriceSeries, w: WindowSpec,
                      candidates=(Family.POWER, Family.LOG), *,
-                     interpolate: bool = False, **fit_kw) -> FitResult:
-    """relative_changes + fit_g with window bootstrap wired through."""
+                     interpolate: bool = False, return_changes: bool = False,
+                     **fit_kw):
+    """relative_changes + fit_g with window bootstrap wired through.
+
+    With ``return_changes`` the result is (FitResult, changes), the
+    changes being the flat values the fit saw."""
     flat, windows, notes = relative_changes(series, w, interpolate=interpolate,
                                             return_windows=True)
     result = fit_g(flat, candidates, windows=windows, **fit_kw)
@@ -681,6 +685,8 @@ def fit_price_series(series: PriceSeries, w: WindowSpec,
     rej = series.meta.get("rejected")
     if rej:
         result.notes.append(f"simulator_rejections={rej}")
+    if return_changes:
+        return result, flat
     return result
 
 

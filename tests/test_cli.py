@@ -6,14 +6,15 @@ import subprocess
 import sys
 import time
 from datetime import datetime
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ratiotails
 from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
-                        ScaledResponse, TransformedDensity,
-                        ratio_density_anticorr)
+                        ScaledResponse, TransformedDensity, WindowSpec, cli,
+                        fitting, ratio_density_anticorr)
 from ratiotails.cli import main
 from ratiotails.fileio import (load_density_curve, load_price_series,
                                load_samples, parse_key_values,
@@ -149,13 +150,17 @@ def test_simulate_same_seed_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_threads_do_not_change_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+def test_simulate_threads_do_not_change_output(tmp_path, monkeypatch):
+    # 200 000 rows are four CSV chunks: the default (the usable CPUs) and
+    # --threads 4 format them in forked workers
+    monkeypatch.delenv("RATIOTAILS_THREADS", raising=False)
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     args = ("simulate", "--model", "gbm", "--mu", 0.05, "--sigma", 0.2,
-            "--dt", 0.01, "--steps", 20000, "--seed", 11)
+            "--dt", 0.01, "--steps", 200000, "--seed", 11)
     assert run(*args, "--out", a, "--threads", 1) == 0
     assert run(*args, "--out", b, "--threads", 4) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert run(*args, "--out", c) == 0
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def test_simulate_gbm_zero_vol_exact(tmp_path):
@@ -284,6 +289,34 @@ def test_fit_overlay_takes_interpolated_changes(tmp_path):
     assert run(*argv, "--interpolate", "--overlay", overlay) == 0
     assert overlay.read_text().startswith("x,f_model,f_empirical\n")
     assert os.path.isfile(f"{overlay}.manifest")
+
+
+def test_fit_overlay_extracts_the_changes_once(tmp_path, monkeypatch):
+    prices = _simulate_prices(tmp_path, "p.csv", steps=50000)
+    extract, calls = fitting.relative_changes, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "relative_changes", counted)
+    report, overlay = tmp_path / "fit.txt", tmp_path / "overlay.csv"
+    assert run("fit", "--prices", prices, "--delta-t", 1e-6,
+               "--big-delta-t", 1e-4, "--stride", 1e-4, "--out", report,
+               "--overlay", overlay) == 0
+    assert len(calls) == 1
+    # the same bytes as the overlay of a second, fresh extraction
+    kv = parse_key_values(report.read_text())
+    fitted = SimpleNamespace(
+        response=ResponseSpec(Family(kv["family"]),
+                              float(kv["param"]) if kv["param"] else None),
+        nuisance_spread=float(kv["nuisance_spread"]),
+        nuisance_scale=float(kv["nuisance_scale"]))
+    fresh = tmp_path / "fresh.csv"
+    cli._write_overlay(extract(load_price_series(str(prices)),
+                               WindowSpec(1e-6, 1e-4, 1e-4)),
+                       fitted, str(fresh))
+    assert overlay.read_bytes() == fresh.read_bytes()
 
 
 def test_fit_non_identifiable_exit_code(tmp_path, capsys):
@@ -555,6 +588,13 @@ def _fresh_python(code: str, cwd) -> subprocess.CompletedProcess:
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300,
                           check=True)
+
+
+def test_import_loads_no_multiprocessing(tmp_path):
+    # the CSV writer imports it only when it forks workers
+    out = _fresh_python("import sys, ratiotails.cli\n"
+                        "print('multiprocessing' in sys.modules)", tmp_path)
+    assert out.stdout.strip() == "False"
 
 
 def test_commands_that_do_not_compute_with_scipy_never_load_it(tmp_path):

@@ -3,9 +3,10 @@ against a quadrature oracle, the Owen's-T CDF, transforms."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
@@ -306,11 +307,16 @@ def test_positive_ratio_mass_anticorr_closed_form():
 
 @settings(max_examples=500, deadline=None)
 @given(*[st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e)] * 4)
+@example(1.0, 1.0, 10 ** 0.00390625, 10 ** 0.00390625)
 def test_positive_ratio_mass_anticorr_agrees_with_ndtr(mu1, mu2, sigma1, sigma2):
-    # within 2 ulp of the larger normal CDF of the difference
+    # within 2 ulp of the larger normal CDF of the difference, both CDFs
+    # taken at 50 digits: the float difference of two ndtr values is
+    # itself up to ~2.3 ulp off (the @example point)
     got = positive_ratio_mass(OrderFlowParams(mu1, mu2, sigma1, sigma2, -1.0))
-    upper = ndtr(mu2 / sigma2)
-    assert abs(got - (upper - ndtr(-mu1 / sigma1))) <= 2.0 * math.ulp(upper)
+    with mpmath.workdps(50):
+        upper = mpmath.ncdf(mpmath.mpf(mu2) / sigma2)
+        want = float(upper - mpmath.ncdf(-mpmath.mpf(mu1) / sigma1))
+    assert abs(got - want) <= 2.0 * math.ulp(float(upper))
 
 
 def test_positive_ratio_mass_anticorr_for_small_means():

@@ -1,18 +1,23 @@
 """CSV schemas, key=value reports, manifests."""
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratiotails import (CurveMethod, DensityCurve, PriceSeries, simulate_gbm)
+from ratiotails import fileio
 from ratiotails.errors import InputFormatError
 from ratiotails.fileio import (RunManifest, format_key_values,
                                load_density_curve, load_price_series,
                                load_response_table, load_samples,
                                parse_key_values, save_density_curve,
                                save_price_series, save_samples, sha256_file,
-                               write_atomic)
-from ratiotails.fileio import _read_lines, _read_numeric
+                               write_atomic, write_csv)
+from ratiotails.fileio import _ROWS, _format_rows, _read_lines, _read_numeric
 
 
 def test_price_series_round_trip(tmp_path):
@@ -292,10 +297,77 @@ def test_missing_file_message(tmp_path):
 
 def test_writers_stream_whole_chunks(tmp_path):
     # more rows than one write chunk, byte for byte as one joined text
-    from ratiotails.fileio import _ROWS
     rng = np.random.default_rng(11)
     values = rng.standard_normal(_ROWS + 3) ** 5
     path = tmp_path / "s.csv"
     save_samples(values, str(path))
     expected = "value\n" + "".join(f"{float(v)!r}\n" for v in values)
     assert path.read_text() == expected
+
+
+# ---------------------------------------------------------------------------
+# CSV chunks formatted in forked workers
+# ---------------------------------------------------------------------------
+
+# repr's switch points to and from exponent form, the signed zero, the
+# smallest subnormal and the largest float
+EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-5, 1e-4, 1e16]
+
+
+@pytest.mark.parametrize("label", [None, "exact"])
+@pytest.mark.parametrize("n", [1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
+    # 21-bit integers times 2**-50 .. 2**29: reprs in plain and exponent form
+    rng = np.random.default_rng(n)
+    a = rng.integers(-2 ** 20, 2 ** 20, n) * 2.0 ** rng.integers(-50, 30, n)
+    b = np.roll(a, 1)
+    a[np.arange(len(EDGES)) * (n // len(EDGES))] = EDGES
+    b[n - 1 - np.arange(len(EDGES)) * (n // len(EDGES))] = EDGES
+    header = "x,y" if label is None else "x,y,method"
+    paths = [str(tmp_path / f"w{workers}.csv") for workers in (1, 2, 3)]
+    for workers, path in enumerate(paths, 1):
+        write_csv(path, header, (a, b), label=label, workers=workers)
+    serial = open(paths[0], "rb").read()
+    last = [repr(float(a[-1])), repr(float(b[-1]))] + [label] * bool(label)
+    assert serial.count(b"\n") == n + 1
+    assert serial.endswith((",".join(last) + "\n").encode())
+    assert [open(p, "rb").read() for p in paths[1:]] == [serial, serial]
+
+
+def _fail_on_the_second_chunk(columns, label):
+    if columns[0][0] == _ROWS:
+        raise RuntimeError(f"chunk formatted in process {os.getpid()}")
+    return _format_rows(columns, label)
+
+
+def _write_failing_chunks(tmp_path, monkeypatch) -> int:
+    """The pid that formatted the failing chunk of a workers=2 write."""
+    monkeypatch.setattr(fileio, "_format_rows", _fail_on_the_second_chunk)
+    times = np.arange(3 * _ROWS, dtype=float)
+    with pytest.raises(RuntimeError, match="chunk formatted in process") as err:
+        write_csv(str(tmp_path / "p.csv"), "t,price", (times, times + 1.0),
+                  workers=2)
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+    return int(str(err.value).split()[-1])
+
+
+def test_write_csv_worker_failure_leaves_nothing(tmp_path, monkeypatch):
+    assert _write_failing_chunks(tmp_path, monkeypatch) != os.getpid()
+
+
+def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
+                                                        monkeypatch):
+    # a live second thread, then a platform without fork: no pool
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert _write_failing_chunks(tmp_path, monkeypatch) == os.getpid()
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert _write_failing_chunks(tmp_path, monkeypatch) == os.getpid()
