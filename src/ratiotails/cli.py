@@ -299,7 +299,7 @@ def _run_tails(args) -> int:
 def _run_fit(args) -> int:
     series = load_price_series(args.prices)
     w = WindowSpec(args.delta_t, args.big_delta_t, args.stride)
-    fams = [Family(f.strip()) for f in args.candidates.split(",") if f.strip()]
+    fams = [f.strip() for f in args.candidates.split(",") if f.strip()]
     result, changes = fit_price_series(
         series, w, fams, interpolate=args.interpolate, return_changes=True,
         threshold_quantile=args.threshold_quantile, n_boot=args.boot)
@@ -319,7 +319,7 @@ def _run_fit(args) -> int:
 def _write_overlay(changes, result, path: str) -> None:
     """Empirical density of the fitted changes next to the fitted model
     density."""
-    from .fitting import _AnticorrLaw
+    from .fitting import _RatioLaw
 
     lo, hi = np.quantile(changes, [0.001, 0.999])
     hist, edges = np.histogram(changes, bins=160, range=(lo, hi), density=True)
@@ -327,7 +327,7 @@ def _write_overlay(changes, result, path: str) -> None:
     spec, s = result.response, result.nuisance_scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.asarray(spec.inverse(centers / s), dtype=float)
-        model = np.exp(_AnticorrLaw(result.nuisance_spread)
+        model = np.exp(_RatioLaw(result.nuisance_spread, -1.0)
                        .change_log_pdf(spec, s, r))
     model = np.where(np.isfinite(model), model, 0.0)
     write_csv(path, "x,f_model,f_empirical", (centers, model, hist))

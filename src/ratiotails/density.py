@@ -390,10 +390,12 @@ class DensityCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise DomainError("grid and values must be aligned 1-d arrays")
+        if not np.all(np.isfinite(self.grid)):
+            raise DomainError("curve grid must be finite")
         if np.any(np.diff(self.grid) <= 0):
             raise DomainError("curve grid must be strictly increasing")
-        if np.any(self.values < 0):
-            raise DomainError("density values must be nonnegative")
+        if not np.all(self.values >= 0):
+            raise DomainError("density values must be nonnegative, not NaN")
         self.method = CurveMethod(self.method)
         self.mass = float(np.trapezoid(self.values, self.grid))
 

@@ -7,7 +7,8 @@ those changes.  Fitting is two-stage: the family's shape parameter comes
 from the exceedance tail by maximum likelihood, while the order-flow
 nuisance (a symmetric coefficient of variation plus an output scale
 absorbing the adjustment time constant) is fitted by conditional
-likelihood on the bulk, the scale seeded from the 0.95 |change| quantile.
+likelihood on the bulk, the scale seeded from the 0.95 |change| quantile,
+under one ratio law for every correlation: ``density``'s closed forms.
 Families are then ranked by a composite average log-likelihood over bulk
 and tail, and near-ties go to the family with fewer parameters or are
 reported as non-identifiable.
@@ -29,8 +30,8 @@ from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
-from .tails import (MIN_TAIL_POINTS, exponential_fit, pareto_loglik,
-                    stretched_loglik)
+from .tails import (MIN_TAIL_POINTS, exponential_fit, pareto_index,
+                    pareto_loglik, stretched_loglik)
 
 __all__ = [
     "WindowSpec",
@@ -205,10 +206,16 @@ def _threshold_ratio(spec: ResponseSpec, scale: float, u: float) -> float:
         return float(spec.inverse(u / scale))
 
 
-def _scale_seed(spec: ResponseSpec, law, q95: float) -> float:
-    """Log of the scale that puts the law's 0.95 |change| quantile at q95
-    (by symmetry, its signed 0.975 quantile)."""
-    return math.log(q95 / float(spec.value(law.quantile_pos(0.975))))
+def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
+    """Log of the scale that puts the 0.95 |change| quantile of the
+    rho = -1 law with spread ``nu`` at q95: by symmetry, its signed 0.975
+    quantile given R > 0, through R = (1 + nu Z)/(1 - nu Z)."""
+    from scipy.special import ndtr, ndtri
+
+    edge = ndtr(1.0 / nu)
+    z = ndtri((1.0 - edge) + 0.975 * (2.0 * edge - 1.0))
+    r = (1.0 + nu * z) / (1.0 - nu * z)
+    return math.log(q95 / float(spec.value(r)))
 
 
 def _maximize(f, grid, values, lo: float, hi: float, xatol: float):
@@ -228,7 +235,27 @@ def _maximize(f, grid, values, lo: float, hi: float, xatol: float):
 
 
 class _RatioLaw:
-    """What the two nuisance laws share: the density of a change."""
+    """Ratio law for the unit-mean pair with spread nu and correlation
+    -1 <= rho < 1, through the closed forms of ``density``."""
+
+    def __init__(self, nu: float, rho: float):
+        self.params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
+        self.pos_mass = positive_ratio_mass(self.params)
+
+    def log_pdf(self, r):
+        if self.params.is_anticorrelated:
+            # Taken in log space: the density's (1 + r)**2 overflows, and
+            # at small nu its exp(-z**2/2) underflows, on ratios whose
+            # change density is still far inside float range.
+            nu = self.params.sigma1
+            z = (r - 1.0) / (nu * (r + 1.0))
+            return (math.log(2.0 / (_SQRT_2PI * nu))
+                    - 0.5 * z * z - 2.0 * np.log1p(r))
+        return np.log(ratio_density(self.params, r))
+
+    def cdf_pos(self, r):
+        return ((ratio_cdf(self.params, r) - (1.0 - self.pos_mass))
+                / self.pos_mass)
 
     def change_log_pdf(self, spec: ResponseSpec, scale: float, r):
         """log f_R(r) - log s - log g'(r) - log P(R > 0): the log density,
@@ -238,137 +265,11 @@ class _RatioLaw:
             return (self.log_pdf(r) - math.log(scale) - spec.log_deriv(r)
                     - math.log(self.pos_mass))
 
-
-class _AnticorrLaw(_RatioLaw):
-    """Ratio law for the unit-mean anticorrelated pair with spread nu.
-
-    R = (1 + nu Z)/(1 - nu Z) with Z standard normal; R > 0 exactly when
-    |Z| < 1/nu, and everything needed here is closed-form through that
-    monotone reparametrization.
-    """
-
-    def __init__(self, nu: float):
-        from scipy.special import ndtr
-
-        self.nu = float(nu)
-        self._edge = ndtr(1.0 / nu)
-        self.pos_mass = 2.0 * self._edge - 1.0
-
-    def log_pdf(self, r):
-        nu = self.nu
-        z = (r - 1.0) / (nu * (r + 1.0))
-        return (math.log(2.0 / (math.sqrt(2.0 * math.pi) * nu))
-                - 0.5 * z * z - 2.0 * np.log1p(r))
-
-    def cdf_pos(self, r):
-        from scipy.special import ndtr
-
-        z = (r - 1.0) / (self.nu * (r + 1.0))
-        return (ndtr(z) - (1.0 - self._edge)) / self.pos_mass
-
-    def quantile_pos(self, p):
-        from scipy.special import ndtri
-
-        z = ndtri((1.0 - self._edge) + np.asarray(p) * self.pos_mass)
-        return (1.0 + self.nu * z) / (1.0 - self.nu * z)
-
-    @staticmethod
-    def profile(spec: ResponseSpec, scale: float, points: np.ndarray,
-                u: float):
-        """The mean bulk log-likelihood at ``scale`` as a function of nu
-        (scalar or array), from one pass over ``points``.
-
-        With t = (r-1)/(r+1) and w = -2 log1p(r) - log g'(r) per point
-        the mean separates into c(nu) - sum(t^2)/(2 n nu^2) + sum(w)/n
-        - log s - log pos_mass(nu) - log bulk_mass(nu, s), so the pass
-        keeps only (count, sum t^2, sum w) of the points whose t and w
-        are finite; the rest score the floor, whatever nu.
-        """
-        from scipy.special import ndtr
-
-        n_ok, st2, sw = 0, 0.0, 0.0
-        for r in _ratios(spec, scale, points):
-            with np.errstate(invalid="ignore"):
-                t = (r - 1.0) / (r + 1.0)
-                w = -2.0 * np.log1p(r) - spec.log_deriv(r)
-            ok = np.isfinite(t) & np.isfinite(w)
-            t = t[ok]
-            n_ok += t.size
-            st2 += float(np.dot(t, t))
-            sw += float(np.sum(w[ok]))
-        r_u = _threshold_ratio(spec, scale, u)
-        t_u = (r_u - 1.0) / (r_u + 1.0)
-        n = points.size
-        share = n_ok / n
-        rest = (sw - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
-        half_st2 = 0.5 * st2 / n
-
-        def score(nu):
-            edge = ndtr(1.0 / nu)
-            pos_mass = 2.0 * edge - 1.0
-            bulk_mass = 2.0 * (ndtr(t_u / nu) - (1.0 - edge)) / pos_mass - 1.0
-            usable = bulk_mass > 0.0
-            ll = (share * np.log(2.0 / (_SQRT_2PI * nu * pos_mass))
-                  - half_st2 / (nu * nu) + rest
-                  - np.log(np.where(usable, bulk_mass, 1.0)))
-            out = np.where(usable, ll, _LL_FLOOR)
-            return out if out.ndim else float(out)
-
-        return score
-
     def bulk_score(self, spec: ResponseSpec, scale: float,
                    points: np.ndarray, u: float) -> float:
         """Average conditional log-likelihood of the sub-threshold points."""
-        return self.profile(spec, scale, points, u)(self.nu)
-
-    @classmethod
-    def search(cls, spec: ResponseSpec, sub: np.ndarray, u: float,
-               q95: float, rho: float):
-        """Maximize over log-scale the bulk likelihood profiled over nu;
-        ``rho`` is -1 and unused.
-
-        Each log-scale costs one pass, after which nu is maximized on
-        scalars: the nu grid, then bounded Brent between the best grid
-        point's neighbours (out to _NU_LO / _NU_HI at the grid's ends).
-        Log-scale is searched the same way from the nu grid's scale
-        seeds (the closed-form quantile puts each law's 0.95 |change|
-        quantile at ``q95``), 1.5 past the outer seeds.  The result also
-        starts the search at every other rho.
-        """
-        best_nu = {}
-
-        def profiled(log_scale: float) -> float:
-            score = cls.profile(spec, math.exp(log_scale), sub, u)
-            value, best_nu[log_scale] = _maximize(
-                score, _NU_GRID, score(_NU_GRID), _NU_LO, _NU_HI, 1e-9)
-            return value
-
-        seeds = np.sort([_scale_seed(spec, cls(nu), q95) for nu in _NU_GRID])
-        values = [profiled(ls) for ls in seeds]
-        _, log_scale = _maximize(profiled, seeds, values, seeds[0] - 1.5,
-                                 seeds[-1] + 1.5, 1e-7)
-        nu = best_nu[log_scale]
-        return nu, math.exp(log_scale), cls(nu)
-
-
-class _CorrelatedLaw(_RatioLaw):
-    """Ratio law for the unit-mean pair with spread nu and correlation
-    -1 < rho < 1, through the closed forms of ``density``."""
-
-    def __init__(self, nu: float, rho: float):
-        self.params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
-        self.pos_mass = positive_ratio_mass(self.params)
-
-    def log_pdf(self, r):
-        return np.log(ratio_density(self.params, r))
-
-    def cdf_pos(self, r):
-        return ((ratio_cdf(self.params, r) - (1.0 - self.pos_mass))
-                / self.pos_mass)
-
-    def bulk_score(self, spec: ResponseSpec, scale: float,
-                   points: np.ndarray, u: float) -> float:
-        """Average conditional log-likelihood of the sub-threshold points."""
+        if self.params.is_anticorrelated:
+            return _profile(spec, scale, points, u)(self.params.sigma1)
         total = 0.0
         for r in _ratios(spec, scale, points):
             ll = self.change_log_pdf(spec, scale, r)
@@ -379,27 +280,51 @@ class _CorrelatedLaw(_RatioLaw):
             return _LL_FLOOR
         return total / points.size - math.log(bulk_mass)
 
-    @classmethod
-    def search(cls, spec: ResponseSpec, sub: np.ndarray, u: float,
-               q95: float, rho: float):
-        """Polish (logit nu, log-scale) by Nelder-Mead, started from the
-        rho = -1 optimum on the same points.
 
-        The Hinkley density has no nu-free sums, so every step is a pass
-        over ``sub``.  From the rho = -1 optimum, on the same ridge, it
-        reached a 21-spread grid search's optimum in about half its passes.
-        """
-        from scipy.optimize import minimize
+def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
+    """The mean bulk log-likelihood at rho = -1 and ``scale`` as a
+    function of nu (scalar or array), from one pass over ``points``.
 
-        nu0, scale0, _ = _AnticorrLaw.search(spec, sub, u, q95, -1.0)
-        res = minimize(
-            lambda th: -cls(_nu_from_t(th[0]), rho).bulk_score(
-                spec, math.exp(th[1]), sub, u),
-            x0=np.array([_t_from_nu(nu0), math.log(scale0)]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
-        nu = _nu_from_t(res.x[0])
-        return nu, math.exp(float(res.x[1])), cls(nu, rho)
+    R = (1 + nu Z)/(1 - nu Z) with Z standard normal, and R > 0 exactly
+    when |Z| < 1/nu.  With t = (r-1)/(r+1) and w = -2 log1p(r) - log g'(r)
+    per point the mean separates into c(nu) - sum(t^2)/(2 n nu^2)
+    + sum(w)/n - log s - log pos_mass(nu) - log bulk_mass(nu, s), so the
+    pass keeps only (count, sum t^2, sum w) of the points whose t and w
+    are finite; the rest score the floor, whatever nu.
+    """
+    from scipy.special import ndtr
+
+    n_ok, st2, sw = 0, 0.0, 0.0
+    for r in _ratios(spec, scale, points):
+        with np.errstate(invalid="ignore"):
+            t = (r - 1.0) / (r + 1.0)
+            w = -2.0 * np.log1p(r) - spec.log_deriv(r)
+        ok = np.isfinite(t) & np.isfinite(w)
+        t = t[ok]
+        n_ok += t.size
+        st2 += float(np.dot(t, t))
+        sw += float(np.sum(w[ok]))
+    r_u = _threshold_ratio(spec, scale, u)
+    t_u = (r_u - 1.0) / (r_u + 1.0)
+    n = points.size
+    share = n_ok / n
+    rest = (sw - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
+    half_st2 = 0.5 * st2 / n
+
+    def score(nu):
+        # P(R > 0) for a whole array of nu; positive_ratio_mass takes
+        # one law at a time, and would move the optimum's last bits.
+        edge = ndtr(1.0 / nu)
+        pos_mass = 2.0 * edge - 1.0
+        bulk_mass = 2.0 * (ndtr(t_u / nu) - (1.0 - edge)) / pos_mass - 1.0
+        usable = bulk_mass > 0.0
+        ll = (share * np.log(2.0 / (_SQRT_2PI * nu * pos_mass))
+              - half_st2 / (nu * nu) + rest
+              - np.log(np.where(usable, bulk_mass, 1.0)))
+        out = np.where(usable, ll, _LL_FLOOR)
+        return out if out.ndim else float(out)
+
+    return score
 
 
 def _nu_from_t(t: float) -> float:
@@ -420,8 +345,7 @@ def _tail_stage(family: Family, exc: np.ndarray, u: float):
     if family is Family.SYM:
         return None, pareto_loglik(exc, u, 1.0)
     if family is Family.POWER:
-        alpha = exc.size / float(np.sum(np.log(exc / u)))
-        alpha = min(max(alpha, 1e-3), 1e3)
+        alpha = min(max(pareto_index(exc, u), 1e-3), 1e3)
         return 1.0 / alpha, pareto_loglik(exc, u, alpha)
     if family is Family.ODD_POWER:
         best = max(_ODD_SCAN, key=lambda n: pareto_loglik(exc, u, 1.0 / n))
@@ -443,23 +367,42 @@ def _tail_stage(family: Family, exc: np.ndarray, u: float):
 
 def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
                   u: float, rho: float):
-    """Maximize the conditional bulk likelihood over (spread, scale).
+    """(nu, scale, law) of the largest conditional bulk likelihood.
 
-    The likelihood surface has a long curved ridge (bulk width pins only
-    the product of spread and scale).  The search runs on a deterministic
-    subsample of the bulk; the caller scores the winner on the full bulk.
-
-    At rho = -1 the mean log-likelihood at a fixed scale depends on the
-    points only through three sums, so one pass over the subsample
-    gives the whole spread profile: the search is a bounded Brent over
-    log-scale of that profile, maximized over the spread on scalars,
-    seeded at the scales that match the 0.95 |change| quantile ``q95``
-    on a 21-point spread grid.  For other rho every evaluation is a
-    pass, and Nelder-Mead polishes the rho = -1 optimum.
+    The surface has a long curved ridge (bulk width pins only nu * scale).
+    The search runs on a deterministic subsample of the bulk; the caller
+    scores the winner on the full bulk.  At rho = -1 one pass at a
+    log-scale gives the score for every nu (``_profile``): ``_maximize``
+    takes nu on the grid, then log-scale from the grid's seeds, 1.5 past
+    the outer ones.  At any other rho every step is a pass over Hinkley's
+    density, and Nelder-Mead polishes (logit nu, log-scale) from the
+    rho = -1 optimum.
     """
-    step = max(1, bulk.size // 30000)
-    law = _AnticorrLaw if rho == -1.0 else _CorrelatedLaw
-    return law.search(spec, bulk[::step], u, q95, rho)
+    sub = bulk[::max(1, bulk.size // 30000)]
+    best_nu = {}
+
+    def profiled(log_scale: float) -> float:
+        score = _profile(spec, math.exp(log_scale), sub, u)
+        value, best_nu[log_scale] = _maximize(
+            score, _NU_GRID, score(_NU_GRID), _NU_LO, _NU_HI, 1e-9)
+        return value
+
+    seeds = np.sort([_scale_seed(spec, nu, q95) for nu in _NU_GRID])
+    values = [profiled(ls) for ls in seeds]
+    _, log_scale = _maximize(profiled, seeds, values, seeds[0] - 1.5,
+                             seeds[-1] + 1.5, 1e-7)
+    nu, scale = best_nu[log_scale], math.exp(log_scale)
+    if rho != -1.0:
+        from scipy.optimize import minimize
+
+        res = minimize(
+            lambda th: -_RatioLaw(_nu_from_t(th[0]), rho).bulk_score(
+                spec, math.exp(th[1]), sub, u),
+            x0=np.array([_t_from_nu(nu), math.log(scale)]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
+        nu, scale = _nu_from_t(res.x[0]), math.exp(float(res.x[1]))
+    return nu, scale, _RatioLaw(nu, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +472,23 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     ``windows`` (from relative_changes) enables window-level bootstrap of
     the parameter standard error, appropriate when windows overlap;
     otherwise a tail-asymptotic standard error is reported for the POWER
-    family and none for the discrete families.
+    family and none for the discrete families.  Unknown or repeated
+    candidates and a threshold quantile outside (0, 1) raise DomainError.
     """
     c = np.asarray(changes, dtype=float)
     if c.ndim != 1 or c.size < 100:
         raise DomainError("need a flat sample of at least 100 changes")
     if not np.all(np.isfinite(c)):
         raise DomainError("changes contain non-finite values")
-    fams = [Family(f) for f in candidates]
-    if not fams:
-        raise DomainError("no candidate families given")
+    try:
+        fams = [Family(f) for f in candidates]
+    except ValueError as exc:
+        raise DomainError(f"unknown candidate family: {exc}") from None
+    if not fams or len(set(fams)) < len(fams):
+        raise DomainError(f"need distinct candidates, got [{', '.join(fams)}]")
+    if not 0.0 < threshold_quantile < 1.0:
+        raise DomainError(f"threshold quantile {threshold_quantile} is "
+                          "outside (0, 1)")
 
     a = np.abs(c)
     u = float(np.quantile(a, threshold_quantile))

@@ -522,7 +522,14 @@ class AdmissibilityReport:
 
 def reciprocal_log_grid(max_log: float = 6.0, n_per_side: int = 120) -> np.ndarray:
     """Log-spaced grid on [exp(-max_log), exp(max_log)], exactly closed
-    under reciprocation (the lower half is constructed as 1/upper half)."""
+    under reciprocation (the lower half is constructed as 1/upper half).
+
+    Each side needs ``n_per_side`` >= 3 points, the three per end that
+    condition (iv) compares, on a range ``max_log`` > 0."""
+    if not (max_log > 0 and n_per_side >= 3):
+        raise GridError(f"grid needs max_log > 0 and at least 3 points per "
+                        f"side, got max_log={max_log:g}, "
+                        f"n_per_side={n_per_side}")
     upper = np.exp(np.linspace(0.0, max_log, n_per_side + 1)[1:])
     return np.concatenate([(1.0 / upper)[::-1], [1.0], upper])
 

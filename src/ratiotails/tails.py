@@ -25,6 +25,7 @@ __all__ = [
     "TailReport",
     "classify_tail",
     "threshold_sweep",
+    "pareto_index",
     "pareto_loglik",
     "exponential_fit",
     "stretched_loglik",
@@ -63,11 +64,7 @@ def hill(samples, k: int) -> HillResult:
         raise NonpositiveSampleError("survival-index estimation needs positive samples")
     part = np.partition(x, n - k - 1)
     threshold = part[n - k - 1]
-    tail = part[n - k:]
-    logsum = float(np.sum(np.log(tail / threshold)))
-    if logsum <= 0.0:
-        raise DegenerateTailError("all tail points equal the threshold")
-    alpha = k / logsum
+    alpha = pareto_index(part[n - k:], threshold)
     return HillResult(alpha=alpha, stderr=alpha / np.sqrt(k), k_used=k,
                       threshold=float(threshold))
 
@@ -116,6 +113,15 @@ def rank_regression(samples, tail_fraction: float, *,
 # candidate tail-conditional fits
 # ---------------------------------------------------------------------------
 
+def pareto_index(exc: np.ndarray, u: float) -> float:
+    """Maximum-likelihood Pareto index k / sum(log(x / u)) of the k
+    exceedances ``exc`` over the threshold ``u``."""
+    logsum = float(np.sum(np.log(exc / u)))
+    if logsum <= 0.0:
+        raise DegenerateTailError("all tail points equal the threshold")
+    return exc.size / logsum
+
+
 def pareto_loglik(exc: np.ndarray, u: float, alpha: float) -> float:
     """Mean log-likelihood of the exceedances under the Pareto law
     conditioned on x > u, density alpha u**alpha / x**(alpha + 1).
@@ -150,7 +156,7 @@ def stretched_loglik(exc: np.ndarray, u: float, p: float,
 
 
 def _fit_power(exc: np.ndarray, u: float):
-    alpha = exc.size / float(np.sum(np.log(exc / u)))
+    alpha = pareto_index(exc, u)
     est = 1.0 + alpha  # density exponent
     return (TailClass.power_law(est), est, alpha / np.sqrt(exc.size),
             pareto_loglik(exc, u, alpha))
@@ -252,6 +258,9 @@ def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
     kinds = [TailKind(c) for c in candidates]
     if len(kinds) < 2:
         raise DomainError("need at least two candidate tail classes")
+    if not 0.0 < threshold_quantile < 1.0:
+        raise DomainError(f"threshold quantile {threshold_quantile} is "
+                          "outside (0, 1)")
     a = _prepare(samples, side)
     n = a.size
     u = float(np.quantile(a, threshold_quantile))

@@ -59,6 +59,18 @@ def test_check_table_counterexample(tmp_path, capsys):
     assert "(iii) g(x) = -g(1/x): FAIL" in out
 
 
+def test_check_grid_too_small_to_test_exits_2(tmp_path, capsys):
+    # log x, tabulated with a node at 1: on the lone grid point 1 it
+    # would pass (iv) and (v) vacuously; a zero range is no grid at all
+    h = math.log(32.0) / 60
+    table = tmp_path / "g.csv"
+    table.write_text("x,g\n" + "\n".join(
+        f"{math.exp(k * h)!r},{k * h!r}" for k in range(-60, 61)) + "\n")
+    assert run("check", "--table", table, "--grid-points", 0) == 2
+    assert "admissible" not in capsys.readouterr().out
+    assert run("check", "--family", "sym", "--grid-max-log", 0) == 2
+
+
 def test_check_malformed_table(tmp_path):
     table = tmp_path / "g.csv"
     table.write_text("a,b\n1,2\n")
@@ -98,6 +110,14 @@ def test_density_model_curves_are_labelled_exact(tmp_path, argv):
     assert run("density", *argv, "--x-min", 0.1, "--x-max", 4,
                "--points", 21, "--out", out) == 0
     assert load_density_curve(str(out)).method.value == "exact"
+
+
+def test_density_rejects_a_grid_that_is_not_finite(tmp_path):
+    # a log grid from 1 down to -5 is NaN throughout
+    out = tmp_path / "curve.csv"
+    assert run("density", "--log-grid", "--x-min", 1, "--x-max", -5,
+               "--points", 11, "--out", out) == 2
+    assert not out.exists()
 
 
 def test_density_near_zero_mean_diagnostic_reproduces_cauchy(tmp_path):
@@ -326,6 +346,20 @@ def test_fit_non_identifiable_exit_code(tmp_path, capsys):
                "--candidates", "power,oddpower")
     assert code == 3
     assert "non-identifiable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("fit", "--candidates", "power,foo"),
+    ("fit", "--candidates", "sym,sym"),
+    ("fit", "--threshold-quantile", 1.5),
+    ("tails", "--threshold-quantile", 1.5),
+], ids=["unknown-candidate", "repeated-candidate", "fit-quantile",
+        "tails-quantile"])
+def test_malformed_fit_options_exit_2(tmp_path, command, option, value):
+    prices = _simulate_prices(tmp_path, "p.csv", steps=20000, seed=37)
+    window = (("--delta-t", 1e-6, "--big-delta-t", 1e-4, "--stride", 1e-4)
+              if command == "fit" else ("--as-returns", 1e-6))
+    assert run(command, "--prices", prices, *window, option, value) == 2
 
 
 def test_fit_window_violation_exit_code(tmp_path):

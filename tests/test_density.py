@@ -543,6 +543,10 @@ def test_curve_mass_and_validation():
         DensityCurve(grid[::-1], vals, CurveMethod.QUADRATURE)
     with pytest.raises(DomainError):
         DensityCurve(grid, -vals, CurveMethod.QUADRATURE)
+    for bad_grid, bad_vals in ((np.where(grid > 5, np.nan, grid), vals),
+                               (grid, np.where(grid > 5, np.nan, vals))):
+        with pytest.raises(DomainError):
+            DensityCurve(bad_grid, bad_vals, CurveMethod.QUADRATURE)
 
 
 @pytest.mark.parametrize("fn", [

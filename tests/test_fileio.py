@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratiotails import (CurveMethod, DensityCurve, PriceSeries, simulate_gbm)
 from ratiotails import fileio
-from ratiotails.errors import InputFormatError
+from ratiotails.errors import DomainError, InputFormatError
 from ratiotails.fileio import (RunManifest, format_key_values,
                                load_density_curve, load_price_series,
                                load_response_table, load_samples,
@@ -69,6 +69,10 @@ def test_density_curve_round_trip(tmp_path):
         assert back.method is method
         assert np.array_equal(back.grid, grid)
         assert np.array_equal(back.values, vals)
+    with open(path, "w") as fh:  # what a NaN density grid used to write
+        fh.write("x,f,method\nnan,nan,exact\nnan,nan,exact\n")
+    with pytest.raises(DomainError):
+        load_density_curve(path)
 
 
 def test_response_table_load(tmp_path):

@@ -16,7 +16,7 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
 from ratiotails import fitting
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
-from ratiotails.fitting import _AnticorrLaw, _CorrelatedLaw, scaled_returns
+from ratiotails.fitting import _RatioLaw, scaled_returns
 
 ANTI_PATH = OrderFlowParams(1.0, 1.0, 0.38, 0.38, -1.0)
 
@@ -372,15 +372,13 @@ def grid_nelder_mead_oracle(spec, q95, sub, u, rho=-1.0):
     each step a per-point pass."""
     from scipy.optimize import minimize, minimize_scalar
 
-    def law(nu):
-        return _AnticorrLaw(nu) if rho == -1.0 else _CorrelatedLaw(nu, rho)
-
     def negative(nu, log_scale):
-        return -pointwise_score(spec, law(nu), math.exp(log_scale), sub, u)
+        return -pointwise_score(spec, _RatioLaw(nu, rho), math.exp(log_scale),
+                                sub, u)
 
     best = (math.inf, None, None)
     for nu in np.geomspace(0.05, 0.93, 21):
-        r975 = invert_monotone(law(nu).cdf_pos, 0.975)
+        r975 = invert_monotone(_RatioLaw(nu, rho).cdf_pos, 0.975)
         ls0 = math.log(q95 / float(spec.value(r975)))
         r = minimize_scalar(lambda ls: negative(nu, ls),
                             bounds=(ls0 - 1.5, ls0 + 1.5), method="bounded",
@@ -416,7 +414,7 @@ def test_profile_search_matches_the_oracle(family, q, make, ridge):
     nu, scale, law = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u)
     got = law.bulk_score(spec, scale, bulk, u)
-    ref = pointwise_score(spec, _AnticorrLaw(nu_ref), scale_ref, bulk, u)
+    ref = pointwise_score(spec, _RatioLaw(nu_ref, -1.0), scale_ref, bulk, u)
     if ridge:
         assert abs(got - ref) <= 1e-6
     else:
@@ -438,8 +436,7 @@ def test_correlated_search_matches_the_oracle(family, q, make, rho):
     nu, scale, law = fitting._fit_nuisance(spec, q95, bulk, u, rho)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u, rho)
     got = law.bulk_score(spec, scale, bulk, u)
-    ref = pointwise_score(spec, _CorrelatedLaw(nu_ref, rho), scale_ref,
-                          bulk, u)
+    ref = pointwise_score(spec, _RatioLaw(nu_ref, rho), scale_ref, bulk, u)
     assert got >= ref - 1e-12
     assert nu == pytest.approx(nu_ref, rel=1e-5)
     assert scale == pytest.approx(scale_ref, rel=1e-5)
@@ -456,14 +453,30 @@ def test_three_sums_give_the_pointwise_score(family, q):
     points[:3] = [2e3, -2e3, 5e3]
     u = 500.0
     for nu, scale in ((0.38, 1.0), (0.05, 0.8), (0.9, 3.0)):
-        law = _AnticorrLaw(nu)
+        law = _RatioLaw(nu, -1.0)
         ref = pointwise_score(spec, law, scale, points, u)
         assert law.bulk_score(spec, scale, points, u) == pytest.approx(
             ref, rel=1e-12, abs=1e-12)
-    profile = _AnticorrLaw.profile(spec, 1.0, points, u)
+    profile = fitting._profile(spec, 1.0, points, u)
     nus = np.array([0.05, 0.38, 0.9])
     np.testing.assert_allclose(profile(nus), [profile(v) for v in nus],
                                rtol=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("nu", [0.1, 0.38, 0.9])
+def test_correlated_law_converges_to_the_anticorrelated_one(nu, eps):
+    # Hinkley's density and the orthant CDF at rho = -1 + eps against the
+    # exact rho = -1 law, before a rho profile crosses the boundary
+    spec = ResponseSpec(Family.SYM)
+    r = np.geomspace(math.exp(-5.0), math.exp(5.0), 201)
+    near, edge = _RatioLaw(nu, -1.0 + eps), _RatioLaw(nu, -1.0)
+    tol = 10.0 * eps + 1e-12
+    np.testing.assert_allclose(near.change_log_pdf(spec, 1.0, r),
+                               edge.change_log_pdf(spec, 1.0, r),
+                               rtol=0.0, atol=tol)
+    np.testing.assert_allclose(near.cdf_pos(r), edge.cdf_pos(r),
+                               rtol=0.0, atol=tol)
 
 
 def test_import_loads_neither_scipy_stats_nor_integrate():
