@@ -14,8 +14,9 @@ Environment: RATIOTAILS_SEED and RATIOTAILS_THREADS provide defaults for
 --seed and --threads, which only simulate (and replay, passing it on to
 a replayed simulate) takes.  --threads caps the threads that draw the
 path and the forked processes that format its CSV; it defaults to the
-CPUs the process may use and never changes a byte of output.  The
-other commands compute on one core.
+CPUs the process may use and never changes a byte of output.  fit and
+tails parse their CSV on the usable CPUs; the values parsed never
+depend on it.  The other commands compute on one core.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
@@ -171,6 +172,8 @@ def _run_check(args) -> int:
 def _density_grid(args) -> np.ndarray:
     if args.points < 2:
         raise InputFormatError("--points must be at least 2")
+    if not args.x_max > args.x_min:
+        raise InputFormatError("--x-max must exceed --x-min")
     if args.log_grid:
         if args.x_min <= 0:
             raise InputFormatError("--log-grid needs a positive --x-min")
@@ -266,10 +269,10 @@ def _run_tails(args) -> int:
     if args.prices and args.as_returns is None:
         raise InputFormatError("--prices requires --as-returns DT")
     if args.samples:
-        values = load_samples(args.samples)
+        values = load_samples(args.samples, _usable_cpus())
     else:
-        values = scaled_returns(load_price_series(args.prices),
-                                args.as_returns)
+        series = load_price_series(args.prices, _usable_cpus())
+        values = scaled_returns(series, args.as_returns)
 
     kinds = _parse_candidates(args.candidates)
     report = classify_tail(values, kinds,
@@ -297,7 +300,7 @@ def _run_tails(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_fit(args) -> int:
-    series = load_price_series(args.prices)
+    series = load_price_series(args.prices, _usable_cpus())
     w = WindowSpec(args.delta_t, args.big_delta_t, args.stride)
     fams = [f.strip() for f in args.candidates.split(",") if f.strip()]
     result, changes = fit_price_series(

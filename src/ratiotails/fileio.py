@@ -8,21 +8,25 @@ shortest round-trip precision):
     density  x,f,method
     tables   x,g
 
-Numeric CSVs are read in one np.loadtxt call; a file it cannot take is
-reread line by line, which words the error as path:line.  Manifests and
-reports are plain ``key=value`` text.  All writers, CSV ones streaming
-rows in chunks, go through an atomic temp-file rename so a failed
-command never leaves a partial artifact behind.  CSV chunks may be
-formatted in worker processes (``workers`` of write_csv and
-save_price_series); the parent writes them in order, so the bytes never
-depend on it.
+Numeric CSVs are read by np.loadtxt, in one call or, for a large body,
+one call per piece of whole lines in forked worker processes
+(``workers`` of load_price_series and load_samples); a file it cannot
+take is reread line by line, which words the error as path:line.
+Manifests and reports are plain ``key=value`` text.  All writers, CSV
+ones streaming rows in chunks, go through an atomic temp-file rename so
+a failed command never leaves a partial artifact behind.  CSV chunks may
+be formatted in worker processes (``workers`` of write_csv and
+save_price_series); the parent writes them in order.  Neither the values
+read nor the bytes written ever depend on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import itertools
+import mmap
 import os
 import tempfile
 import threading
@@ -129,6 +133,21 @@ def _format_rows(columns, label: str | None) -> str:
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
+def _fork_context(workers: int):
+    """The fork context for a pool of ``workers`` processes, or None where
+    no pool is used: fewer than two workers, no fork on this platform, or
+    a live second thread (fork copies only the calling thread, so a pool
+    waits for a process that runs no other)."""
+    if workers < 2:
+        return None
+    import multiprocessing
+
+    if ("fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1):
+        return multiprocessing.get_context("fork")
+    return None
+
+
 def write_csv(path: str, header: str, columns,
               label: str | None = None, workers: int = 1) -> None:
     """Float columns, then a constant text column ``label`` if given, as
@@ -142,27 +161,24 @@ def write_csv(path: str, header: str, columns,
               for i in range(0, columns[0].size, _ROWS)]
     format_chunk = functools.partial(_format_rows, label=label)
 
-    if workers > 1 and len(slices) > 1:
-        import multiprocessing
-
-        # fork copies only the calling thread, so it waits for a process
-        # that runs no other thread
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            context = multiprocessing.get_context("fork")
-            with context.Pool(min(workers, len(slices))) as pool:
-                write_atomic(path, itertools.chain(
-                    [header + "\n"], pool.imap(format_chunk, slices)))
-            return
+    processes = min(workers, len(slices))
+    context = _fork_context(processes)
+    if context is not None:
+        with context.Pool(processes) as pool:
+            write_atomic(path, itertools.chain(
+                [header + "\n"], pool.imap(format_chunk, slices)))
+        return
     write_atomic(path, itertools.chain([header + "\n"],
                                        map(format_chunk, slices)))
 
 
 def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
-                  too_few: str = "") -> np.ndarray:
-    """The (ncols, rows) columns of a numeric CSV under ``header``: one
-    np.loadtxt call, or the line loop, which alone words errors, for a file
-    that is not plain ASCII, that loadtxt refuses or that is misshapen."""
+                  too_few: str = "", workers: int = 1) -> np.ndarray:
+    """The (ncols, rows) columns of a numeric CSV under ``header``: np.loadtxt
+    on the body, whole or cut into pieces parsed on up to ``workers``
+    forked processes (see _parse_pieces), or the line loop, which alone
+    words errors, for a file that is not plain ASCII, that loadtxt refuses
+    or that is misshapen."""
     try:
         with open(path, "rb") as fh:
             plain = all(b.isascii() and not any(c in b for c in _LOOSE)
@@ -170,12 +186,95 @@ def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty body
             if plain and fh.readline().strip() == header:
-                body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                if body.shape[1] == ncols and len(body) >= max(min_rows, 1):
-                    return body.T.copy()
+                body = _parse_pieces(path, header, ncols, workers)
+                if body is None:
+                    body = np.loadtxt(fh, delimiter=",", comments=None,
+                                      ndmin=2).T
+                if body.shape[0] == ncols and body.shape[1] >= max(min_rows, 1):
+                    return np.ascontiguousarray(body)
     except (OSError, ValueError):
         pass
     return _read_lines(path, header, ncols, min_rows, too_few)
+
+
+_PIECE_MIN = 1 << 20  # bytes of body per parse worker, at least
+_shared = None        # in a parse worker: the buffer its rows go to
+
+
+def _parse_pieces(path: str, header: str, ncols: int, workers: int):
+    """The (ncols, rows) body of a plain CSV whose first line is ``header``,
+    parsed in pieces on a forked pool; None, for a whole parse, with fewer
+    than two pieces of _PIECE_MIN bytes or where _fork_context gives none.
+
+    The pieces are runs of whole lines, cut after a newline.  Each worker
+    runs np.loadtxt on its piece and writes the rows, as columns, into an
+    anonymous shared mmap sized for the most rows its bytes can hold; it
+    returns only its row count.  A piece that loadtxt refuses or that has
+    another column count raises ValueError."""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+        pieces = min(workers, (size - len(first)) // _PIECE_MIN)
+        context = _fork_context(pieces)
+        # the body starts after the first b"\n"; a header ended by a lone
+        # "\r" leaves the file to the whole parse
+        if context is None or first.strip() != header.encode():
+            return None
+        cuts = [len(first)]
+        for i in range(1, pieces):
+            fh.seek(max(cuts[-1], cuts[0] + (size - cuts[0]) * i // pieces))
+            fh.readline()
+            if fh.tell() < size:
+                cuts.append(fh.tell())
+    if len(cuts) < 2:
+        return None
+    cuts.append(size)
+    # a row takes at least 2 ncols - 1 bytes: ncols numbers, their commas
+    # and, but for the last row, a newline
+    bounds = [(hi - lo) // (2 * ncols) + 1 for lo, hi in zip(cuts, cuts[1:])]
+    starts = np.cumsum([0] + bounds).tolist()
+    tasks = [(path, lo, hi, ncols, start, bound)
+             for lo, hi, start, bound in zip(cuts, cuts[1:], starts, bounds)]
+    with mmap.mmap(-1, 8 * ncols * starts[-1]) as buf:
+        with context.Pool(len(tasks), initializer=_share,
+                          initargs=(buf,)) as pool:
+            counts = pool.map(_parse_piece, tasks)
+        body = np.empty((ncols, sum(counts)))
+        cols = np.cumsum([0] + counts).tolist()
+        for start, bound, n, col in zip(starts, bounds, counts, cols):
+            body[:, col:col + n] = _columns(buf, ncols, start, bound)[:, :n]
+    return body
+
+
+def _share(buf) -> None:
+    global _shared
+    _shared = buf
+
+
+def _columns(buf, ncols: int, start: int, bound: int) -> np.ndarray:
+    """The (ncols, bound) block of ``buf`` for the piece whose rows start
+    at row ``start`` of the file's body."""
+    return np.frombuffer(buf, float, ncols * bound,
+                         8 * ncols * start).reshape(ncols, bound)
+
+
+def _parse_piece(task) -> int:
+    """A parse worker's piece: its rows into the shared buffer, its row
+    count back."""
+    path, lo, hi, ncols, start, bound = task
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        text = io.TextIOWrapper(io.BytesIO(fh.read(hi - lo)),
+                                encoding="ascii")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # blank lines only
+        rows = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+    if rows.size == 0:
+        return 0
+    if rows.shape[1] != ncols:
+        raise ValueError(f"{rows.shape[1]} columns, not {ncols}")
+    _columns(_shared, ncols, start, bound)[:, :len(rows)] = rows.T
+    return len(rows)
 
 
 def _read_lines(path: str, header: str, ncols: int, min_rows: int,
@@ -223,9 +322,11 @@ def save_price_series(series: PriceSeries, path: str,
     write_csv(path, "t,price", (series.times, prices), workers=workers)
 
 
-def load_price_series(path: str) -> PriceSeries:
+def load_price_series(path: str, workers: int = 1) -> PriceSeries:
+    """The t,price CSV at ``path``, parsed on up to ``workers`` processes
+    (see _read_numeric)."""
     times, prices = _read_numeric(path, "t,price", 2, 2,
-                                  "fewer than two price rows")
+                                  "fewer than two price rows", workers)
     return PriceSeries.from_prices(times, prices, meta={"source": path})
 
 
@@ -233,8 +334,8 @@ def save_samples(values, path: str) -> None:
     write_csv(path, "value", (values,))
 
 
-def load_samples(path: str) -> np.ndarray:
-    return _read_numeric(path, "value", 1, 1, "no sample rows")[0]
+def load_samples(path: str, workers: int = 1) -> np.ndarray:
+    return _read_numeric(path, "value", 1, 1, "no sample rows", workers)[0]
 
 
 def save_density_curve(curve: DensityCurve, path: str) -> None:

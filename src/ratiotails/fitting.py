@@ -139,10 +139,12 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
     s on the sampling grid.  Computed as expm1 of log-price differences,
     which is exact even when the changes are tiny.  Overlapping windows
     are allowed; the window structure is the unit for bootstrap
-    resampling downstream.
+    resampling downstream.  The windows are the rows of one array, taken
+    from a strided view of the log-prices, and the values are that array
+    flattened.
 
     With ``return_windows`` the result is (values, window_list, notes)
-    where window_list holds one array per window.
+    where window_list holds the rows, one view per window.
     """
     if len(series) < 2:
         raise DomainError("need at least two price points")
@@ -166,19 +168,16 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
     stride_pts = max(1, int(round(w.stride / h)))
 
     n = len(logp)
-    windows = []
-    start = 0
-    while start + m <= n:
-        seg = logp[start:start + m]
-        changes = np.expm1(seg[j:] - seg[:-j]) / dt_eff
-        windows.append(changes)
-        start += stride_pts
-    if not windows:
+    if n < m:
         raise WindowError(
             f"series of {n} points holds no window of {m} points")
-    flat = np.concatenate(windows)
+    segs = np.lib.stride_tricks.sliding_window_view(logp, m)[::stride_pts]
+    rows = segs[:, j:] - segs[:, :-j]
+    np.expm1(rows, out=rows)
+    rows /= dt_eff
+    flat = rows.reshape(-1)
     if return_windows:
-        return flat, windows, notes
+        return flat, list(rows), notes
     return flat
 
 
@@ -491,13 +490,12 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
                           "outside (0, 1)")
 
     a = np.abs(c)
-    u = float(np.quantile(a, threshold_quantile))
+    u, q95 = map(float, np.quantile(a, [threshold_quantile, 0.95]))
     exc = a[a > u]
     if exc.size < MIN_TAIL_POINTS:
         raise InsufficientTailError(
             f"{exc.size} exceedances above the {threshold_quantile:g} "
             f"quantile; need >= {MIN_TAIL_POINTS}")
-    q95 = float(np.quantile(a, 0.95))
     if not (q95 > 0.0):
         raise DomainError("changes are identically zero; nothing to fit")
     bulk = c[a <= u]

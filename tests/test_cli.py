@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from datetime import datetime
 from types import SimpleNamespace
 
@@ -112,11 +113,16 @@ def test_density_model_curves_are_labelled_exact(tmp_path, argv):
     assert load_density_curve(str(out)).method.value == "exact"
 
 
-def test_density_rejects_a_grid_that_is_not_finite(tmp_path):
-    # a log grid from 1 down to -5 is NaN throughout
+def test_density_rejects_a_grid_that_is_not_finite(tmp_path, capsys):
+    # a log grid from 1 down to -5 would be NaN throughout: the range is
+    # refused before numpy is asked for it, so no warning comes first
     out = tmp_path / "curve.csv"
-    assert run("density", "--log-grid", "--x-min", 1, "--x-max", -5,
-               "--points", 11, "--out", out) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("density", "--log-grid", "--x-min", 1, "--x-max", -5,
+                   "--points", 11, "--out", out) == 2
+    assert caught == []
+    assert "--x-max must exceed --x-min" in capsys.readouterr().err
     assert not out.exists()
 
 

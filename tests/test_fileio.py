@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,23 +210,32 @@ def outcome(read, path, *args):
 
 cells = st.text(alphabet="0123456789.e-+ \t,#_xinfa\x0b\x0c\x1c\x1f",
                 max_size=10)
+pairs = st.builds("{!r},{!r}".format, floats, floats) | st.just("")
+singles = st.builds(repr, floats) | st.just("")
+bodies = (st.lists(cells | pairs | singles, max_size=8)
+          | st.lists(pairs, min_size=2, max_size=8)
+          | st.lists(singles, min_size=2, max_size=8))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(st.sampled_from(["t,price", " t,price ", "t,price,", "value", ""]),
-       st.lists(cells, max_size=6),
-       st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7,
-                max_size=7))
+       bodies,
+       st.lists(st.sampled_from(["\n", "\r\n", "\n", "\r"]), min_size=9,
+                max_size=9),
+       st.sampled_from([1, 2, 3]))
 def test_vectorized_read_matches_the_line_loop(tmp_path_factory, header,
-                                               lines, breaks):
+                                               lines, breaks, workers):
     # whatever the file, np.loadtxt either gives what the line loop gives
-    # or hands the file to the loop, which words the error
+    # or hands the file to the loop, which words the error; with no piece
+    # minimum, a body of a few lines is parsed in pieces cut wherever a
+    # newline allows
     text = "".join(l + b for l, b in zip([header] + lines, breaks))
     path = tmp_path_factory.mktemp("r") / "in.csv"
     path.write_bytes(text.encode())
-    for args in (("t,price", 2, 2, "few"), ("value", 1, 1, "none")):
-        assert (outcome(_read_numeric, str(path), *args)
-                == outcome(_read_lines, str(path), *args))
+    with mock.patch.object(fileio, "_PIECE_MIN", 1):
+        for args in (("t,price", 2, 2, "few"), ("value", 1, 1, "none")):
+            assert (outcome(_read_numeric, str(path), *args, workers)
+                    == outcome(_read_lines, str(path), *args))
 
 
 MALFORMED = [
@@ -375,3 +385,73 @@ def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     assert _write_failing_chunks(tmp_path, monkeypatch) == os.getpid()
+
+
+# ---------------------------------------------------------------------------
+# CSV bodies parsed in pieces on forked workers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_pieces_cut_inside_blank_lines(tmp_path, monkeypatch, workers,
+                                       newline):
+    # the middle of the body is blank lines, so every cut falls among
+    # them and with three workers one piece holds no row at all
+    body = ([f"{i},{i / 7!r}" for i in range(100)] + [""] * 10000
+            + [f"{i}e-3,{-i!r}" for i in range(100)])
+    path = tmp_path / "p.csv"
+    path.write_bytes(newline.join(["t,price"] + body + [""]).encode())
+    monkeypatch.setattr(fileio, "_PIECE_MIN", 1)
+    pieces = fileio._parse_pieces(str(path), "t,price", 2, workers)
+    serial = _read_lines(str(path), "t,price", 2, 2, "few")
+    assert pieces is not None and pieces.shape == (2, 200)
+    assert np.array_equal(bits(pieces), bits(serial))
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_in_pieces_over_the_minimum(tmp_path):
+    # two pieces of over _PIECE_MIN bytes each: the serial values, bit for
+    # bit, and a bad row in the last piece words the serial error
+    path = tmp_path / "p.csv"
+    times = np.arange(2 * fileio._PIECE_MIN // 25 + 1000, dtype=float)
+    write_csv(str(path), "t,price", (times, np.exp(np.sin(times))))
+    text = path.read_bytes()
+    assert len(text) > 2 * fileio._PIECE_MIN + len("t,price\n")
+    parallel, serial = (load_price_series(str(path), workers=w)
+                        for w in (2, 1))
+    assert np.array_equal(bits(parallel.times), bits(serial.times))
+    assert np.array_equal(bits(parallel.log_prices), bits(serial.log_prices))
+    pieces = fileio._parse_pieces(str(path), "t,price", 2, 2)
+    lines = _read_lines(str(path), "t,price", 2, 2, "few")
+    assert np.array_equal(bits(pieces), bits(lines))
+    path.write_bytes(text[:-1] + b"x\n")
+    with pytest.raises(InputFormatError) as err:
+        load_price_series(str(path), workers=2)
+    last = text.count(b"\n")
+    assert str(err.value) == f"{path}:{last}: non-numeric value"
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_runs_serially_beside_a_live_thread(tmp_path, monkeypatch):
+    # any fork fails here; a pool would raise it, the serial parse never
+    # forks
+    path = tmp_path / "v.csv"
+    values = np.linspace(-1.0, 1.0, 5000)
+    save_samples(values, str(path))
+    monkeypatch.setattr(fileio, "_PIECE_MIN", 1)
+
+    def no_fork():
+        raise RuntimeError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(RuntimeError, match="forked"):
+        load_samples(str(path), workers=2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert np.array_equal(load_samples(str(path), workers=2), values)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()

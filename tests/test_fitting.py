@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
@@ -168,10 +168,27 @@ def per_window_loop(logp, step, j, m, stride):
     return windows
 
 
+def numpy_window_loop(logp, j, h, m, stride):
+    """relative_changes as one numpy expression per window, the way it
+    was first written: its strided kernel must give these values bit for
+    bit."""
+    windows = []
+    for start in range(0, len(logp) - m + 1, stride):
+        seg = logp[start:start + m]
+        windows.append(np.expm1(seg[j:] - seg[:-j]) / (j * h))
+    return windows
+
+
+# windows of m points every ``stride`` points: overlapping (stride < m),
+# abutting and gapped (stride > m) ones
 @settings(max_examples=150, deadline=None)
 @given(st.floats(1e-6, 10.0), st.integers(1, 4), st.integers(0, 40),
-       st.integers(1, 30), st.integers(0, 150), st.booleans(),
+       st.integers(1, 100), st.integers(0, 250), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
+@example(0.5, 2, 4, 7, 60, False, 1)      # m = 25, overlapping
+@example(0.5, 1, 0, 11, 40, False, 2)     # m = 11, abutting
+@example(0.5, 1, 0, 25, 90, False, 3)     # m = 11, gapped
+@example(0.01, 1, 3, 40, 120, True, 4)    # m = 14, gapped, resampled
 def test_relative_changes_match_the_per_window_loop(step, j, extra, stride,
                                                     tail, ragged, seed):
     rng = np.random.default_rng(seed)
@@ -198,17 +215,23 @@ def test_relative_changes_match_the_per_window_loop(step, j, extra, stride,
         grid = step * np.arange(int(math.floor(times[-1] / step)) + 1)
         want = per_window_loop(np.interp(grid, times, logp), step, 1, m,
                                stride)
+        _, resampled, _ = fitting._resample_uniform(series, delta_t, True)
+        oracle = numpy_window_loop(resampled, 1, delta_t, m, stride)
     else:
         want = per_window_loop(logp, step, j, m, stride)
+        oracle = numpy_window_loop(logp, *fitting._step_multiple(times,
+                                                                 delta_t),
+                                   m, stride)
         returns = [math.expm1(logp[i + j] - logp[i]) / delta_t
                    for i in range(times.size - j)]
         np.testing.assert_allclose(scaled_returns(series, delta_t), returns,
                                    rtol=1e-12, atol=0.0)
     flat, windows, _ = relative_changes(series, w, interpolate=ragged,
                                         return_windows=True)
-    assert len(windows) == len(want)
-    for got, expected in zip(windows, want):
+    assert len(windows) == len(want) == len(oracle)
+    for got, expected, exact in zip(windows, want, oracle):
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got, exact)
     assert np.array_equal(flat, np.concatenate(windows))
 
 
