@@ -9,9 +9,13 @@ nuisance (a symmetric coefficient of variation plus an output scale
 absorbing the adjustment time constant) is fitted by conditional
 likelihood on the bulk, the scale seeded from the 0.95 |change| quantile,
 under one ratio law for every correlation: ``density``'s closed forms.
-Families are then ranked by a composite average log-likelihood over bulk
-and tail, and near-ties go to the family with fewer parameters or are
-reported as non-identifiable.
+At the default correlation rho = -1 that search runs on numpy and the
+standard library alone (erf closed forms, a port of scipy's bounded
+Brent); any other rho polishes with scipy's Nelder-Mead on Hinkley's
+density, and only then loads scipy.  Families are then ranked by a
+composite average log-likelihood over bulk and tail, and near-ties go
+to the family with fewer parameters or are reported as
+non-identifiable.
 
 All reported response shapes are identified only up to the time-constant
 scale, which no price series can pin down by itself.
@@ -43,6 +47,7 @@ __all__ = [
     "exponent_report",
 ]
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LL_FLOOR = math.log(5e-324)  # density below float-min scores as float-min
 _TIE_MARGIN = 1e-4            # per-point score margin for identifiability
@@ -205,14 +210,29 @@ def _threshold_ratio(spec: ResponseSpec, scale: float, u: float) -> float:
         return float(spec.inverse(u / scale))
 
 
+def _pos_mass(nu: float) -> float:
+    """P(R > 0) = P(|Z| < 1/nu) of the rho = -1 law with spread nu:
+    positive_ratio_mass's erf form at unit means, bit for bit."""
+    return math.erf(1.0 / nu / _SQRT_2)
+
+
+def _masses(nu: float, t_u: float) -> tuple[float, float]:
+    """(P(R > 0), P(1/r_u < R < r_u | R > 0)) of the rho = -1 law with
+    spread nu, where t_u = (r_u - 1)/(r_u + 1): R < r_u exactly when
+    Z < t_u/nu, so the bulk mass is P(|Z| < t_u/nu) / P(|Z| < 1/nu), a
+    ratio of erf values that does not cancel.  It is not positive when
+    t_u <= 0, and NaN when t_u is."""
+    pos_mass = _pos_mass(nu)
+    return pos_mass, math.erf(t_u / (nu * _SQRT_2)) / pos_mass
+
+
 def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
     """Log of the scale that puts the 0.95 |change| quantile of the
     rho = -1 law with spread ``nu`` at q95: by symmetry, its signed 0.975
     quantile given R > 0, through R = (1 + nu Z)/(1 - nu Z)."""
-    from scipy.special import ndtr, ndtri
+    from statistics import NormalDist  # fractions and decimal: not at import
 
-    edge = ndtr(1.0 / nu)
-    z = ndtri((1.0 - edge) + 0.975 * (2.0 * edge - 1.0))
+    z = NormalDist().inv_cdf(0.5 + 0.475 * _pos_mass(nu))
     r = (1.0 + nu * z) / (1.0 - nu * z)
     return math.log(q95 / float(spec.value(r)))
 
@@ -220,17 +240,84 @@ def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
 def _maximize(f, grid, values, lo: float, hi: float, xatol: float):
     """(value, x) of the larger of the best grid point and a bounded Brent
     maximum of f between that point's neighbours, or out to lo / hi when
-    it is an end of the grid."""
-    from scipy.optimize import minimize_scalar
-
+    it is an end of the grid.  f takes and returns one float."""
     i = int(np.argmax(values))
     a = grid[i - 1] if i > 0 else lo
     b = grid[i + 1] if i + 1 < len(grid) else hi
-    res = minimize_scalar(lambda x: -f(x), bounds=(a, b), method="bounded",
-                          options={"xatol": xatol})
-    if -res.fun > values[i]:
-        return -float(res.fun), float(res.x)
+    x, fx = _bounded_brent(lambda x: -f(x), a, b, xatol)
+    if -fx > values[i]:
+        return -float(fx), float(x)
     return float(values[i]), float(grid[i])
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # scipy's constants, as it
+_SQRT_EPS = math.sqrt(2.2e-16)           # writes them
+
+
+def _bounded_brent(f, a: float, b: float, xatol: float):
+    """(x, f(x)) of Brent's bounded minimisation of f on [a, b]: golden
+    sections and parabolic steps, as scipy.optimize.minimize_scalar with
+    method="bounded" takes them, step for step, so both return the same
+    x and f(x) bit for bit.  Stops once the bracket is within xatol, or
+    after 500 evaluations of f (scipy's default cap)."""
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 class _RatioLaw:
@@ -282,17 +369,17 @@ class _RatioLaw:
 
 def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
     """The mean bulk log-likelihood at rho = -1 and ``scale`` as a
-    function of nu (scalar or array), from one pass over ``points``.
+    function of nu, from one pass over ``points``.
 
     R = (1 + nu Z)/(1 - nu Z) with Z standard normal, and R > 0 exactly
     when |Z| < 1/nu.  With t = (r-1)/(r+1) and w = -2 log1p(r) - log g'(r)
     per point the mean separates into c(nu) - sum(t^2)/(2 n nu^2)
     + sum(w)/n - log s - log pos_mass(nu) - log bulk_mass(nu, s), so the
     pass keeps only (count, sum t^2, sum w) of the points whose t and w
-    are finite; the rest score the floor, whatever nu.
+    are finite; the rest score the floor, whatever nu.  The sums are
+    numpy's pairwise ones, which round alike on any number of threads,
+    and the score of one nu is plain float arithmetic on them.
     """
-    from scipy.special import ndtr
-
     n_ok, st2, sw = 0, 0.0, 0.0
     for r in _ratios(spec, scale, points):
         with np.errstate(invalid="ignore"):
@@ -301,7 +388,7 @@ def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
         ok = np.isfinite(t) & np.isfinite(w)
         t = t[ok]
         n_ok += t.size
-        st2 += float(np.dot(t, t))
+        st2 += float(np.sum(t * t))
         sw += float(np.sum(w[ok]))
     r_u = _threshold_ratio(spec, scale, u)
     t_u = (r_u - 1.0) / (r_u + 1.0)
@@ -310,18 +397,12 @@ def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
     rest = (sw - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
     half_st2 = 0.5 * st2 / n
 
-    def score(nu):
-        # P(R > 0) for a whole array of nu; positive_ratio_mass takes
-        # one law at a time, and would move the optimum's last bits.
-        edge = ndtr(1.0 / nu)
-        pos_mass = 2.0 * edge - 1.0
-        bulk_mass = 2.0 * (ndtr(t_u / nu) - (1.0 - edge)) / pos_mass - 1.0
-        usable = bulk_mass > 0.0
-        ll = (share * np.log(2.0 / (_SQRT_2PI * nu * pos_mass))
-              - half_st2 / (nu * nu) + rest
-              - np.log(np.where(usable, bulk_mass, 1.0)))
-        out = np.where(usable, ll, _LL_FLOOR)
-        return out if out.ndim else float(out)
+    def score(nu: float) -> float:
+        pos_mass, bulk_mass = _masses(nu, t_u)
+        if not bulk_mass > 0.0:
+            return _LL_FLOOR
+        return (share * math.log(2.0 / (_SQRT_2PI * nu * pos_mass))
+                - half_st2 / (nu * nu) + rest - math.log(bulk_mass))
 
     return score
 
@@ -383,7 +464,8 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
     def profiled(log_scale: float) -> float:
         score = _profile(spec, math.exp(log_scale), sub, u)
         value, best_nu[log_scale] = _maximize(
-            score, _NU_GRID, score(_NU_GRID), _NU_LO, _NU_HI, 1e-9)
+            score, _NU_GRID, [score(nu) for nu in _NU_GRID], _NU_LO, _NU_HI,
+            1e-9)
         return value
 
     seeds = np.sort([_scale_seed(spec, nu, q95) for nu in _NU_GRID])

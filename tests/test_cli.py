@@ -657,12 +657,18 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["density", "--rho", "-1", "--out", "d.csv"]),
         main(["density", "--rho", "-1", "--transform", "sym", "--x-min",
               "0.1", "--out", "ds.csv"]),
+        main(["fit", "--prices", "p.csv", "--delta-t", "1e-6",
+              "--big-delta-t", "1e-4", "--stride", "1e-4", "--overlay",
+              "o.csv", "--out", "f.txt"]),
+        main(["replay", "f.txt.manifest", "--out", "f2.txt"]),
     ]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     out = _fresh_python(code, tmp_path)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []"
     assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+    assert (tmp_path / "f2.txt").read_bytes() == (tmp_path / "f.txt").read_bytes()
+    assert (tmp_path / "o.csv").stat().st_size > 0
 
 
 def test_commands_that_compute_with_scipy_load_it_when_they_run(tmp_path):
@@ -670,22 +676,29 @@ def test_commands_that_compute_with_scipy_load_it_when_they_run(tmp_path):
     xs = np.geomspace(1 / 32, 32, 120)
     (tmp_path / "g.csv").write_text("x,g\n" + "\n".join(
         f"{float(x)!r},{float(x - 1.0)!r}" for x in xs) + "\n")
-    # check exits 1: g(x) = x - 1 is not antisymmetric
+    # each command must load its own scipy module, not ride on an earlier
+    # one's; check exits 1: g(x) = x - 1 is not antisymmetric
     code = """
 import contextlib, io, sys
 from ratiotails.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        main(["check", "--table", "g.csv", "--grid-max-log", "2.7"]),
-        main(["fit", "--prices", "p.csv", "--delta-t", "1e-6",
-              "--big-delta-t", "1e-4", "--stride", "1e-4", "--out", "f.txt"]),
-    ]
-print(codes, "scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
+runs = [
+    ["density", "--rho", "-0.5", "--out", "d.csv"],
+    ["tails", "--prices", "p.csv", "--as-returns", "1e-6",
+     "--candidates", "power,stretched", "--out", "t.txt"],
+    ["check", "--table", "g.csv", "--grid-max-log", "2.7"],
+]
+for argv in runs:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(code, sorted(m for m in set(sys.modules) - before
+                       if m in ("scipy.special", "scipy.optimize",
+                                "scipy.interpolate")))
 """
     out = _fresh_python(code, tmp_path)
-    assert out.stdout.strip() == "[1, 0] True True"
-    assert parse_key_values((tmp_path / "f.txt").read_text())["family"] \
-        == "power"
+    assert out.stdout.splitlines() == [
+        "0 ['scipy.special']", "0 ['scipy.optimize']",
+        "1 ['scipy.interpolate']"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         fit_g, fit_price_series, invert_monotone,
                         relative_changes, simulate_gbm, simulate_path)
 from ratiotails import fitting
+from ratiotails.density import positive_ratio_mass
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
 from ratiotails.fitting import _RatioLaw, scaled_returns
@@ -480,10 +481,70 @@ def test_three_sums_give_the_pointwise_score(family, q):
         ref = pointwise_score(spec, law, scale, points, u)
         assert law.bulk_score(spec, scale, points, u) == pytest.approx(
             ref, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.02, 0.97),
+       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+@example(0.02, 1e-300)
+@example(0.97, 1.0 - 2.0 ** -53)
+def test_profile_masses_are_the_laws(nu, t):
+    # _profile takes t_u from the threshold ratio r_u, as here
+    r_u = (1.0 + t) / (1.0 - t)
+    t_u = (r_u - 1.0) / (r_u + 1.0)
+    pos_mass, bulk_mass = fitting._masses(nu, t_u)
+    assert pos_mass == positive_ratio_mass(
+        OrderFlowParams(1.0, 1.0, nu, nu, -1.0))
+    # the reference subtracts CDF values near 1/2: ~1e-15 absolute error
+    ref = 2.0 * float(_RatioLaw(nu, -1.0).cdf_pos(r_u)) - 1.0
+    assert bulk_mass == pytest.approx(ref, rel=1e-14, abs=2e-15)
+
+
+@pytest.mark.parametrize("u", [0.0, -1e-3, math.nan])
+@pytest.mark.parametrize("family,q", [(Family.POWER, 1.0), (Family.LOG, None)])
+def test_profile_scores_the_floor_without_a_bulk(family, q, u):
+    # u <= 0 puts r_u at or below 1 (t_u <= 0); u = NaN makes t_u NaN
+    spec = ResponseSpec(family, q)
+    points = np.asarray(spec.value(ratio_positive(500, seed=89)))
     profile = fitting._profile(spec, 1.0, points, u)
-    nus = np.array([0.05, 0.38, 0.9])
-    np.testing.assert_allclose(profile(nus), [profile(v) for v in nus],
-                               rtol=1e-14)
+    for nu in (0.02, 0.38, 0.97):
+        assert profile(nu) == fitting._LL_FLOOR
+
+
+_BRENT_SHAPES = {
+    "quadratic": lambda c, amp, freq: lambda x: (x - c) ** 2,
+    "wavy": lambda c, amp, freq: lambda x: ((x - c) ** 2
+                                            + amp * math.sin(freq * x)),
+    "log1p": lambda c, amp, freq: lambda x: math.log1p(abs(x - c)),
+    # flat steps (at amp = 0 a constant) tie f values and parabola steps
+    "steps": lambda c, amp, freq: lambda x: float(round(amp * (x - c)) ** 2),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_BRENT_SHAPES)), st.floats(-10.0, 10.0),
+       st.floats(0.0, 20.0), st.floats(0.1, 50.0), st.floats(-10.0, 10.0),
+       st.floats(1e-6, 20.0), st.floats(-10.0, -3.0))
+@example("quadratic", -5.0, 0.0, 1.0, 0.0, 3.0, -8.0)   # optimum at a bound
+@example("log1p", 0.0, 0.0, 1.0, 0.0, 1e100, -10.0)     # 500 evaluations
+@example("steps", 10.0, 3.0, 1.0, 5.0, 12.0, -10.0)     # a tie in f
+@example("steps", 0.0, 4.903079981789165, 1.0, -3.0, 6.0, -7.0)  # rat = 0
+def test_bounded_brent_is_scipys(shape, c, amp, freq, lo, width, log_xatol):
+    from scipy.optimize import minimize_scalar
+
+    f = _BRENT_SHAPES[shape](c, amp, freq)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    xatol = 10.0 ** log_xatol
+    res = minimize_scalar(f, bounds=(lo, lo + width), method="bounded",
+                          options={"xatol": xatol})
+    x, fx = fitting._bounded_brent(counted, lo, lo + width, xatol)
+    assert x == res.x and fx == res.fun
+    assert len(calls) == res.nfev
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
