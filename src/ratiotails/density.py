@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, InitVar
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .response import ResponseSpec, TailClass, TailKind
+from .response import Family, ResponseSpec, TailClass
 
 __all__ = [
     "OrderFlowParams",
@@ -303,58 +303,54 @@ class TransformedDensity:
 
 
 # ---------------------------------------------------------------------------
-# tail prediction with a numerically estimated prefactor
+# tail prediction with closed-form prefactors
 # ---------------------------------------------------------------------------
+
+def _tail_constant(mu_a, sigma_a, mu_b, sigma_b, rho) -> float:
+    """f_B(0) E[|A| | B = 0] for the normal pair (A, B).  Given B = 0, A
+    has mean m = mu_a - rho sigma_a mu_b / sigma_b and spread
+    v = sigma_a sqrt(1 - rho^2); E|A| is |m| at rho = -1, where v = 0."""
+    z = mu_b / sigma_b
+    m = mu_a - rho * sigma_a * z
+    v = sigma_a * math.sqrt((1.0 - rho) * (1.0 + rho))
+    mean_abs = abs(m) if v == 0.0 else (
+        2.0 * v / _SQRT_2PI * math.exp(-0.5 * (m / v) ** 2)
+        + m * math.erf(m / (_SQRT_2 * v)))
+    return math.exp(-0.5 * z * z) / (_SQRT_2PI * sigma_b) * mean_abs
+
 
 @dataclass(frozen=True)
 class TailPrediction:
     tail: TailClass
-    prefactor: float
-    prefactor_drift: float  # relative change across the last two probe points
-    probes: tuple
+    prefactor: float  # of the right tail, x -> inf
+    left_prefactor: float  # of the left tail, x -> -inf, read in |x|
 
     def key_values(self) -> dict:
-        d = {"class": self.tail.kind.value, "tail": self.tail.describe(),
-             "prefactor": self.prefactor,
-             "prefactor_drift": self.prefactor_drift}
-        if self.tail.density_exponent is not None:
-            d["density_exponent"] = self.tail.density_exponent
-        if self.tail.rate is not None:
-            d["rate"] = self.tail.rate
-        if self.tail.shape is not None:
-            d["shape"] = self.tail.shape
-        return d
+        shape = {k: v for k, v in vars(self.tail).items()
+                 if k != "kind" and v is not None}
+        return {"class": self.tail.kind.value, "tail": self.tail.describe(),
+                "prefactor": self.prefactor,
+                "left_prefactor": self.left_prefactor, **shape}
 
 
 def tail_prediction(params: OrderFlowParams, spec: ResponseSpec) -> TailPrediction:
-    """Predicted tail class plus a numerical estimate of its prefactor.
+    """Predicted tail class of spec(R) given R > 0, with exact prefactors.
 
-    The prefactor is read off as the compensated density value
-    c(x) * f(x) at geometrically spaced probes, where c undoes the
-    predicted decay (x**e for a power law, exp(rate*x) for exponential,
-    x**(1-p) * exp(x**p) for the stretched form).  The drift between the
-    last two probes is reported as the accuracy proxy; no closed form for
-    the prefactor is attempted.
+    The density of g(R) tends to a prefactor times the class's decay d
+    (x^-e, exp(-b x) or x^(p-1) exp(-x^p)) in both tails.  The ratio law
+    fixes both prefactors (Marsaglia 2006, JSS 16(4)): x^2 f_R(x) -> C =
+    f_S(0) E[|D| | S = 0] as x -> inf and f_R(0) = f_D(0) E[|S| | D = 0],
+    so they are C / (k P) and f_R(0) / (k P), with P = P(R > 0) and k the
+    limit of r^2 g'(r) d(g(r)): 2 for sym, 1 for log and q otherwise.
     """
-    tail = spec.predicted_tail()
-    density = TransformedDensity(params, spec)
-
-    if tail.kind is TailKind.POWER_LAW:
-        probes = np.array([1e2, 3e2, 1e3, 3e3, 1e4])
-        comp = probes ** tail.density_exponent
-    elif tail.kind is TailKind.EXPONENTIAL:
-        probes = np.array([6.0, 8.0, 10.0, 12.0, 14.0])
-        comp = np.exp(tail.rate * probes)
-    else:
-        p = tail.shape
-        probes = np.array([6.0, 8.0, 10.0, 12.0, 14.0]) ** (1.0 / p)
-        comp = probes ** (1.0 - p) * np.exp(probes ** p)
-
-    values = comp * density(probes)
-    drift = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
-    return TailPrediction(tail=tail, prefactor=float(values[-1]),
-                          prefactor_drift=float(drift),
-                          probes=tuple(zip(probes.tolist(), values.tolist())))
+    p = params
+    k = 2.0 if spec.family is Family.SYM else (spec.param or 1.0)
+    kp = k * positive_ratio_mass(p)
+    return TailPrediction(
+        tail=spec.predicted_tail(),
+        prefactor=_tail_constant(p.mu1, p.sigma1, p.mu2, p.sigma2, p.rho) / kp,
+        left_prefactor=_tail_constant(p.mu2, p.sigma2, p.mu1, p.sigma1,
+                                      p.rho) / kp)
 
 
 # ---------------------------------------------------------------------------

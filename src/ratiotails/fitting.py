@@ -69,8 +69,8 @@ class WindowSpec:
     stride: float
 
     def __post_init__(self):
-        if not (self.delta_t > 0 and self.big_delta_t > 0 and self.stride > 0):
-            raise WindowError("all window scales must be positive")
+        if not all(0.0 < v < math.inf for v in vars(self).values()):
+            raise WindowError(f"window scales must be positive and finite: {self}")
         if self.delta_t > self.big_delta_t / 10.0:
             raise WindowError(
                 f"delta_t={self.delta_t:g} must be at most big_delta_t/10="
@@ -97,8 +97,9 @@ def _step_multiple(times: np.ndarray, delta_t: float) -> tuple[int, float]:
     if h is None:
         raise TimestampError(
             f"returns over {delta_t:g} need uniformly spaced timestamps")
-    j = delta_t / h
-    if abs(j - round(j)) > 1e-6 * max(j, 1.0) or round(j) < 1:
+    j = delta_t / h  # round raises on nan and inf
+    if not math.isfinite(j) or abs(j - round(j)) > 1e-6 * max(j, 1.0) \
+            or round(j) < 1:
         raise TimestampError(
             f"delta_t={delta_t:g} is not a positive multiple of the "
             f"sampling step {h:g}")
@@ -530,7 +531,7 @@ class FitResult:
 def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
           threshold_quantile: float = 0.998, rho: float = -1.0,
           windows=None, n_boot: int | None = None,
-          boot_seed: int = 0, tie_margin: float = _TIE_MARGIN) -> FitResult:
+          boot_seed: int = 0) -> FitResult:
     """Fit candidate response families to a sample of scaled price changes.
 
     Each family's shape parameter is estimated from the exceedances above
@@ -542,7 +543,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         (1 - p_tail) * bulk conditional loglik + p_tail * tail loglik
 
     per point, the family-independent split entropy dropped.  The top
-    score wins; a near-tie within ``tie_margin`` goes to the family with
+    score wins; a near-tie within ``_TIE_MARGIN`` goes to the family with
     fewer parameters when that breaks the tie and otherwise raises
     NonIdentifiableError.
 
@@ -599,7 +600,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     best = ranked[0]
     if len(ranked) > 1:
         gap = scores[best.value] - scores[ranked[1].value]
-        if gap < tie_margin:
+        if gap < _TIE_MARGIN:
             n0, n1 = _PARAM_COUNT[best], _PARAM_COUNT[ranked[1]]
             if n0 != n1:
                 best = ranked[0] if n0 < n1 else ranked[1]
@@ -609,7 +610,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
             else:
                 raise NonIdentifiableError(
                     f"candidates {ranked[0].value} and {ranked[1].value} "
-                    f"score within {tie_margin:g} per point", scores=scores)
+                    f"score within {_TIE_MARGIN:g} per point", scores=scores)
 
     spec, param, nu, scale = fitted[best]
     stderr = _param_stderr(best, param, c, windows, threshold_quantile,

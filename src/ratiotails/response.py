@@ -520,16 +520,21 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
+# allowed |g(1)|, relative |g(x) + g(1/x)| and identity residual
+_ZERO_TOL, _ANTISYM_TOL, _IDENTITY_TOL = 1e-12, 1e-12, 1e-10
+_MAX_LOG = math.log(np.finfo(float).max)  # the largest max_log with exp finite
+
+
 def reciprocal_log_grid(max_log: float = 6.0, n_per_side: int = 120) -> np.ndarray:
     """Log-spaced grid on [exp(-max_log), exp(max_log)], exactly closed
     under reciprocation (the lower half is constructed as 1/upper half).
 
     Each side needs ``n_per_side`` >= 3 points, the three per end that
     condition (iv) compares, on a range ``max_log`` > 0."""
-    if not (max_log > 0 and n_per_side >= 3):
-        raise GridError(f"grid needs max_log > 0 and at least 3 points per "
-                        f"side, got max_log={max_log:g}, "
-                        f"n_per_side={n_per_side}")
+    if not (0 < max_log <= _MAX_LOG and n_per_side >= 3):
+        raise GridError(f"grid needs 0 < max_log <= {_MAX_LOG:.6g} (the log "
+                        f"of the float max) and at least 3 points per side, "
+                        f"got max_log={max_log:g}, n_per_side={n_per_side}")
     upper = np.exp(np.linspace(0.0, max_log, n_per_side + 1)[1:])
     return np.concatenate([(1.0 / upper)[::-1], [1.0], upper])
 
@@ -557,9 +562,7 @@ def _validate_grid(grid: np.ndarray, match_rtol: float = 1e-9) -> np.ndarray:
     return grid
 
 
-def check_admissibility(response, grid=None, *, zero_tol: float = 1e-12,
-                        antisym_tol: float = 1e-12,
-                        identity_tol: float = 1e-10) -> AdmissibilityReport:
+def check_admissibility(response, grid=None) -> AdmissibilityReport:
     """Check the five admissibility conditions on a reciprocation-closed grid.
 
     Conditions: (i) vanishes at 1, (ii) strictly increasing, (iii)
@@ -587,8 +590,8 @@ def check_admissibility(response, grid=None, *, zero_tol: float = 1e-12,
     # (i) zero at the balanced ratio
     at1 = float(response.value(1.0))
     conditions["i"] = ConditionResult(
-        "i", "g(1) = 0", abs(at1) <= zero_tol,
-        [] if abs(at1) <= zero_tol else [(1.0, at1)])
+        "i", "g(1) = 0", abs(at1) <= _ZERO_TOL,
+        [] if abs(at1) <= _ZERO_TOL else [(1.0, at1)])
 
     # (ii) strictly increasing
     bad = np.where(g1 < 0)[0]
@@ -607,7 +610,7 @@ def check_admissibility(response, grid=None, *, zero_tol: float = 1e-12,
     # (iii) antisymmetry under reciprocation
     g_recip = np.asarray(response.value(1.0 / grid))
     resid = np.abs(g + g_recip)
-    allow = antisym_tol * (1.0 + np.abs(g))
+    allow = _ANTISYM_TOL * (1.0 + np.abs(g))
     bad = np.where(resid > allow)[0]
     conditions["iii"] = ConditionResult(
         "iii", "g(x) = -g(1/x)", bad.size == 0,
@@ -646,7 +649,7 @@ def check_admissibility(response, grid=None, *, zero_tol: float = 1e-12,
     # derived identity: x*g'(x) = (1/x)*g'(1/x)
     h_recip = (1.0 / grid) * np.asarray(response.deriv(1.0 / grid, 1))
     resid = np.abs(h - h_recip) / np.maximum(np.abs(h), 1e-300)
-    bad = np.where(resid > identity_tol)[0]
+    bad = np.where(resid > _IDENTITY_TOL)[0]
     ident = ConditionResult(
         "deriv-identity", "x*g'(x) = (1/x)*g'(1/x)", bad.size == 0,
         [(float(grid[i]), float(resid[i])) for i in bad[:3]])
@@ -655,8 +658,8 @@ def check_admissibility(response, grid=None, *, zero_tol: float = 1e-12,
     resid = np.abs(h - 1.0)
     unit = ConditionResult(
         "unit-slope-product", "x*g'(x) = 1 for all x",
-        bool(np.all(resid <= identity_tol)),
-        [] if np.all(resid <= identity_tol) else
+        bool(np.all(resid <= _IDENTITY_TOL)),
+        [] if np.all(resid <= _IDENTITY_TOL) else
         [(float(grid[int(np.argmax(resid))]), float(h[int(np.argmax(resid))]))])
 
     # integrated growth bound: g(x) >= g'(1) * log(x) on x > 1

@@ -70,6 +70,12 @@ def test_check_grid_too_small_to_test_exits_2(tmp_path, capsys):
     assert run("check", "--table", table, "--grid-points", 0) == 2
     assert "admissible" not in capsys.readouterr().out
     assert run("check", "--family", "sym", "--grid-max-log", 0) == 2
+    # exp overflows past log(float max): the message names the limit
+    for max_log in ("1e6", "inf"):
+        capsys.readouterr()
+        assert run("check", "--family", "sym", "--grid-max-log", max_log) == 2
+        err = capsys.readouterr().err
+        assert "709.783" in err and f"max_log={float(max_log):g}" in err
 
 
 def test_check_malformed_table(tmp_path):
@@ -359,13 +365,22 @@ def test_fit_non_identifiable_exit_code(tmp_path, capsys):
     ("fit", "--candidates", "sym,sym"),
     ("fit", "--threshold-quantile", 1.5),
     ("tails", "--threshold-quantile", 1.5),
+    ("tails", "--as-returns", "nan"),
+    ("tails", "--as-returns", "inf"),
+    ("fit", "--big-delta-t", "inf"),
+    ("fit", "--stride", "inf"),
 ], ids=["unknown-candidate", "repeated-candidate", "fit-quantile",
-        "tails-quantile"])
-def test_malformed_fit_options_exit_2(tmp_path, command, option, value):
+        "tails-quantile", "returns-nan", "returns-inf", "window-inf",
+        "stride-inf"])
+def test_malformed_fit_options_exit_2(tmp_path, capsys, command, option,
+                                      value):
     prices = _simulate_prices(tmp_path, "p.csv", steps=20000, seed=37)
     window = (("--delta-t", 1e-6, "--big-delta-t", 1e-4, "--stride", 1e-4)
               if command == "fit" else ("--as-returns", 1e-6))
+    # the last occurrence of an option wins, so value overrides the window
     assert run(command, "--prices", prices, *window, option, value) == 2
+    # the message names the bad value, or the bad entry of a list
+    assert str(value).split(",")[-1] in capsys.readouterr().err
 
 
 def test_fit_window_violation_exit_code(tmp_path):

@@ -474,25 +474,159 @@ def test_log_transform_tail_slope():
 # tail predictions with prefactor
 # ---------------------------------------------------------------------------
 
+# the rho = -1 law (1, 1, 0.5, 0.5): x^2 f_R(x) -> 4 phi(2) = f_R(0), and
+# P(R > 0) = P(-2 < Z < 2); sym and power(q=2) both divide by k P = 2 P
+ANTI_WIDE_PREFACTOR = 2.0 * norm.pdf(2.0) / math.erf(math.sqrt(2.0))
+
+
 def test_tail_prediction_sym():
     pred = tail_prediction(ANTI_WIDE, ResponseSpec(Family.SYM))
     assert pred.tail.kind is TailKind.POWER_LAW
     assert pred.tail.density_exponent == pytest.approx(2.0)
-    assert pred.prefactor > 0
-    assert pred.prefactor_drift < 0.05
+    assert pred.prefactor == pytest.approx(ANTI_WIDE_PREFACTOR, rel=1e-14)
+    assert pred.left_prefactor == pytest.approx(ANTI_WIDE_PREFACTOR, rel=1e-14)
 
 
 def test_tail_prediction_power_q2():
     pred = tail_prediction(ANTI_WIDE, ResponseSpec(Family.POWER, 2.0))
     assert pred.tail.density_exponent == pytest.approx(1.5)
-    assert pred.prefactor > 0
-    assert pred.prefactor_drift < 0.05
+    assert pred.prefactor == pytest.approx(ANTI_WIDE_PREFACTOR, rel=1e-14)
+    assert pred.left_prefactor == pytest.approx(ANTI_WIDE_PREFACTOR, rel=1e-14)
 
 
 def test_tail_prediction_logpower():
     pred = tail_prediction(ANTI_WIDE, ResponseSpec(Family.LOG_POWER, 3))
     assert pred.tail.kind is TailKind.STRETCHED_EXPONENTIAL
     assert pred.tail.shape == pytest.approx(1.0 / 3.0)
+
+
+def limit_and_slope(mu_a, sigma_a, mu_b, sigma_b, rho):
+    """(G(0), G'(0) / G(0)) for G(e) = int |u| phi2(u, e u) du over the
+    normal pair (A, B): G(1/x) = x^2 f_R(x) for (A, B) = (D, S), and
+    G(r) = f_R(r) for (A, B) = (S, D).
+
+    Given B = 0, A is normal with mean m and spread v.  The slope is the
+    e-derivative of phi_B(e u) phi_{A|B}(u | e u) at e = 0,
+    mu_b / sigma_b^2 E[A |A|] / E|A| + 2 rho sigma_a / sigma_b, where
+    Stein's identity E[h(A) (A - m)] = v^2 E[h'(A)] gives the second term.
+    """
+    z = mu_b / sigma_b
+    m = mu_a - rho * sigma_a * z
+    v = sigma_a * math.sqrt((1.0 - rho) * (1.0 + rho))
+    if v == 0.0:
+        e_abs, e_a_abs = abs(m), m * abs(m)
+    else:
+        t = m / v
+        e_abs = 2.0 * v * norm.pdf(t) + m * (2.0 * norm.cdf(t) - 1.0)
+        e_a_abs = ((m * m + v * v) * (2.0 * norm.cdf(t) - 1.0)
+                   + 2.0 * m * v * norm.pdf(t))
+    return (norm.pdf(z) / sigma_b * e_abs,
+            mu_b / sigma_b ** 2 * e_a_abs / e_abs + 2.0 * rho * sigma_a / sigma_b)
+
+
+def law_slopes(params):
+    """The relative O(1/x) slope of x^2 f_R(x) and the O(r) one of f_R(r)."""
+    p = params
+    return (limit_and_slope(p.mu1, p.sigma1, p.mu2, p.sigma2, p.rho)[1],
+            limit_and_slope(p.mu2, p.sigma2, p.mu1, p.sigma1, p.rho)[1])
+
+
+law_means = st.floats(0.5, 2.0)
+law_spreads = st.floats(0.1, 1.0)
+laws = st.builds(OrderFlowParams, law_means, law_means, law_spreads,
+                 law_spreads, st.one_of(st.just(-1.0), st.floats(-1.0, 0.95)))
+# the largest slope on this domain, (mu2 / sigma2^2)(mu1 + sigma1 mu2 /
+# sigma2) - 2 sigma1 / sigma2 = 4380, and a law whose slope crosses zero
+STEEPEST = OrderFlowParams(2.0, 2.0, 1.0, 0.1, -1.0)
+FLAT = OrderFlowParams(0.5, 0.5, 1.0 / 7.0, 1.0, -1.0)
+# ulps lost in exp(-h^2 / 2) at h up to mu / sigma = 20, with room
+ROUNDING = 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws)
+@example(STEEPEST)
+@example(FLAT)
+def test_tail_constants_are_the_ratio_laws_limits(params):
+    mass = positive_ratio_mass(params)
+    pred = tail_prediction(params, ResponseSpec(Family.LOG))  # k = 1
+    right, left = pred.prefactor * mass, pred.left_prefactor * mass
+    p = params
+    assert right == pytest.approx(
+        limit_and_slope(p.mu1, p.sigma1, p.mu2, p.sigma2, p.rho)[0],
+        rel=ROUNDING)
+    assert ratio_density(params, 0.0) == pytest.approx(left, rel=ROUNDING)
+    slope, _ = law_slopes(params)
+    for x in (1e12, -1e12):
+        # x^2 f_R(x) = C (1 + slope / x + O(x^-2)); the O(x^-2) term is
+        # below 1e-16 here, so the next term bounds the gap
+        gap = x * x * ratio_density(params, x) / right - 1.0
+        assert abs(gap) <= abs(slope) / 1e12 + ROUNDING
+
+
+def decay(tail, y):
+    """The tail class's decay at |y|, without its prefactor."""
+    a = abs(y)
+    if tail.kind is TailKind.POWER_LAW:
+        return a ** -tail.density_exponent
+    if tail.kind is TailKind.EXPONENTIAL:
+        return math.exp(-tail.rate * a)
+    return a ** (tail.shape - 1.0) * math.exp(-a ** tail.shape)
+
+
+def transform_next_term(spec, r):
+    """Leading relative term that g adds to the compensated density at
+    ratio r >> 1 (or 1/r): with w = r^-2q for power and r^-2 for sym and
+    oddpower, the factor is (1 - w)^(1 + 1/q) / (1 + w), or
+    (1 - w)^2 / (1 + w); log and logpower add none."""
+    if spec.family is Family.POWER:
+        return (2.0 + 1.0 / spec.param) * r ** (-2.0 * spec.param)
+    if spec.family in (Family.SYM, Family.ODD_POWER):
+        return 3.0 * r ** -2.0
+    return 0.0
+
+
+families = st.one_of(
+    st.just(ResponseSpec(Family.SYM)), st.just(ResponseSpec(Family.LOG)),
+    st.floats(0.3, 3.0).map(lambda q: ResponseSpec(Family.POWER, q)),
+    st.sampled_from([1, 3, 5]).map(lambda q: ResponseSpec(Family.ODD_POWER, q)),
+    st.sampled_from([1, 3, 5]).map(lambda q: ResponseSpec(Family.LOG_POWER, q)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws, families)
+@example(STEEPEST, ResponseSpec(Family.POWER, 0.3))
+@example(FLAT, ResponseSpec(Family.SYM))
+def test_tail_prediction_is_the_compensated_density_limit(params, spec):
+    pred = tail_prediction(params, spec)
+    density = TransformedDensity(params, spec)
+    r = 1e8
+    right_slope, left_slope = law_slopes(params)
+    for ratio, want, slope in ((r, pred.prefactor, right_slope),
+                               (1.0 / r, pred.left_prefactor, left_slope)):
+        y = spec.value(ratio)
+        got = density(y) / decay(pred.tail, y)
+        # the law's and the transform's next terms, doubled for the
+        # higher orders: they are O(r^-2), below ROUNDING or below the
+        # leading terms by a factor of their own size
+        tol = 2.0 * (abs(slope) / r + transform_next_term(spec, r)) + ROUNDING
+        assert got == pytest.approx(want, rel=tol)
+
+
+@pytest.mark.parametrize("params", [OrderFlowParams(1, 1, 0.5, 0.5, -0.5),
+                                    ANTI_WIDE], ids=["rho=-0.5", "rho=-1"])
+def test_tail_prediction_evaluates_no_density(params, monkeypatch):
+    from ratiotails import density as density_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail_prediction evaluated a density")
+
+    for name in ("ratio_density", "ratio_density_anticorr",
+                 "transform_density"):
+        monkeypatch.setattr(density_module, name, refuse)
+    for spec in (ResponseSpec(Family.SYM), ResponseSpec(Family.LOG),
+                 ResponseSpec(Family.LOG_POWER, 3)):
+        assert tail_prediction(params, spec).prefactor > 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -569,36 +703,6 @@ def test_curve_from_function_is_one_vectorized_call(fn):
     assert shapes == [grid.shape]
     loop = np.array([float(fn(x)) for x in grid])
     np.testing.assert_allclose(curve.values, loop, rtol=1e-14, atol=0.0)
-
-
-@pytest.mark.parametrize("spec", [ResponseSpec(Family.SYM),
-                                  ResponseSpec(Family.LOG),
-                                  ResponseSpec(Family.LOG_POWER, 3)],
-                         ids=lambda s: s.label())
-def test_tail_prediction_matches_the_per_probe_loop(spec, monkeypatch):
-    from ratiotails import density as density_module
-    shapes = []
-
-    def counted(base, transform, x, **kw):
-        shapes.append(np.shape(x))
-        return transform_density(base, transform, x, **kw)
-
-    params = OrderFlowParams(1.0, 1.0, 0.5, 0.5, -0.5)
-    monkeypatch.setattr(density_module, "transform_density", counted)
-    pred = tail_prediction(params, spec)
-    monkeypatch.undo()
-    assert shapes == [(len(pred.probes),)]
-    density = TransformedDensity(params, spec)
-    x, values = np.array(pred.probes).T
-    tail = pred.tail
-    if tail.kind is TailKind.POWER_LAW:
-        comp = x ** tail.density_exponent
-    elif tail.kind is TailKind.EXPONENTIAL:
-        comp = np.exp(tail.rate * x)
-    else:
-        comp = x ** (1.0 - tail.shape) * np.exp(x ** tail.shape)
-    loop = comp * np.array([density(float(t)) for t in x])
-    np.testing.assert_allclose(values, loop, rtol=1e-14, atol=0.0)
 
 
 def test_curve_from_samples():

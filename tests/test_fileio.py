@@ -159,9 +159,12 @@ def test_tail_prediction_key_values():
     pred = tail_prediction(OrderFlowParams(1, 1, 0.5, 0.5, -1.0),
                            ResponseSpec(Family.SYM))
     kv = pred.key_values()
+    assert list(kv) == ["class", "tail", "prefactor", "left_prefactor",
+                        "density_exponent"]
     assert kv["class"] == "power_law"
     assert kv["density_exponent"] == 2.0
-    assert kv["prefactor"] > 0
+    # equal means and spreads: the two tails mirror each other
+    assert kv["prefactor"] == kv["left_prefactor"] > 0
 
 
 # ---------------------------------------------------------------------------
