@@ -20,14 +20,13 @@ depend on it.  The other commands compute on one core.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
-tails with the power and exp candidates, fit (with or without
---overlay), density at rho = -1 (plain or with --transform) and replay
-of their manifests pay before computing.  scipy loads inside the
-functions that compute with it, only when they run: density at
-rho != -1 (scipy.special, ~0.35 s more), tails with the stretched
-candidate (scipy.optimize, ~0.55 s) and check --table
-(scipy.interpolate and scipy.optimize).  fit always fits at rho = -1;
-only an in-process fit_g at rho != -1 loads scipy.
+tails (with any candidates), fit (with or without --overlay), density
+at rho = -1 (plain or with --transform) and replay of their manifests
+pay before computing.  scipy loads inside the functions that compute
+with it, only when they run: density at rho != -1 (scipy.special,
+~0.35 s more) and check --table (scipy.interpolate and
+scipy.optimize).  fit always fits at rho = -1; only an in-process
+fit_g at rho != -1 loads scipy.
 
 Manifests record one param.<option> entry per option of the command,
 --seed and --threads aside, read off the parser below; replay rebuilds

@@ -34,8 +34,9 @@ from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
-from .tails import (MIN_TAIL_POINTS, exponential_fit, pareto_index,
-                    pareto_loglik, stretched_loglik)
+from .tails import (MIN_TAIL_POINTS, _bounded_brent, exponential_fit,
+                    pareto_index, pareto_loglik, stretched_loglik,
+                    stretched_scale)
 
 __all__ = [
     "WindowSpec",
@@ -108,9 +109,13 @@ def _step_multiple(times: np.ndarray, delta_t: float) -> tuple[int, float]:
 
 def scaled_returns(series: PriceSeries, delta_t: float) -> np.ndarray:
     """(P(t + delta_t) - P(t)) / (P(t) delta_t) at every stamp t of a
-    uniformly stamped series, as expm1 of log-price differences."""
+    uniformly stamped series, as expm1 of log-price differences.  A
+    delta_t that reaches past the series' span raises WindowError."""
     j, h = _step_multiple(series.times, delta_t)
     lp = series.log_prices
+    if j >= lp.size:
+        raise WindowError(f"returns over {delta_t:g} need a longer series; "
+                          f"it spans {series.times[-1] - series.times[0]:g}")
     return np.expm1(lp[j:] - lp[:-j]) / (j * h)
 
 
@@ -251,76 +256,6 @@ def _maximize(f, grid, values, lo: float, hi: float, xatol: float):
     return float(values[i]), float(grid[i])
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # scipy's constants, as it
-_SQRT_EPS = math.sqrt(2.2e-16)           # writes them
-
-
-def _bounded_brent(f, a: float, b: float, xatol: float):
-    """(x, f(x)) of Brent's bounded minimisation of f on [a, b]: golden
-    sections and parabolic steps, as scipy.optimize.minimize_scalar with
-    method="bounded" takes them, step for step, so both return the same
-    x and f(x) bit for bit.  Stops once the bracket is within xatol, or
-    after 500 evaluations of f (scipy's default cap)."""
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the last three points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
-
-
 class _RatioLaw:
     """Ratio law for the unit-mean pair with spread nu and correlation
     -1 <= rho < 1, through the closed forms of ``density``."""
@@ -434,12 +369,9 @@ def _tail_stage(family: Family, exc: np.ndarray, u: float):
     if family is Family.LOG:
         return None, exponential_fit(exc, u)[1]
     if family is Family.LOG_POWER:
-        # profile out the scale: the stretched likelihood at shape p
-        # peaks where s**p = E[x**p] - u**p
         def profile(n):
-            p = 1.0 / n
-            m = float(np.mean(exc ** p))
-            return stretched_loglik(exc, u, p, n * math.log(m - u ** p))
+            return stretched_loglik(exc, u, 1.0 / n,
+                                    stretched_scale(exc, u, 1.0 / n))
 
         best = max((n for n in _ODD_SCAN if n >= 3), key=profile)
         return float(best), profile(best)

@@ -402,7 +402,7 @@ class TabulatedResponse:
                              f"response range [{min(glo, ghi):g}, "
                              f"{max(glo, ghi):g}]")
         out = np.vectorize(lambda v: invert_monotone(
-            self.value, v, lo=lo, hi=hi, expand=False))(ys)
+            self.value, v, lo=lo, hi=hi))(ys)
         return out if out.ndim else float(out)
 
     @property
@@ -421,46 +421,37 @@ class TabulatedResponse:
 # generic inversion
 # ---------------------------------------------------------------------------
 
-def invert_monotone(fn, y: float, lo: float = None, hi: float = None,
-                    expand: bool = True, rtol: float = 1e-12,
-                    max_expansions: int = 200) -> float:
+def invert_monotone(fn, y: float, lo: float = None,
+                    hi: float = None) -> float:
     """Invert a strictly increasing function on (0, inf) by bracketing.
 
-    Starts from r = 1 and grows the bracket geometrically until the sign
-    changes, then polishes with Brent's method to relative tolerance
-    ``rtol``.  Guaranteed to terminate for any strictly increasing fn
-    whose range covers y.
+    Without a bracket [lo, hi], starts from r = 1 and doubles or halves
+    r, at most 200 times, until the sign changes; then polishes with
+    Brent's method to relative tolerance 1e-12.  Guaranteed to terminate
+    for any strictly increasing fn whose range covers y.
     """
     from scipy.optimize import brentq
 
     y = float(y)
     if lo is None or hi is None:
-        lo = hi = 1.0
         f1 = fn(1.0) - y
         if f1 == 0.0:
             return 1.0
-        grow = 2.0
-        if f1 < 0.0:  # root above 1
-            hi = grow
-            for _ in range(max_expansions):
-                if fn(hi) - y >= 0.0:
-                    lo = hi / grow
-                    break
-                hi *= grow
-            else:
-                raise RootFindError(f"no bracket above 1 for target {y}")
-        else:  # root below 1
-            lo = 1.0 / grow
-            for _ in range(max_expansions):
-                if fn(lo) - y <= 0.0:
-                    hi = lo * grow
-                    break
-                lo /= grow
-            else:
-                raise RootFindError(f"no bracket below 1 for target {y}")
+        above = f1 < 0.0  # the root lies above 1
+        step = 2.0 if above else 0.5
+        r = step
+        for _ in range(200):
+            d = fn(r) - y
+            if d >= 0.0 if above else d <= 0.0:
+                break
+            r *= step
+        else:
+            raise RootFindError(f"no bracket {'above' if above else 'below'}"
+                                f" 1 for target {y}")
+        lo, hi = sorted((r, r / step))
     try:
         return float(brentq(lambda r: fn(r) - y, lo, hi,
-                            xtol=1e-300, rtol=max(rtol, 4e-16)))
+                            xtol=1e-300, rtol=1e-12))
     except ValueError as exc:
         raise RootFindError(f"bracketed solve failed for target {y}: {exc}")
 
@@ -574,15 +565,21 @@ def check_admissibility(response, grid=None) -> AdmissibilityReport:
 
     Built-in families resolve (iv) from their known analytic limit; a
     tabulated response gets a best-effort monotone-growth test on the
-    outer deciles and the report is flagged ``grid_limited``.
+    outer deciles and the report is flagged ``grid_limited``.  A grid
+    on which g, g' or g'' is not finite raises GridError.
     """
     if grid is None:
         grid = reciprocal_log_grid()
     grid = _validate_grid(grid)
 
-    g = np.asarray(response.value(grid))
-    g1 = np.asarray(response.deriv(grid, 1))
-    g2 = np.asarray(response.deriv(grid, 2))
+    with np.errstate(all="ignore"):
+        g, g1, g2 = np.array([response.value(grid), response.deriv(grid, 1),
+                              response.deriv(grid, 2)], dtype=float)
+    finite = np.isfinite([g, g1, g2])
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        name = ("g", "g'", "g''")[int(np.argmin(finite[:, i]))]
+        raise GridError(f"{name}(x) is not finite at grid point x={grid[i]:g}")
     h = grid * g1  # ratio-weighted slope
 
     conditions: dict[str, ConditionResult] = {}

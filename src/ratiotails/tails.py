@@ -2,13 +2,16 @@
 
 Estimators work on exceedances above a high threshold (default the 99th
 percentile) and the classifier picks among candidate decay classes by the
-average per-point log-likelihood of the tail-conditional laws.  No formal
-goodness-of-fit machinery: candidates are non-nested and the question is
-only which decay describes the exceedances best.
+average per-point log-likelihood of the tail-conditional laws at their
+maxima, on numpy alone (the stretched shape by bounded Brent, every
+scale in closed form).  No formal goodness-of-fit machinery: candidates
+are non-nested and the question is only which decay describes the
+exceedances best.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,7 @@ __all__ = [
     "pareto_loglik",
     "exponential_fit",
     "stretched_loglik",
+    "stretched_scale",
     "DEFAULT_CANDIDATES",
 ]
 
@@ -102,9 +106,8 @@ def rank_regression(samples, tail_fraction: float, *,
     resp = np.log(surv)
     slope, icpt = np.polyfit(reg, resp, 1)
     resid = resp - (slope * reg + icpt)
-    dof = max(k - 2, 1)
     sxx = float(np.sum((reg - reg.mean()) ** 2))
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx))
+    stderr = float(np.sqrt(np.sum(resid ** 2) / (k - 2) / sxx))
     return RankRegression(slope=float(slope), stderr=stderr, k_used=k,
                           threshold=float(tail[0]))
 
@@ -155,6 +158,21 @@ def stretched_loglik(exc: np.ndarray, u: float, p: float,
                  + (u / s) ** p - np.mean((exc / s) ** p))
 
 
+def _tilted(lx: np.ndarray, p: float):
+    """(top, w, m0) of lx = ln(x/u) > 0: top = p max(lx), w = e**(p lx - top)
+    and m0 = E[w (1 - e**(-p lx))] = E[expm1(p lx)] e**-top."""
+    top = p * float(np.max(lx))
+    w = np.exp(p * lx - top)
+    return top, w, float(np.mean(w * -np.expm1(-p * lx)))
+
+
+def stretched_scale(exc: np.ndarray, u: float, p: float) -> float:
+    """log s at the maximum-likelihood scale for shape p: s**p = E[x**p] -
+    u**p = u**p E[expm1(p ln(x/u))] (Cohen 1965, Technometrics 7(4))."""
+    top, _, m0 = _tilted(np.log(exc / u), p)
+    return float(np.log(u) + (top + np.log(m0)) / p)
+
+
 def _fit_power(exc: np.ndarray, u: float):
     alpha = pareto_index(exc, u)
     est = 1.0 + alpha  # density exponent
@@ -167,41 +185,93 @@ def _fit_exponential(exc: np.ndarray, u: float):
     return TailClass.exponential(rate), rate, rate / np.sqrt(exc.size), loglik
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # scipy's constants, as it
+_SQRT_EPS = math.sqrt(2.2e-16)           # writes them
+
+
+def _bounded_brent(f, a: float, b: float, xatol: float):
+    """(x, f(x)) of Brent's bounded minimisation of f on [a, b]: golden
+    sections and parabolic steps, as scipy.optimize.minimize_scalar with
+    method="bounded" takes them, step for step, so both return the same
+    x and f(x) bit for bit.  Stops once the bracket is within xatol, or
+    after 500 evaluations of f (scipy's default cap)."""
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def stretched_tail_fit(exc: np.ndarray, u: float):
-    """Fit exp(-(x/s)**p) to the conditional survival of the exceedances.
-
-    Nonlinear least squares of the empirical log-survival against
-    (u/s)**p - (x/s)**p in the parameters (p, log s); plug-in likelihood
-    of the matching conditional density afterwards.
+    """Fit the stretched law exp(-(x/s)**p), conditioned on x > u, to the
+    exceedances by profile maximum likelihood: the scale in closed form
+    (``stretched_scale``), the shape p by bounded Brent on [0.02, 6].
+    The stderr of p is 1/sqrt(-k l''(p)) of the per-point profile l(p),
+    -l'' = 1/p**2 + M2/M0 - (M1/M0)**2 with M0 = E[expm1(p lx)] and
+    Mj = E[lx**j exp(p lx)], lx = ln(x/u); NaN where l'' is not negative.
     """
-    from scipy.optimize import least_squares
-
-    exc = np.sort(exc)
-    k = exc.size
-    surv = (k - np.arange(k) - 0.5) / k
-    log_surv = np.log(surv)
-    ln_exc = np.log(exc)
-
-    def residuals(theta):
-        p, logs = theta
-        return ((u / np.exp(logs)) ** p
-                - np.exp(p * (ln_exc - logs))) - log_surv
-
-    mean_excess = max(float(np.mean(exc - u)), 1e-300)
-    sol = least_squares(residuals, x0=np.array([1.0, np.log(mean_excess + u)]),
-                        bounds=([0.02, -60.0], [6.0, 60.0]))
-    p, logs = sol.x
-    # stderr of p from the Gauss-Newton covariance
-    jtj = sol.jac.T @ sol.jac
-    dof = max(k - 2, 1)
-    sigma2 = 2.0 * sol.cost / dof
-    try:
-        cov = sigma2 * np.linalg.inv(jtj)
-        p_err = float(np.sqrt(max(cov[0, 0], 0.0)))
-    except np.linalg.LinAlgError:
-        p_err = float("nan")
-    return (TailClass.stretched(float(p)), float(p), p_err,
-            stretched_loglik(exc, u, p, logs))
+    p, neg_ll = _bounded_brent(
+        lambda p: -stretched_loglik(exc, u, p, stretched_scale(exc, u, p)),
+        0.02, 6.0, 1e-8)
+    lx = np.log(exc / u)
+    _, w, m0 = _tilted(lx, p)
+    m1 = float(np.mean(lx * w)) / m0
+    curvature = 1.0 / p ** 2 + float(np.mean(lx * lx * w)) / m0 - m1 * m1
+    p_err = 1.0 / math.sqrt(exc.size * curvature) if curvature > 0 else math.nan
+    return TailClass.stretched(p), p, p_err, -neg_ll
 
 
 _FITTERS = {
@@ -224,16 +294,13 @@ class TailReport:
     loglik: dict = field(default_factory=dict)  # TailKind -> per-point score
 
     def key_values(self) -> dict:
-        d = {"class": self.tail.kind.value, "estimate": self.estimate,
-             "stderr": self.stderr, "k_used": self.k_used,
-             "threshold": self.threshold, "n_total": self.n_total}
-        for kind, ll in self.loglik.items():
-            d[f"loglik.{kind.value}"] = ll
-        return d
+        return {"class": self.tail.kind.value, "estimate": self.estimate,
+                "stderr": self.stderr, "k_used": self.k_used,
+                "threshold": self.threshold, "n_total": self.n_total,
+                **{f"loglik.{k.value}": ll for k, ll in self.loglik.items()}}
 
 
-def _prepare(samples, side: str) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
+def _prepare(x: np.ndarray, side: str) -> np.ndarray:
     if side == "abs":
         return np.abs(x)
     if side == "right":
@@ -248,21 +315,26 @@ def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
                   side: str = "abs") -> TailReport:
     """Pick the best-scoring decay class for the exceedance tail.
 
-    Fits each candidate by maximum likelihood (regression for the
-    stretched form) on exceedances above the threshold quantile of
-    |samples| and selects the highest average log-likelihood; all scores
-    are reported.  Returns magnitudes two-sided by default since an
-    antisymmetric response makes both tails alike; pass side="right" or
-    "left" to study one side.
+    Fits each candidate by maximum likelihood on exceedances above the
+    threshold quantile of |samples| and selects the highest average
+    log-likelihood; all scores are reported.  Returns magnitudes
+    two-sided by default since an antisymmetric response makes both
+    tails alike; pass side="right" or "left" to study one side.  Bad
+    candidates, samples or quantile raise DomainError.
     """
     kinds = [TailKind(c) for c in candidates]
-    if len(kinds) < 2:
-        raise DomainError("need at least two candidate tail classes")
+    if len(set(kinds)) < max(len(kinds), 2):
+        raise DomainError("need at least two distinct candidate tail classes, "
+                          f"got [{', '.join(k.value for k in kinds)}]")
     if not 0.0 < threshold_quantile < 1.0:
         raise DomainError(f"threshold quantile {threshold_quantile} is "
                           "outside (0, 1)")
-    a = _prepare(samples, side)
-    n = a.size
+    x = np.asarray(samples, dtype=float)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise DomainError(f"non-finite samples: {bad.size} of {x.size}, "
+                          f"the first is {bad.flat[0]}")
+    a = _prepare(x, side)
     u = float(np.quantile(a, threshold_quantile))
     if u <= 0.0:
         raise DomainError("threshold is nonpositive; samples too concentrated at 0")
@@ -274,13 +346,11 @@ def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
     if float(np.max(exc)) == float(np.min(exc)):
         raise DegenerateTailError("all exceedances are identical")
 
-    results = {}
-    for kind in kinds:
-        results[kind] = _FITTERS[kind](exc, u)
+    results = {kind: _FITTERS[kind](exc, u) for kind in kinds}
     best = max(kinds, key=lambda k: results[k][3])
     tail, est, err, _ = results[best]
     return TailReport(tail=tail, estimate=est, stderr=err, k_used=int(exc.size),
-                      threshold=u, n_total=int(n),
+                      threshold=u, n_total=int(a.size),
                       loglik={k: results[k][3] for k in kinds})
 
 

@@ -76,6 +76,17 @@ def test_check_grid_too_small_to_test_exits_2(tmp_path, capsys):
         assert run("check", "--family", "sym", "--grid-max-log", max_log) == 2
         err = capsys.readouterr().err
         assert "709.783" in err and f"max_log={float(max_log):g}" in err
+    # a grid inside float range on which g' or g'' overflows: the
+    # message names the first such point and the quantity
+    for max_log, name, x in (("709.78", "g'", "5.5778e-309"),
+                             ("300", "g''", "5.1482e-131")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("check", "--family", "sym",
+                       "--grid-max-log", max_log) == 2
+        captured = capsys.readouterr()
+        assert "admissible" not in captured.out
+        assert f"{name}(x) is not finite at grid point x={x}" in captured.err
 
 
 def test_check_malformed_table(tmp_path):
@@ -265,6 +276,29 @@ def test_tails_input_validation(tmp_path):
     assert run("tails", "--samples", small) == 2
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tails_rejects_non_finite_values(tmp_path, capsys, bad):
+    # fit rejects the changes of such a price file: tails must too
+    rng = np.random.default_rng(43)
+    samples = rng.random(20000) ** -1.0
+    samples[5] = bad
+    path = tmp_path / "samples.csv"
+    save_samples(samples, str(path))
+    t = np.arange(20000) * 1e-6
+    prices = np.exp(np.cumsum(1e-3 * rng.standard_normal(t.size)))
+    rows = [f"{a!r},{b!r}" for a, b in zip(t.tolist(), prices.tolist())]
+    rows[150] = rows[150].split(",")[0] + f",{bad!r}"
+    price_path = tmp_path / "prices.csv"
+    price_path.write_text("t,price\n" + "\n".join(rows) + "\n")
+    for argv in (("--samples", path),
+                 ("--prices", price_path, "--as-returns", 1e-6)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("tails", *argv) == 2
+        err = capsys.readouterr().err
+        assert "non-finite samples" in err and repr(bad) in err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -367,10 +401,14 @@ def test_fit_non_identifiable_exit_code(tmp_path, capsys):
     ("tails", "--threshold-quantile", 1.5),
     ("tails", "--as-returns", "nan"),
     ("tails", "--as-returns", "inf"),
+    ("tails", "--as-returns", 1),
+    ("tails", "--as-returns", 1e300),
+    ("tails", "--candidates", "power,power"),
     ("fit", "--big-delta-t", "inf"),
     ("fit", "--stride", "inf"),
 ], ids=["unknown-candidate", "repeated-candidate", "fit-quantile",
-        "tails-quantile", "returns-nan", "returns-inf", "window-inf",
+        "tails-quantile", "returns-nan", "returns-inf", "returns-past-span",
+        "returns-far-past-span", "tails-repeated-candidate", "window-inf",
         "stride-inf"])
 def test_malformed_fit_options_exit_2(tmp_path, capsys, command, option,
                                       value):
@@ -668,6 +706,8 @@ with contextlib.redirect_stdout(io.StringIO()):
               "--steps", "50000", "--seed", "5", "--out", "p.csv"]),
         main(["tails", "--prices", "p.csv", "--as-returns", "1e-6",
               "--out", "t.txt"]),
+        main(["tails", "--prices", "p.csv", "--as-returns", "1e-6",
+              "--candidates", "power,exp,stretched", "--out", "ts.txt"]),
         main(["replay", "p.csv.manifest", "--out", "r.csv", "--threads", "2"]),
         main(["density", "--rho", "-1", "--out", "d.csv"]),
         main(["density", "--rho", "-1", "--transform", "sym", "--x-min",
@@ -680,7 +720,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     out = _fresh_python(code, tmp_path)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0] []"
     assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
     assert (tmp_path / "f2.txt").read_bytes() == (tmp_path / "f.txt").read_bytes()
     assert (tmp_path / "o.csv").stat().st_size > 0
@@ -692,7 +732,8 @@ def test_commands_that_compute_with_scipy_load_it_when_they_run(tmp_path):
     (tmp_path / "g.csv").write_text("x,g\n" + "\n".join(
         f"{float(x)!r},{float(x - 1.0)!r}" for x in xs) + "\n")
     # each command must load its own scipy module, not ride on an earlier
-    # one's; check exits 1: g(x) = x - 1 is not antisymmetric
+    # one's; the stretched tails fit loads none; check exits 1:
+    # g(x) = x - 1 is not antisymmetric
     code = """
 import contextlib, io, sys
 from ratiotails.cli import main
@@ -712,8 +753,8 @@ for argv in runs:
 """
     out = _fresh_python(code, tmp_path)
     assert out.stdout.splitlines() == [
-        "0 ['scipy.special']", "0 ['scipy.optimize']",
-        "1 ['scipy.interpolate']"]
+        "0 ['scipy.special']", "0 []",
+        "1 ['scipy.interpolate', 'scipy.optimize']"]
 
 
 # ---------------------------------------------------------------------------

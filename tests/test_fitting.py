@@ -13,7 +13,7 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         SimConfig, TailKind, WindowSpec, exponent_report,
                         fit_g, fit_price_series, invert_monotone,
                         relative_changes, simulate_gbm, simulate_path)
-from ratiotails import fitting
+from ratiotails import fitting, tails
 from ratiotails.density import positive_ratio_mass
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
@@ -155,6 +155,15 @@ def test_delta_t_must_align_with_sampling():
         relative_changes(series, WindowSpec(0.7, 10.0, 10.0))
     with pytest.raises(TimestampError):
         scaled_returns(series, 0.7)
+
+
+def test_returns_past_the_series_span_raise():
+    series = PriceSeries(np.arange(100.0), np.zeros(100))
+    assert scaled_returns(series, 99.0).size == 1
+    for delta_t in (100.0, 1e300):
+        with pytest.raises(WindowError, match="need a longer series; "
+                           "it spans 99$"):
+            scaled_returns(series, delta_t)
 
 
 def per_window_loop(logp, step, j, m, stride):
@@ -542,7 +551,7 @@ def test_bounded_brent_is_scipys(shape, c, amp, freq, lo, width, log_xatol):
     xatol = 10.0 ** log_xatol
     res = minimize_scalar(f, bounds=(lo, lo + width), method="bounded",
                           options={"xatol": xatol})
-    x, fx = fitting._bounded_brent(counted, lo, lo + width, xatol)
+    x, fx = tails._bounded_brent(counted, lo, lo + width, xatol)
     assert x == res.x and fx == res.fun
     assert len(calls) == res.nfev
 

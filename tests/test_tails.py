@@ -1,12 +1,16 @@
 """Tail estimators against inverse-transform oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ratiotails import (TailKind, classify_tail, hill, rank_regression,
                         threshold_sweep)
+from ratiotails.tails import (stretched_loglik, stretched_scale,
+                              stretched_tail_fit)
 from ratiotails.errors import (DegenerateTailError, DomainError,
                                InsufficientTailError, NonpositiveSampleError)
 
@@ -187,6 +191,15 @@ def test_classifier_validation():
         classify_tail(flat_top)
     with pytest.raises(InsufficientTailError):
         classify_tail(x[:500])
+    with pytest.raises(DomainError, match="two distinct candidate"):
+        classify_tail(x, [TailKind.POWER_LAW, TailKind.POWER_LAW])
+    # fit_g rejects non-finite changes: the classifier rejects them too
+    for bad in (math.inf, -math.inf, math.nan):
+        y = x.copy()
+        y[[3, 7]] = bad
+        with pytest.raises(DomainError, match="non-finite samples: 2 of "
+                           f"100000, the first is {bad}"):
+            classify_tail(y)
 
 
 def test_threshold_sweep_reports_three_quantiles():
@@ -206,3 +219,59 @@ def test_report_key_values():
     assert kv["class"] == "power_law"
     assert kv["n_total"] == 10 ** 5
     assert "loglik.power_law" in kv
+
+
+# ---------------------------------------------------------------------------
+# stretched profile likelihood
+# ---------------------------------------------------------------------------
+
+def weibull(p, n, seed):
+    """Survival exp(-x**p) by inverse transform."""
+    return (-np.log(np.random.default_rng(seed).random(n))) ** (1.0 / p)
+
+
+def exceedances(x, q=0.99):
+    u = float(np.quantile(x, q))
+    return x[x > u], u
+
+
+def test_stretched_fit_is_the_likelihood_maximum():
+    exc, u = exceedances(weibull(0.5, 10 ** 5, seed=21))
+    _, p, _, loglik = stretched_tail_fit(exc, u)
+    assert loglik == stretched_loglik(exc, u, p, stretched_scale(exc, u, p))
+    # the closed-form scale is the best scale for its shape
+    for shape in (0.3, p, 2.0):
+        best = stretched_loglik(exc, u, shape, stretched_scale(exc, u, shape))
+        for log_s in np.linspace(-8.0, 8.0, 321):
+            assert stretched_loglik(exc, u, shape, log_s) <= best + 1e-12
+    # and no point of a fine (p, log s) grid beats the fit
+    grid_best = max(stretched_loglik(exc, u, shape, log_s)
+                    for shape in np.linspace(0.2, 1.2, 101)
+                    for log_s in np.linspace(-3.0, 3.0, 121))
+    assert grid_best - 1e-9 <= loglik < grid_best + 1e-3
+
+
+def test_stretched_stderr_matches_the_spread_of_the_estimates():
+    fits = [stretched_tail_fit(*exceedances(weibull(1.0 / 3.0, 10 ** 6,
+                                                    seed=300 + t)))
+            for t in range(20)]
+    p_hat = np.array([fit[1] for fit in fits])
+    stderr = np.array([fit[2] for fit in fits])
+    assert abs(p_hat.mean() - 1.0 / 3.0) <= 3.0 * stderr.mean() / math.sqrt(20)
+    assert 0.7 <= stderr.mean() / p_hat.std(ddof=1) <= 1.4
+
+
+# exceedances x = u (1 + 10**e): x/u from 1 + 1e-4 up to 1e300
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3),
+       st.lists(st.floats(-4.0, 300.0), min_size=10, max_size=200))
+@example(1.0, [300.0] + [-4.0] * 9)     # one point 1e300 past the rest
+@example(1e3, [-4.0] * 9 + [-3.9])      # all within 1e-4 of u
+def test_stretched_fit_stays_finite_on_any_exceedances(u, log_excess):
+    exc = u * (1.0 + 10.0 ** np.array(log_excess))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail, p, p_err, loglik = stretched_tail_fit(exc, u)
+    assert 0.02 <= p <= 6.0 and tail.shape == p
+    assert math.isfinite(loglik)
+    assert math.isnan(p_err) or 0.0 < p_err < math.inf
