@@ -7,14 +7,15 @@ those changes.  Fitting is two-stage: the family's shape parameter comes
 from the exceedance tail by maximum likelihood, while the order-flow
 nuisance (a symmetric coefficient of variation plus an output scale
 absorbing the adjustment time constant) is fitted by conditional
-likelihood on the bulk, the scale seeded from the 0.95 |change| quantile,
-under one ratio law for every correlation: ``density``'s closed forms.
-At the default correlation rho = -1 that search runs on numpy and the
-standard library alone (erf closed forms, a port of scipy's bounded
-Brent); any other rho polishes with scipy's Nelder-Mead on Hinkley's
-density, and only then loads scipy.  Families are then ranked by a
-composite average log-likelihood over bulk and tail, and near-ties go
-to the family with fewer parameters or are reported as
+likelihood on the bulk, under one ratio law for every correlation:
+``density``'s closed forms.  At the default correlation rho = -1 that
+search is a bounded Brent over log-scale, bracketed by the 0.95 |change|
+quantile, around a bounded Brent over the spread at each scale; it runs
+on numpy and the standard library alone (erf closed forms, a port of
+scipy's bounded Brent).  Any other rho polishes with scipy's Nelder-Mead
+on Hinkley's density, and only then loads scipy.  Families are then
+ranked by a composite average log-likelihood over bulk and tail, and
+near-ties go to the family with fewer parameters or are reported as
 non-identifiable.
 
 All reported response shapes are identified only up to the time-constant
@@ -197,7 +198,6 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
 # ---------------------------------------------------------------------------
 
 _NU_LO, _NU_HI = 0.02, 0.97
-_NU_GRID = np.geomspace(0.05, 0.93, 21)
 _CHUNK = 1 << 16  # points per pass; bounds a full-bulk score's temporaries
 
 
@@ -241,19 +241,6 @@ def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
     z = NormalDist().inv_cdf(0.5 + 0.475 * _pos_mass(nu))
     r = (1.0 + nu * z) / (1.0 - nu * z)
     return math.log(q95 / float(spec.value(r)))
-
-
-def _maximize(f, grid, values, lo: float, hi: float, xatol: float):
-    """(value, x) of the larger of the best grid point and a bounded Brent
-    maximum of f between that point's neighbours, or out to lo / hi when
-    it is an end of the grid.  f takes and returns one float."""
-    i = int(np.argmax(values))
-    a = grid[i - 1] if i > 0 else lo
-    b = grid[i + 1] if i + 1 < len(grid) else hi
-    x, fx = _bounded_brent(lambda x: -f(x), a, b, xatol)
-    if -fx > values[i]:
-        return -float(fx), float(x)
-    return float(values[i]), float(grid[i])
 
 
 class _RatioLaw:
@@ -385,26 +372,25 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
     The surface has a long curved ridge (bulk width pins only nu * scale).
     The search runs on a deterministic subsample of the bulk; the caller
     scores the winner on the full bulk.  At rho = -1 one pass at a
-    log-scale gives the score for every nu (``_profile``): ``_maximize``
-    takes nu on the grid, then log-scale from the grid's seeds, 1.5 past
-    the outer ones.  At any other rho every step is a pass over Hinkley's
-    density, and Nelder-Mead polishes (logit nu, log-scale) from the
-    rho = -1 optimum.
+    log-scale gives the score for every nu (``_profile``), and a bounded
+    Brent takes nu on [_NU_LO, _NU_HI].  Around it a bounded Brent takes
+    log-scale, 1.5 past the ``_scale_seed`` of nu = 0.93 and of 0.05 (the
+    seed falls as nu grows), one pass per step.  At any other rho every
+    step is a pass over Hinkley's density, and Nelder-Mead polishes
+    (logit nu, log-scale) from the rho = -1 optimum.
     """
     sub = bulk[::max(1, bulk.size // 30000)]
     best_nu = {}
 
-    def profiled(log_scale: float) -> float:
+    def negative(log_scale: float) -> float:
         score = _profile(spec, math.exp(log_scale), sub, u)
-        value, best_nu[log_scale] = _maximize(
-            score, _NU_GRID, [score(nu) for nu in _NU_GRID], _NU_LO, _NU_HI,
-            1e-9)
+        best_nu[log_scale], value = _bounded_brent(
+            lambda nu: -score(nu), _NU_LO, _NU_HI, 1e-9)
         return value
 
-    seeds = np.sort([_scale_seed(spec, nu, q95) for nu in _NU_GRID])
-    values = [profiled(ls) for ls in seeds]
-    _, log_scale = _maximize(profiled, seeds, values, seeds[0] - 1.5,
-                             seeds[-1] + 1.5, 1e-7)
+    log_scale, _ = _bounded_brent(negative,
+                                  _scale_seed(spec, 0.93, q95) - 1.5,
+                                  _scale_seed(spec, 0.05, q95) + 1.5, 1e-7)
     nu, scale = best_nu[log_scale], math.exp(log_scale)
     if rho != -1.0:
         from scipy.optimize import minimize

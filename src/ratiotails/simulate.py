@@ -230,6 +230,10 @@ class PriceSeries:
     @classmethod
     def from_prices(cls, times, prices, meta=None) -> "PriceSeries":
         prices = np.asarray(prices, dtype=float)
+        bad = prices[~np.isfinite(prices)]
+        if bad.size:
+            raise DomainError(f"non-finite prices: {bad.size} of {prices.size}"
+                              f", the first is {bad.flat[0]}")
         if np.any(prices <= 0):
             raise DomainError("prices must be strictly positive")
         return cls(times, np.log(prices), meta or {})

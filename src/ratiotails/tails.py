@@ -261,16 +261,22 @@ def stretched_tail_fit(exc: np.ndarray, u: float):
     (``stretched_scale``), the shape p by bounded Brent on [0.02, 6].
     The stderr of p is 1/sqrt(-k l''(p)) of the per-point profile l(p),
     -l'' = 1/p**2 + M2/M0 - (M1/M0)**2 with M0 = E[expm1(p lx)] and
-    Mj = E[lx**j exp(p lx)], lx = ln(x/u); NaN where l'' is not negative.
+    Mj = E[lx**j exp(p lx)], lx = ln(x/u); NaN where l'' is not negative,
+    and where p ends within the search's tolerance of a bound, which is
+    then no maximum of the profile.
     """
+    lo, hi, xatol = 0.02, 6.0, 1e-8
     p, neg_ll = _bounded_brent(
         lambda p: -stretched_loglik(exc, u, p, stretched_scale(exc, u, p)),
-        0.02, 6.0, 1e-8)
+        lo, hi, xatol)
     lx = np.log(exc / u)
     _, w, m0 = _tilted(lx, p)
     m1 = float(np.mean(lx * w)) / m0
     curvature = 1.0 / p ** 2 + float(np.mean(lx * lx * w)) / m0 - m1 * m1
-    p_err = 1.0 / math.sqrt(exc.size * curvature) if curvature > 0 else math.nan
+    tol = 2.0 * (_SQRT_EPS * p + xatol / 3.0)  # _bounded_brent's tol2 at p
+    interior = lo + tol < p < hi - tol
+    p_err = (1.0 / math.sqrt(exc.size * curvature)
+             if interior and curvature > 0 else math.nan)
     return TailClass.stretched(p), p, p_err, -neg_ll
 
 

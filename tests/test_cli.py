@@ -278,7 +278,8 @@ def test_tails_input_validation(tmp_path):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_tails_rejects_non_finite_values(tmp_path, capsys, bad):
-    # fit rejects the changes of such a price file: tails must too
+    # fit rejects non-finite changes: tails rejects such samples, and the
+    # price loader that fit and tails share rejects such prices
     rng = np.random.default_rng(43)
     samples = rng.random(20000) ** -1.0
     samples[5] = bad
@@ -287,16 +288,21 @@ def test_tails_rejects_non_finite_values(tmp_path, capsys, bad):
     t = np.arange(20000) * 1e-6
     prices = np.exp(np.cumsum(1e-3 * rng.standard_normal(t.size)))
     rows = [f"{a!r},{b!r}" for a, b in zip(t.tolist(), prices.tolist())]
-    rows[150] = rows[150].split(",")[0] + f",{bad!r}"
+    # t = 1e-4 opens a fit window: an inf there gives the finite change -1/dt
+    rows[100] = rows[100].split(",")[0] + f",{bad!r}"
     price_path = tmp_path / "prices.csv"
     price_path.write_text("t,price\n" + "\n".join(rows) + "\n")
-    for argv in (("--samples", path),
-                 ("--prices", price_path, "--as-returns", 1e-6)):
+    for argv, what in (
+            (("tails", "--samples", path), "samples"),
+            (("tails", "--prices", price_path, "--as-returns", 1e-6),
+             "prices"),
+            (("fit", "--prices", price_path, "--delta-t", 1e-6,
+              "--big-delta-t", 1e-4, "--stride", 1e-4), "prices")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run("tails", *argv) == 2
+            assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert "non-finite samples" in err and repr(bad) in err
+        assert f"non-finite {what}: 1 of 20000" in err and repr(bad) in err
 
 
 # ---------------------------------------------------------------------------

@@ -432,18 +432,29 @@ def _split(changes, quantile=0.998):
     return float(np.quantile(a, 0.95)), changes[a <= u], u
 
 
-@pytest.mark.parametrize("family,q,make,ridge", [
-    (Family.POWER, 1.0, lambda r: 1e-6 * (r - 1.0 / r), False),
-    (Family.LOG, None, lambda r: 1e-6 * np.log(r), False),
-    (Family.POWER, 1.0, None, True),
-], ids=["power", "log", "gaussian"])
-def test_profile_search_matches_the_oracle(family, q, make, ridge):
-    if make is None:  # GBM-like changes: a flat ridge in (spread, scale)
-        changes = 1e-4 + 1e-3 * np.random.default_rng(71).standard_normal(30000)
-    else:
-        changes = make(ratio_positive(30000, seed=73))
+def _gaussian(seed):
+    # GBM-like changes: a flat ridge in (spread, scale)
+    return lambda: 1e-4 + 1e-3 * np.random.default_rng(seed).standard_normal(
+        30000)
+
+
+def _of_ratios(g):
+    return lambda: g(ratio_positive(30000, seed=73))
+
+
+@pytest.mark.parametrize("family,q,changes,ridge", [
+    (Family.POWER, 1.0, _of_ratios(lambda r: 1e-6 * (r - 1.0 / r)), False),
+    (Family.LOG, None, _of_ratios(lambda r: 1e-6 * np.log(r)), False),
+    (Family.POWER, 1.0, _gaussian(71), True),
+    # the spread optimum sits on its lower bound, as on most GBM paths
+    (Family.POWER, 1.0, _gaussian(60), False),
+    (Family.LOG_POWER, 3, _of_ratios(lambda r: 1e-6 * np.log(r) ** 3), False),
+    (Family.SYM, None, _of_ratios(lambda r: 1e-6 * 0.5 * (r - 1.0 / r)),
+     False),
+], ids=["power", "log", "gaussian", "gaussian-at-bound", "logpower", "sym"])
+def test_profile_search_matches_the_oracle(family, q, changes, ridge):
     spec = ResponseSpec(family, q)
-    q95, bulk, u = _split(changes)
+    q95, bulk, u = _split(changes())
     nu, scale, law = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u)
     got = law.bulk_score(spec, scale, bulk, u)

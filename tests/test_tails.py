@@ -261,6 +261,20 @@ def test_stretched_stderr_matches_the_spread_of_the_estimates():
     assert 0.7 <= stderr.mean() / p_hat.std(ddof=1) <= 1.4
 
 
+@pytest.mark.parametrize("draw,bound", [
+    (lambda rng: np.abs(rng.standard_cauchy(10 ** 6)), 0.02),  # too heavy
+    (lambda rng: rng.random(10 ** 6), 6.0),                    # too light
+], ids=["cauchy", "uniform"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stretched_stderr_is_nan_at_a_shape_bound(draw, bound, seed):
+    # the profile has no maximum inside [0.02, 6]: its curvature where the
+    # search stops says nothing about the spread of p
+    tail, p, p_err, _ = stretched_tail_fit(
+        *exceedances(draw(np.random.default_rng(seed))))
+    assert p == pytest.approx(bound, abs=1e-6) and tail.shape == p
+    assert math.isnan(p_err)
+
+
 # exceedances x = u (1 + 10**e): x/u from 1 + 1e-4 up to 1e300
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1e-3, 1e3),
