@@ -44,11 +44,8 @@ import numpy as np
 from . import __version__
 from .density import (CurveMethod, DensityCurve, OrderFlowParams, PowerMap,
                       TransformedDensity, ratio_density)
-from .errors import (DomainError, GridError, InputFormatError,
-                     InputMismatchError, InsufficientTailError,
-                     NonIdentifiableError, NonpositiveSampleError,
-                     RangeError, RatioTailsError, TimestampError,
-                     WindowError)
+from .errors import (DomainError, InputFormatError, InputMismatchError,
+                     NonIdentifiableError, RatioTailsError)
 from .fileio import (RunManifest, format_key_values, key_values_csv,
                      load_price_series, load_response_table, load_samples,
                      save_density_curve, save_price_series, sha256_file,
@@ -60,10 +57,6 @@ from .response import (Family, ResponseSpec, check_admissibility,
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
                        simulate_path)
 from .tails import TailKind, classify_tail, threshold_sweep
-
-_INPUT_ERRORS = (InputFormatError, InputMismatchError, DomainError,
-                 WindowError, TimestampError, GridError,
-                 InsufficientTailError, NonpositiveSampleError, RangeError)
 
 _CANDIDATE_KINDS = {"power": TailKind.POWER_LAW,
                     "exp": TailKind.EXPONENTIAL,
@@ -503,15 +496,15 @@ def main(argv=None) -> int:
     args.parser = parser
     try:
         return args.run(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NonIdentifiableError as exc:
         print(f"non-identifiable: {exc}", file=sys.stderr)
         for name, score in sorted(exc.scores.items()):
             print(f"  score {name} = {score:.6f}", file=sys.stderr)
         return 3
     except RatioTailsError as exc:
+        if isinstance(exc, ValueError):  # the package's bad-input errors
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 

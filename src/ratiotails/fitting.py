@@ -35,9 +35,9 @@ from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
-from .tails import (MIN_TAIL_POINTS, _bounded_brent, exponential_fit,
-                    pareto_index, pareto_loglik, stretched_loglik,
-                    stretched_scale)
+from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior,
+                    exponential_fit, pareto_index, pareto_loglik,
+                    stretched_loglik, stretched_scale)
 
 __all__ = [
     "WindowSpec",
@@ -151,12 +151,12 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
     s on the sampling grid.  Computed as expm1 of log-price differences,
     which is exact even when the changes are tiny.  Overlapping windows
     are allowed; the window structure is the unit for bootstrap
-    resampling downstream.  The windows are the rows of one array, taken
-    from a strided view of the log-prices, and the values are that array
-    flattened.
+    resampling downstream.  The windows are the rows of one 2-D array,
+    taken from a strided view of the log-prices, and the values are that
+    array flattened.
 
-    With ``return_windows`` the result is (values, window_list, notes)
-    where window_list holds the rows, one view per window.
+    With ``return_windows`` the result is (values, rows, notes): the 2-D
+    array itself, one row per window, and ``values`` a view of it.
     """
     if len(series) < 2:
         raise DomainError("need at least two price points")
@@ -189,7 +189,7 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
     rows /= dt_eff
     flat = rows.reshape(-1)
     if return_windows:
-        return flat, list(rows), notes
+        return flat, rows, notes
     return flat
 
 
@@ -367,7 +367,9 @@ def _tail_stage(family: Family, exc: np.ndarray, u: float):
 
 def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
                   u: float, rho: float):
-    """(nu, scale, law) of the largest conditional bulk likelihood.
+    """(nu, scale, law, notes) of the largest conditional bulk likelihood;
+    at rho = -1 a note names each of nu and scale that ends on a bound of
+    its search, where it need not be the maximum.
 
     The surface has a long curved ridge (bulk width pins only nu * scale).
     The search runs on a deterministic subsample of the bulk; the caller
@@ -388,11 +390,19 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
             lambda nu: -score(nu), _NU_LO, _NU_HI, 1e-9)
         return value
 
-    log_scale, _ = _bounded_brent(negative,
-                                  _scale_seed(spec, 0.93, q95) - 1.5,
-                                  _scale_seed(spec, 0.05, q95) + 1.5, 1e-7)
+    lo = _scale_seed(spec, 0.93, q95) - 1.5
+    hi = _scale_seed(spec, 0.05, q95) + 1.5
+    log_scale, _ = _bounded_brent(negative, lo, hi, 1e-7)
     nu, scale = best_nu[log_scale], math.exp(log_scale)
-    if rho != -1.0:
+    notes = []
+    if rho == -1.0:
+        if not _interior(nu, _NU_LO, _NU_HI, 1e-9):
+            notes.append(f"nuisance spread {nu:.6g} is on a bound of its "
+                         f"search range [{_NU_LO:g}, {_NU_HI:g}]")
+        if not _interior(log_scale, lo, hi, 1e-7):
+            notes.append(f"nuisance scale {scale:.6g} is on a bound of its "
+                         f"search range [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
+    else:
         from scipy.optimize import minimize
 
         res = minimize(
@@ -402,7 +412,7 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
             method="Nelder-Mead",
             options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
         nu, scale = _nu_from_t(res.x[0]), math.exp(float(res.x[1]))
-    return nu, scale, _RatioLaw(nu, rho)
+    return nu, scale, _RatioLaw(nu, rho), notes
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +479,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     tail laws only take over well past the bulk; shallower thresholds mix
     in pre-asymptotic curvature and bias the shape parameter.
 
-    ``windows`` (from relative_changes) enables window-level bootstrap of
+    ``windows`` (the rows of relative_changes, or a list of windows,
+    ragged ones included) enables window-level bootstrap of
     the parameter standard error, appropriate when windows overlap;
     otherwise a tail-asymptotic standard error is reported for the POWER
     family and none for the discrete families.  Unknown or repeated
@@ -508,10 +519,10 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     for fam in fams:
         param, tail_ll = _tail_stage(fam, exc, u)
         spec = ResponseSpec(fam, param)
-        nu, scale, law = _fit_nuisance(spec, q95, bulk, u, rho)
+        nu, scale, law, bound_notes = _fit_nuisance(spec, q95, bulk, u, rho)
         bulk_ll = law.bulk_score(spec, scale, bulk, u)
         score = (1.0 - p_tail) * bulk_ll + p_tail * tail_ll
-        fitted[fam] = (spec, param, nu, scale)
+        fitted[fam] = (spec, param, nu, scale, bound_notes)
         scores[fam.value] = score
 
     ranked = sorted(fams, key=lambda f: scores[f.value], reverse=True)
@@ -530,7 +541,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
                     f"candidates {ranked[0].value} and {ranked[1].value} "
                     f"score within {_TIE_MARGIN:g} per point", scores=scores)
 
-    spec, param, nu, scale = fitted[best]
+    spec, param, nu, scale, bound_notes = fitted[best]
+    notes.extend(bound_notes)
     stderr = _param_stderr(best, param, c, windows, threshold_quantile,
                            n_boot, boot_seed, exc.size)
     return FitResult(response=spec, param_estimate=param, param_stderr=stderr,
@@ -548,11 +560,12 @@ def _param_stderr(family: Family, param, changes, windows,
         # delta method through q = 1/alpha: sd(q) ~ q / sqrt(k)
         return float(param) / math.sqrt(k_exc) if family is Family.POWER else None
     rng = np.random.default_rng(boot_seed)
-    pool = _ExceedancePool(list(windows), threshold_quantile)
+    pool = _ExceedancePool(windows, threshold_quantile)
+    n = pool.sizes.size
     estimates = []
     for _ in range(n_boot):
-        pick = rng.integers(0, pool.n_windows, size=pool.n_windows)
-        u, exc = pool.resample(pick)
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        u, exc = pool.resample(counts)
         if exc.size < MIN_TAIL_POINTS:
             continue
         est, _ = _tail_stage(family, exc, u)
@@ -563,60 +576,48 @@ def _param_stderr(family: Family, param, changes, windows,
 
 
 class _ExceedancePool:
-    """|windows| stacked once, and the values of each window at or above a
-    cutoff c, the full sample's 1 - 4(1 - q) quantile, in window order.
+    """|windows| flattened once, and its values at or above a cutoff c,
+    the full sample's 1 - 4(1 - q) quantile, each with its window.
 
-    A resample (windows ``pick``, repeats allowed) concatenates the picked
-    |windows|; its threshold is their q quantile and its exceedances the
-    values above it, in order.  When the picked pools hold both order
-    statistics that np.quantile interpolates, the threshold is numpy's own
-    interpolation of those two, and the exceedances are the picked pools'
-    values above it: both equal the full resample's bit for bit.
-    Otherwise the resample is built in full.
+    A resample is a vector of window counts: every value of a window,
+    repeated in place as often as the window was drawn.  When the pooled
+    values, so repeated, hold both order statistics that np.quantile
+    interpolates, the threshold is numpy's own interpolation of those two
+    and the exceedances are the pooled values above it, both bit for bit
+    the full resample's.  Otherwise the resample is built in full.
     """
 
-    def __init__(self, windows: list, q: float):
+    def __init__(self, windows, q: float):
         self.q = q
-        self.n_windows = len(windows)
-        sizes = np.array([len(w) for w in windows], dtype=np.intp)
-        self.values = _Segments(np.abs(np.concatenate(windows)), sizes)
-        c = np.quantile(self.values.data, max(0.0, 1.0 - 4.0 * (1.0 - q)))
-        keep = self.values.data >= c
-        window_of = np.repeat(np.arange(self.n_windows), sizes)
-        self.pool = _Segments(self.values.data[keep], np.bincount(
-            window_of[keep], minlength=self.n_windows))
+        self.sizes = np.array([len(w) for w in windows], dtype=np.intp)
+        self.values = np.abs(np.concatenate(windows))
+        c = np.quantile(self.values, max(0.0, 1.0 - 4.0 * (1.0 - q)))
+        keep = np.flatnonzero(self.values >= c)
+        self.pool = self.values[keep]
+        self.owner = np.searchsorted(np.cumsum(self.sizes), keep, side="right")
+        self.pool_sizes = np.bincount(self.owner, minlength=self.sizes.size)
         self.cutoff = float(c)
 
-    def resample(self, pick: np.ndarray):
-        """(threshold, exceedances) of the resample ``pick``."""
-        n = int(self.values.sizes[pick].sum())
-        below = n - int(self.pool.sizes[pick].sum())  # values under c
-        index = (n - 1) * self.q                      # np.quantile's
+    def resample(self, counts: np.ndarray):
+        """(threshold, exceedances) of the resample with window ``counts``."""
+        n = int(counts @ self.sizes)
+        below = n - int(counts @ self.pool_sizes)  # values under c
+        index = (n - 1) * self.q                   # np.quantile's
         k = math.floor(index)
         if below <= k < n - 1:
-            pooled = self.pool.gather(pick)
+            pooled = np.repeat(self.pool, counts[self.owner])
             j = k - below
             lo, hi = np.partition(pooled, (j, j + 1))[j:j + 2]
             u = float(np.quantile(np.array([lo, hi]), index - k))
             if u >= self.cutoff:
                 return u, pooled[pooled > u]
-        sample = self.values.gather(pick)
+        sample = self.full(counts)
         u = float(np.quantile(sample, self.q))
         return u, sample[sample > u]
 
-
-class _Segments:
-    """An array cut into consecutive segments of the given sizes."""
-
-    def __init__(self, data: np.ndarray, sizes: np.ndarray):
-        self.data, self.sizes = data, sizes
-        self.starts = np.cumsum(sizes) - sizes
-
-    def gather(self, pick: np.ndarray) -> np.ndarray:
-        """The segments ``pick`` concatenated, in pick order."""
-        lengths = self.sizes[pick]
-        shift = self.starts[pick] - (np.cumsum(lengths) - lengths)
-        return self.data[np.arange(lengths.sum()) + np.repeat(shift, lengths)]
+    def full(self, counts: np.ndarray) -> np.ndarray:
+        """The whole resample with window ``counts``."""
+        return np.repeat(self.values, np.repeat(counts, self.sizes))
 
 
 def fit_price_series(series: PriceSeries, w: WindowSpec,

@@ -229,13 +229,17 @@ class PriceSeries:
 
     @classmethod
     def from_prices(cls, times, prices, meta=None) -> "PriceSeries":
+        """A series of the given positive, finite prices.  A bad price is
+        reported with the count of bad ones, and the first with its row,
+        counted from 1 as a CSV's data rows under its header are."""
         prices = np.asarray(prices, dtype=float)
-        bad = prices[~np.isfinite(prices)]
-        if bad.size:
-            raise DomainError(f"non-finite prices: {bad.size} of {prices.size}"
-                              f", the first is {bad.flat[0]}")
-        if np.any(prices <= 0):
-            raise DomainError("prices must be strictly positive")
+        for bad, what in ((~np.isfinite(prices), "non-finite"),
+                          (~(prices > 0), "nonpositive")):
+            rows = np.flatnonzero(bad)
+            if rows.size:
+                raise DomainError(
+                    f"{what} prices: {rows.size} of {prices.size}, the first "
+                    f"is {prices.flat[rows[0]]} at row {rows[0] + 1}")
         return cls(times, np.log(prices), meta or {})
 
     @property

@@ -255,6 +255,14 @@ def _bounded_brent(f, a: float, b: float, xatol: float):
     return xf, fx
 
 
+def _interior(x: float, a: float, b: float, xatol: float) -> bool:
+    """Whether x, as _bounded_brent(f, a, b, xatol) returns it, ends more
+    than the search's stopping width tol2 inside [a, b]; an x within tol2
+    of a bound may be the bound's, and then no minimum of f."""
+    tol = 2.0 * (_SQRT_EPS * abs(x) + xatol / 3.0)  # tol2 at x
+    return a + tol < x < b - tol
+
+
 def stretched_tail_fit(exc: np.ndarray, u: float):
     """Fit the stretched law exp(-(x/s)**p), conditioned on x > u, to the
     exceedances by profile maximum likelihood: the scale in closed form
@@ -273,10 +281,8 @@ def stretched_tail_fit(exc: np.ndarray, u: float):
     _, w, m0 = _tilted(lx, p)
     m1 = float(np.mean(lx * w)) / m0
     curvature = 1.0 / p ** 2 + float(np.mean(lx * lx * w)) / m0 - m1 * m1
-    tol = 2.0 * (_SQRT_EPS * p + xatol / 3.0)  # _bounded_brent's tol2 at p
-    interior = lo + tol < p < hi - tol
     p_err = (1.0 / math.sqrt(exc.size * curvature)
-             if interior and curvature > 0 else math.nan)
+             if _interior(p, lo, hi, xatol) and curvature > 0 else math.nan)
     return TailClass.stretched(p), p, p_err, -neg_ll
 
 

@@ -305,6 +305,57 @@ def test_tails_rejects_non_finite_values(tmp_path, capsys, bad):
         assert f"non-finite {what}: 1 of 20000" in err and repr(bad) in err
 
 
+def test_nonpositive_price_is_named_with_its_row(tmp_path, capsys):
+    rng = np.random.default_rng(44)
+    t = np.arange(20000) * 1e-6
+    prices = np.exp(np.cumsum(1e-3 * rng.standard_normal(t.size)))
+    rows = [f"{a!r},{b!r}" for a, b in zip(t.tolist(), prices.tolist())]
+    rows[100] = rows[100].split(",")[0] + ",0.0"  # data row 101
+    path = tmp_path / "prices.csv"
+    path.write_text("t,price\n" + "\n".join(rows) + "\n")
+    for argv in (("tails", "--prices", path, "--as-returns", 1e-6),
+                 ("fit", "--prices", path, "--delta-t", 1e-6,
+                  "--big-delta-t", 1e-4, "--stride", 1e-4)):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "nonpositive prices: 1 of 20000, the first is 0.0 at row 101" \
+            in err
+
+
+def test_degenerate_tail_sample_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(45)
+    path = tmp_path / "samples.csv"
+    save_samples(np.concatenate([rng.random(990), np.full(10, 5.0)]),
+                 str(path))
+    assert run("tails", "--samples", path) == 2
+    assert "all exceedances are identical" in capsys.readouterr().err
+
+
+def _error_types(base):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+def test_exit_code_follows_the_error_type(tmp_path, monkeypatch, capsys):
+    # every package error that is a ValueError is bad input (2); the
+    # runtime ones fail (1), a family tie aside (3)
+    path = tmp_path / "samples.csv"
+    save_samples(np.arange(1.0, 200.0), str(path))
+    types = sorted(_error_types(ratiotails.errors.RatioTailsError),
+                   key=lambda e: e.__name__)
+    assert len(types) == 14
+    for error in types:
+        def fail(*args, error=error, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "load_samples", fail)
+        want = (3 if error is ratiotails.errors.NonIdentifiableError
+                else 2 if issubclass(error, ValueError) else 1)
+        assert run("tails", "--samples", path) == want, error.__name__
+        assert "injected" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------

@@ -96,9 +96,8 @@ def test_window_and_subinterval_counting():
     w = WindowSpec(1.0, 10.0, 5.0)
     flat, windows, notes = relative_changes(series, w, return_windows=True)
     # window starts 0, 5, 10; each window of 10 points gives 9 changes
-    assert len(windows) == 3
-    assert all(len(win) == 9 for win in windows)
-    assert len(flat) == 27
+    assert windows.shape == (3, 9)
+    assert len(flat) == 27 and np.shares_memory(flat, windows)
     assert notes == []
 
 
@@ -337,6 +336,26 @@ def test_pipeline_recovery_and_bootstrap_stderr():
     assert result.param_stderr is not None and result.param_stderr > 0
 
 
+def test_a_nuisance_estimate_on_its_search_bound_is_noted():
+    # criterion 6's GBM trial 1 ends the spread 9.6e-10 above its 0.02
+    # bound, inside the search's stopping width; its power q = 1 trial 0
+    # ends both nuisance parameters inside their ranges
+    w = WindowSpec(1.0, 100.0, 100.0)
+    gbm = fit_price_series(
+        simulate_gbm(1e-4, 0.01, 1.0, 10 ** 6, 1.0, seed=20260901), w,
+        n_boot=0)
+    assert 0.0 < gbm.nuisance_spread - fitting._NU_LO < 1e-9
+    assert ("nuisance spread 0.02 is on a bound of its search range "
+            "[0.02, 0.97]") in gbm.notes
+    cfg = SimConfig(params=OrderFlowParams(1.0, 1.0, 0.38, 0.38, -1.0),
+                    response=ResponseSpec(Family.POWER, 1.0), tau0=1.0,
+                    dt=1e-8, n_steps=10 ** 6, p0=1.0, seed=20260600)
+    power = fit_price_series(simulate_path(cfg),
+                             WindowSpec(1e-8, 1e-6, 1e-6), n_boot=0)
+    assert power.response.family is Family.POWER
+    assert not any("bound" in note for note in power.notes)
+
+
 def test_pipeline_stride_invariance():
     series = sim_series(Family.POWER, 1.0, 2 * 10 ** 5, seed=53)
     w1 = WindowSpec(1e-6, 1e-4, 1e-4)
@@ -455,7 +474,7 @@ def _of_ratios(g):
 def test_profile_search_matches_the_oracle(family, q, changes, ridge):
     spec = ResponseSpec(family, q)
     q95, bulk, u = _split(changes())
-    nu, scale, law = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
+    nu, scale, law, _ = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u)
     got = law.bulk_score(spec, scale, bulk, u)
     ref = pointwise_score(spec, _RatioLaw(nu_ref, -1.0), scale_ref, bulk, u)
@@ -477,7 +496,7 @@ def test_correlated_search_matches_the_oracle(family, q, make, rho):
     # optimum of the spread grid
     spec = ResponseSpec(family, q)
     q95, bulk, u = _split(make(correlated_ratios(10000, rho, seed=83)))
-    nu, scale, law = fitting._fit_nuisance(spec, q95, bulk, u, rho)
+    nu, scale, law, _ = fitting._fit_nuisance(spec, q95, bulk, u, rho)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u, rho)
     got = law.bulk_score(spec, scale, bulk, u)
     ref = pointwise_score(spec, _RatioLaw(nu_ref, rho), scale_ref, bulk, u)
@@ -592,17 +611,25 @@ def test_import_loads_neither_scipy_stats_nor_integrate():
 
 
 # ---------------------------------------------------------------------------
-# window bootstrap against the concatenate-and-quantile oracle
+# window bootstrap against the repeat-by-count oracle
 # ---------------------------------------------------------------------------
 
+def counts_resample(windows, counts):
+    """A resample written plainly: each window's values, in order, every
+    one repeated as often as the window was drawn."""
+    return np.abs(np.concatenate(
+        [np.repeat(w, c) for w, c in zip(windows, counts)]))
+
+
 def bootstrap_oracle(family, windows, q, n_boot, boot_seed):
-    """The window bootstrap written plainly: every resample concatenated
+    """The window bootstrap written plainly: every resample built in full
     and its threshold re-quantiled over all of it."""
     rng = np.random.default_rng(boot_seed)
+    n = len(windows)
     estimates = []
     for _ in range(n_boot):
-        pick = rng.integers(0, len(windows), size=len(windows))
-        sample = np.abs(np.concatenate([windows[i] for i in pick]))
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        sample = counts_resample(windows, counts)
         u = float(np.quantile(sample, q))
         exc = sample[sample > u]
         if exc.size < fitting.MIN_TAIL_POINTS:
@@ -663,18 +690,17 @@ def pool_runs_short():
 def test_bootstrap_falls_back_when_the_pool_runs_out(monkeypatch):
     windows = pool_runs_short()
     full = []
-    gather = fitting._Segments.gather
+    build = fitting._ExceedancePool.full
 
-    def counting(self, pick):
-        out = gather(self, pick)
-        full.append(out.size == 20 * 500)
-        return out
+    def counting(self, counts):
+        full.append(counts)
+        return build(self, counts)
 
-    monkeypatch.setattr(fitting._Segments, "gather", counting)
+    monkeypatch.setattr(fitting._ExceedancePool, "full", counting)
     for seed in (0, 1, 2):
         full.clear()
         got = stderr_of(Family.POWER, windows, 0.99, 40, seed)
-        assert any(full) and not all(full)
+        assert 0 < len(full) < 40  # each of the 40 resamples once
         assert got == bootstrap_oracle(Family.POWER, windows, 0.99, 40, seed)
 
 
@@ -682,24 +708,29 @@ def test_bootstrap_falls_back_when_the_pool_runs_out(monkeypatch):
 def test_pool_resample_is_the_full_resample(q):
     # threshold and exceedances, bit for bit and in order, over many
     # resamples of ragged windows, of a few far-apart values (where
-    # interpolation rounds) and of a pool that runs short
+    # interpolation rounds) and of a pool that runs short; the windows
+    # in pick order hold the same values, so the same threshold
     rng = np.random.default_rng(13)
     ragged = [rng.standard_t(2.0, size=n)
               for n in rng.integers(0, 400, size=200)]
     sparse = [rng.standard_cauchy(size=n) for n in rng.integers(1, 4, size=200)]
     for windows in (ragged, sparse, pool_runs_short()):
         pool = fitting._ExceedancePool(windows, q)
+        n = len(windows)
         for _ in range(300):
-            pick = rng.integers(0, len(windows), size=len(windows))
-            sample = np.abs(np.concatenate([windows[i] for i in pick]))
+            pick = rng.integers(0, n, size=n)
+            counts = np.bincount(pick, minlength=n)
+            sample = counts_resample(windows, counts)
             u = float(np.quantile(sample, q))
-            got_u, got_exc = pool.resample(pick)
+            got_u, got_exc = pool.resample(counts)
             assert got_u == u
             assert np.array_equal(got_exc, sample[sample > u])
+            in_pick_order = np.abs(np.concatenate([windows[i] for i in pick]))
+            assert float(np.quantile(in_pick_order, q)) == u
 
 
 def test_fit_g_stderr_is_the_oracle_bootstrap(path_windows):
-    flat = np.concatenate(path_windows)
+    flat = path_windows.reshape(-1)
     result = fit_g(flat, [Family.POWER, Family.LOG], windows=path_windows,
                    n_boot=20, boot_seed=9)
     assert result.response.family is Family.POWER

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import jarque_bera, ks_2samp, norm
 
 from ratiotails import (Family, OrderFlowParams, RejectionPolicy,
@@ -12,6 +13,7 @@ from ratiotails import (Family, OrderFlowParams, RejectionPolicy,
                         simulate_path, stream)
 from ratiotails.errors import (DomainError, NonpositiveRatioError,
                                RejectionRateError)
+from ratiotails.simulate import CHUNK
 
 ANTI_NARROW = OrderFlowParams(1.0, 1.0, 0.2, 0.2, -1.0)
 ANTI_WIDE = OrderFlowParams(1.0, 1.0, 0.5, 0.5, -1.0)
@@ -77,6 +79,26 @@ def test_gbm_bit_identical_across_threads(n):
     a = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8, threads=1)
     b = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8, threads=4)
     assert np.array_equal(a.log_prices, b.log_prices)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.integers(1, 3000), st.integers(CHUNK - 3000, CHUNK + 3000)))
+def test_outputs_do_not_depend_on_the_thread_count(seed, n):
+    # 1-4 s for the 8 examples on a 2-vCPU host.  Near CHUNK the
+    # path redraws ~0.4% of its ratios; a short path takes a spread with
+    # no nonpositive ratio in practice, as one redraw could pass 1%
+    narrow = OrderFlowParams(1.0, 1.0, 0.1, 0.1, -1.0)
+    cfg = make_config(params=ANTI_PATH if n > CHUNK // 2 else narrow,
+                      n_steps=n, seed=seed)
+    path, gbm, ratio = zip(*(
+        (simulate_path(cfg, threads=k).log_prices,
+         simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=seed,
+                      threads=k).log_prices,
+         sample_ratio(ANTI_WIDE, n, seed=seed, threads=k).values)
+        for k in (1, 2, 3)))
+    for runs in (path, gbm, ratio):
+        assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
 
 # ---------------------------------------------------------------------------
