@@ -16,17 +16,19 @@ a replayed simulate) takes.  --threads caps the threads that draw the
 path and the forked processes that format its CSV; it defaults to the
 CPUs the process may use and never changes a byte of output.  fit and
 tails parse their CSV on the usable CPUs; the values parsed never
-depend on it.  The other commands compute on one core.
+depend on it.  fit --rho R at R != -1 also searches each candidate's
+nuisance on its own thread, up to the usable CPUs, with the same
+result on any count.  The other commands compute on one core.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
-tails (with any candidates), fit (with or without --overlay), density
-at rho = -1 (plain or with --transform) and replay of their manifests
-pay before computing.  scipy loads inside the functions that compute
-with it, only when they run: density at rho != -1 (scipy.special,
-~0.35 s more) and check --table (scipy.interpolate and
-scipy.optimize).  fit always fits at rho = -1; only an in-process
-fit_g at rho != -1 loads scipy.
+tails (with any candidates), fit at the default --rho -1 (with or
+without --overlay), density at rho = -1 (plain or with --transform)
+and replay of their manifests pay before computing.  scipy loads
+inside the functions that compute with it, only when they run: density
+at rho != -1 (scipy.special, ~0.35 s more), fit at --rho != -1
+(scipy.special and scipy.optimize) and check --table
+(scipy.interpolate and scipy.optimize).
 
 Manifests record one param.<option> entry per option of the command,
 --seed and --threads aside, read off the parser below; replay rebuilds
@@ -52,6 +54,7 @@ from .fileio import (RunManifest, format_key_values, key_values_csv,
                      write_atomic, write_csv)
 from .fitting import (WindowSpec, exponent_report, fit_price_series,
                       scaled_returns)
+from .parallel import usable_cpus
 from .response import (Family, ResponseSpec, check_admissibility,
                        reciprocal_log_grid)
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
@@ -72,14 +75,6 @@ def _env_int(name: str, default: int) -> int:
     except ValueError:
         raise InputFormatError(f"environment variable {name}={raw!r} "
                                "is not an integer")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the default --threads."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _build_response(family: str, q) -> ResponseSpec:
@@ -211,7 +206,7 @@ def _run_density(args) -> int:
 def _run_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _env_int("RATIOTAILS_SEED", 0)
     threads = args.threads if args.threads is not None else \
-        _env_int("RATIOTAILS_THREADS", _usable_cpus())
+        _env_int("RATIOTAILS_THREADS", usable_cpus())
 
     if args.model == "gbm":
         series = simulate_gbm(args.mu, args.sigma, args.dt, args.steps,
@@ -262,9 +257,9 @@ def _run_tails(args) -> int:
     if args.prices and args.as_returns is None:
         raise InputFormatError("--prices requires --as-returns DT")
     if args.samples:
-        values = load_samples(args.samples, _usable_cpus())
+        values = load_samples(args.samples, usable_cpus())
     else:
-        series = load_price_series(args.prices, _usable_cpus())
+        series = load_price_series(args.prices, usable_cpus())
         values = scaled_returns(series, args.as_returns)
 
     kinds = _parse_candidates(args.candidates)
@@ -293,12 +288,13 @@ def _run_tails(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_fit(args) -> int:
-    series = load_price_series(args.prices, _usable_cpus())
+    series = load_price_series(args.prices, usable_cpus())
     w = WindowSpec(args.delta_t, args.big_delta_t, args.stride)
     fams = [f.strip() for f in args.candidates.split(",") if f.strip()]
     result, changes = fit_price_series(
         series, w, fams, interpolate=args.interpolate, return_changes=True,
-        threshold_quantile=args.threshold_quantile, n_boot=args.boot)
+        threshold_quantile=args.threshold_quantile, rho=args.rho,
+        n_boot=args.boot)
     text = exponent_report(result)
     print(text)
     if args.out:
@@ -323,7 +319,7 @@ def _write_overlay(changes, result, path: str) -> None:
     spec, s = result.response, result.nuisance_scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.asarray(spec.inverse(centers / s), dtype=float)
-        model = np.exp(_RatioLaw(result.nuisance_spread, -1.0)
+        model = np.exp(_RatioLaw(result.nuisance_spread, result.rho)
                        .change_log_pdf(spec, s, r))
     model = np.where(np.isfinite(model), model, 0.0)
     write_csv(path, "x,f_model,f_empirical", (centers, model, hist))
@@ -470,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=float, required=True)
     p.add_argument("--candidates", default="power,log")
     p.add_argument("--threshold-quantile", type=float, default=0.998)
+    p.add_argument("--rho", type=float, default=-1.0,
+                   help="correlation of the order-flow pair, in [-1, 1)")
     p.add_argument("--interpolate", action="store_true")
     p.add_argument("--boot", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -13,10 +13,12 @@ search is a bounded Brent over log-scale, bracketed by the 0.95 |change|
 quantile, around a bounded Brent over the spread at each scale; it runs
 on numpy and the standard library alone (erf closed forms, a port of
 scipy's bounded Brent).  Any other rho polishes with scipy's Nelder-Mead
-on Hinkley's density, and only then loads scipy.  Families are then
-ranked by a composite average log-likelihood over bulk and tail, and
-near-ties go to the family with fewer parameters or are reported as
-non-identifiable.
+on Hinkley's density, and only then loads scipy; there each candidate's
+tail stage and search run on their own thread, up to the usable CPUs,
+and the result does not depend on how many there are.  Families are
+then ranked by a composite average log-likelihood over bulk and tail,
+and near-ties go to the family with fewer parameters or are reported
+as non-identifiable.
 
 All reported response shapes are identified only up to the time-constant
 scale, which no price series can pin down by itself.
@@ -33,6 +35,7 @@ from .density import (OrderFlowParams, positive_ratio_mass, ratio_cdf,
                       ratio_density)
 from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
+from .parallel import thread_map, usable_cpus
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
 from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior,
@@ -381,7 +384,9 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
     step is a pass over Hinkley's density, and Nelder-Mead polishes
     (logit nu, log-scale) from the rho = -1 optimum.
     """
-    sub = bulk[::max(1, bulk.size // 30000)]
+    # gathered once: every pass divides the subsample by a scale, and a
+    # strided view makes each of those reads miss the cache
+    sub = np.ascontiguousarray(bulk[::max(1, bulk.size // 30000)])
     best_nu = {}
 
     def negative(log_scale: float) -> float:
@@ -425,7 +430,8 @@ class FitResult:
 
     ``implied_tail`` always equals the predicted tail of the fitted
     response evaluated at the parameter estimate.  ``scores`` holds the
-    composite per-point average log-likelihood of every candidate.
+    composite per-point average log-likelihood of every candidate, and
+    ``rho`` the correlation the nuisance was fitted at.
     """
 
     response: ResponseSpec
@@ -438,6 +444,7 @@ class FitResult:
     nuisance_spread: float
     nuisance_scale: float
     notes: list = field(default_factory=list)
+    rho: float = -1.0
 
     def key_values(self) -> dict:
         d = {"family": self.response.family.value,
@@ -484,7 +491,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     the parameter standard error, appropriate when windows overlap;
     otherwise a tail-asymptotic standard error is reported for the POWER
     family and none for the discrete families.  Unknown or repeated
-    candidates and a threshold quantile outside (0, 1) raise DomainError.
+    candidates, a threshold quantile outside (0, 1) and a ``rho`` outside
+    [-1, 1) raise DomainError.
     """
     c = np.asarray(changes, dtype=float)
     if c.ndim != 1 or c.size < 100:
@@ -500,6 +508,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     if not 0.0 < threshold_quantile < 1.0:
         raise DomainError(f"threshold quantile {threshold_quantile} is "
                           "outside (0, 1)")
+    if not -1.0 <= rho < 1.0:
+        raise DomainError(f"correlation rho={rho} is outside [-1, 1)")
 
     a = np.abs(c)
     u, q95 = map(float, np.quantile(a, [threshold_quantile, 0.95]))
@@ -511,15 +521,29 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     if not (q95 > 0.0):
         raise DomainError("changes are identically zero; nothing to fit")
     bulk = c[a <= u]
+    del a  # |c| is dead; its memory offsets the search threads' arenas
     p_tail = exc.size / c.size
+
+    def search(fam: Family):
+        param, tail_ll = _tail_stage(fam, exc, u)
+        spec = ResponseSpec(fam, param)
+        return (spec, param, tail_ll) + _fit_nuisance(spec, q95, bulk, u, rho)
+
+    # Off rho = -1 a search is hundreds of passes over Hinkley's density,
+    # so each candidate searches on its own thread.  At rho = -1 it is a
+    # few dozen ~1 ms passes, which a pool does not shorten.
+    threads = 1 if rho == -1.0 else usable_cpus()
+    if threads > 1:  # loaded here, not by two search threads at once
+        import scipy.optimize  # noqa: F401
+    searched = thread_map(search, fams, threads)
 
     notes: list[str] = []
     fitted = {}
     scores = {}
-    for fam in fams:
-        param, tail_ll = _tail_stage(fam, exc, u)
-        spec = ResponseSpec(fam, param)
-        nu, scale, law, bound_notes = _fit_nuisance(spec, q95, bulk, u, rho)
+    # full-bulk scores stay on this thread: scored in a worker, their
+    # chunk temporaries would stay resident in that thread's malloc arena
+    for fam, (spec, param, tail_ll, nu, scale, law, bound_notes) in zip(
+            fams, searched):
         bulk_ll = law.bulk_score(spec, scale, bulk, u)
         score = (1.0 - p_tail) * bulk_ll + p_tail * tail_ll
         fitted[fam] = (spec, param, nu, scale, bound_notes)
@@ -548,7 +572,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     return FitResult(response=spec, param_estimate=param, param_stderr=stderr,
                      implied_tail=spec.predicted_tail(), scores=scores,
                      n_samples=int(c.size), threshold=u,
-                     nuisance_spread=nu, nuisance_scale=scale, notes=notes)
+                     nuisance_spread=nu, nuisance_scale=scale, notes=notes,
+                     rho=rho)
 
 
 def _param_stderr(family: Family, param, changes, windows,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .density import OrderFlowParams
 from .errors import DomainError, NonpositiveRatioError, RejectionRateError
+from .parallel import thread_map
 from .response import ResponseSpec
 
 __all__ = [
@@ -62,12 +62,7 @@ def _chunks(n: int):
 
 def _run_chunks(fn, n: int, threads: int = 1) -> list:
     """Evaluate fn(index, count) per chunk, results in chunk order."""
-    jobs = list(_chunks(n))
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(i, c) for i, c in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i, c) for i, c in jobs]
-        return [f.result() for f in futures]
+    return thread_map(lambda job: fn(*job), _chunks(n), threads)
 
 
 # ---------------------------------------------------------------------------

@@ -434,12 +434,40 @@ def test_fit_overlay_extracts_the_changes_once(tmp_path, monkeypatch):
         response=ResponseSpec(Family(kv["family"]),
                               float(kv["param"]) if kv["param"] else None),
         nuisance_spread=float(kv["nuisance_spread"]),
-        nuisance_scale=float(kv["nuisance_scale"]))
+        nuisance_scale=float(kv["nuisance_scale"]), rho=-1.0)
     fresh = tmp_path / "fresh.csv"
     cli._write_overlay(extract(load_price_series(str(prices)),
                                WindowSpec(1e-6, 1e-4, 1e-4)),
                        fitted, str(fresh))
     assert overlay.read_bytes() == fresh.read_bytes()
+
+
+def test_fit_at_a_given_correlation_records_and_replays_it(tmp_path):
+    prices = _simulate_prices(tmp_path, "p.csv", steps=50000)
+    report, overlay = tmp_path / "fit.txt", tmp_path / "overlay.csv"
+    argv = ["fit", "--prices", prices, "--delta-t", 1e-6,
+            "--big-delta-t", 1e-4, "--stride", 1e-4]
+    assert run(*argv, "--rho", -0.5, "--out", report,
+               "--overlay", overlay) == 0
+    manifest = tmp_path / "fit.txt.manifest"
+    assert parse_key_values(manifest.read_text())["param.rho"] == "-0.5"
+    # the overlay draws the law at the fitted correlation
+    kv = parse_key_values(report.read_text())
+    assert kv["family"] == "power"
+    x, f_model, _ = np.loadtxt(overlay, delimiter=",", skiprows=1).T
+    nu = float(kv["nuisance_spread"])
+    response = ScaledResponse(ResponseSpec(Family.POWER, float(kv["param"])),
+                              float(kv["nuisance_scale"]))
+    want = TransformedDensity(OrderFlowParams(1.0, 1.0, nu, nu, -0.5),
+                              response)(x)
+    np.testing.assert_allclose(f_model, want, rtol=1e-12, atol=0.0)
+    first, drawn = report.read_bytes(), overlay.read_bytes()
+    again = tmp_path / "again.txt"
+    assert run("replay", manifest, "--out", again) == 0
+    assert again.read_bytes() == first
+    assert overlay.read_bytes() == drawn
+    for bad in (1, 1.5, -1.01, "nan"):
+        assert run(*argv, "--rho", bad) == 2
 
 
 def test_fit_non_identifiable_exit_code(tmp_path, capsys):
@@ -790,17 +818,12 @@ def test_commands_that_compute_with_scipy_load_it_when_they_run(tmp_path):
         f"{float(x)!r},{float(x - 1.0)!r}" for x in xs) + "\n")
     # each command must load its own scipy module, not ride on an earlier
     # one's; the stretched tails fit loads none; check exits 1:
-    # g(x) = x - 1 is not antisymmetric
+    # g(x) = x - 1 is not antisymmetric.  fit --rho runs alone: density
+    # would already have loaded its scipy.special
     code = """
 import contextlib, io, sys
 from ratiotails.cli import main
-runs = [
-    ["density", "--rho", "-0.5", "--out", "d.csv"],
-    ["tails", "--prices", "p.csv", "--as-returns", "1e-6",
-     "--candidates", "power,stretched", "--out", "t.txt"],
-    ["check", "--table", "g.csv", "--grid-max-log", "2.7"],
-]
-for argv in runs:
+for argv in {runs!r}:
     before = set(sys.modules)
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -808,10 +831,20 @@ for argv in runs:
                        if m in ("scipy.special", "scipy.optimize",
                                 "scipy.interpolate")))
 """
-    out = _fresh_python(code, tmp_path)
+    out = _fresh_python(code.format(runs=[
+        ["density", "--rho", "-0.5", "--out", "d.csv"],
+        ["tails", "--prices", "p.csv", "--as-returns", "1e-6",
+         "--candidates", "power,stretched", "--out", "t.txt"],
+        ["check", "--table", "g.csv", "--grid-max-log", "2.7"],
+    ]), tmp_path)
     assert out.stdout.splitlines() == [
         "0 ['scipy.special']", "0 []",
         "1 ['scipy.interpolate', 'scipy.optimize']"]
+    out = _fresh_python(code.format(runs=[
+        ["fit", "--prices", "p.csv", "--delta-t", "1e-6", "--big-delta-t",
+         "1e-4", "--stride", "1e-4", "--rho", "-0.5", "--out", "f.txt"],
+    ]), tmp_path)
+    assert out.stdout.splitlines() == ["0 ['scipy.optimize', 'scipy.special']"]
 
 
 # ---------------------------------------------------------------------------

@@ -663,6 +663,44 @@ def test_anticorr_limits_at_infinity(mu1, mu2, sigma1, sigma2, x):
     assert cdf[1] == pytest.approx(ratio_cdf_anticorr(params, x), rel=1e-14)
 
 
+_MAGNITUDES = np.geomspace(1e-300, 1e300, 601)
+HYPOT_GRID = np.concatenate([[-np.inf], -_MAGNITUDES[::-1], [0.0],
+                             _MAGNITUDES, [np.inf]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.7, 0.99])
+def test_standardized_spread_matches_hypot(rho, monkeypatch):
+    # a = sqrt((t - rho)^2 + s^2) without np.hypot: within an ulp or two
+    # of it, and exactly |t - rho| where the square overflows; the law
+    # moves by rounding only, and its zeros stay zeros
+    from ratiotails import density as density_module
+
+    params = OrderFlowParams(1.0, 1.5, 0.4, 0.5, rho)
+    standardized = density_module._standardized
+    s, _, _, a, _, _ = standardized(params, HYPOT_GRID)
+    t = density_module._finite(HYPOT_GRID) * (params.sigma2 / params.sigma1)
+    with np.errstate(over="ignore"):
+        far = np.isinf((t - rho) ** 2)
+    assert far.sum() > 100
+    assert np.array_equal(a[far], np.abs(t - rho)[far])
+    np.testing.assert_allclose(a, np.hypot(t - rho, s), rtol=5e-16, atol=0)
+
+    def with_hypot(params, x):
+        s, m1, m2, _, _, b = standardized(params, x)
+        t = density_module._finite(x) * (params.sigma2 / params.sigma1)
+        a = np.hypot(t - params.rho, s)
+        return s, m1, m2, a, (m2 * t - m1) / a, b
+
+    pdf, cdf = ratio_density(params, HYPOT_GRID), ratio_cdf(params, HYPOT_GRID)
+    monkeypatch.setattr(density_module, "_standardized", with_hypot)
+    ref_pdf = ratio_density(params, HYPOT_GRID)
+    ref_cdf = ratio_cdf(params, HYPOT_GRID)
+    assert (ref_pdf == 0.0).sum() > 100
+    np.testing.assert_allclose(pdf, ref_pdf, rtol=1e-12, atol=0)  # 0 stays 0
+    np.testing.assert_allclose(cdf, ref_cdf, rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # DensityCurve container
 # ---------------------------------------------------------------------------

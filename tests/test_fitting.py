@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -354,6 +355,73 @@ def test_a_nuisance_estimate_on_its_search_bound_is_noted():
                              WindowSpec(1e-8, 1e-6, 1e-6), n_boot=0)
     assert power.response.family is Family.POWER
     assert not any("bound" in note for note in power.notes)
+
+
+def _correlated_power_changes():
+    r = correlated_ratios(6000, -0.5, seed=91)
+    return 1e-6 * (r - 1.0 / r)
+
+
+@pytest.mark.parametrize("fams", [
+    (Family.POWER, Family.LOG),
+    (Family.POWER, Family.LOG, Family.LOG_POWER),
+], ids=["two", "three"])
+def test_correlated_fit_does_not_depend_on_the_cpu_count(fams, monkeypatch):
+    # one CPU searches serially; two and three search the candidates on
+    # their own threads; every field of the result is the same
+    changes = _correlated_power_changes()
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        results.append(fit_g(changes, fams, rho=-0.5, threshold_quantile=0.99))
+    assert results[0] == results[1] == results[2]
+    assert sorted(results[0].scores) == sorted(f.value for f in fams)
+    assert results[0].rho == -0.5
+
+
+def test_fit_at_rho_minus_one_starts_no_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(fitting, "usable_cpus", lambda: 4)
+    changes = _correlated_power_changes()
+    fit_g(changes, (Family.POWER, Family.LOG), threshold_quantile=0.99)
+    assert started == []
+    # the count sees the pool where there is one
+    fit_g(changes, (Family.POWER, Family.LOG), rho=-0.5,
+          threshold_quantile=0.99)
+    assert started
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.5, -1.0000001, math.nan])
+def test_fit_rejects_a_correlation_outside_its_range(rho):
+    with pytest.raises(DomainError, match="outside \\[-1, 1\\)"):
+        fit_g(_correlated_power_changes(), rho=rho)
+
+
+@pytest.mark.parametrize("seed", [777, 778])
+def test_the_true_correlation_recovers_log_from_rho_zero_paths(seed):
+    # on log paths at rho = 0 the default rho = -1 fit prefers power with
+    # q-hat ~0.21; told rho = 0, the fit picks log at the true spread (a
+    # near-tie, 2.5e-5 and 3.6e-5 per point, settled by parameter count)
+    cfg = SimConfig(params=OrderFlowParams(1.0, 1.0, 0.38, 0.38, 0.0),
+                    response=ResponseSpec(Family.LOG), tau0=1.0, dt=1e-6,
+                    n_steps=10 ** 6, p0=1.0, seed=seed)
+    series = simulate_path(cfg)
+    w = WindowSpec(1e-6, 1e-4, 1e-4)
+    default = fit_price_series(series, w, n_boot=0)
+    assert default.response.family is Family.POWER
+    assert default.param_estimate == pytest.approx(0.21, abs=0.02)
+    told = fit_price_series(series, w, n_boot=0, rho=0.0)
+    assert told.response.family is Family.LOG
+    assert any(note.startswith("near-tie") for note in told.notes)
+    assert told.nuisance_spread == pytest.approx(0.38, abs=0.005)
+    assert told.rho == 0.0
 
 
 def test_pipeline_stride_invariance():
