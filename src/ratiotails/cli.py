@@ -16,9 +16,12 @@ a replayed simulate) takes.  --threads caps the threads that draw the
 path and the forked processes that format its CSV; it defaults to the
 CPUs the process may use and never changes a byte of output.  fit and
 tails parse their CSV on the usable CPUs; the values parsed never
-depend on it.  fit --rho R at R != -1 also searches each candidate's
-nuisance on its own thread, up to the usable CPUs, with the same
-result on any count.  The other commands compute on one core.
+depend on it.  fit also scores each candidate on the full bulk on the
+usable CPUs, chunk by chunk, with the same scores on any count, and
+fit --rho R at R != -1 searches each candidate's nuisance on its own
+thread, up to the usable CPUs, with the same result on any count.
+check, density and the classification of tails compute on one core.
+fit and tails check their options before they load any prices.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
@@ -52,14 +55,15 @@ from .fileio import (RunManifest, format_key_values, key_values_csv,
                      load_price_series, load_response_table, load_samples,
                      save_density_curve, save_price_series, sha256_file,
                      write_atomic, write_csv)
-from .fitting import (WindowSpec, exponent_report, fit_price_series,
-                      scaled_returns)
+from .fitting import (WindowSpec, check_fit_options, exponent_report,
+                      fit_price_series, scaled_returns)
 from .parallel import usable_cpus
 from .response import (Family, ResponseSpec, check_admissibility,
                        reciprocal_log_grid)
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
                        simulate_path)
-from .tails import TailKind, classify_tail, threshold_sweep
+from .tails import (TailKind, check_tail_options, classify_tail,
+                    threshold_sweep)
 
 _CANDIDATE_KINDS = {"power": TailKind.POWER_LAW,
                     "exp": TailKind.EXPONENTIAL,
@@ -256,13 +260,14 @@ def _run_tails(args) -> int:
         raise InputFormatError("provide exactly one of --samples / --prices")
     if args.prices and args.as_returns is None:
         raise InputFormatError("--prices requires --as-returns DT")
+    kinds = check_tail_options(_parse_candidates(args.candidates),
+                               args.threshold_quantile)
     if args.samples:
         values = load_samples(args.samples, usable_cpus())
     else:
         series = load_price_series(args.prices, usable_cpus())
         values = scaled_returns(series, args.as_returns)
 
-    kinds = _parse_candidates(args.candidates)
     report = classify_tail(values, kinds,
                            threshold_quantile=args.threshold_quantile,
                            side=args.side)
@@ -288,9 +293,11 @@ def _run_tails(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_fit(args) -> int:
-    series = load_price_series(args.prices, usable_cpus())
     w = WindowSpec(args.delta_t, args.big_delta_t, args.stride)
-    fams = [f.strip() for f in args.candidates.split(",") if f.strip()]
+    fams = check_fit_options(
+        [f.strip() for f in args.candidates.split(",") if f.strip()],
+        args.threshold_quantile, args.rho)
+    series = load_price_series(args.prices, usable_cpus())
     result, changes = fit_price_series(
         series, w, fams, interpolate=args.interpolate, return_changes=True,
         threshold_quantile=args.threshold_quantile, rho=args.rho,

@@ -14,11 +14,13 @@ quantile, around a bounded Brent over the spread at each scale; it runs
 on numpy and the standard library alone (erf closed forms, a port of
 scipy's bounded Brent).  Any other rho polishes with scipy's Nelder-Mead
 on Hinkley's density, and only then loads scipy; there each candidate's
-tail stage and search run on their own thread, up to the usable CPUs,
-and the result does not depend on how many there are.  Families are
-then ranked by a composite average log-likelihood over bulk and tail,
-and near-ties go to the family with fewer parameters or are reported
-as non-identifiable.
+tail stage and search run on their own thread, up to the usable CPUs.
+The searches run on a ~30k-point subsample of the bulk; each winner is
+then scored on the full bulk, whose fixed 65 536-point chunks map over
+the usable CPUs at every rho.  The result does not depend on how many
+CPUs there are.  Families are then ranked by a composite average
+log-likelihood over bulk and tail, and near-ties go to the family with
+fewer parameters or are reported as non-identifiable.
 
 All reported response shapes are identified only up to the time-constant
 scale, which no price series can pin down by itself.
@@ -26,7 +28,9 @@ scale, which no price series can pin down by itself.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +51,7 @@ __all__ = [
     "relative_changes",
     "scaled_returns",
     "FitResult",
+    "check_fit_options",
     "fit_g",
     "fit_price_series",
     "exponent_report",
@@ -201,17 +206,32 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
 # ---------------------------------------------------------------------------
 
 _NU_LO, _NU_HI = 0.02, 0.97
-_CHUNK = 1 << 16  # points per pass; bounds a full-bulk score's temporaries
+_CHUNK = 1 << 16  # points per chunk of a full-bulk pass: the unit of its
+                  # thread map and of its summation order, so, as with
+                  # simulate.CHUNK, changing it changes output bits
 
 
-def _ratios(spec: ResponseSpec, scale: float, points: np.ndarray):
-    """The ratios behind ``points`` at ``scale``, one chunk at a time;
-    r = inf marks a point with no positive finite ratio."""
-    for i in range(0, points.size, _CHUNK):
+def _chunk_sums(sums, spec: ResponseSpec, scale: float, points: np.ndarray):
+    """``sums`` of the ratios behind each _CHUNK points of ``points`` at
+    ``scale``, added in chunk order.  ``sums`` maps one chunk's ratios,
+    r = inf marking a point with no positive finite ratio, to a tuple.
+
+    The chunks map over the usable CPUs, and a pass of one chunk (a
+    search's subsample) stays on the calling thread.  Each chunk's sums
+    are numpy's pairwise ones, and the totals add them in chunk order,
+    so every float is the serial one on any number of threads.
+    """
+    def chunk(start: int):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.asarray(spec.inverse(points[i:i + _CHUNK] / scale),
+            r = np.asarray(spec.inverse(points[start:start + _CHUNK] / scale),
                            dtype=float)
-        yield np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
+        r[~(np.isfinite(r) & (r > 0.0))] = np.inf
+        return sums(r)
+
+    parts = thread_map(chunk, range(0, points.size, _CHUNK), usable_cpus())
+    # a plain left fold: builtins.sum compensates floats from Python 3.12
+    return [functools.reduce(operator.add, column, 0)
+            for column in zip(*parts)]
 
 
 def _threshold_ratio(spec: ResponseSpec, scale: float, u: float) -> float:
@@ -282,15 +302,34 @@ class _RatioLaw:
         """Average conditional log-likelihood of the sub-threshold points."""
         if self.params.is_anticorrelated:
             return _profile(spec, scale, points, u)(self.params.sigma1)
-        total = 0.0
-        for r in _ratios(spec, scale, points):
+
+        def sums(r):
             ll = self.change_log_pdf(spec, scale, r)
-            total += float(np.sum(np.where(np.isfinite(ll), ll, _LL_FLOOR)))
+            ll[~np.isfinite(ll)] = _LL_FLOOR
+            return (float(np.sum(ll)),)
+
+        total, = _chunk_sums(sums, spec, scale, points)
         r_u = _threshold_ratio(spec, scale, u)
         bulk_mass = 2.0 * float(self.cdf_pos(r_u)) - 1.0
         if bulk_mass <= 0.0:
             return _LL_FLOOR
         return total / points.size - math.log(bulk_mass)
+
+
+def _profile_sums(spec: ResponseSpec, r: np.ndarray):
+    """(count, sum t^2, sum w) of the ratios ``r`` whose t = (r-1)/(r+1)
+    and w = -2 log1p(r) - log g'(r) are finite, computed in place."""
+    with np.errstate(invalid="ignore"):
+        t = np.subtract(r, 1.0)
+        t /= r + 1.0
+        w = np.log1p(r)
+        w *= -2.0
+        w -= spec.log_deriv(r)
+    ok = np.isfinite(t)
+    ok &= np.isfinite(w)
+    t = t[ok]
+    t *= t
+    return t.size, float(np.sum(t)), float(np.sum(w[ok]))
 
 
 def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
@@ -302,20 +341,13 @@ def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
     per point the mean separates into c(nu) - sum(t^2)/(2 n nu^2)
     + sum(w)/n - log s - log pos_mass(nu) - log bulk_mass(nu, s), so the
     pass keeps only (count, sum t^2, sum w) of the points whose t and w
-    are finite; the rest score the floor, whatever nu.  The sums are
-    numpy's pairwise ones, which round alike on any number of threads,
-    and the score of one nu is plain float arithmetic on them.
+    are finite (``_profile_sums``); the rest score the floor, whatever
+    nu.  The sums are the serial ones on any number of threads (see
+    ``_chunk_sums``), and the score of one nu is plain float arithmetic
+    on them.
     """
-    n_ok, st2, sw = 0, 0.0, 0.0
-    for r in _ratios(spec, scale, points):
-        with np.errstate(invalid="ignore"):
-            t = (r - 1.0) / (r + 1.0)
-            w = -2.0 * np.log1p(r) - spec.log_deriv(r)
-        ok = np.isfinite(t) & np.isfinite(w)
-        t = t[ok]
-        n_ok += t.size
-        st2 += float(np.sum(t * t))
-        sw += float(np.sum(w[ok]))
+    n_ok, st2, sw = _chunk_sums(functools.partial(_profile_sums, spec),
+                                spec, scale, points)
     r_u = _threshold_ratio(spec, scale, u)
     t_u = (r_u - 1.0) / (r_u + 1.0)
     n = points.size
@@ -463,6 +495,26 @@ class FitResult:
         return d
 
 
+def check_fit_options(candidates, threshold_quantile: float,
+                      rho: float) -> list[Family]:
+    """The candidate families of a fit, once its options are known good:
+    unknown or repeated candidates, a threshold quantile outside (0, 1)
+    and a ``rho`` outside [-1, 1) raise DomainError.  ``fit_g`` checks
+    its options here, and the command line before it loads any prices."""
+    try:
+        fams = [Family(f) for f in candidates]
+    except ValueError as exc:
+        raise DomainError(f"unknown candidate family: {exc}") from None
+    if not fams or len(set(fams)) < len(fams):
+        raise DomainError(f"need distinct candidates, got [{', '.join(fams)}]")
+    if not 0.0 < threshold_quantile < 1.0:
+        raise DomainError(f"threshold quantile {threshold_quantile} is "
+                          "outside (0, 1)")
+    if not -1.0 <= rho < 1.0:
+        raise DomainError(f"correlation rho={rho} is outside [-1, 1)")
+    return fams
+
+
 def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
           threshold_quantile: float = 0.998, rho: float = -1.0,
           windows=None, n_boot: int | None = None,
@@ -490,26 +542,15 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     ragged ones included) enables window-level bootstrap of
     the parameter standard error, appropriate when windows overlap;
     otherwise a tail-asymptotic standard error is reported for the POWER
-    family and none for the discrete families.  Unknown or repeated
-    candidates, a threshold quantile outside (0, 1) and a ``rho`` outside
-    [-1, 1) raise DomainError.
+    family and none for the discrete families.  Bad options raise
+    DomainError (see ``check_fit_options``).
     """
     c = np.asarray(changes, dtype=float)
     if c.ndim != 1 or c.size < 100:
         raise DomainError("need a flat sample of at least 100 changes")
     if not np.all(np.isfinite(c)):
         raise DomainError("changes contain non-finite values")
-    try:
-        fams = [Family(f) for f in candidates]
-    except ValueError as exc:
-        raise DomainError(f"unknown candidate family: {exc}") from None
-    if not fams or len(set(fams)) < len(fams):
-        raise DomainError(f"need distinct candidates, got [{', '.join(fams)}]")
-    if not 0.0 < threshold_quantile < 1.0:
-        raise DomainError(f"threshold quantile {threshold_quantile} is "
-                          "outside (0, 1)")
-    if not -1.0 <= rho < 1.0:
-        raise DomainError(f"correlation rho={rho} is outside [-1, 1)")
+    fams = check_fit_options(candidates, threshold_quantile, rho)
 
     a = np.abs(c)
     u, q95 = map(float, np.quantile(a, [threshold_quantile, 0.95]))
@@ -540,8 +581,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     notes: list[str] = []
     fitted = {}
     scores = {}
-    # full-bulk scores stay on this thread: scored in a worker, their
-    # chunk temporaries would stay resident in that thread's malloc arena
+    # one candidate at a time: each full-bulk score maps its chunks over
+    # the usable CPUs itself (see _chunk_sums)
     for fam, (spec, param, tail_ll, nu, scale, law, bound_notes) in zip(
             fams, searched):
         bulk_ll = law.bulk_score(spec, scale, bulk, u)

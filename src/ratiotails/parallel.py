@@ -1,15 +1,16 @@
 """The CPUs this process may use, and an order-keeping thread map over them.
 
 ``usable_cpus`` is the default thread count of the simulator's chunk
-draws, the worker count of the CSV parse, and the thread count of the
-correlated fit's per-candidate searches; the draws and the searches run
+draws, the worker count of the CSV parse, the thread count of the
+correlated fit's per-candidate searches and of every full-bulk
+likelihood pass of the fit; the draws, the searches and the passes run
 through ``thread_map``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 
 def usable_cpus() -> int:
@@ -21,12 +22,49 @@ def usable_cpus() -> int:
 
 
 def thread_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], on up to ``threads`` worker threads when
-    there is more than one item and more than one thread.  The results
-    keep the order of ``items``, the first exception in that order is
-    raised, and every worker has been joined when this returns."""
+    """[fn(x) for x in items], on up to ``threads`` threads when there is
+    more than one item and more than one thread: the calling thread and
+    ``threads`` - 1 workers take the items in order from one queue.  The
+    results keep the order of ``items``, the first exception in that
+    order is raised, and every worker has been joined when this returns.
+
+    The caller takes items too, so a map starts one thread fewer, and
+    keeps one malloc arena fewer resident for the rest of the process.
+    After an exception no item is taken, but every item taken before it
+    runs to its end; they are the earlier ones, so the exception raised
+    is the first in order of all the items.
+    """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items)) - 1
+    if workers < 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    order = iter(range(len(items)))
+
+    def drain():
+        while True:
+            with lock:
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised by the caller, in order
+                with lock:
+                    errors[i] = exc
+
+    pool = []
+    try:
+        for _ in range(workers):
+            thread = threading.Thread(target=drain)
+            thread.start()
+            pool.append(thread)
+        drain()
+    finally:
+        for thread in pool:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -197,30 +197,51 @@ class ResponseSpec:
         call.  POWER's slope is written through L = q |log x|, the log
         of u = max(x, 1/x)**q, as log q - log x + L + log1p(exp(-2 L)),
         so no power of x is formed; SYM and ODD_POWER's 1 + x**-2 factor
-        are its q = 1 case.
+        are its q = 1 case.  The arithmetic runs in place on at most
+        three arrays of x's size; a scalar goes through a 1-element array.
         """
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(x)
         fam = self.family
         n = 1 if self.param is None else int(self.param)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lx = np.log(x)
             if fam is Family.LOG:
-                out = -lx
-            elif fam is Family.LOG_POWER:
+                out = np.negative(lx, out=lx)
+            elif fam is Family.LOG_POWER and n == 1:
                 # n = 1 skips 0 * log|log x|, which is NaN at x = 1
-                out = (math.log(n) - lx if n == 1 else
-                       math.log(n) + (n - 1) * np.log(np.abs(lx)) - lx)
+                out = np.subtract(math.log(n), lx, out=lx)
+            elif fam is Family.LOG_POWER:
+                # log n + (n - 1) log|log x| - log x
+                out = np.abs(lx)
+                np.log(out, out=out)
+                out *= n - 1
+                out += math.log(n)
+                out -= lx
             else:
                 # SYM is half of POWER with q = 1, and ODD_POWER's factor
                 # 1 + x**-2 is POWER's slope with q = 1
                 q = self.param if fam is Family.POWER else 1.0
-                big = q * np.abs(lx)
-                out = math.log(q) - lx + big + np.log1p(np.exp(-2.0 * big))
+                big = np.abs(lx)
+                big *= q
+                rest = np.multiply(big, -2.0)
+                np.exp(rest, out=rest)
+                np.log1p(rest, out=rest)
+                out = np.subtract(math.log(q), lx, out=lx)
+                out += big
+                out += rest
                 if fam is Family.SYM:
-                    out = out + math.log(0.5)
+                    out += math.log(0.5)
                 elif fam is Family.ODD_POWER and n > 1:
-                    out = out + (math.log(n)
-                                 + (n - 1) * np.log(np.abs(x - 1.0 / x)))
-        return out if np.ndim(out) else float(out)
+                    # log n + (n - 1) log|x - 1/x|
+                    big = np.divide(1.0, x, out=big)
+                    np.subtract(x, big, out=big)
+                    np.abs(big, out=big)
+                    np.log(big, out=big)
+                    big *= n - 1
+                    big += math.log(n)
+                    out += big
+        return float(out[0]) if scalar else out
 
     def inverse(self, y):
         """Analytic inverse restricted to ratios r > 0.
@@ -243,10 +264,19 @@ class ResponseSpec:
             # u = x**q solves u - 1/u = y; log form keeps huge |y| finite
             ay = np.abs(y)
             with np.errstate(over="ignore"):
-                u = 0.5 * (ay + np.sqrt(ay * ay + 4.0))
-            if np.isinf(u).any():  # ay * ay overflowed; u rounds to ay there
-                u = np.where(np.isinf(u), ay, u)
-            out = np.exp(np.sign(y) * np.log(u) / q)
+                u = np.multiply(ay, ay)
+                u += 4.0
+                np.sqrt(u, out=u)
+                u += ay
+                u *= 0.5
+            big = np.isinf(u)
+            if big.any():  # ay * ay overflowed; u rounds to ay there
+                u[big] = ay[big]
+            del ay, big
+            np.log(u, out=u)
+            u *= np.sign(y)
+            u /= q
+            out = np.exp(u, out=u)
         elif fam is Family.ODD_POWER:
             # x - 1/x = w for w**q = y is SYM at w/2
             out = _sym_inverse(y, 0.5 * np.abs(y) ** (1.0 / q))

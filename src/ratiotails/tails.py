@@ -28,6 +28,7 @@ __all__ = [
     "TailReport",
     "classify_tail",
     "threshold_sweep",
+    "check_tail_options",
     "pareto_index",
     "pareto_loglik",
     "exponential_fit",
@@ -322,6 +323,20 @@ def _prepare(x: np.ndarray, side: str) -> np.ndarray:
     raise DomainError(f"side must be abs, right or left, got {side!r}")
 
 
+def check_tail_options(candidates, threshold_quantile: float) -> list:
+    """The candidate tail classes of a classification, once its options
+    are known good: fewer than two distinct candidates and a threshold
+    quantile outside (0, 1) raise DomainError."""
+    kinds = [TailKind(c) for c in candidates]
+    if len(set(kinds)) < max(len(kinds), 2):
+        raise DomainError("need at least two distinct candidate tail classes, "
+                          f"got [{', '.join(k.value for k in kinds)}]")
+    if not 0.0 < threshold_quantile < 1.0:
+        raise DomainError(f"threshold quantile {threshold_quantile} is "
+                          "outside (0, 1)")
+    return kinds
+
+
 def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
                   threshold_quantile: float = 0.99,
                   side: str = "abs") -> TailReport:
@@ -334,13 +349,7 @@ def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
     tails alike; pass side="right" or "left" to study one side.  Bad
     candidates, samples or quantile raise DomainError.
     """
-    kinds = [TailKind(c) for c in candidates]
-    if len(set(kinds)) < max(len(kinds), 2):
-        raise DomainError("need at least two distinct candidate tail classes, "
-                          f"got [{', '.join(k.value for k in kinds)}]")
-    if not 0.0 < threshold_quantile < 1.0:
-        raise DomainError(f"threshold quantile {threshold_quantile} is "
-                          "outside (0, 1)")
+    kinds = check_tail_options(candidates, threshold_quantile)
     x = np.asarray(samples, dtype=float)
     bad = x[~np.isfinite(x)]
     if bad.size:

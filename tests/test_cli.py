@@ -506,6 +506,32 @@ def test_malformed_fit_options_exit_2(tmp_path, capsys, command, option,
     assert str(value).split(",")[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("fit", "--rho", 1),
+    ("fit", "--big-delta-t", "inf"),
+    ("fit", "--candidates", "power,foo"),
+    ("fit", "--candidates", "power,power"),
+    ("fit", "--threshold-quantile", 1.5),
+    ("tails", "--candidates", "foo"),
+    ("tails", "--candidates", "power,power"),
+    ("tails", "--threshold-quantile", 1.5),
+], ids=["rho", "window-inf", "unknown-candidate", "repeated-candidate",
+        "fit-quantile", "tails-unknown-candidate",
+        "tails-repeated-candidate", "tails-quantile"])
+def test_bad_options_exit_2_before_any_price_loads(tmp_path, monkeypatch,
+                                                   capsys, command, option,
+                                                   value):
+    def fail(*args, **kwargs):
+        raise AssertionError("the prices were loaded")
+
+    monkeypatch.setattr(cli, "load_price_series", fail)
+    window = (("--delta-t", 1e-6, "--big-delta-t", 1e-4, "--stride", 1e-4)
+              if command == "fit" else ("--as-returns", 1e-6))
+    assert run(command, "--prices", tmp_path / "never-read.csv", *window,
+               option, value) == 2
+    assert str(value).split(",")[-1] in capsys.readouterr().err
+
+
 def test_fit_window_violation_exit_code(tmp_path):
     prices = _simulate_prices(tmp_path, "p3.csv", steps=2000, seed=33)
     assert run("fit", "--prices", prices, "--delta-t", 1e-6,

@@ -1,5 +1,6 @@
 """Windowed change extraction and response-family recovery."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         SimConfig, TailKind, WindowSpec, exponent_report,
                         fit_g, fit_price_series, invert_monotone,
                         relative_changes, simulate_gbm, simulate_path)
-from ratiotails import fitting, tails
+from ratiotails import fileio, fitting, tails
 from ratiotails.density import positive_ratio_mass
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
@@ -379,7 +380,68 @@ def test_correlated_fit_does_not_depend_on_the_cpu_count(fams, monkeypatch):
     assert results[0].rho == -0.5
 
 
-def test_fit_at_rho_minus_one_starts_no_thread(monkeypatch):
+def _multi_chunk_changes():
+    # power q = 4 changes: a bulk of three full chunks and part of a
+    # fourth, where LOG's fitted scale leaves points of several chunks
+    # with no finite ratio, so they score the floor
+    r = ratio_positive(3 * fitting._CHUNK + 4001, seed=5)
+    return 1e-6 * (r ** 4 - r ** -4)
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.5])
+def test_a_multi_chunk_fit_does_not_depend_on_the_cpu_count(rho,
+                                                             monkeypatch):
+    changes = _multi_chunk_changes()
+    a = np.abs(changes)
+    bulk = changes[a <= np.quantile(a, 0.998)]
+    assert bulk.size > 3 * fitting._CHUNK
+    log = fit_g(changes, (Family.LOG,), rho=rho)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(bulk / log.nuisance_scale)
+    floor = np.flatnonzero(np.isinf(ratios))
+    assert len(set(floor // fitting._CHUNK)) >= 2
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        results.append(fit_g(changes, (Family.POWER, Family.LOG), rho=rho))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None)])
+def test_profile_sums_are_the_serial_chunk_sums(family, q, monkeypatch):
+    # under LOG the far points of the first and third chunk have no
+    # finite ratio (r = inf or 0) and drop out of the sums
+    spec = ResponseSpec(family, q)
+    points = np.asarray(spec.value(
+        ratio_positive(3 * fitting._CHUNK + 4001, seed=67)))
+    points[[5, 2 * fitting._CHUNK + 3]] = [2e3, -2e3]
+    scale = 0.9
+
+    n_ok, st2, sw = 0, 0.0, 0.0
+    for i in range(0, points.size, fitting._CHUNK):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.asarray(spec.inverse(points[i:i + fitting._CHUNK] / scale))
+            r = np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
+            t = (r - 1.0) / (r + 1.0)
+            w = -2.0 * np.log1p(r) - spec.log_deriv(r)
+        ok = np.isfinite(t) & np.isfinite(w)
+        t = t[ok]
+        n_ok += t.size
+        st2 += float(np.sum(t * t))
+        sw += float(np.sum(w[ok]))
+    if family is Family.LOG:
+        assert n_ok == points.size - 2
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        got = fitting._chunk_sums(functools.partial(fitting._profile_sums,
+                                                    spec),
+                                  spec, scale, points)
+        assert got == [n_ok, st2, sw]
+
+
+def test_a_multi_chunk_fit_leaves_no_thread_running(monkeypatch):
+    # the full-bulk passes map over a worker thread, joined by the time
+    # the fit returns, so a forked CSV pool can still start after it
     started = []
     start = threading.Thread.start
 
@@ -388,14 +450,12 @@ def test_fit_at_rho_minus_one_starts_no_thread(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted)
-    monkeypatch.setattr(fitting, "usable_cpus", lambda: 4)
-    changes = _correlated_power_changes()
-    fit_g(changes, (Family.POWER, Family.LOG), threshold_quantile=0.99)
-    assert started == []
-    # the count sees the pool where there is one
-    fit_g(changes, (Family.POWER, Family.LOG), rho=-0.5,
-          threshold_quantile=0.99)
+    monkeypatch.setattr(fitting, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    fit_g(_multi_chunk_changes(), (Family.POWER, Family.LOG))
     assert started
+    assert threading.active_count() == before
+    assert fileio._fork_context(2) is not None
 
 
 @pytest.mark.parametrize("rho", [1.0, 1.5, -1.0000001, math.nan])

@@ -1,0 +1,109 @@
+"""The order-keeping thread map."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from ratiotails.parallel import thread_map
+
+
+def test_results_keep_the_order_of_the_items():
+    # the earlier items take longest, so they finish last
+    def slow_first(i):
+        time.sleep(0.002 * (12 - i))
+        return i * i
+
+    assert thread_map(slow_first, range(12), 3) == [i * i for i in range(12)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_no_more_threads_run_than_asked_counting_the_caller(threads):
+    before = threading.active_count()
+    lock = threading.Lock()
+    running, peak, seen = [0], [0], set()
+
+    def track(i):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            seen.add(threading.get_ident())
+            assert threading.active_count() - before <= threads - 1
+        time.sleep(0.002)
+        with lock:
+            running[0] -= 1
+        return i
+
+    assert thread_map(track, range(24), threads) == list(range(24))
+    assert peak[0] <= threads
+    assert len(seen) <= threads
+    assert threading.active_count() == before
+
+
+def test_the_first_exception_in_item_order_is_raised_after_every_join():
+    # item 5 raises at once, item 1 only after a wait: item 1's error is
+    # the one raised, and only once every worker has returned
+    before = threading.active_count()
+    done = []
+
+    def fn(i):
+        if i == 1:
+            time.sleep(0.05)
+            raise KeyError(i)
+        if i == 5:
+            raise ValueError(i)
+        time.sleep(0.01)
+        done.append(i)
+        return i
+
+    with pytest.raises(KeyError) as err:
+        thread_map(fn, range(40), 3)
+    assert err.value.args == (1,)
+    assert threading.active_count() == before
+    # no item is taken after an error, but every earlier one runs
+    assert {0, 2, 3, 4} <= set(done)
+    assert len(done) < 38
+
+
+def test_the_callers_own_exception_waits_for_the_workers():
+    before = threading.active_count()
+    caller = threading.get_ident()
+    in_worker = threading.Event()
+    done = []
+
+    def fn(i):
+        if threading.get_ident() == caller:
+            assert in_worker.wait(10)
+            raise KeyError(i)
+        in_worker.set()
+        time.sleep(0.2)
+        done.append(i)
+        return i
+
+    with pytest.raises(KeyError):
+        thread_map(fn, range(2), 2)
+    assert len(done) == 1  # the worker's item ran to its end first
+    assert threading.active_count() == before
+
+
+def test_every_item_runs_once_under_frequent_switches():
+    # more threads than cores, and a switch every microsecond: a lost
+    # update of the shared queue would skip or repeat an item
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        calls = []
+        out = thread_map(lambda i: calls.append(i) or -i, range(5000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [-i for i in range(5000)]
+    assert sorted(calls) == list(range(5000))
+
+
+def test_one_thread_or_one_item_runs_on_the_caller():
+    caller = threading.get_ident()
+    assert thread_map(lambda i: threading.get_ident(), range(3), 1) == \
+        [caller] * 3
+    assert thread_map(lambda i: threading.get_ident(), [0], 4) == [caller]
+    assert thread_map(lambda i: i, [], 4) == []
