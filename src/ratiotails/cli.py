@@ -29,9 +29,8 @@ tails (with any candidates), fit at the default --rho -1 (with or
 without --overlay), density at rho = -1 (plain or with --transform)
 and replay of their manifests pay before computing.  scipy loads
 inside the functions that compute with it, only when they run: density
-at rho != -1 (scipy.special, ~0.35 s more), fit at --rho != -1
-(scipy.special and scipy.optimize) and check --table
-(scipy.interpolate and scipy.optimize).
+at rho != -1 and fit at --rho != -1 (scipy.special, ~0.33 s more), and
+check --table (scipy.interpolate and scipy.optimize).
 
 Manifests record one param.<option> entry per option of the command,
 --seed and --threads aside, read off the parser below; replay rebuilds
@@ -261,7 +260,8 @@ def _run_tails(args) -> int:
     if args.prices and args.as_returns is None:
         raise InputFormatError("--prices requires --as-returns DT")
     kinds = check_tail_options(_parse_candidates(args.candidates),
-                               args.threshold_quantile)
+                               args.threshold_quantile,
+                               args.as_returns if args.prices else None)
     if args.samples:
         values = load_samples(args.samples, usable_cpus())
     else:

@@ -12,9 +12,11 @@ likelihood on the bulk, under one ratio law for every correlation:
 search is a bounded Brent over log-scale, bracketed by the 0.95 |change|
 quantile, around a bounded Brent over the spread at each scale; it runs
 on numpy and the standard library alone (erf closed forms, a port of
-scipy's bounded Brent).  Any other rho polishes with scipy's Nelder-Mead
-on Hinkley's density, and only then loads scipy; there each candidate's
-tail stage and search run on their own thread, up to the usable CPUs.
+scipy's bounded Brent).  Any other rho polishes that optimum on
+Hinkley's density, the one step that loads scipy (scipy.special), with
+a damped Newton method of the package's own (``_newton_polish``) in
+some 20-70 passes.  There each candidate's tail stage and search run on
+their own thread, up to the usable CPUs.
 The searches run on a ~30k-point subsample of the bulk; each winner is
 then scored on the full bulk, whose fixed 65 536-point chunks map over
 the usable CPUs at every rho.  The result does not depend on how many
@@ -43,8 +45,8 @@ from .parallel import thread_map, usable_cpus
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
 from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior,
-                    exponential_fit, pareto_index, pareto_loglik,
-                    stretched_loglik, stretched_scale)
+                    check_return_interval, exponential_fit, pareto_index,
+                    pareto_loglik, stretched_loglik, stretched_scale)
 
 __all__ = [
     "WindowSpec",
@@ -101,13 +103,15 @@ def _uniform_step(times: np.ndarray) -> float | None:
 
 def _step_multiple(times: np.ndarray, delta_t: float) -> tuple[int, float]:
     """(j, h): the step h of uniformly spaced ``times`` and the integer j
-    with delta_t = j h.  Ragged stamps, or a delta_t that is no positive
-    multiple of h, raise TimestampError."""
+    with delta_t = j h.  A delta_t that is not positive and finite raises
+    DomainError; ragged stamps, or a delta_t that is no positive multiple
+    of h, raise TimestampError."""
+    check_return_interval(delta_t)
     h = _uniform_step(times)
     if h is None:
         raise TimestampError(
             f"returns over {delta_t:g} need uniformly spaced timestamps")
-    j = delta_t / h  # round raises on nan and inf
+    j = delta_t / h  # inf when h is far below delta_t
     if not math.isfinite(j) or abs(j - round(j)) > 1e-6 * max(j, 1.0) \
             or round(j) < 1:
         raise TimestampError(
@@ -366,12 +370,89 @@ def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
 
 
 def _nu_from_t(t: float) -> float:
-    return _NU_LO + (_NU_HI - _NU_LO) / (1.0 + math.exp(-t))
+    """The spread at logit t: in [_NU_LO, _NU_HI] and monotone for every
+    float t.  exp(-t) overflows below t = -709.78, so t stops at -700,
+    where the spread is _NU_LO already (it is from t ~ -40).  e/(1 + e)
+    with e = exp(t) would not overflow, but it is not monotone: it steps
+    down an ulp between some neighbouring floats."""
+    return _NU_LO + (_NU_HI - _NU_LO) / (1.0 + math.exp(-max(t, -700.0)))
 
 
 def _t_from_nu(nu: float) -> float:
     nu = min(max(nu, _NU_LO + 1e-6), _NU_HI - 1e-6)
     return math.log((nu - _NU_LO) / (_NU_HI - nu))
+
+
+_POLISH_H = 1e-4       # half-width of the polish's difference stencil
+_POLISH_XTOL = 1e-7    # an accepted step this short ends the polish
+_POLISH_EVALS = 400    # and this many evaluations end it in any case
+
+
+def _newton_polish(f, x: tuple[float, float]) -> tuple[float, float]:
+    """A local minimum of f over the plane, by damped Newton steps from x.
+
+    Each iteration takes the gradient g and Hessian H of f at x by
+    central differences on a fixed stencil: +-h on each axis and the
+    (+h, +h) and (-h, -h) diagonal points, h = _POLISH_H.  It proposes
+    the step -(H + mu I)^-1 g, mu = 0 when H is positive definite and
+    otherwise just past minus its least eigenvalue, cut to a trust
+    radius.  A step to a point where f is no lower is rejected: the
+    radius halves below its length and the step is cut again.  An
+    accepted step sets it to at least twice its length.  A non-finite f,
+    or an OverflowError, counts as worse.  The polish stops once an
+    accepted (or rejected) step moves each coordinate by less than
+    _POLISH_XTOL, at a non-finite difference, or where another iteration
+    would pass _POLISH_EVALS evaluations of f.
+    """
+    def value(p):
+        try:
+            v = f(p)
+        except OverflowError:
+            return math.inf
+        return v if math.isfinite(v) else math.inf
+
+    h = _POLISH_H
+    fx = value(x)
+    evals, radius = 1, 1.0
+    while evals + 7 <= _POLISH_EVALS:
+        x0, x1 = x
+        f1p, f1m = value((x0 + h, x1)), value((x0 - h, x1))
+        f2p, f2m = value((x0, x1 + h)), value((x0, x1 - h))
+        fpp, fmm = value((x0 + h, x1 + h)), value((x0 - h, x1 - h))
+        evals += 6
+        g0, g1 = (f1p - f1m) / (2.0 * h), (f2p - f2m) / (2.0 * h)
+        a = (f1p - 2.0 * fx + f1m) / (h * h)
+        c = (f2p - 2.0 * fx + f2m) / (h * h)
+        b = 0.5 * ((fpp - 2.0 * fx + fmm) / (h * h) - a - c)
+        if not all(map(math.isfinite, (g0, g1, a, b, c))):
+            break
+        # H's eigenvalues hi >= lo, hi's eigenvector (cos w, sin w)
+        mid, half = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+        hi, lo = mid + half, mid - half
+        w = 0.5 * math.atan2(2.0 * b, a - c)
+        cw, sw = math.cos(w), math.sin(w)
+        mu = 0.0 if lo > 0.0 else 1e-3 * (hi - lo) + 1e-12 - lo
+        along_hi = -(cw * g0 + sw * g1) / (hi + mu)
+        along_lo = -(cw * g1 - sw * g0) / (lo + mu)
+        s0, s1 = cw * along_hi - sw * along_lo, sw * along_hi + cw * along_lo
+        length = math.hypot(s0, s1)
+        while evals < _POLISH_EVALS:
+            if length > radius:
+                s0, s1 = s0 * (radius / length), s1 * (radius / length)
+                length = radius
+            trial = (x0 + s0, x1 + s1)
+            ft = value(trial)
+            evals += 1
+            if ft < fx:
+                x, fx = trial, ft
+                radius = max(radius, 2.0 * length)
+                break
+            radius = 0.5 * length
+            if max(abs(s0), abs(s1)) < _POLISH_XTOL:
+                break
+        if max(abs(s0), abs(s1)) < _POLISH_XTOL:
+            break
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +494,9 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
     Brent takes nu on [_NU_LO, _NU_HI].  Around it a bounded Brent takes
     log-scale, 1.5 past the ``_scale_seed`` of nu = 0.93 and of 0.05 (the
     seed falls as nu grows), one pass per step.  At any other rho every
-    step is a pass over Hinkley's density, and Nelder-Mead polishes
-    (logit nu, log-scale) from the rho = -1 optimum.
+    score is a pass over Hinkley's density, and ``_newton_polish`` takes
+    (logit nu, log-scale) from the rho = -1 optimum: seven passes per
+    Newton step, some 20-70 in all.
     """
     # gathered once: every pass divides the subsample by a scale, and a
     # strided view makes each of those reads miss the cache
@@ -440,15 +522,11 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
             notes.append(f"nuisance scale {scale:.6g} is on a bound of its "
                          f"search range [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
     else:
-        from scipy.optimize import minimize
-
-        res = minimize(
+        t, log_scale = _newton_polish(
             lambda th: -_RatioLaw(_nu_from_t(th[0]), rho).bulk_score(
                 spec, math.exp(th[1]), sub, u),
-            x0=np.array([_t_from_nu(nu), math.log(scale)]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
-        nu, scale = _nu_from_t(res.x[0]), math.exp(float(res.x[1]))
+            (_t_from_nu(nu), log_scale))
+        nu, scale = _nu_from_t(t), math.exp(log_scale)
     return nu, scale, _RatioLaw(nu, rho), notes
 
 
@@ -570,12 +648,13 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         spec = ResponseSpec(fam, param)
         return (spec, param, tail_ll) + _fit_nuisance(spec, q95, bulk, u, rho)
 
-    # Off rho = -1 a search is hundreds of passes over Hinkley's density,
-    # so each candidate searches on its own thread.  At rho = -1 it is a
-    # few dozen ~1 ms passes, which a pool does not shorten.
+    # Off rho = -1 a search is some 20-70 passes over Hinkley's density,
+    # each ~2 ms on the subsample, so each candidate searches on its own
+    # thread.  At rho = -1 it is a few dozen ~1 ms passes, which a pool
+    # does not shorten.
     threads = 1 if rho == -1.0 else usable_cpus()
     if threads > 1:  # loaded here, not by two search threads at once
-        import scipy.optimize  # noqa: F401
+        import scipy.special  # noqa: F401
     searched = thread_map(search, fams, threads)
 
     notes: list[str] = []

@@ -29,6 +29,7 @@ __all__ = [
     "classify_tail",
     "threshold_sweep",
     "check_tail_options",
+    "check_return_interval",
     "pareto_index",
     "pareto_loglik",
     "exponential_fit",
@@ -323,10 +324,22 @@ def _prepare(x: np.ndarray, side: str) -> np.ndarray:
     raise DomainError(f"side must be abs, right or left, got {side!r}")
 
 
-def check_tail_options(candidates, threshold_quantile: float) -> list:
+def check_return_interval(delta_t: float) -> None:
+    """Raise DomainError unless the return interval delta_t is positive
+    and finite."""
+    if not 0.0 < delta_t < math.inf:
+        raise DomainError(f"return interval delta_t={delta_t:g} is not "
+                          "positive and finite")
+
+
+def check_tail_options(candidates, threshold_quantile: float,
+                       delta_t: float | None = None) -> list:
     """The candidate tail classes of a classification, once its options
-    are known good: fewer than two distinct candidates and a threshold
-    quantile outside (0, 1) raise DomainError."""
+    are known good: fewer than two distinct candidates, a threshold
+    quantile outside (0, 1) and a return interval ``delta_t`` (when
+    given) that is not positive and finite raise DomainError."""
+    if delta_t is not None:
+        check_return_interval(delta_t)
     kinds = [TailKind(c) for c in candidates]
     if len(set(kinds)) < max(len(kinds), 2):
         raise DomainError("need at least two distinct candidate tail classes, "

@@ -515,9 +515,14 @@ def test_malformed_fit_options_exit_2(tmp_path, capsys, command, option,
     ("tails", "--candidates", "foo"),
     ("tails", "--candidates", "power,power"),
     ("tails", "--threshold-quantile", 1.5),
+    ("tails", "--as-returns", "nan"),
+    ("tails", "--as-returns", 0),
+    ("tails", "--as-returns", -1),
+    ("tails", "--as-returns", "inf"),
 ], ids=["rho", "window-inf", "unknown-candidate", "repeated-candidate",
         "fit-quantile", "tails-unknown-candidate",
-        "tails-repeated-candidate", "tails-quantile"])
+        "tails-repeated-candidate", "tails-quantile", "returns-nan",
+        "returns-zero", "returns-negative", "returns-inf"])
 def test_bad_options_exit_2_before_any_price_loads(tmp_path, monkeypatch,
                                                    capsys, command, option,
                                                    value):
@@ -870,7 +875,7 @@ for argv in {runs!r}:
         ["fit", "--prices", "p.csv", "--delta-t", "1e-6", "--big-delta-t",
          "1e-4", "--stride", "1e-4", "--rho", "-0.5", "--out", "f.txt"],
     ]), tmp_path)
-    assert out.stdout.splitlines() == ["0 ['scipy.optimize', 'scipy.special']"]
+    assert out.stdout.splitlines() == ["0 ['scipy.special']"]
 
 
 # ---------------------------------------------------------------------------

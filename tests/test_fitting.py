@@ -550,27 +550,36 @@ def grid_nelder_mead_oracle(spec, q95, sub, u, rho=-1.0):
     21-point spread grid, seeded where the law's 0.95 |change| quantile
     sits at q95, then a Nelder-Mead polish of (logit spread, log-scale),
     each step a per-point pass."""
-    from scipy.optimize import minimize, minimize_scalar
-
-    def negative(nu, log_scale):
-        return -pointwise_score(spec, _RatioLaw(nu, rho), math.exp(log_scale),
-                                sub, u)
+    from scipy.optimize import minimize_scalar
 
     best = (math.inf, None, None)
     for nu in np.geomspace(0.05, 0.93, 21):
         r975 = invert_monotone(_RatioLaw(nu, rho).cdf_pos, 0.975)
         ls0 = math.log(q95 / float(spec.value(r975)))
-        r = minimize_scalar(lambda ls: negative(nu, ls),
-                            bounds=(ls0 - 1.5, ls0 + 1.5), method="bounded",
-                            options={"xatol": 1e-7})
+        r = minimize_scalar(
+            lambda ls: -pointwise_score(spec, _RatioLaw(nu, rho),
+                                        math.exp(ls), sub, u),
+            bounds=(ls0 - 1.5, ls0 + 1.5), method="bounded",
+            options={"xatol": 1e-7})
         if r.fun < best[0]:
             best = (r.fun, float(nu), float(r.x))
     _, nu0, ls0 = best
-    res = minimize(lambda th: negative(fitting._nu_from_t(th[0]), th[1]),
-                   x0=np.array([fitting._t_from_nu(nu0), ls0]),
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
+    res = nelder_mead(spec, sub, u, rho, nu0, ls0)
     return fitting._nu_from_t(res.x[0]), math.exp(res.x[1])
+
+
+def nelder_mead(spec, sub, u, rho, nu0, ls0):
+    """scipy's Nelder-Mead over (logit spread, log-scale) from (nu0, ls0),
+    with the tolerances the correlated search once polished with, each
+    step a per-point pass; ``nfev`` counts the passes."""
+    from scipy.optimize import minimize
+
+    return minimize(
+        lambda th: -pointwise_score(spec, _RatioLaw(fitting._nu_from_t(th[0]),
+                                                    rho),
+                                    math.exp(th[1]), sub, u),
+        x0=np.array([fitting._t_from_nu(nu0), ls0]), method="Nelder-Mead",
+        options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
 
 
 def _split(changes, quantile=0.998):
@@ -619,18 +628,33 @@ def test_profile_search_matches_the_oracle(family, q, changes, ridge):
     (Family.POWER, 1.0, lambda r: 1e-6 * (r - 1.0 / r)),
     (Family.LOG, None, lambda r: 1e-6 * np.log(r)),
 ], ids=["power", "log"])
-def test_correlated_search_matches_the_oracle(family, q, make, rho):
-    # the Nelder-Mead polish from the rho = -1 optimum reaches the
-    # optimum of the spread grid
+def test_correlated_search_matches_the_oracle(family, q, make, rho,
+                                              monkeypatch):
+    # the Newton polish from the rho = -1 optimum reaches the optimum of
+    # the spread grid, in at most half the passes that Nelder-Mead takes
+    # from the same start
     spec = ResponseSpec(family, q)
     q95, bulk, u = _split(make(correlated_ratios(10000, rho, seed=83)))
-    nu, scale, law, _ = fitting._fit_nuisance(spec, q95, bulk, u, rho)
+    passes = []
+    bulk_score = _RatioLaw.bulk_score
+
+    def counted(law, *args):
+        passes.append(args)
+        return bulk_score(law, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_RatioLaw, "bulk_score", counted)
+        nu, scale, law, _ = fitting._fit_nuisance(spec, q95, bulk, u, rho)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u, rho)
     got = law.bulk_score(spec, scale, bulk, u)
     ref = pointwise_score(spec, _RatioLaw(nu_ref, rho), scale_ref, bulk, u)
     assert got >= ref - 1e-12
     assert nu == pytest.approx(nu_ref, rel=1e-5)
     assert scale == pytest.approx(scale_ref, rel=1e-5)
+    # bulk has fewer than 30k points, so the search's subsample is bulk
+    nu0, scale0, _, _ = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
+    start = nelder_mead(spec, bulk, u, rho, nu0, math.log(scale0))
+    assert 0 < len(passes) <= start.nfev / 2
 
 
 @pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None),
@@ -712,6 +736,92 @@ def test_bounded_brent_is_scipys(shape, c, amp, freq, lo, width, log_xatol):
     x, fx = tails._bounded_brent(counted, lo, lo + width, xatol)
     assert x == res.x and fx == res.fun
     assert len(calls) == res.nfev
+
+
+def _wall(kind):
+    """A pseudo-Huber bowl around (1, -1), whose far Newton steps
+    overshoot, behind a line at x = 2.5 past which f is inf or raises
+    OverflowError."""
+    def f(p):
+        x, y = p
+        if x > 2.5:
+            if kind == "overflow":
+                raise OverflowError("math range error")
+            return math.inf
+        return math.sqrt(1.0 + (x - 1.0) ** 2 + (y + 1.0) ** 2)
+
+    return f
+
+
+_POLISH_CASES = {
+    # a curved ridge along y = x**2; its third derivatives are mild
+    # enough that the stencil's O(h**2) error moves the end by < 1e-6
+    "ridge": (lambda p: (1.0 - p[0]) ** 2 + 10.0 * (p[1] - p[0] ** 2) ** 2,
+              (-1.2, 1.0), (1.0, 1.0)),
+    "quadratic": (lambda p: ((p[0] - 3.0) ** 2 + 5.0 * (p[1] + 2.0) ** 2
+                             + 2.0 * (p[0] - 3.0) * (p[1] + 2.0)),
+                  (0.0, 0.0), (3.0, -2.0)),
+    # H is indefinite at the start, near a saddle
+    "indefinite": (lambda p: math.cos(p[0]) + math.cosh(p[1] - 0.5),
+                   (0.3, 0.0), (math.pi, 0.5)),
+    "wall-inf": (_wall("inf"), (-4.0, -1.0), (1.0, -1.0)),
+    "wall-overflow": (_wall("overflow"), (-4.0, -1.0), (1.0, -1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POLISH_CASES))
+def test_newton_polish_reaches_the_known_optimum(name):
+    f, start, optimum = _POLISH_CASES[name]
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return f(p)
+
+    x = fitting._newton_polish(counted, start)
+    assert math.dist(x, optimum) <= 1e-6
+    assert len(calls) <= fitting._POLISH_EVALS
+    if name.startswith("wall"):
+        # the trust radius grew past the line and was cut back
+        assert any(p[0] > 2.5 for p in calls)
+
+
+def test_newton_polish_stops_at_its_evaluation_cap():
+    # exp(-x) + exp(-y) falls toward 0 and has no minimum: every Newton
+    # step is accepted, and moves by 1 on each axis
+    calls = []
+
+    def falling(p):
+        calls.append(p)
+        return math.exp(-p[0]) + math.exp(-p[1])
+
+    x = fitting._newton_polish(falling, (0.0, 0.0))
+    assert fitting._POLISH_EVALS - 7 < len(calls) <= fitting._POLISH_EVALS
+    assert min(x) > 50.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(-710.0, 0.0)
+@example(-1.7976931348623157e308, 1.7976931348623157e308)
+@example(-0.829083, 0.0)  # e/(1 + e), e = exp(t), steps down an ulp here
+def test_the_spread_logistic_is_total_and_monotone(t, other):
+    nu = fitting._nu_from_t(t)
+    assert fitting._NU_LO <= nu <= fitting._NU_HI
+    # monotone against another float and against t's neighbours
+    nearby = (other, math.nextafter(t, -math.inf),
+              math.nextafter(t, math.inf))
+    for s in nearby:
+        assert (fitting._nu_from_t(s) <= nu) if s < t else (
+            fitting._nu_from_t(s) >= nu)
+    # _t_from_nu clamps nu to 1e-6 inside the range; inside that, the two
+    # undo each other
+    if fitting._NU_LO + 1e-6 < nu < fitting._NU_HI - 1e-6:
+        assert fitting._t_from_nu(nu) == pytest.approx(t, rel=1e-12,
+                                                       abs=1e-9)
+        assert fitting._nu_from_t(fitting._t_from_nu(nu)) == pytest.approx(
+            nu, rel=1e-14)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
