@@ -16,12 +16,13 @@ a replayed simulate) takes.  --threads caps the threads that draw the
 path and the forked processes that format its CSV; it defaults to the
 CPUs the process may use and never changes a byte of output.  fit and
 tails parse their CSV on the usable CPUs; the values parsed never
-depend on it.  fit also scores each candidate on the full bulk on the
-usable CPUs, chunk by chunk, with the same scores on any count, and
-fit --rho R at R != -1 searches each candidate's nuisance on its own
-thread, up to the usable CPUs, with the same result on any count.
-check, density and the classification of tails compute on one core.
-fit and tails check their options before they load any prices.
+depend on it.  fit searches each candidate's nuisance on its own
+thread, at any --rho, and scores each candidate on the full bulk
+chunk by chunk, both up to the usable CPUs, with the same result on any
+count.  check, density and the classification of tails compute on one
+core.  fit and tails check their options before they load any prices
+or samples; tails checks --as-returns whenever it is given, and ignores
+a valid one with --samples.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
@@ -61,7 +62,7 @@ from .response import (Family, ResponseSpec, check_admissibility,
                        reciprocal_log_grid)
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
                        simulate_path)
-from .tails import (TailKind, check_tail_options, classify_tail,
+from .tails import (TailKind, check_tail_options, classify_tail, quantile,
                     threshold_sweep)
 
 _CANDIDATE_KINDS = {"power": TailKind.POWER_LAW,
@@ -259,9 +260,10 @@ def _run_tails(args) -> int:
         raise InputFormatError("provide exactly one of --samples / --prices")
     if args.prices and args.as_returns is None:
         raise InputFormatError("--prices requires --as-returns DT")
+    # --as-returns is checked whenever it is given: with --samples it is
+    # ignored, but a malformed one is still bad input
     kinds = check_tail_options(_parse_candidates(args.candidates),
-                               args.threshold_quantile,
-                               args.as_returns if args.prices else None)
+                               args.threshold_quantile, args.as_returns)
     if args.samples:
         values = load_samples(args.samples, usable_cpus())
     else:
@@ -320,7 +322,7 @@ def _write_overlay(changes, result, path: str) -> None:
     density."""
     from .fitting import _RatioLaw
 
-    lo, hi = np.quantile(changes, [0.001, 0.999])
+    lo, hi = quantile(changes, 0.001), quantile(changes, 0.999)
     hist, edges = np.histogram(changes, bins=160, range=(lo, hi), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     spec, s = result.response, result.nuisance_scale

@@ -8,21 +8,27 @@ from the exceedance tail by maximum likelihood, while the order-flow
 nuisance (a symmetric coefficient of variation plus an output scale
 absorbing the adjustment time constant) is fitted by conditional
 likelihood on the bulk, under one ratio law for every correlation:
-``density``'s closed forms.  At the default correlation rho = -1 that
-search is a bounded Brent over log-scale, bracketed by the 0.95 |change|
-quantile, around a bounded Brent over the spread at each scale; it runs
-on numpy and the standard library alone (erf closed forms, a port of
-scipy's bounded Brent).  Any other rho polishes that optimum on
-Hinkley's density, the one step that loads scipy (scipy.special), with
-a damped Newton method of the package's own (``_newton_polish``) in
-some 20-70 passes.  There each candidate's tail stage and search run on
-their own thread, up to the usable CPUs.
-The searches run on a ~30k-point subsample of the bulk; each winner is
-then scored on the full bulk, whose fixed 65 536-point chunks map over
-the usable CPUs at every rho.  The result does not depend on how many
-CPUs there are.  Families are then ranked by a composite average
+``density``'s closed forms.  At the default correlation rho = -1 the law
+is a transformed Gaussian, T = (R - 1)/(R + 1) = nu Z, and a pass works
+in t-space: each family's |log r| and log(r g'(r)) come in closed form
+from the change (``ResponseSpec.log_ratio``, ``log_ratio_slope``), with
+no ratio formed, so a point whose ratio leaves float range scores its
+density.  That search is a bounded Brent over log-scale, bracketed by
+the 0.95 |change| quantile, around a bounded Brent over the spread at
+each scale; it runs on numpy and the standard library alone (erf closed
+forms, a port of scipy's bounded Brent).  Any other rho polishes that
+optimum on Hinkley's density, the one step that loads scipy
+(scipy.special), with a damped Newton method of the package's own
+(``_newton_polish``) in some 20-70 passes.  At every rho each
+candidate's tail stage and search run on their own thread, up to the
+usable CPUs.  The searches run on a ~30k-point subsample of the bulk;
+each winner is then scored on the full bulk, whose fixed 65 536-point
+chunks map over the usable CPUs.  The result does not depend on how
+many CPUs there are.  Families are then ranked by a composite average
 log-likelihood over bulk and tail, and near-ties go to the family with
-fewer parameters or are reported as non-identifiable.
+fewer parameters or are reported as non-identifiable.  The threshold
+and the 0.95 quantile are ``tails.quantile``'s: np.quantile's, bit for
+bit, from one select.
 
 All reported response shapes are identified only up to the time-constant
 scale, which no price series can pin down by itself.
@@ -44,9 +50,10 @@ from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
 from .parallel import thread_map, usable_cpus
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
-from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior,
-                    check_return_interval, exponential_fit, pareto_index,
-                    pareto_loglik, stretched_loglik, stretched_scale)
+from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior, _neighbours,
+                    check_return_interval, exponential_fit, interpolate,
+                    median, pareto_index, pareto_loglik, quantile,
+                    stretched_loglik, stretched_scale)
 
 __all__ = [
     "WindowSpec",
@@ -95,7 +102,7 @@ class WindowSpec:
 
 def _uniform_step(times: np.ndarray) -> float | None:
     diffs = np.diff(times)
-    h = float(np.median(diffs))
+    h = median(diffs)
     if np.all(np.abs(diffs - h) <= 1e-9 * h):
         return h
     return None
@@ -215,10 +222,10 @@ _CHUNK = 1 << 16  # points per chunk of a full-bulk pass: the unit of its
                   # simulate.CHUNK, changing it changes output bits
 
 
-def _chunk_sums(sums, spec: ResponseSpec, scale: float, points: np.ndarray):
-    """``sums`` of the ratios behind each _CHUNK points of ``points`` at
-    ``scale``, added in chunk order.  ``sums`` maps one chunk's ratios,
-    r = inf marking a point with no positive finite ratio, to a tuple.
+def _chunk_sums(sums, points: np.ndarray, scale: float):
+    """``sums`` of each _CHUNK points of ``points`` at ``scale``, added in
+    chunk order.  ``sums`` maps one chunk's changes over the scale, y/s
+    (a new array it may overwrite), to a tuple.
 
     The chunks map over the usable CPUs, and a pass of one chunk (a
     search's subsample) stays on the calling thread.  Each chunk's sums
@@ -226,11 +233,7 @@ def _chunk_sums(sums, spec: ResponseSpec, scale: float, points: np.ndarray):
     so every float is the serial one on any number of threads.
     """
     def chunk(start: int):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.asarray(spec.inverse(points[start:start + _CHUNK] / scale),
-                           dtype=float)
-        r[~(np.isfinite(r) & (r > 0.0))] = np.inf
-        return sums(r)
+        return sums(points[start:start + _CHUNK] / scale)
 
     parts = thread_map(chunk, range(0, points.size, _CHUNK), usable_cpus())
     # a plain left fold: builtins.sum compensates floats from Python 3.12
@@ -307,12 +310,15 @@ class _RatioLaw:
         if self.params.is_anticorrelated:
             return _profile(spec, scale, points, u)(self.params.sigma1)
 
-        def sums(r):
+        def sums(y):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                r = np.asarray(spec.inverse(y), dtype=float)
+            r[~(np.isfinite(r) & (r > 0.0))] = np.inf  # no positive ratio
             ll = self.change_log_pdf(spec, scale, r)
             ll[~np.isfinite(ll)] = _LL_FLOOR
             return (float(np.sum(ll)),)
 
-        total, = _chunk_sums(sums, spec, scale, points)
+        total, = _chunk_sums(sums, points, scale)
         r_u = _threshold_ratio(spec, scale, u)
         bulk_mass = 2.0 * float(self.cdf_pos(r_u)) - 1.0
         if bulk_mass <= 0.0:
@@ -320,20 +326,32 @@ class _RatioLaw:
         return total / points.size - math.log(bulk_mass)
 
 
-def _profile_sums(spec: ResponseSpec, r: np.ndarray):
-    """(count, sum t^2, sum w) of the ratios ``r`` whose t = (r-1)/(r+1)
-    and w = -2 log1p(r) - log g'(r) are finite, computed in place."""
-    with np.errstate(invalid="ignore"):
-        t = np.subtract(r, 1.0)
-        t /= r + 1.0
-        w = np.log1p(r)
-        w *= -2.0
-        w -= spec.log_deriv(r)
-    ok = np.isfinite(t)
-    ok &= np.isfinite(w)
-    t = t[ok]
-    t *= t
-    return t.size, float(np.sum(t)), float(np.sum(w[ok]))
+def _profile_sums(spec: ResponseSpec, y: np.ndarray):
+    """(count, sum t^2, sum w) of the changes over the scale ``y`` whose w
+    is finite, in t-space: with L = |log r| of the ratio behind each
+    (``ResponseSpec.log_ratio``), t = tanh(L/2) = |r-1|/(r+1) and
+    w = -2 log(2 cosh(L/2)) - log(r g'(r)) = -2 log1p(r) - log g'(r).
+    t is in [0, 1] and w finite wherever L is, whether or not r = e**L
+    fits in a float; only a w that is not finite (L = inf, or L = 0 where
+    g'(1) = 0) drops out."""
+    big = spec.log_ratio(y)
+    w = spec.log_ratio_slope(big)       # log(r g'(r))
+    w += big
+    e = np.negative(big, out=big)
+    np.exp(e, out=e)                    # e**-L
+    d = np.add(e, 1.0)
+    np.subtract(1.0, e, out=e)
+    e /= d                              # t = (1 - e**-L) / (1 + e**-L)
+    e *= e
+    d *= d
+    np.log(d, out=d)
+    w += d                              # -w = L + 2 log(1 + e**-L) + ...
+    sw = float(np.sum(w))
+    if math.isfinite(sw):               # so is every w
+        return w.size, float(np.sum(e)), -sw
+    ok = np.isfinite(w)
+    return int(np.count_nonzero(ok)), float(np.sum(e[ok])), \
+        -float(np.sum(w[ok]))
 
 
 def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
@@ -341,19 +359,19 @@ def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
     function of nu, from one pass over ``points``.
 
     R = (1 + nu Z)/(1 - nu Z) with Z standard normal, and R > 0 exactly
-    when |Z| < 1/nu.  With t = (r-1)/(r+1) and w = -2 log1p(r) - log g'(r)
-    per point the mean separates into c(nu) - sum(t^2)/(2 n nu^2)
-    + sum(w)/n - log s - log pos_mass(nu) - log bulk_mass(nu, s), so the
-    pass keeps only (count, sum t^2, sum w) of the points whose t and w
-    are finite (``_profile_sums``); the rest score the floor, whatever
-    nu.  The sums are the serial ones on any number of threads (see
-    ``_chunk_sums``), and the score of one nu is plain float arithmetic
-    on them.
+    when |Z| < 1/nu; T = (R - 1)/(R + 1) = tanh(log R / 2) is nu Z.  With
+    t = |T| and w = -2 log1p(r) - log g'(r) per point the mean separates
+    into c(nu) - sum(t^2)/(2 n nu^2) + sum(w)/n - log s - log pos_mass(nu)
+    - log bulk_mass(nu, s), so the pass keeps only (count, sum t^2, sum w)
+    in t-space (``_profile_sums``), of the points whose w is finite; the
+    rest score the floor, whatever nu.  t_u comes from L at u the same
+    way, signed as u.  The sums are the serial ones on any number of
+    threads (see ``_chunk_sums``), and the score of one nu is plain float
+    arithmetic on them.
     """
     n_ok, st2, sw = _chunk_sums(functools.partial(_profile_sums, spec),
-                                spec, scale, points)
-    r_u = _threshold_ratio(spec, scale, u)
-    t_u = (r_u - 1.0) / (r_u + 1.0)
+                                points, scale)
+    t_u = math.copysign(math.tanh(0.5 * spec.log_ratio(u / scale)), u)
     n = points.size
     share = n_ok / n
     rest = (sw - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
@@ -489,8 +507,8 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
 
     The surface has a long curved ridge (bulk width pins only nu * scale).
     The search runs on a deterministic subsample of the bulk; the caller
-    scores the winner on the full bulk.  At rho = -1 one pass at a
-    log-scale gives the score for every nu (``_profile``), and a bounded
+    scores the winner on the full bulk.  At rho = -1 one t-space pass at
+    a log-scale gives the score for every nu (``_profile``), and a bounded
     Brent takes nu on [_NU_LO, _NU_HI].  Around it a bounded Brent takes
     log-scale, 1.5 past the ``_scale_seed`` of nu = 0.93 and of 0.05 (the
     seed falls as nu grows), one pass per step.  At any other rho every
@@ -631,7 +649,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     fams = check_fit_options(candidates, threshold_quantile, rho)
 
     a = np.abs(c)
-    u, q95 = map(float, np.quantile(a, [threshold_quantile, 0.95]))
+    u, q95 = quantile(a, threshold_quantile), quantile(a, 0.95)
     exc = a[a > u]
     if exc.size < MIN_TAIL_POINTS:
         raise InsufficientTailError(
@@ -648,12 +666,11 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         spec = ResponseSpec(fam, param)
         return (spec, param, tail_ll) + _fit_nuisance(spec, q95, bulk, u, rho)
 
-    # Off rho = -1 a search is some 20-70 passes over Hinkley's density,
-    # each ~2 ms on the subsample, so each candidate searches on its own
-    # thread.  At rho = -1 it is a few dozen ~1 ms passes, which a pool
-    # does not shorten.
-    threads = 1 if rho == -1.0 else usable_cpus()
-    if threads > 1:  # loaded here, not by two search threads at once
+    # Each candidate's tail stage and search run on their own thread, up
+    # to the usable CPUs: a few dozen t-space passes over the subsample
+    # at rho = -1, some 20-70 passes over Hinkley's density at any other.
+    threads = usable_cpus()
+    if threads > 1 and rho != -1.0:  # loaded here, not by two threads
         import scipy.special  # noqa: F401
     searched = thread_map(search, fams, threads)
 
@@ -727,21 +744,23 @@ class _ExceedancePool:
     A resample is a vector of window counts: every value of a window,
     repeated in place as often as the window was drawn.  When the pooled
     values, so repeated, hold both order statistics that np.quantile
-    interpolates, the threshold is numpy's own interpolation of those two
-    and the exceedances are the pooled values above it, both bit for bit
-    the full resample's.  Otherwise the resample is built in full.
+    interpolates, the threshold is numpy's interpolation of those two
+    (``tails.interpolate``) and the exceedances are the pooled values
+    above it, both bit for bit the full resample's.  Otherwise the
+    resample is built in full.  Every order statistic here comes from
+    ``tails``' single-kth select.
     """
 
     def __init__(self, windows, q: float):
         self.q = q
         self.sizes = np.array([len(w) for w in windows], dtype=np.intp)
         self.values = np.abs(np.concatenate(windows))
-        c = np.quantile(self.values, max(0.0, 1.0 - 4.0 * (1.0 - q)))
+        c = quantile(self.values, max(0.0, 1.0 - 4.0 * (1.0 - q)))
         keep = np.flatnonzero(self.values >= c)
         self.pool = self.values[keep]
         self.owner = np.searchsorted(np.cumsum(self.sizes), keep, side="right")
         self.pool_sizes = np.bincount(self.owner, minlength=self.sizes.size)
-        self.cutoff = float(c)
+        self.cutoff = c
 
     def resample(self, counts: np.ndarray):
         """(threshold, exceedances) of the resample with window ``counts``."""
@@ -751,13 +770,11 @@ class _ExceedancePool:
         k = math.floor(index)
         if below <= k < n - 1:
             pooled = np.repeat(self.pool, counts[self.owner])
-            j = k - below
-            lo, hi = np.partition(pooled, (j, j + 1))[j:j + 2]
-            u = float(np.quantile(np.array([lo, hi]), index - k))
+            u = interpolate(*_neighbours(pooled, k - below), index - k)
             if u >= self.cutoff:
                 return u, pooled[pooled > u]
         sample = self.full(counts)
-        u = float(np.quantile(sample, self.q))
+        u = quantile(sample, self.q)
         return u, sample[sample > u]
 
     def full(self, counts: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The CPUs this process may use, and an order-keeping thread map over them.
 
 ``usable_cpus`` is the default thread count of the simulator's chunk
-draws, the worker count of the CSV parse, the thread count of the
-correlated fit's per-candidate searches and of every full-bulk
+draws, the worker count of the CSV parse, the thread count of the fit's
+per-candidate searches (at every correlation) and of every full-bulk
 likelihood pass of the fit; the draws, the searches and the passes run
 through ``thread_map``.
 """

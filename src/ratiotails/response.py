@@ -65,6 +65,16 @@ def _sym_inverse(y, a):
     return np.where(y < 0.0, 1.0 / x, x)
 
 
+def _log_2cosh(x: np.ndarray) -> np.ndarray:
+    """log(2 cosh x) = x + log1p(exp(-2x)) of x >= 0, in place: no
+    overflow, however large x."""
+    rest = np.multiply(x, -2.0)
+    np.exp(rest, out=rest)
+    np.log1p(rest, out=rest)
+    x += rest
+    return x
+
+
 class TailKind(str, enum.Enum):
     POWER_LAW = "power_law"
     EXPONENTIAL = "exponential"
@@ -195,10 +205,10 @@ class ResponseSpec:
 
         Array input is not validated: fits pass millions of ratios per
         call.  POWER's slope is written through L = q |log x|, the log
-        of u = max(x, 1/x)**q, as log q - log x + L + log1p(exp(-2 L)),
-        so no power of x is formed; SYM and ODD_POWER's 1 + x**-2 factor
-        are its q = 1 case.  The arithmetic runs in place on at most
-        three arrays of x's size; a scalar goes through a 1-element array.
+        of u = max(x, 1/x)**q, as log q - log x + log(2 cosh L), so no
+        power of x is formed; SYM and ODD_POWER's 1 + x**-2 factor are
+        its q = 1 case.  The arithmetic runs in place on at most three
+        arrays of x's size; a scalar goes through a 1-element array.
         """
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(x)
@@ -224,12 +234,8 @@ class ResponseSpec:
                 q = self.param if fam is Family.POWER else 1.0
                 big = np.abs(lx)
                 big *= q
-                rest = np.multiply(big, -2.0)
-                np.exp(rest, out=rest)
-                np.log1p(rest, out=rest)
                 out = np.subtract(math.log(q), lx, out=lx)
-                out += big
-                out += rest
+                out += _log_2cosh(big)
                 if fam is Family.SYM:
                     out += math.log(0.5)
                 elif fam is Family.ODD_POWER and n > 1:
@@ -242,6 +248,67 @@ class ResponseSpec:
                     big += math.log(n)
                     out += big
         return float(out[0]) if scalar else out
+
+    def log_ratio(self, y):
+        """L = |log r| of the ratio r > 0 with g(r) = y, in closed form.
+
+        With z = |y|: POWER asinh(z/2)/q, SYM asinh z, LOG z, LOG_POWER
+        z**(1/q), ODD_POWER asinh(z**(1/q)/2).  L is finite wherever y
+        is, however far r = exp(+-L) lies outside float range.  A scalar
+        goes through a 1-element array; an array gives a new array.
+        """
+        scalar = np.ndim(y) == 0
+        out = np.abs(np.atleast_1d(np.asarray(y, dtype=float)))
+        fam = self.family
+        q = self.param
+        if fam in (Family.LOG_POWER, Family.ODD_POWER) and q != 1.0:
+            np.power(out, 1.0 / q, out=out)
+        if fam in (Family.POWER, Family.ODD_POWER):
+            out *= 0.5
+        if fam is not Family.LOG and fam is not Family.LOG_POWER:
+            np.arcsinh(out, out=out)
+        if fam is Family.POWER:
+            out /= q
+        return float(out[0]) if scalar else out
+
+    def log_ratio_slope(self, big):
+        """log(r g'(r)) at L = |log r| >= 0 (an array), in closed form;
+        r g'(r) is even in log r, so L is enough.
+
+        With lc(x) = log(2 cosh x) = x + log1p(exp(-2x)): POWER
+        log q + lc(qL), SYM lc(L) - log 2, LOG 0, LOG_POWER
+        log q + (q-1) log L, ODD_POWER log q + (q-1) log(2 sinh L) + lc(L),
+        log(2 sinh L) taken as L + log(-expm1(-2L)).  Finite for finite L
+        but L = 0 under LOG_POWER and ODD_POWER with q >= 3 (-inf); a
+        new array.
+        """
+        fam = self.family
+        n = 1 if self.param is None else int(self.param)
+        if fam is Family.LOG or (fam is Family.LOG_POWER and n == 1):
+            return np.zeros_like(big)
+        with np.errstate(divide="ignore"):
+            if fam is Family.LOG_POWER:
+                out = np.log(big)
+                out *= n - 1
+                out += math.log(n)
+                return out
+            out = np.multiply(big, self.param) if fam is Family.POWER \
+                else np.array(big, dtype=float)
+            _log_2cosh(out)
+            if fam is Family.SYM:
+                out -= math.log(2.0)
+            elif fam is Family.POWER:
+                out += math.log(self.param)
+            elif n > 1:  # ODD_POWER
+                sinh = np.multiply(big, -2.0)
+                np.expm1(sinh, out=sinh)
+                np.negative(sinh, out=sinh)
+                np.log(sinh, out=sinh)
+                sinh += big
+                sinh *= n - 1
+                out += sinh
+                out += math.log(n)
+        return out
 
     def inverse(self, y):
         """Analytic inverse restricted to ratios r > 0.

@@ -207,7 +207,9 @@ class PriceSeries:
 
     Prices are kept as log-prices internally so that extreme fat-tailed
     configurations stay representable; the ``prices`` property
-    materializes them (guaranteed positive by construction).
+    materializes them (guaranteed positive by construction).  Times must
+    be finite and strictly increasing; non-finite ones are reported with
+    their count, and the first with its row, counted from 1.
     """
 
     times: np.ndarray
@@ -219,6 +221,11 @@ class PriceSeries:
         self.log_prices = np.asarray(self.log_prices, dtype=float)
         if self.times.shape != self.log_prices.shape or self.times.ndim != 1:
             raise DomainError("times and prices must be aligned 1-d arrays")
+        rows = np.flatnonzero(~np.isfinite(self.times))
+        if rows.size:  # NaN would pass the order check below
+            raise DomainError(
+                f"non-finite times: {rows.size} of {self.times.size}, the "
+                f"first is {self.times[rows[0]]} at row {rows[0] + 1}")
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("times must be strictly increasing")
 

@@ -6,7 +6,8 @@ average per-point log-likelihood of the tail-conditional laws at their
 maxima, on numpy alone (the stretched shape by bounded Brent, every
 scale in closed form).  No formal goodness-of-fit machinery: candidates
 are non-nested and the question is only which decay describes the
-exceedances best.
+exceedances best.  The package's order statistics live here too:
+``quantile`` and ``median``, numpy's bit for bit from one select.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "threshold_sweep",
     "check_tail_options",
     "check_return_interval",
+    "quantile",
+    "median",
     "pareto_index",
     "pareto_loglik",
     "exponential_fit",
@@ -112,6 +115,61 @@ def rank_regression(samples, tail_fraction: float, *,
     stderr = float(np.sqrt(np.sum(resid ** 2) / (k - 2) / sxx))
     return RankRegression(slope=float(slope), stderr=stderr, k_used=k,
                           threshold=float(tail[0]))
+
+
+# ---------------------------------------------------------------------------
+# order statistics
+# ---------------------------------------------------------------------------
+
+def _neighbours(a: np.ndarray, k: int):
+    """The (k+1)-th and (k+2)-th smallest of the flat array a, k below
+    its last index, from one single-kth np.partition, the select numpy
+    runs in SIMD, and the min of the part above k.  A NaN sorts last, so
+    one in a makes the second NaN."""
+    part = np.partition(a, k)
+    return part[k], part[k + 1:].min()
+
+
+def interpolate(lo: float, hi: float, gamma: float) -> float:
+    """np.quantile's linear interpolation between lo <= hi at gamma,
+    numpy's own formula (lo + (hi - lo) gamma, or from hi once gamma is
+    1/2 or more) in float arithmetic, which rounds as numpy does."""
+    diff = float(hi) - float(lo)
+    if gamma >= 0.5:
+        return float(hi) - diff * (1.0 - gamma)
+    return float(lo) + diff * gamma
+
+
+def quantile(a, q: float) -> float:
+    """np.quantile(a, q), bit for bit, of a non-empty flat float array
+    and 0 <= q <= 1, from one single-kth partition, where np.quantile
+    partitions at four kth values.  Like numpy, it takes the top value
+    twice, at gamma = index + 1, once the index reaches the last.  Its
+    callers ask for tail quantiles of continuous values; where k falls in
+    a block of ties that fills much of a, the select can take several
+    times as long as numpy's (see ``median``)."""
+    a = np.asarray(a, dtype=float)
+    index = (a.size - 1) * q  # np.quantile's virtual index
+    k = math.floor(index)
+    if k >= a.size - 1:
+        top = a.max()
+        return interpolate(top, top, index + 1.0)
+    return interpolate(*_neighbours(a, k), index - k)
+
+
+def median(a) -> float:
+    """np.median(a), bit for bit, of a non-empty flat array of finite
+    floats: the middle order statistic, or the mean of the middle two.
+
+    Both come from one np.partition at the two middle kth values, which
+    is numpy's introselect.  The median's callers pass timestamp steps,
+    mostly a few tied values, where the vectorised single-kth select can
+    take ten times as long (41 ms against 5.5 ms on the steps of a
+    1e6-point grid at dt = 1e-8)."""
+    a = np.asarray(a, dtype=float)
+    k = (a.size - 1) // 2
+    part = np.partition(a, (k, k + 1) if a.size > 1 else k)
+    return float(np.mean(part[k:k + 2 - a.size % 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +427,7 @@ def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
         raise DomainError(f"non-finite samples: {bad.size} of {x.size}, "
                           f"the first is {bad.flat[0]}")
     a = _prepare(x, side)
-    u = float(np.quantile(a, threshold_quantile))
+    u = quantile(a, threshold_quantile)
     if u <= 0.0:
         raise DomainError("threshold is nonpositive; samples too concentrated at 0")
     exc = a[a > u]

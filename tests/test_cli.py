@@ -322,6 +322,43 @@ def test_nonpositive_price_is_named_with_its_row(tmp_path, capsys):
             in err
 
 
+@pytest.mark.parametrize("row", [1, 10001, 20000], ids=["first", "middle",
+                                                       "last"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_time_is_named_with_its_row(tmp_path, capsys, bad, row):
+    # NaN passes a check that the times increase, since NaN <= x is
+    # false: fit and tails share the loader that rejects it by name
+    rng = np.random.default_rng(46)
+    t = np.arange(20000) * 1e-6
+    prices = np.exp(np.cumsum(1e-3 * rng.standard_normal(t.size)))
+    rows = [f"{a!r},{b!r}" for a, b in zip(t.tolist(), prices.tolist())]
+    rows[row - 1] = f"{bad}," + rows[row - 1].split(",")[1]
+    path = tmp_path / "prices.csv"
+    path.write_text("t,price\n" + "\n".join(rows) + "\n")
+    for argv in (("tails", "--prices", path, "--as-returns", 1e-6),
+                 ("fit", "--prices", path, "--delta-t", 1e-6,
+                  "--big-delta-t", 1e-4, "--stride", 1e-4)):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert (f"non-finite times: 1 of 20000, the first is {float(bad)} "
+                f"at row {row}") in err
+
+
+def test_a_good_interval_is_ignored_with_samples(tmp_path):
+    # manifests of tails --samples record --as-returns; a valid one still
+    # runs, replays and changes nothing
+    path = tmp_path / "samples.csv"
+    save_samples(np.random.default_rng(47).random(5000) ** -1.0, str(path))
+    plain, given = tmp_path / "plain.txt", tmp_path / "given.txt"
+    assert run("tails", "--samples", path, "--out", plain) == 0
+    assert run("tails", "--samples", path, "--as-returns", 1e-6,
+               "--out", given) == 0
+    assert plain.read_bytes() == given.read_bytes()
+    again = tmp_path / "again.txt"
+    assert run("replay", f"{given}.manifest", "--out", again) == 0
+    assert again.read_bytes() == given.read_bytes()
+
+
 def test_degenerate_tail_sample_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(45)
     path = tmp_path / "samples.csv"
@@ -519,21 +556,35 @@ def test_malformed_fit_options_exit_2(tmp_path, capsys, command, option,
     ("tails", "--as-returns", 0),
     ("tails", "--as-returns", -1),
     ("tails", "--as-returns", "inf"),
+    # --as-returns is ignored with --samples, and still checked
+    ("tails --samples", "--as-returns", "nan"),
+    ("tails --samples", "--as-returns", 0),
+    ("tails --samples", "--as-returns", -1),
+    ("tails --samples", "--as-returns", "inf"),
 ], ids=["rho", "window-inf", "unknown-candidate", "repeated-candidate",
         "fit-quantile", "tails-unknown-candidate",
         "tails-repeated-candidate", "tails-quantile", "returns-nan",
-        "returns-zero", "returns-negative", "returns-inf"])
+        "returns-zero", "returns-negative", "returns-inf",
+        "samples-returns-nan", "samples-returns-zero",
+        "samples-returns-negative", "samples-returns-inf"])
 def test_bad_options_exit_2_before_any_price_loads(tmp_path, monkeypatch,
                                                    capsys, command, option,
                                                    value):
     def fail(*args, **kwargs):
-        raise AssertionError("the prices were loaded")
+        raise AssertionError("the input was loaded")
 
     monkeypatch.setattr(cli, "load_price_series", fail)
-    window = (("--delta-t", 1e-6, "--big-delta-t", 1e-4, "--stride", 1e-4)
-              if command == "fit" else ("--as-returns", 1e-6))
-    assert run(command, "--prices", tmp_path / "never-read.csv", *window,
-               option, value) == 2
+    monkeypatch.setattr(cli, "load_samples", fail)
+    command, *source = command.split()
+    never_read = tmp_path / "never-read.csv"
+    if source:
+        given = (*source, never_read)
+    elif command == "fit":
+        given = ("--prices", never_read, "--delta-t", 1e-6,
+                 "--big-delta-t", 1e-4, "--stride", 1e-4)
+    else:
+        given = ("--prices", never_read, "--as-returns", 1e-6)
+    assert run(command, *given, option, value) == 2
     assert str(value).split(",")[-1] in capsys.readouterr().err
 
 

@@ -407,36 +407,140 @@ def test_a_multi_chunk_fit_does_not_depend_on_the_cpu_count(rho,
     assert results[0] == results[1] == results[2]
 
 
+def t_space_log_pdf(spec, nu, scale, y):
+    """The rho = -1 log density, given R > 0, of the change y at spread nu
+    and scale, one point in the math module through L = |log r|, so
+    finite where r = exp(+-L) leaves float range."""
+    z, q = abs(y) / scale, spec.param
+    big = {Family.POWER: lambda: math.asinh(z / 2.0) / q,
+           Family.SYM: lambda: math.asinh(z),
+           Family.LOG: lambda: z,
+           Family.LOG_POWER: lambda: z ** (1.0 / q),
+           Family.ODD_POWER: lambda: math.asinh(z ** (1.0 / q) / 2.0),
+           }[spec.family]()
+
+    def lc(x):  # log(2 cosh x)
+        return x + math.log1p(math.exp(-2.0 * x))
+
+    slope = {  # log(r g'(r))
+        Family.POWER: lambda: math.log(q) + lc(q * big),
+        Family.SYM: lambda: lc(big) - math.log(2.0),
+        Family.LOG: lambda: 0.0,
+        Family.LOG_POWER: lambda: math.log(q) + (q - 1.0) * math.log(big),
+        Family.ODD_POWER: lambda: (math.log(q) + lc(big) + (q - 1.0) * (
+            big + math.log1p(-math.exp(-2.0 * big)))),
+    }[spec.family]()
+    t = math.tanh(big / 2.0)
+    pos = math.erf(1.0 / (nu * math.sqrt(2.0)))
+    return (math.log(2.0 / (math.sqrt(2.0 * math.pi) * nu * pos))
+            - t * t / (2.0 * nu * nu) - 2.0 * lc(big / 2.0) - slope
+            - math.log(scale))
+
+
+def r_space_sums(spec, y):
+    """(count, sum t^2, sum w) of the changes over the scale y whose ratio
+    r is finite, through r = inverse(y): the r-space form of the sums."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.asarray(spec.inverse(y), dtype=float)
+        ok = np.isfinite(r) & (r > 0.0)
+        r = r[ok]
+        t = (r - 1.0) / (r + 1.0)
+        w = -2.0 * np.log1p(r) - spec.log_deriv(r)
+    assert np.all(np.isfinite(w))
+    return ok, float(np.sum(t * t)), float(np.sum(w))
+
+
+def serial_sums(sums, points, scale):
+    """``sums`` chunk after chunk, on the calling thread, added in order."""
+    parts = [sums(points[i:i + fitting._CHUNK] / scale)
+             for i in range(0, points.size, fitting._CHUNK)]
+    return [functools.reduce(lambda x, y: x + y, col, 0)
+            for col in zip(*parts)]
+
+
+ALL_FAMILIES = [(Family.POWER, 0.7), (Family.POWER, 2.0), (Family.SYM, None),
+                (Family.LOG, None), (Family.LOG_POWER, 1), (Family.LOG_POWER, 3),
+                (Family.ODD_POWER, 1), (Family.ODD_POWER, 3)]
+
+
+@pytest.mark.parametrize("family,q", ALL_FAMILIES)
+def test_t_space_sums_are_the_r_space_ones(family, q):
+    # where the ratio behind every point is finite, the t-space pass of
+    # one chunk keeps the r-space sums to 1e-12
+    spec = ResponseSpec(family, q)
+    y = np.asarray(spec.value(ratio_positive(fitting._CHUNK, seed=97)))
+    y = y[y != 0.0]  # g'(1) = 0 under q >= 3 leaves w = -inf at y = 0
+    ok, st2, sw = r_space_sums(spec, y)
+    assert ok.all()
+    n, st2_t, sw_t = fitting._profile_sums(spec, y.copy())
+    assert n == y.size
+    assert st2_t == pytest.approx(st2, rel=1e-12)
+    assert sw_t == pytest.approx(sw, rel=1e-12)
+
+
+@pytest.mark.parametrize("family,q,y", [
+    (Family.LOG, None, 2000.0), (Family.LOG, None, -2000.0),
+    (Family.POWER, 0.2, 1e66), (Family.POWER, 0.2, -1e66),
+    (Family.LOG_POWER, 3, 1e9)])
+def test_a_point_past_float_range_scores_its_density(family, q, y):
+    # r = exp(+-L) is 0 or inf as a float, and its density is finite: the
+    # point scores the t-space value, not the floor
+    spec = ResponseSpec(family, q)
+    with np.errstate(over="ignore", divide="ignore"):
+        r = float(spec.inverse(y))
+    assert r == 0.0 or math.isinf(r)
+    for nu, scale in ((0.38, 1.0), (0.05, 0.8)):
+        want = t_space_log_pdf(spec, nu, scale, y)
+        assert math.isfinite(want)
+        got = fitting._profile(spec, scale, np.array([y]), math.inf)(nu)
+        # u = inf holds every point: bulk mass 1
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got != fitting._LL_FLOOR
+
+
 @pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None)])
 def test_profile_sums_are_the_serial_chunk_sums(family, q, monkeypatch):
     # under LOG the far points of the first and third chunk have no
-    # finite ratio (r = inf or 0) and drop out of the sums
+    # finite ratio (r = inf or 0), and their t-space terms are exact
     spec = ResponseSpec(family, q)
     points = np.asarray(spec.value(
         ratio_positive(3 * fitting._CHUNK + 4001, seed=67)))
-    points[[5, 2 * fitting._CHUNK + 3]] = [2e3, -2e3]
+    far = [5, 2 * fitting._CHUNK + 3]
+    points[far] = [2e3, -2e3]
     scale = 0.9
 
-    n_ok, st2, sw = 0, 0.0, 0.0
-    for i in range(0, points.size, fitting._CHUNK):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.asarray(spec.inverse(points[i:i + fitting._CHUNK] / scale))
-            r = np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
-            t = (r - 1.0) / (r + 1.0)
-            w = -2.0 * np.log1p(r) - spec.log_deriv(r)
-        ok = np.isfinite(t) & np.isfinite(w)
-        t = t[ok]
-        n_ok += t.size
-        st2 += float(np.sum(t * t))
-        sw += float(np.sum(w[ok]))
-    if family is Family.LOG:
-        assert n_ok == points.size - 2
+    sums = functools.partial(fitting._profile_sums, spec)
+    serial = serial_sums(sums, points, scale)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
-        got = fitting._chunk_sums(functools.partial(fitting._profile_sums,
-                                                    spec),
-                                  spec, scale, points)
-        assert got == [n_ok, st2, sw]
+        assert fitting._chunk_sums(sums, points, scale) == serial
+
+    ok, st2, sw = r_space_sums(spec, points / scale)
+    for i in np.flatnonzero(~ok):
+        big = abs(points[i]) / scale  # LOG: L = |y| / s
+        st2 += math.tanh(big / 2.0) ** 2
+        sw += -2.0 * (big / 2.0 + math.log1p(math.exp(-big)))
+    if family is Family.LOG:
+        assert np.flatnonzero(~ok).tolist() == far
+    else:
+        assert ok.all()
+    assert serial[0] == points.size
+    assert serial[1] == pytest.approx(st2, rel=1e-12)
+    assert serial[2] == pytest.approx(sw, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.5])
+def test_bulk_scores_do_not_depend_on_the_cpu_count(rho, monkeypatch):
+    spec = ResponseSpec(Family.POWER, 0.7)
+    points = np.asarray(spec.value(
+        ratio_positive(3 * fitting._CHUNK + 4001, seed=71)))
+    law = _RatioLaw(0.38, rho)
+    scores = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        scores.append(law.bulk_score(spec, 0.9, points, 40.0))
+    assert scores[0] == scores[1] == scores[2]
+    assert math.isfinite(scores[0])
 
 
 def test_a_multi_chunk_fit_leaves_no_thread_running(monkeypatch):
@@ -530,14 +634,17 @@ def test_fit_with_overridden_correlation():
 # the nuisance searches against the per-point grid + Nelder-Mead oracle
 # ---------------------------------------------------------------------------
 
-def pointwise_score(spec, law, scale, points, u):
-    """Mean conditional bulk log-likelihood, one full per-point pass."""
+def pointwise_score(spec, law, scale, points, u, far=None):
+    """Mean conditional bulk log-likelihood, one full per-point pass; a
+    point with no finite log density scores the floor, or far(y) when
+    given."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.asarray(spec.inverse(points / scale), dtype=float)
         r = np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
         r_u = float(spec.inverse(u / scale))
     ll = law.change_log_pdf(spec, scale, r)
-    ll = np.where(np.isfinite(ll), ll, fitting._LL_FLOOR)
+    for i in np.flatnonzero(~np.isfinite(ll)):
+        ll[i] = fitting._LL_FLOOR if far is None else far(points[i])
     bulk_mass = 2.0 * float(law.cdf_pos(r_u)) - 1.0
     if bulk_mass <= 0.0:
         return fitting._LL_FLOOR
@@ -661,7 +768,8 @@ def test_correlated_search_matches_the_oracle(family, q, make, rho,
                                       (Family.ODD_POWER, 3)])
 def test_three_sums_give_the_pointwise_score(family, q):
     # more points than one chunk, and three far points: under LOG their
-    # ratios leave float range (r = 0 or inf), so they score the floor
+    # ratios leave float range (r = 0 or inf), and they score the t-space
+    # density there, not the floor
     spec = ResponseSpec(family, q)
     r = ratio_positive(fitting._CHUNK + 4000, seed=79)
     points = np.asarray(spec.value(r))
@@ -669,7 +777,9 @@ def test_three_sums_give_the_pointwise_score(family, q):
     u = 500.0
     for nu, scale in ((0.38, 1.0), (0.05, 0.8), (0.9, 3.0)):
         law = _RatioLaw(nu, -1.0)
-        ref = pointwise_score(spec, law, scale, points, u)
+        ref = pointwise_score(spec, law, scale, points, u,
+                              far=functools.partial(t_space_log_pdf, spec,
+                                                    nu, scale))
         assert law.bulk_score(spec, scale, points, u) == pytest.approx(
             ref, rel=1e-12, abs=1e-12)
 
@@ -680,7 +790,7 @@ def test_three_sums_give_the_pointwise_score(family, q):
 @example(0.02, 1e-300)
 @example(0.97, 1.0 - 2.0 ** -53)
 def test_profile_masses_are_the_laws(nu, t):
-    # _profile takes t_u from the threshold ratio r_u, as here
+    # t_u = (r_u - 1)/(r_u + 1) of the threshold ratio r_u, as here
     r_u = (1.0 + t) / (1.0 - t)
     t_u = (r_u - 1.0) / (r_u + 1.0)
     pos_mass, bulk_mass = fitting._masses(nu, t_u)

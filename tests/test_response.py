@@ -118,6 +118,73 @@ def test_log_deriv_is_log_of_deriv(spec, xs):
     assert spec.log_deriv(float(x[0])) == got[0]
 
 
+@settings(max_examples=500, deadline=None)
+@given(specs, st.lists(ratios, min_size=1, max_size=8))
+def test_log_ratio_is_the_log_of_the_inverse(spec, xs):
+    # L = |log r| of the ratio behind y, where inverse(y) is a normal
+    # float, to 1e-12 relative; near L = 0 r rounds to 1 + O(eps) and
+    # POWER's inverse divides log(r**q) by q, so the reference's own
+    # error there is some 1e-16/q absolute
+    x = np.array(xs + [1.0])
+    with np.errstate(over="ignore", under="ignore"):
+        y = np.asarray(spec.value(x))
+        y = y[np.isfinite(y)]
+        r = np.asarray(spec.inverse(y))
+    got = spec.log_ratio(y)
+    normal = np.isfinite(r) & (r >= np.finfo(float).tiny)
+    want = np.abs(np.log(r[normal]))
+    floor = 1e-15 / min(spec.param or 1.0, 1.0)
+    assert np.all(np.abs(got[normal] - want) <= 1e-12 * want + floor)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+    assert np.array_equal(spec.log_ratio(-y), got)
+    assert spec.log_ratio(float(y[0])) == got[0]
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES + [
+    ResponseSpec(Family.POWER, 0.2), ResponseSpec(Family.ODD_POWER, 1),
+    ResponseSpec(Family.LOG_POWER, 1)], ids=lambda s: s.label())
+def test_log_ratio_holds_past_float_range(spec):
+    # changes whose ratio is 0 or inf as a float have a finite L
+    y = np.array([1e300, -1e300, np.finfo(float).max])
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.asarray(spec.inverse(y))
+    big = spec.log_ratio(y)
+    assert np.all(np.isfinite(big))
+    if spec.family is Family.LOG or spec.param == 0.2:
+        assert np.all((r == 0.0) | np.isinf(r))
+        want = 1e300 if spec.family is Family.LOG \
+            else math.asinh(5e299) / spec.param
+        assert big[0] == big[1] == pytest.approx(want, rel=1e-15)
+
+
+@settings(max_examples=500, deadline=None)
+@given(specs, st.lists(ratios, min_size=1, max_size=8))
+def test_log_ratio_slope_is_the_log_of_r_deriv(spec, xs):
+    # log(r g'(r)) = log r + log g'(r) at r = x and at r = 1/x, to 1e-12;
+    # under ODD_POWER log_deriv takes x - 1/x, which cancels near x = 1,
+    # so the check starts at L = 1e-3 there
+    x = np.array(xs + [1.0])
+    x = np.concatenate([x, 1.0 / x])
+    got = spec.log_ratio_slope(np.abs(np.log(x)))
+    with np.errstate(divide="ignore"):
+        want = np.log(x) + spec.log_deriv(x)
+    if spec.family is Family.ODD_POWER and spec.param > 1:
+        keep = (x == 1.0) | (np.abs(np.log(x)) > 1e-3)
+        got, want = got[keep], want[keep]
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite])
+                  <= 1e-12 * np.maximum(np.abs(want[finite]), 1.0))
+    assert np.array_equal(got[~finite], want[~finite])
+
+
+def test_log_ratio_slope_is_finite_past_float_range():
+    big = np.array([800.0, 1e5, 1e300])
+    for spec in ALL_FAMILIES + [ResponseSpec(Family.POWER, 0.2)]:
+        assert np.all(np.isfinite(spec.log_ratio_slope(big)))
+    # log(2 cosh L) = L + log1p(e**-2L) = L at this size
+    assert SYM.log_ratio_slope(big)[1] == 1e5 - math.log(2.0)
+
+
 def test_power_q1_second_deriv_at_one():
     # d2/dx2 (x - 1/x) = -2 x^-3 -> -2 at x=1
     spec = ResponseSpec(Family.POWER, 1.0)

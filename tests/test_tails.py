@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ratiotails import (TailKind, classify_tail, hill, rank_regression,
                         threshold_sweep)
+from ratiotails import tails
 from ratiotails.tails import (stretched_loglik, stretched_scale,
                               stretched_tail_fit)
 from ratiotails.errors import (DegenerateTailError, DomainError,
@@ -289,3 +290,70 @@ def test_stretched_fit_stays_finite_on_any_exceedances(u, log_excess):
     assert 0.02 <= p <= 6.0 and tail.shape == p
     assert math.isfinite(loglik)
     assert math.isnan(p_err) or 0.0 < p_err < math.inf
+
+
+# ---------------------------------------------------------------------------
+# order statistics
+# ---------------------------------------------------------------------------
+
+def same_float(a, b):
+    """Bit for bit, any NaN matching any NaN."""
+    return (math.isnan(a) and math.isnan(b)) or \
+        np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# the values callers pass: |changes| and |samples| (fit_g, classify_tail,
+# the bootstrap pool), signed changes (the fit overlay) and timestamp
+# steps (the median of _uniform_step); few distinct values make ties.
+# None is -0.0 (a change is expm1 of a log-price difference, which is
+# -0.0 only from -0.0 - 0.0, and no log-price is -0.0), so x + 0.0 drops
+# it: with both zeros present, which one a select puts at k is not fixed
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 1e-300, 5e-324, 1e300, math.inf,
+                     -1.0, -math.inf]),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: x + 0.0))
+# the quantiles callers ask for, the ends, and any other
+_QS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.95, 0.98, 0.99, 0.995,
+                                 0.998, 0.992, 0.001, 0.999]),
+                st.floats(0.0, 1.0))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=60), _QS)
+@example([1.0], 0.3)
+@example([1.0, math.inf], 1.0)
+@example([0.0, math.inf], 0.0)
+@example([math.inf, math.inf], 0.5)
+@example([-math.inf, 1.0], 0.0)
+@example([0.0, 0.0, 0.0], 1.0)
+def test_quantile_is_numpys_bit_for_bit(values, q):
+    a = np.array(values)
+    with np.errstate(invalid="ignore"):
+        want = float(np.quantile(a, q))
+        got = tails.quantile(a, q)
+    assert same_float(got, want)
+    assert a.tolist() == values  # the input is left as it was
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=60))
+@example([1.0, math.inf])
+@example([-math.inf, math.inf])
+@example([5e-324, 1e300, 1e300, 2.0])
+def test_median_is_numpys_bit_for_bit(values):
+    a = np.array(values)
+    with np.errstate(invalid="ignore"):
+        want = float(np.median(a))
+        got = tails.median(a)
+    assert same_float(got, want)
+
+
+@pytest.mark.parametrize("n", [9999, 10 ** 5])
+def test_order_statistics_of_large_tied_samples(n):
+    # large enough for numpy's vectorised select, with heavy ties
+    rng = np.random.default_rng(n)
+    a = np.abs(np.round(rng.standard_cauchy(n), 1))
+    for q in (0.0, 0.001, 0.5, 0.95, 0.998, 0.999, 1.0):
+        assert same_float(tails.quantile(a, q), float(np.quantile(a, q)))
+    assert same_float(tails.median(a), float(np.median(a)))
+    assert same_float(tails.median(a[1:]), float(np.median(a[1:])))
