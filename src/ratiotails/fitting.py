@@ -52,7 +52,7 @@ from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
 from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior, _neighbours,
                     check_return_interval, exponential_fit, interpolate,
-                    median, pareto_index, pareto_loglik, quantile,
+                    pareto_index, pareto_loglik, quantile,
                     stretched_loglik, stretched_scale)
 
 __all__ = [
@@ -102,7 +102,7 @@ class WindowSpec:
 
 def _uniform_step(times: np.ndarray) -> float | None:
     diffs = np.diff(times)
-    h = median(diffs)
+    h = float(np.median(diffs))
     if np.all(np.abs(diffs - h) <= 1e-9 * h):
         return h
     return None
@@ -748,7 +748,7 @@ class _ExceedancePool:
     (``tails.interpolate``) and the exceedances are the pooled values
     above it, both bit for bit the full resample's.  Otherwise the
     resample is built in full.  Every order statistic here comes from
-    ``tails``' single-kth select.
+    ``tails``' select.
     """
 
     def __init__(self, windows, q: float):

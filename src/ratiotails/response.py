@@ -205,10 +205,10 @@ class ResponseSpec:
 
         Array input is not validated: fits pass millions of ratios per
         call.  POWER's slope is written through L = q |log x|, the log
-        of u = max(x, 1/x)**q, as log q - log x + log(2 cosh L), so no
-        power of x is formed; SYM and ODD_POWER's 1 + x**-2 factor are
-        its q = 1 case.  The arithmetic runs in place on at most three
-        arrays of x's size; a scalar goes through a 1-element array.
+        of u = max(x, 1/x)**q, as log q - log x + L + log1p(exp(-2 L)),
+        so no power of x is formed; SYM and ODD_POWER's 1 + x**-2 factor
+        are its q = 1 case.  The arithmetic runs in place on at most
+        three arrays of x's size; a scalar goes through a 1-element array.
         """
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(x)
@@ -234,8 +234,12 @@ class ResponseSpec:
                 q = self.param if fam is Family.POWER else 1.0
                 big = np.abs(lx)
                 big *= q
+                rest = np.multiply(big, -2.0)
+                np.exp(rest, out=rest)
+                np.log1p(rest, out=rest)
                 out = np.subtract(math.log(q), lx, out=lx)
-                out += _log_2cosh(big)
+                out += big
+                out += rest
                 if fam is Family.SYM:
                     out += math.log(0.5)
                 elif fam is Family.ODD_POWER and n > 1:
