@@ -320,16 +320,15 @@ def _run_fit(args) -> int:
 def _write_overlay(changes, result, path: str) -> None:
     """Empirical density of the fitted changes next to the fitted model
     density."""
-    from .fitting import _RatioLaw
+    from .fitting import _change_log_pdf
 
     lo, hi = quantile(changes, 0.001), quantile(changes, 0.999)
     hist, edges = np.histogram(changes, bins=160, range=(lo, hi), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    spec, s = result.response, result.nuisance_scale
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.asarray(spec.inverse(centers / s), dtype=float)
-        model = np.exp(_RatioLaw(result.nuisance_spread, result.rho)
-                       .change_log_pdf(spec, s, r))
+    with np.errstate(over="ignore"):
+        model = np.exp(_change_log_pdf(result.response, result.nuisance_scale,
+                                       result.nuisance_spread, result.rho,
+                                       centers))
     model = np.where(np.isfinite(model), model, 0.0)
     write_csv(path, "x,f_model,f_empirical", (centers, model, hist))
 

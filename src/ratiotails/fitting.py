@@ -7,28 +7,27 @@ those changes.  Fitting is two-stage: the family's shape parameter comes
 from the exceedance tail by maximum likelihood, while the order-flow
 nuisance (a symmetric coefficient of variation plus an output scale
 absorbing the adjustment time constant) is fitted by conditional
-likelihood on the bulk, under one ratio law for every correlation:
-``density``'s closed forms.  At the default correlation rho = -1 the law
-is a transformed Gaussian, T = (R - 1)/(R + 1) = nu Z, and a pass works
-in t-space: each family's |log r| and log(r g'(r)) come in closed form
-from the change (``ResponseSpec.log_ratio``, ``log_ratio_slope``), with
-no ratio formed, so a point whose ratio leaves float range scores its
-density.  That search is a bounded Brent over log-scale, bracketed by
-the 0.95 |change| quantile, around a bounded Brent over the spread at
-each scale; it runs on numpy and the standard library alone (erf closed
-forms, a port of scipy's bounded Brent).  Any other rho polishes that
-optimum on Hinkley's density, the one step that loads scipy
-(scipy.special), with a damped Newton method of the package's own
-(``_newton_polish``) in some 20-70 passes.  At every rho each
-candidate's tail stage and search run on their own thread, up to the
-usable CPUs.  The searches run on a ~30k-point subsample of the bulk;
-each winner is then scored on the full bulk, whose fixed 65 536-point
-chunks map over the usable CPUs.  The result does not depend on how
-many CPUs there are.  Families are then ranked by a composite average
-log-likelihood over bulk and tail, and near-ties go to the family with
-fewer parameters or are reported as non-identifiable.  The threshold
-and the 0.95 quantile are ``tails.quantile``'s: np.quantile's, bit for
-bit, from one select.
+likelihood on the bulk.  At every correlation a pass works in t-space:
+T = (R - 1)/(R + 1) has a closed-form density f_T, and each family's
+|log r| and log(r g'(r)) come in closed form from the change, with no
+ratio formed, so a point whose ratio leaves float range scores its
+density.  One pass at a scale gives the score for every spread
+(``_profile``).  At the default rho = -1, T = nu Z, and the search is a
+bounded Brent over log-scale, bracketed by the 0.95 |change| quantile,
+around a bounded Brent over the spread at each scale, on numpy and the
+standard library alone (erf closed forms, a port of scipy's bounded
+Brent).  Any other rho polishes that optimum with a damped Newton
+method of the package's own (``_newton_polish``) in some 20-70
+evaluations of f_T, the one step that loads scipy (scipy.special).  At
+every rho each candidate's tail stage and search run on their own
+thread, up to the usable CPUs.  The searches run on a ~30k-point
+subsample of the bulk; each winner is then scored on the full bulk,
+whose fixed 65 536-point chunks map over the usable CPUs.  The result
+does not depend on how many CPUs there are.  Families are then ranked
+by a composite average log-likelihood over bulk and tail, and near-ties
+go to the family with fewer parameters or are reported as
+non-identifiable.  The threshold and the 0.95 quantile are
+``tails.quantile``'s: np.quantile's, bit for bit, from one select.
 
 All reported response shapes are identified only up to the time-constant
 scale, which no price series can pin down by itself.
@@ -43,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (OrderFlowParams, positive_ratio_mass, ratio_cdf,
-                      ratio_density)
+from .density import OrderFlowParams, positive_ratio_mass, ratio_cdf
+from .density import ratio_density  # noqa: F401 (perfbench traces it here)
 from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
 from .parallel import thread_map, usable_cpus
@@ -241,11 +240,6 @@ def _chunk_sums(sums, points: np.ndarray, scale: float):
             for column in zip(*parts)]
 
 
-def _threshold_ratio(spec: ResponseSpec, scale: float, u: float) -> float:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return float(spec.inverse(u / scale))
-
-
 def _pos_mass(nu: float) -> float:
     """P(R > 0) = P(|Z| < 1/nu) of the rho = -1 law with spread nu:
     positive_ratio_mass's erf form at unit means, bit for bit."""
@@ -273,70 +267,48 @@ def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
     return math.log(q95 / float(spec.value(r)))
 
 
-class _RatioLaw:
-    """Ratio law for the unit-mean pair with spread nu and correlation
-    -1 <= rho < 1, through the closed forms of ``density``."""
+def _bulk_score(spec: ResponseSpec, nu: float, rho: float, scale: float,
+                points: np.ndarray, u: float) -> float:
+    """Average conditional log-likelihood of the sub-threshold points
+    under the unit-mean pair with spread nu and correlation rho."""
+    if rho == -1.0:
+        return _profile(spec, scale, points, u, rho)(nu)
 
-    def __init__(self, nu: float, rho: float):
-        self.params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
-        self.pos_mass = positive_ratio_mass(self.params)
+    def sums(y):
+        t2, sv = _finite_t(*_t_space(spec, y))
+        return t2.size, float(np.sum(_log_f_t(t2, nu, rho))) - sv
 
-    def log_pdf(self, r):
-        if self.params.is_anticorrelated:
-            # Taken in log space: the density's (1 + r)**2 overflows, and
-            # at small nu its exp(-z**2/2) underflows, on ratios whose
-            # change density is still far inside float range.
-            nu = self.params.sigma1
-            z = (r - 1.0) / (nu * (r + 1.0))
-            return (math.log(2.0 / (_SQRT_2PI * nu))
-                    - 0.5 * z * z - 2.0 * np.log1p(r))
-        return np.log(ratio_density(self.params, r))
-
-    def cdf_pos(self, r):
-        return ((ratio_cdf(self.params, r) - (1.0 - self.pos_mass))
-                / self.pos_mass)
-
-    def change_log_pdf(self, spec: ResponseSpec, scale: float, r):
-        """log f_R(r) - log s - log g'(r) - log P(R > 0): the log density,
-        given R > 0, of the change y = s g(r) at the ratio r behind it.
-        Not finite where r is no positive finite ratio."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return (self.log_pdf(r) - math.log(scale) - spec.log_deriv(r)
-                    - math.log(self.pos_mass))
-
-    def bulk_score(self, spec: ResponseSpec, scale: float,
-                   points: np.ndarray, u: float) -> float:
-        """Average conditional log-likelihood of the sub-threshold points."""
-        if self.params.is_anticorrelated:
-            return _profile(spec, scale, points, u)(self.params.sigma1)
-
-        def sums(y):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r = np.asarray(spec.inverse(y), dtype=float)
-            r[~(np.isfinite(r) & (r > 0.0))] = np.inf  # no positive ratio
-            ll = self.change_log_pdf(spec, scale, r)
-            ll[~np.isfinite(ll)] = _LL_FLOOR
-            return (float(np.sum(ll)),)
-
-        total, = _chunk_sums(sums, points, scale)
-        r_u = _threshold_ratio(spec, scale, u)
-        bulk_mass = 2.0 * float(self.cdf_pos(r_u)) - 1.0
-        if bulk_mass <= 0.0:
-            return _LL_FLOOR
-        return total / points.size - math.log(bulk_mass)
+    n_ok, total = _chunk_sums(sums, points, scale)
+    return _mean(spec, nu, rho, scale, u, points.size, n_ok, total)
 
 
-def _profile_sums(spec: ResponseSpec, y: np.ndarray):
-    """(count, sum t^2, sum w) of the changes over the scale ``y`` whose w
-    is finite, in t-space: with L = |log r| of the ratio behind each
-    (``ResponseSpec.log_ratio``), t = tanh(L/2) = |r-1|/(r+1) and
-    w = -2 log(2 cosh(L/2)) - log(r g'(r)) = -2 log1p(r) - log g'(r).
-    t is in [0, 1] and w finite wherever L is, whether or not r = e**L
-    fits in a float; only a w that is not finite (L = inf, or L = 0 where
-    g'(1) = 0) drops out."""
+def _mean(spec: ResponseSpec, nu: float, rho: float, scale: float, u: float,
+          n: int, n_ok: int, total: float) -> float:
+    """The mean bulk log-likelihood of n points at rho != -1 from the sum
+    ``total`` of log f_T(t) - v over the n_ok whose v is finite; the rest
+    score the floor.  P(R > 0) and the bulk mass come from ``density``,
+    the latter at r_u = e**(+-L) signed as u."""
+    params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
+    pos_mass = positive_ratio_mass(params)
+    with np.errstate(over="ignore"):
+        r_u = float(np.exp(math.copysign(spec.log_ratio(u / scale), u)))
+    cdf_pos = (float(ratio_cdf(params, r_u)) - (1.0 - pos_mass)) / pos_mass
+    bulk_mass = 2.0 * cdf_pos - 1.0
+    if not bulk_mass > 0.0:
+        return _LL_FLOOR
+    return ((total + n_ok * math.log(2.0 / (scale * pos_mass))
+             + (n - n_ok) * _LL_FLOOR) / n - math.log(bulk_mass))
+
+
+def _t_space(spec: ResponseSpec, y: np.ndarray):
+    """(t^2, v) of the changes over the scale ``y``, as new arrays: with
+    L = |log r| of the ratio behind each (``ResponseSpec.log_ratio``),
+    t = tanh(L/2) = |r-1|/(r+1) and v = log(r g'(r)) + L + 2 log(1 + e**-L)
+    = 2 log1p(r) + log g'(r), finite whether or not r = e**L fits in a
+    float, but where L = inf, or L = 0 and g'(1) = 0."""
     big = spec.log_ratio(y)
-    w = spec.log_ratio_slope(big)       # log(r g'(r))
-    w += big
+    v = spec.log_ratio_slope(big)       # log(r g'(r))
+    v += big
     e = np.negative(big, out=big)
     np.exp(e, out=e)                    # e**-L
     d = np.add(e, 1.0)
@@ -345,34 +317,102 @@ def _profile_sums(spec: ResponseSpec, y: np.ndarray):
     e *= e
     d *= d
     np.log(d, out=d)
-    w += d                              # -w = L + 2 log(1 + e**-L) + ...
-    sw = float(np.sum(w))
-    if math.isfinite(sw):               # so is every w
-        return w.size, float(np.sum(e)), -sw
-    ok = np.isfinite(w)
-    return int(np.count_nonzero(ok)), float(np.sum(e[ok])), \
-        -float(np.sum(w[ok]))
+    v += d
+    return e, v
 
 
-def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float):
-    """The mean bulk log-likelihood at rho = -1 and ``scale`` as a
-    function of nu, from one pass over ``points``.
+def _finite_t(t2: np.ndarray, v: np.ndarray):
+    """(t^2, sum v) of the points whose v is finite."""
+    sv = float(np.sum(v))
+    if math.isfinite(sv):               # so is every v
+        return t2, sv
+    ok = np.isfinite(v)
+    return t2[ok], float(np.sum(v[ok]))
 
-    R = (1 + nu Z)/(1 - nu Z) with Z standard normal, and R > 0 exactly
-    when |Z| < 1/nu; T = (R - 1)/(R + 1) = tanh(log R / 2) is nu Z.  With
-    t = |T| and w = -2 log1p(r) - log g'(r) per point the mean separates
-    into c(nu) - sum(t^2)/(2 n nu^2) + sum(w)/n - log s - log pos_mass(nu)
-    - log bulk_mass(nu, s), so the pass keeps only (count, sum t^2, sum w)
-    in t-space (``_profile_sums``), of the points whose w is finite; the
-    rest score the floor, whatever nu.  t_u comes from L at u the same
-    way, signed as u.  The sums are the serial ones on any number of
-    threads (see ``_chunk_sums``), and the score of one nu is plain float
-    arithmetic on them.
+
+def _profile_sums(spec: ResponseSpec, y: np.ndarray):
+    """(count, sum t^2, -sum v) of the changes over the scale ``y`` whose
+    v is finite."""
+    t2, sv = _finite_t(*_t_space(spec, y))
+    return t2.size, float(np.sum(t2)), -sv
+
+
+def _log_f_t(t2: np.ndarray, nu: float, rho: float) -> np.ndarray:
+    """log f_T(t) at t^2 = ``t2``, a new array.  T = (R - 1)/(R + 1) =
+    A/B, and A = D - S ~ N(0, a), B = D + S ~ N(2, b) are independent,
+    a = 2 nu^2 (1 - rho), b = 2 nu^2 (1 + rho).  At rho = -1 f_T is
+    phi(t/nu)/nu; otherwise Hinkley's (1969) two terms, with
+    d^2 = a + b t^2 and x^2 = 2a/(b d^2), are
+
+        f_T(t) = e**(-2 t^2/d^2) b^(3/2) / (2 sqrt(pi a))
+                 * x^2 (x erf(x) + e**(-x^2)/sqrt(pi)),
+
+    and the bracket is at least 1/sqrt(pi): log f_T never underflows.
     """
+    if rho == -1.0:
+        out = np.multiply(t2, -0.5 / (nu * nu))
+        out -= math.log(_SQRT_2PI * nu)
+        return out
+    from scipy.special import erf
+
+    a, b = 2.0 * nu * nu * (1.0 - rho), 2.0 * nu * nu * (1.0 + rho)
+    x2 = np.multiply(t2, b)
+    x2 += a
+    np.divide(2.0 * a / b, x2, out=x2)
+    out = np.multiply(t2, x2)
+    out *= -b / a                       # -2 t^2/d^2
+    x = np.sqrt(x2)
+    g = erf(x)
+    g *= x
+    np.subtract(-0.5 * math.log(math.pi), x2, out=x)
+    np.exp(x, out=x)                    # e**(-x^2)/sqrt(pi)
+    g += x
+    g *= x2
+    np.log(g, out=g)
+    out += g
+    out += math.log(b * math.sqrt(b / (4.0 * math.pi * a)))
+    return out
+
+
+def _change_log_pdf(spec: ResponseSpec, scale: float, nu: float, rho: float,
+                   points) -> np.ndarray:
+    """Per point, the log density given R > 0 of the change y = s g(r),
+    log f_T(t) + log 2 - v - log s - log P(R > 0); not finite where v is
+    not."""
+    t2, v = _t_space(spec, np.asarray(points, dtype=float) / scale)
+    out = _log_f_t(t2, nu, rho)
+    out -= v
+    pos_mass = positive_ratio_mass(OrderFlowParams(1.0, 1.0, nu, nu, rho))
+    out += math.log(2.0 / (scale * pos_mass))
+    return out
+
+
+def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float,
+             rho: float):
+    """The mean bulk log-likelihood at correlation rho and ``scale`` as a
+    function of nu, from one t-space pass over ``points``.
+
+    The pass keeps what does not depend on nu, of the points whose v is
+    finite (``_t_space``); the rest score the floor, whatever nu.  At
+    rho = -1 the score is c(nu) - sum(t^2)/(2 n nu^2) - sum(v)/n - log s
+    - log pos_mass(nu) - log bulk_mass(nu, s), so the pass keeps (count,
+    sum t^2, sum v), the serial floats on any CPU count (``_chunk_sums``),
+    and t_u = tanh(L_u/2) signed as u.  At any other rho it keeps the t^2
+    array and sum v, and each nu is one ``_log_f_t`` over that array.
+    """
+    n = points.size
+    if rho != -1.0:
+        t2, sv = _finite_t(*_t_space(spec, points / scale))
+
+        def score(nu: float) -> float:
+            total = float(np.sum(_log_f_t(t2, nu, rho))) - sv
+            return _mean(spec, nu, rho, scale, u, n, t2.size, total)
+
+        return score
+
     n_ok, st2, sw = _chunk_sums(functools.partial(_profile_sums, spec),
                                 points, scale)
     t_u = math.copysign(math.tanh(0.5 * spec.log_ratio(u / scale)), u)
-    n = points.size
     share = n_ok / n
     rest = (sw - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
     half_st2 = 0.5 * st2 / n
@@ -501,20 +541,20 @@ def _tail_stage(family: Family, exc: np.ndarray, u: float):
 
 def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
                   u: float, rho: float):
-    """(nu, scale, law, notes) of the largest conditional bulk likelihood;
+    """(nu, scale, notes) of the largest conditional bulk likelihood;
     at rho = -1 a note names each of nu and scale that ends on a bound of
     its search, where it need not be the maximum.
 
     The surface has a long curved ridge (bulk width pins only nu * scale).
     The search runs on a deterministic subsample of the bulk; the caller
-    scores the winner on the full bulk.  At rho = -1 one t-space pass at
-    a log-scale gives the score for every nu (``_profile``), and a bounded
-    Brent takes nu on [_NU_LO, _NU_HI].  Around it a bounded Brent takes
-    log-scale, 1.5 past the ``_scale_seed`` of nu = 0.93 and of 0.05 (the
-    seed falls as nu grows), one pass per step.  At any other rho every
-    score is a pass over Hinkley's density, and ``_newton_polish`` takes
-    (logit nu, log-scale) from the rho = -1 optimum: seven passes per
-    Newton step, some 20-70 in all.
+    scores the winner on the full bulk.  One t-space pass at a log-scale
+    gives the score for every nu (``_profile``).  At rho = -1 a bounded
+    Brent takes nu on [_NU_LO, _NU_HI], and around it a bounded Brent
+    takes log-scale, 1.5 past the ``_scale_seed`` of nu = 0.93 and of 0.05
+    (the seed falls as nu grows), one pass per step.  At any other rho
+    ``_newton_polish`` then takes (logit nu, log-scale) from that
+    optimum, some 20-70 evaluations of one nu each on the profile of its
+    log-scale, of which the last four are kept.
     """
     # gathered once: every pass divides the subsample by a scale, and a
     # strided view makes each of those reads miss the cache
@@ -522,7 +562,7 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
     best_nu = {}
 
     def negative(log_scale: float) -> float:
-        score = _profile(spec, math.exp(log_scale), sub, u)
+        score = _profile(spec, math.exp(log_scale), sub, u, -1.0)
         best_nu[log_scale], value = _bounded_brent(
             lambda nu: -score(nu), _NU_LO, _NU_HI, 1e-9)
         return value
@@ -540,12 +580,15 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
             notes.append(f"nuisance scale {scale:.6g} is on a bound of its "
                          f"search range [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
     else:
+        # a stencil of the polish takes 3 log-scales, so 3-4 profiles
+        # serve its 7 evaluations
+        profile = functools.lru_cache(maxsize=4)(
+            lambda ls: _profile(spec, math.exp(ls), sub, u, rho))
         t, log_scale = _newton_polish(
-            lambda th: -_RatioLaw(_nu_from_t(th[0]), rho).bulk_score(
-                spec, math.exp(th[1]), sub, u),
+            lambda th: -profile(th[1])(_nu_from_t(th[0])),
             (_t_from_nu(nu), log_scale))
         nu, scale = _nu_from_t(t), math.exp(log_scale)
-    return nu, scale, _RatioLaw(nu, rho), notes
+    return nu, scale, notes
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +710,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         return (spec, param, tail_ll) + _fit_nuisance(spec, q95, bulk, u, rho)
 
     # Each candidate's tail stage and search run on their own thread, up
-    # to the usable CPUs: a few dozen t-space passes over the subsample
-    # at rho = -1, some 20-70 passes over Hinkley's density at any other.
+    # to the usable CPUs: a few dozen t-space passes over the subsample,
+    # and at rho != -1 some 20-70 f_T evaluations on their profiles.
     threads = usable_cpus()
     if threads > 1 and rho != -1.0:  # loaded here, not by two threads
         import scipy.special  # noqa: F401
@@ -679,9 +722,9 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     scores = {}
     # one candidate at a time: each full-bulk score maps its chunks over
     # the usable CPUs itself (see _chunk_sums)
-    for fam, (spec, param, tail_ll, nu, scale, law, bound_notes) in zip(
+    for fam, (spec, param, tail_ll, nu, scale, bound_notes) in zip(
             fams, searched):
-        bulk_ll = law.bulk_score(spec, scale, bulk, u)
+        bulk_ll = _bulk_score(spec, nu, rho, scale, bulk, u)
         score = (1.0 - p_tail) * bulk_ll + p_tail * tail_ll
         fitted[fam] = (spec, param, nu, scale, bound_notes)
         scores[fam.value] = score

@@ -200,59 +200,6 @@ class ResponseSpec:
             out = 1.0 / x if order == 1 else -(x ** -2.0)
         return out if np.ndim(out) else float(out)
 
-    def log_deriv(self, x):
-        """log g'(x) for x > 0, finite where ``deriv`` overflows.
-
-        Array input is not validated: fits pass millions of ratios per
-        call.  POWER's slope is written through L = q |log x|, the log
-        of u = max(x, 1/x)**q, as log q - log x + L + log1p(exp(-2 L)),
-        so no power of x is formed; SYM and ODD_POWER's 1 + x**-2 factor
-        are its q = 1 case.  The arithmetic runs in place on at most
-        three arrays of x's size; a scalar goes through a 1-element array.
-        """
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(x)
-        fam = self.family
-        n = 1 if self.param is None else int(self.param)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lx = np.log(x)
-            if fam is Family.LOG:
-                out = np.negative(lx, out=lx)
-            elif fam is Family.LOG_POWER and n == 1:
-                # n = 1 skips 0 * log|log x|, which is NaN at x = 1
-                out = np.subtract(math.log(n), lx, out=lx)
-            elif fam is Family.LOG_POWER:
-                # log n + (n - 1) log|log x| - log x
-                out = np.abs(lx)
-                np.log(out, out=out)
-                out *= n - 1
-                out += math.log(n)
-                out -= lx
-            else:
-                # SYM is half of POWER with q = 1, and ODD_POWER's factor
-                # 1 + x**-2 is POWER's slope with q = 1
-                q = self.param if fam is Family.POWER else 1.0
-                big = np.abs(lx)
-                big *= q
-                rest = np.multiply(big, -2.0)
-                np.exp(rest, out=rest)
-                np.log1p(rest, out=rest)
-                out = np.subtract(math.log(q), lx, out=lx)
-                out += big
-                out += rest
-                if fam is Family.SYM:
-                    out += math.log(0.5)
-                elif fam is Family.ODD_POWER and n > 1:
-                    # log n + (n - 1) log|x - 1/x|
-                    big = np.divide(1.0, x, out=big)
-                    np.subtract(x, big, out=big)
-                    np.abs(big, out=big)
-                    np.log(big, out=big)
-                    big *= n - 1
-                    big += math.log(n)
-                    out += big
-        return float(out[0]) if scalar else out
-
     def log_ratio(self, y):
         """L = |log r| of the ratio r > 0 with g(r) = y, in closed form.
 
@@ -314,6 +261,7 @@ class ResponseSpec:
                 out += math.log(n)
         return out
 
+    # no fit calls it; TransformedDensity, check and perfbench do
     def inverse(self, y):
         """Analytic inverse restricted to ratios r > 0.
 

@@ -370,13 +370,20 @@ class TailReport:
 
 
 def _prepare(x: np.ndarray, side: str) -> np.ndarray:
+    """The magnitudes on ``side`` of the samples; fewer than
+    MIN_TAIL_POINTS of them raise InsufficientTailError."""
     if side == "abs":
-        return np.abs(x)
-    if side == "right":
-        return x[x > 0]
-    if side == "left":
-        return -x[x < 0]
-    raise DomainError(f"side must be abs, right or left, got {side!r}")
+        a = np.abs(x)
+    elif side == "right":
+        a = x[x > 0]
+    elif side == "left":
+        a = -x[x < 0]
+    else:
+        raise DomainError(f"side must be abs, right or left, got {side!r}")
+    if a.size < MIN_TAIL_POINTS:
+        raise InsufficientTailError(
+            f"{a.size} samples on side {side}; need >= {MIN_TAIL_POINTS}")
+    return a
 
 
 def check_return_interval(delta_t: float) -> None:

@@ -1,9 +1,12 @@
 """Command-line surface: exit codes, artifacts, manifest replay."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from datetime import datetime
@@ -11,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ratiotails
 from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
@@ -366,6 +370,56 @@ def test_degenerate_tail_sample_exits_2(tmp_path, capsys):
                  str(path))
     assert run("tails", "--samples", path) == 2
     assert "all exceedances are identical" in capsys.readouterr().err
+
+
+def degenerate_samples(kind: str, n: int, seed: int) -> np.ndarray:
+    """n samples of one degenerate kind: all of one sign, constant, a few
+    rows, heavily tied, or holding NaN or inf."""
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_t(3.0, size=n)
+    if kind == "positive":
+        return np.abs(draws)
+    if kind == "negative":
+        return -np.abs(draws)
+    if kind == "constant":
+        return np.full(n, rng.choice([0.0, 1.5, -2.0]))
+    if kind == "few":
+        return draws[:rng.integers(1, 21)]
+    if kind == "tied":
+        return rng.choice(rng.standard_t(3.0, size=rng.integers(1, 5)), n)
+    bad = rng.choice([np.nan, np.inf, -np.inf], size=rng.integers(1, 4))
+    draws[rng.integers(0, n, size=bad.size)] = bad
+    return draws
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["positive", "negative", "constant", "few", "tied",
+                        "non-finite"]),
+       st.integers(1, 5000), st.sampled_from(["abs", "right", "left"]),
+       st.integers(0, 2 ** 32 - 1))
+@example("negative", 5000, "right", 0)    # the empty side
+@example("positive", 5000, "left", 1)
+@example("positive", 15, "left", 2)
+def tails_samples_keep_the_contract(kind, n, side, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "samples.csv")
+        save_samples(degenerate_samples(kind, n, seed), path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["tails", "--samples", path, "--side", side])
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith("error: ") for line in lines) == 1
+
+
+def test_tails_samples_keep_the_exit_code_contract():
+    # through main, in-process: whatever the degenerate sample, tails
+    # exits 0-3, raises nothing, and a nonzero exit prints one error line
+    start = time.perf_counter()
+    tails_samples_keep_the_contract()
+    assert time.perf_counter() - start <= 10.0
 
 
 def _error_types(base):

@@ -1,6 +1,7 @@
 """Windowed change extraction and response-family recovery."""
 
 import functools
+import itertools
 import math
 import subprocess
 import sys
@@ -16,10 +17,11 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         fit_g, fit_price_series, invert_monotone,
                         relative_changes, simulate_gbm, simulate_path)
 from ratiotails import fileio, fitting, tails
-from ratiotails.density import positive_ratio_mass
+from ratiotails.density import (positive_ratio_mass, ratio_cdf,
+                                ratio_density)
 from ratiotails.errors import (DomainError, NonIdentifiableError,
                                TimestampError, WindowError)
-from ratiotails.fitting import _RatioLaw, scaled_returns
+from ratiotails.fitting import scaled_returns
 
 ANTI_PATH = OrderFlowParams(1.0, 1.0, 0.38, 0.38, -1.0)
 
@@ -407,10 +409,28 @@ def test_a_multi_chunk_fit_does_not_depend_on_the_cpu_count(rho,
     assert results[0] == results[1] == results[2]
 
 
-def t_space_log_pdf(spec, nu, scale, y):
-    """The rho = -1 log density, given R > 0, of the change y at spread nu
-    and scale, one point in the math module through L = |log r|, so
-    finite where r = exp(+-L) leaves float range."""
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def log_f_t(nu, rho, t):
+    """log f_T(t) of T = A/B, A ~ N(0, a), B ~ N(2, b) independent, as the
+    log of the sum of Hinkley's two terms, each taken in logs."""
+    if rho == -1.0:
+        return -t * t / (2.0 * nu * nu) - math.log(_SQRT_2PI * nu)
+    a, b = 2.0 * nu * nu * (1.0 - rho), 2.0 * nu * nu * (1.0 + rho)
+    d2 = a + b * t * t
+    first = math.log(math.sqrt(a * b) / (math.pi * d2)) - 2.0 / b
+    second = (math.log(2.0 * a / (_SQRT_2PI * d2 ** 1.5))
+              - 2.0 * t * t / d2
+              + math.log(math.erf(math.sqrt(2.0 * a / b / d2))))
+    hi, lo = max(first, second), min(first, second)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def t_space_log_pdf(spec, nu, scale, y, rho=-1.0):
+    """The log density, given R > 0, of the change y at spread nu,
+    correlation rho and scale, one point in the math module through
+    L = |log r|, so finite where r = exp(+-L) leaves float range."""
     z, q = abs(y) / scale, spec.param
     big = {Family.POWER: lambda: math.asinh(z / 2.0) / q,
            Family.SYM: lambda: math.asinh(z),
@@ -431,10 +451,10 @@ def t_space_log_pdf(spec, nu, scale, y):
             big + math.log1p(-math.exp(-2.0 * big)))),
     }[spec.family]()
     t = math.tanh(big / 2.0)
-    pos = math.erf(1.0 / (nu * math.sqrt(2.0)))
-    return (math.log(2.0 / (math.sqrt(2.0 * math.pi) * nu * pos))
-            - t * t / (2.0 * nu * nu) - 2.0 * lc(big / 2.0) - slope
-            - math.log(scale))
+    pos = math.erf(1.0 / (nu * math.sqrt(2.0))) if rho == -1.0 else \
+        positive_ratio_mass(OrderFlowParams(1.0, 1.0, nu, nu, rho))
+    return (math.log(2.0 / pos) + log_f_t(nu, rho, t) - 2.0 * lc(big / 2.0)
+            - slope - math.log(scale))
 
 
 def r_space_sums(spec, y):
@@ -445,7 +465,7 @@ def r_space_sums(spec, y):
         ok = np.isfinite(r) & (r > 0.0)
         r = r[ok]
         t = (r - 1.0) / (r + 1.0)
-        w = -2.0 * np.log1p(r) - spec.log_deriv(r)
+        w = -2.0 * np.log1p(r) - np.log(spec.deriv(r))
     assert np.all(np.isfinite(w))
     return ok, float(np.sum(t * t)), float(np.sum(w))
 
@@ -489,13 +509,54 @@ def test_a_point_past_float_range_scores_its_density(family, q, y):
     with np.errstate(over="ignore", divide="ignore"):
         r = float(spec.inverse(y))
     assert r == 0.0 or math.isinf(r)
-    for nu, scale in ((0.38, 1.0), (0.05, 0.8)):
-        want = t_space_log_pdf(spec, nu, scale, y)
+    for (nu, scale), rho in itertools.product(((0.38, 1.0), (0.05, 0.8)),
+                                              (-1.0, -0.5, 0.5)):
+        want = t_space_log_pdf(spec, nu, scale, y, rho)
         assert math.isfinite(want)
-        got = fitting._profile(spec, scale, np.array([y]), math.inf)(nu)
+        got = fitting._profile(spec, scale, np.array([y]), math.inf, rho)(nu)
         # u = inf holds every point: bulk mass 1
         assert got == pytest.approx(want, rel=1e-12)
         assert got != fitting._LL_FLOOR
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.floats(0.02, 0.97),
+       st.floats(-1.0, 0.95, exclude_min=True), st.floats(0.1, 10.0),
+       st.lists(st.tuples(st.floats(1e-3, 40.0), st.booleans()),
+                min_size=1, max_size=8))
+@example((Family.POWER, 0.7), 0.38, -1.0 + 2.0 ** -52, 1.0, [(3.0, True)])
+@example((Family.LOG, None), 0.02, 0.95, 0.1, [(40.0, False), (1e-3, True)])
+def test_the_f_t_kernel_is_the_r_space_density(family_q, nu, rho, scale,
+                                               points):
+    # per point, log f_T(t) + log 2 - v - log s - log P(R > 0) against
+    # log f_R(r) - log s - log g'(r) - log P(R > 0) at r = inverse(y/s),
+    # to 1e-11 relative (absolute near 0) wherever the reference's f_R and
+    # g'(r) are normal floats.  The points are y = s g(exp(+-L)) with
+    # L >= 1e-3: nearer r = 1, r = 1 + O(eps) holds log r, and ODD_POWER's
+    # x - 1/x, to only eps/L relative, the reference's own error.
+    spec = ResponseSpec(*family_q)
+    big = np.array([b for b, _ in points])
+    sign = np.array([-1.0 if neg else 1.0 for _, neg in points])
+    with np.errstate(over="ignore"):
+        y = scale * np.asarray(spec.value(np.exp(sign * big)), dtype=float)
+    y = y[np.isfinite(y)]
+    if y.size == 0:
+        return
+    got = fitting._change_log_pdf(spec, scale, nu, rho, y)
+    ref = r_space_log_pdf(spec, nu, rho, scale, y)
+    assert np.all(np.isfinite(got[np.isfinite(ref)]))
+    params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.asarray(spec.inverse(y / scale), dtype=float)
+        ok = np.isfinite(r) & (r >= tiny)
+        f_r = np.zeros_like(r)
+        slope = np.zeros_like(r)
+        f_r[ok] = ratio_density(params, r[ok])
+        slope[ok] = spec.deriv(r[ok])
+    normal = ok & (f_r >= tiny) & (slope >= tiny) & np.isfinite(slope)
+    gap = np.abs(got[normal] - ref[normal])
+    assert np.all(gap <= 1e-11 * np.maximum(np.abs(ref[normal]), 1.0))
 
 
 @pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None)])
@@ -529,16 +590,16 @@ def test_profile_sums_are_the_serial_chunk_sums(family, q, monkeypatch):
     assert serial[2] == pytest.approx(sw, rel=1e-12)
 
 
-@pytest.mark.parametrize("rho", [-1.0, -0.5])
+@pytest.mark.parametrize("rho", [-1.0, -0.5, 0.5])
 def test_bulk_scores_do_not_depend_on_the_cpu_count(rho, monkeypatch):
     spec = ResponseSpec(Family.POWER, 0.7)
     points = np.asarray(spec.value(
         ratio_positive(3 * fitting._CHUNK + 4001, seed=71)))
-    law = _RatioLaw(0.38, rho)
     scores = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
-        scores.append(law.bulk_score(spec, 0.9, points, 40.0))
+        scores.append(fitting._bulk_score(spec, 0.38, rho, 0.9, points,
+                                          40.0))
     assert scores[0] == scores[1] == scores[2]
     assert math.isfinite(scores[0])
 
@@ -634,18 +695,49 @@ def test_fit_with_overridden_correlation():
 # the nuisance searches against the per-point grid + Nelder-Mead oracle
 # ---------------------------------------------------------------------------
 
-def pointwise_score(spec, law, scale, points, u, far=None):
-    """Mean conditional bulk log-likelihood, one full per-point pass; a
-    point with no finite log density scores the floor, or far(y) when
-    given."""
+def r_space_log_pdf(spec, nu, rho, scale, y):
+    """Per point, the log density given R > 0 of the change y = s g(r) in
+    r-space: r = inverse(y/s), then log f_R(r) - log s - log g'(r)
+    - log P(R > 0), with f_R ``density.ratio_density`` (at rho = -1 its
+    closed form taken in logs, whose (1 + r)**2 overflows and exp(-z**2/2)
+    underflows on points still inside float range).  Not finite where r
+    is no positive finite ratio, or where the density or g'(r) leaves
+    float range."""
+    params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.asarray(spec.inverse(points / scale), dtype=float)
+        r = np.asarray(spec.inverse(np.asarray(y, dtype=float) / scale),
+                       dtype=float)
         r = np.where(np.isfinite(r) & (r > 0.0), r, np.inf)
-        r_u = float(spec.inverse(u / scale))
-    ll = law.change_log_pdf(spec, scale, r)
+        if rho == -1.0:
+            z = (r - 1.0) / (nu * (r + 1.0))
+            log_f = (math.log(2.0 / (math.sqrt(2.0 * math.pi) * nu))
+                     - 0.5 * z * z - 2.0 * np.log1p(r))
+        else:
+            log_f = np.log(ratio_density(params, r))
+        slope = np.asarray(spec.deriv(np.where(np.isinf(r), 1.0, r)))
+        slope = np.where(np.isinf(r), np.inf, slope)
+        return (log_f - math.log(scale) - np.log(slope)
+                - math.log(positive_ratio_mass(params)))
+
+
+def cdf_pos(nu, rho, r):
+    """P(R < r | R > 0) by ``density.ratio_cdf``."""
+    params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
+    pos_mass = positive_ratio_mass(params)
+    return (ratio_cdf(params, r) - (1.0 - pos_mass)) / pos_mass
+
+
+def pointwise_score(spec, nu, rho, scale, points, u, far=None):
+    """Mean conditional bulk log-likelihood, one full r-space per-point
+    pass; a point with no finite log density scores the floor, or far(y)
+    when given.  The bulk mass is P(1/r_u < R < r_u | R > 0) by
+    ``density.ratio_cdf``, r_u = inverse(u/s)."""
+    ll = r_space_log_pdf(spec, nu, rho, scale, points)
     for i in np.flatnonzero(~np.isfinite(ll)):
         ll[i] = fitting._LL_FLOOR if far is None else far(points[i])
-    bulk_mass = 2.0 * float(law.cdf_pos(r_u)) - 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r_u = float(spec.inverse(u / scale))
+    bulk_mass = 2.0 * float(cdf_pos(nu, rho, r_u)) - 1.0
     if bulk_mass <= 0.0:
         return fitting._LL_FLOOR
     return float(np.mean(ll)) - math.log(bulk_mass)
@@ -661,11 +753,10 @@ def grid_nelder_mead_oracle(spec, q95, sub, u, rho=-1.0):
 
     best = (math.inf, None, None)
     for nu in np.geomspace(0.05, 0.93, 21):
-        r975 = invert_monotone(_RatioLaw(nu, rho).cdf_pos, 0.975)
+        r975 = invert_monotone(functools.partial(cdf_pos, nu, rho), 0.975)
         ls0 = math.log(q95 / float(spec.value(r975)))
         r = minimize_scalar(
-            lambda ls: -pointwise_score(spec, _RatioLaw(nu, rho),
-                                        math.exp(ls), sub, u),
+            lambda ls: -pointwise_score(spec, nu, rho, math.exp(ls), sub, u),
             bounds=(ls0 - 1.5, ls0 + 1.5), method="bounded",
             options={"xatol": 1e-7})
         if r.fun < best[0]:
@@ -682,8 +773,7 @@ def nelder_mead(spec, sub, u, rho, nu0, ls0):
     from scipy.optimize import minimize
 
     return minimize(
-        lambda th: -pointwise_score(spec, _RatioLaw(fitting._nu_from_t(th[0]),
-                                                    rho),
+        lambda th: -pointwise_score(spec, fitting._nu_from_t(th[0]), rho,
                                     math.exp(th[1]), sub, u),
         x0=np.array([fitting._t_from_nu(nu0), ls0]), method="Nelder-Mead",
         options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
@@ -718,10 +808,10 @@ def _of_ratios(g):
 def test_profile_search_matches_the_oracle(family, q, changes, ridge):
     spec = ResponseSpec(family, q)
     q95, bulk, u = _split(changes())
-    nu, scale, law, _ = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
+    nu, scale, _ = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u)
-    got = law.bulk_score(spec, scale, bulk, u)
-    ref = pointwise_score(spec, _RatioLaw(nu_ref, -1.0), scale_ref, bulk, u)
+    got = fitting._bulk_score(spec, nu, -1.0, scale, bulk, u)
+    ref = pointwise_score(spec, nu_ref, -1.0, scale_ref, bulk, u)
     if ridge:
         assert abs(got - ref) <= 1e-6
     else:
@@ -738,35 +828,40 @@ def test_profile_search_matches_the_oracle(family, q, changes, ridge):
 def test_correlated_search_matches_the_oracle(family, q, make, rho,
                                               monkeypatch):
     # the Newton polish from the rho = -1 optimum reaches the optimum of
-    # the spread grid, in at most half the passes that Nelder-Mead takes
-    # from the same start
+    # the spread grid, in at most half the evaluations, each one nu on a
+    # scale's profile, that Nelder-Mead takes passes from the same start
     spec = ResponseSpec(family, q)
     q95, bulk, u = _split(make(correlated_ratios(10000, rho, seed=83)))
-    passes = []
-    bulk_score = _RatioLaw.bulk_score
+    evals = []
+    profile = fitting._profile
 
-    def counted(law, *args):
-        passes.append(args)
-        return bulk_score(law, *args)
+    def counted(spec, scale, points, u, rho_):
+        score = profile(spec, scale, points, u, rho_)
+        if rho_ == -1.0:
+            return score
+
+        def counted_score(nu):
+            evals.append((scale, nu))
+            return score(nu)
+
+        return counted_score
 
     with monkeypatch.context() as patch:
-        patch.setattr(_RatioLaw, "bulk_score", counted)
-        nu, scale, law, _ = fitting._fit_nuisance(spec, q95, bulk, u, rho)
+        patch.setattr(fitting, "_profile", counted)
+        nu, scale, _ = fitting._fit_nuisance(spec, q95, bulk, u, rho)
     nu_ref, scale_ref = grid_nelder_mead_oracle(spec, q95, bulk, u, rho)
-    got = law.bulk_score(spec, scale, bulk, u)
-    ref = pointwise_score(spec, _RatioLaw(nu_ref, rho), scale_ref, bulk, u)
+    got = fitting._bulk_score(spec, nu, rho, scale, bulk, u)
+    ref = pointwise_score(spec, nu_ref, rho, scale_ref, bulk, u)
     assert got >= ref - 1e-12
     assert nu == pytest.approx(nu_ref, rel=1e-5)
     assert scale == pytest.approx(scale_ref, rel=1e-5)
     # bulk has fewer than 30k points, so the search's subsample is bulk
-    nu0, scale0, _, _ = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
+    nu0, scale0, _ = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
     start = nelder_mead(spec, bulk, u, rho, nu0, math.log(scale0))
-    assert 0 < len(passes) <= start.nfev / 2
+    assert 0 < len(evals) <= start.nfev / 2
 
 
-@pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None),
-                                      (Family.ODD_POWER, 3)])
-def test_three_sums_give_the_pointwise_score(family, q):
+def bulk_score_against_pointwise(family, q, rho):
     # more points than one chunk, and three far points: under LOG their
     # ratios leave float range (r = 0 or inf), and they score the t-space
     # density there, not the floor
@@ -776,12 +871,29 @@ def test_three_sums_give_the_pointwise_score(family, q):
     points[:3] = [2e3, -2e3, 5e3]
     u = 500.0
     for nu, scale in ((0.38, 1.0), (0.05, 0.8), (0.9, 3.0)):
-        law = _RatioLaw(nu, -1.0)
-        ref = pointwise_score(spec, law, scale, points, u,
-                              far=functools.partial(t_space_log_pdf, spec,
-                                                    nu, scale))
-        assert law.bulk_score(spec, scale, points, u) == pytest.approx(
-            ref, rel=1e-12, abs=1e-12)
+        ref = pointwise_score(spec, nu, rho, scale, points, u,
+                              far=lambda y: t_space_log_pdf(spec, nu, scale,
+                                                            y, rho))
+        got = fitting._bulk_score(spec, nu, rho, scale, points, u)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        # the search's profile of the same points, at that nu
+        assert fitting._profile(spec, scale, points, u, rho)(nu) == \
+            pytest.approx(got, rel=1e-13)
+
+
+@pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None),
+                                      (Family.ODD_POWER, 3)])
+def test_three_sums_give_the_pointwise_score(family, q):
+    bulk_score_against_pointwise(family, q, -1.0)
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.5])
+@pytest.mark.parametrize("family,q", [(Family.POWER, 0.7), (Family.LOG, None),
+                                      (Family.ODD_POWER, 3)])
+def test_f_t_chunks_give_the_pointwise_score(family, q, rho):
+    # at rho != -1 the full bulk is scored by f_T chunk by chunk, and the
+    # profile from its kept t^2 array
+    bulk_score_against_pointwise(family, q, rho)
 
 
 @settings(max_examples=300, deadline=None)
@@ -797,7 +909,7 @@ def test_profile_masses_are_the_laws(nu, t):
     assert pos_mass == positive_ratio_mass(
         OrderFlowParams(1.0, 1.0, nu, nu, -1.0))
     # the reference subtracts CDF values near 1/2: ~1e-15 absolute error
-    ref = 2.0 * float(_RatioLaw(nu, -1.0).cdf_pos(r_u)) - 1.0
+    ref = 2.0 * float(cdf_pos(nu, -1.0, r_u)) - 1.0
     assert bulk_mass == pytest.approx(ref, rel=1e-14, abs=2e-15)
 
 
@@ -807,7 +919,7 @@ def test_profile_scores_the_floor_without_a_bulk(family, q, u):
     # u <= 0 puts r_u at or below 1 (t_u <= 0); u = NaN makes t_u NaN
     spec = ResponseSpec(family, q)
     points = np.asarray(spec.value(ratio_positive(500, seed=89)))
-    profile = fitting._profile(spec, 1.0, points, u)
+    profile = fitting._profile(spec, 1.0, points, u, -1.0)
     for nu in (0.02, 0.38, 0.97):
         assert profile(nu) == fitting._LL_FLOOR
 
@@ -937,16 +1049,17 @@ def test_the_spread_logistic_is_total_and_monotone(t, other):
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
 @pytest.mark.parametrize("nu", [0.1, 0.38, 0.9])
 def test_correlated_law_converges_to_the_anticorrelated_one(nu, eps):
-    # Hinkley's density and the orthant CDF at rho = -1 + eps against the
+    # the f_T kernel and the orthant CDF at rho = -1 + eps against the
     # exact rho = -1 law, before a rho profile crosses the boundary
     spec = ResponseSpec(Family.SYM)
     r = np.geomspace(math.exp(-5.0), math.exp(5.0), 201)
-    near, edge = _RatioLaw(nu, -1.0 + eps), _RatioLaw(nu, -1.0)
+    y = np.asarray(spec.value(r))
     tol = 10.0 * eps + 1e-12
-    np.testing.assert_allclose(near.change_log_pdf(spec, 1.0, r),
-                               edge.change_log_pdf(spec, 1.0, r),
-                               rtol=0.0, atol=tol)
-    np.testing.assert_allclose(near.cdf_pos(r), edge.cdf_pos(r),
+    np.testing.assert_allclose(
+        fitting._change_log_pdf(spec, 1.0, nu, -1.0 + eps, y),
+        fitting._change_log_pdf(spec, 1.0, nu, -1.0, y), rtol=0.0, atol=tol)
+    np.testing.assert_allclose(cdf_pos(nu, -1.0 + eps, r),
+                               cdf_pos(nu, -1.0, r),
                                rtol=0.0, atol=tol)
 
 

@@ -100,26 +100,6 @@ specs = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(specs, st.lists(ratios, min_size=1, max_size=8))
-def test_log_deriv_is_log_of_deriv(spec, xs):
-    # rel 1e-12 against log(deriv) wherever deriv is a normal float
-    # (absolute where the log is near zero); where deriv overflows,
-    # log_deriv stays finite, and where it underflows, below log(tiny)
-    x = np.array(xs + [1.0])
-    got = spec.log_deriv(x)
-    with np.errstate(over="ignore", under="ignore"):
-        d = np.asarray(spec.deriv(x))
-    tiny = np.finfo(float).tiny
-    normal = np.isfinite(d) & (d >= tiny)
-    want = np.log(d[normal])
-    assert np.all(np.abs(got[normal] - want)
-                  <= 1e-12 * np.maximum(np.abs(want), 1.0))
-    assert np.all(np.isfinite(got[d == np.inf]))
-    assert np.all(got[d < tiny] < math.log(tiny))
-    assert spec.log_deriv(float(x[0])) == got[0]
-
-
-@settings(max_examples=500, deadline=None)
-@given(specs, st.lists(ratios, min_size=1, max_size=8))
 def test_log_ratio_is_the_log_of_the_inverse(spec, xs):
     # L = |log r| of the ratio behind y, where inverse(y) is a normal
     # float, to 1e-12 relative; near L = 0 r rounds to 1 + O(eps) and
@@ -160,21 +140,29 @@ def test_log_ratio_holds_past_float_range(spec):
 @settings(max_examples=500, deadline=None)
 @given(specs, st.lists(ratios, min_size=1, max_size=8))
 def test_log_ratio_slope_is_the_log_of_r_deriv(spec, xs):
-    # log(r g'(r)) = log r + log g'(r) at r = x and at r = 1/x, to 1e-12;
-    # under ODD_POWER log_deriv takes x - 1/x, which cancels near x = 1,
-    # so the check starts at L = 1e-3 there
+    # log(r g'(r)) = log r + log g'(r) at r = x and at r = 1/x, to 1e-12
+    # relative (absolute where the log is near zero) wherever deriv is a
+    # normal float; where deriv overflows the slope stays finite, where it
+    # underflows it is below log r + log(tiny), and at r = 1 with
+    # g'(1) = 0 it is -inf.  Under ODD_POWER deriv takes x - 1/x, which cancels near
+    # x = 1, so the check starts at L = 1e-3 there
     x = np.array(xs + [1.0])
     x = np.concatenate([x, 1.0 / x])
     got = spec.log_ratio_slope(np.abs(np.log(x)))
-    with np.errstate(divide="ignore"):
-        want = np.log(x) + spec.log_deriv(x)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        d = np.asarray(spec.deriv(x))
+        want = np.log(x) + np.log(d)
     if spec.family is Family.ODD_POWER and spec.param > 1:
         keep = (x == 1.0) | (np.abs(np.log(x)) > 1e-3)
-        got, want = got[keep], want[keep]
-    finite = np.isfinite(want)
-    assert np.all(np.abs(got[finite] - want[finite])
-                  <= 1e-12 * np.maximum(np.abs(want[finite]), 1.0))
-    assert np.array_equal(got[~finite], want[~finite])
+        got, want, d, x = got[keep], want[keep], d[keep], x[keep]
+    tiny = np.finfo(float).tiny
+    normal = np.isfinite(d) & (d >= tiny)
+    assert np.all(np.abs(got[normal] - want[normal])
+                  <= 1e-12 * np.maximum(np.abs(want[normal]), 1.0))
+    assert np.all(np.isfinite(got[d == np.inf]))
+    low = d < tiny
+    assert np.all(got[low] < np.log(x[low]) + math.log(tiny))
+    assert np.all(got[(x == 1.0) & (d == 0.0)] == -np.inf)
 
 
 def test_log_ratio_slope_is_finite_past_float_range():
