@@ -16,7 +16,9 @@ a replayed simulate) takes.  --threads caps the threads that draw the
 path and the forked processes that format its CSV; it defaults to the
 CPUs the process may use and never changes a byte of output.  fit and
 tails parse their CSV on the usable CPUs; the values parsed never
-depend on it.  fit searches each candidate's nuisance on its own
+depend on it; they keep the parsed body as the series, its prices
+overwritten by their logs, until the changes or returns are taken.
+fit searches each candidate's nuisance on its own
 thread, at any --rho, and scores each candidate on the full bulk
 chunk by chunk, both up to the usable CPUs, with the same result on any
 count.  check, density and the classification of tails compute on one
@@ -228,10 +230,10 @@ def _run_simulate(args) -> int:
         config_digest = cfg.digest()
 
     save_price_series(series, args.out, workers=threads)
-    r = series.log_returns()
+    r, rejected = series.log_returns(), series.meta.get("rejected", 0)
+    del series  # dead before np.var's temporary
     print(f"steps={args.steps} mean_log_return={np.mean(r):.6e} "
-          f"var_log_return={np.var(r):.6e} "
-          f"rejected={series.meta.get('rejected', 0)}")
+          f"var_log_return={np.var(r):.6e} rejected={rejected}")
     manifest = _manifest_for(args, seed=seed)
     if config_digest is not None:
         manifest.input_hashes["config"] = config_digest
@@ -266,9 +268,9 @@ def _run_tails(args) -> int:
                                args.threshold_quantile, args.as_returns)
     if args.samples:
         values = load_samples(args.samples, usable_cpus())
-    else:
-        series = load_price_series(args.prices, usable_cpus())
-        values = scaled_returns(series, args.as_returns)
+    else:  # the series is dropped once its returns are taken
+        values = scaled_returns(load_price_series(args.prices, usable_cpus()),
+                                args.as_returns)
 
     report = classify_tail(values, kinds,
                            threshold_quantile=args.threshold_quantile,
@@ -299,9 +301,10 @@ def _run_fit(args) -> int:
     fams = check_fit_options(
         [f.strip() for f in args.candidates.split(",") if f.strip()],
         args.threshold_quantile, args.rho)
-    series = load_price_series(args.prices, usable_cpus())
+    # no name holds the series, so the fit drops it once it has the changes
     result, changes = fit_price_series(
-        series, w, fams, interpolate=args.interpolate, return_changes=True,
+        load_price_series(args.prices, usable_cpus()), w, fams,
+        interpolate=args.interpolate, return_changes=True,
         threshold_quantile=args.threshold_quantile, rho=args.rho,
         n_boot=args.boot)
     text = exponent_report(result)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .density import CurveMethod, DensityCurve
 from .errors import DomainError, InputFormatError
-from .simulate import PriceSeries
+from .simulate import PriceSeries, _log_prices
 
 __all__ = [
     "write_atomic",
@@ -324,10 +324,11 @@ def save_price_series(series: PriceSeries, path: str,
 
 def load_price_series(path: str, workers: int = 1) -> PriceSeries:
     """The t,price CSV at ``path``, parsed on up to ``workers`` processes
-    (see _read_numeric)."""
+    (see _read_numeric), its log-prices written over the parsed prices."""
     times, prices = _read_numeric(path, "t,price", 2, 2,
                                   "fewer than two price rows", workers)
-    return PriceSeries.from_prices(times, prices, meta={"source": path})
+    return PriceSeries(times, _log_prices(prices, out=prices),
+                       {"source": path})
 
 
 def save_samples(values, path: str) -> None:

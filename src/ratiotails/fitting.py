@@ -49,7 +49,7 @@ from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
 from .parallel import thread_map, usable_cpus
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
-from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior, _neighbours,
+from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior, _select,
                     check_return_interval, exponential_fit, interpolate,
                     pareto_index, pareto_loglik, quantile,
                     stretched_loglik, stretched_scale)
@@ -101,8 +101,9 @@ class WindowSpec:
 
 def _uniform_step(times: np.ndarray) -> float | None:
     diffs = np.diff(times)
-    h = float(np.median(diffs))
-    if np.all(np.abs(diffs - h) <= 1e-9 * h):
+    h = float(np.median(diffs, overwrite_input=True))
+    diffs -= h
+    if np.all(np.abs(diffs, out=diffs) <= 1e-9 * h):
         return h
     return None
 
@@ -135,7 +136,8 @@ def scaled_returns(series: PriceSeries, delta_t: float) -> np.ndarray:
     if j >= lp.size:
         raise WindowError(f"returns over {delta_t:g} need a longer series; "
                           f"it spans {series.times[-1] - series.times[0]:g}")
-    return np.expm1(lp[j:] - lp[:-j]) / (j * h)
+    out = np.subtract(lp[j:], lp[:-j])
+    return np.divide(np.expm1(out, out=out), j * h, out=out)
 
 
 def _resample_uniform(series: PriceSeries, step: float, allow_gaps: bool
@@ -287,13 +289,15 @@ def _mean(spec: ResponseSpec, nu: float, rho: float, scale: float, u: float,
     """The mean bulk log-likelihood of n points at rho != -1 from the sum
     ``total`` of log f_T(t) - v over the n_ok whose v is finite; the rest
     score the floor.  P(R > 0) and the bulk mass come from ``density``,
-    the latter at r_u = e**(+-L) signed as u."""
+    the latter as (F(r_u) - F(1/r_u)) / P(R > 0) at r_u = e**(+-L) signed
+    as u, exactly 0 at r_u = 1."""
     params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
     pos_mass = positive_ratio_mass(params)
+    log_r = math.copysign(spec.log_ratio(u / scale), u)
     with np.errstate(over="ignore"):
-        r_u = float(np.exp(math.copysign(spec.log_ratio(u / scale), u)))
-    cdf_pos = (float(ratio_cdf(params, r_u)) - (1.0 - pos_mass)) / pos_mass
-    bulk_mass = 2.0 * cdf_pos - 1.0
+        hi, lo = (float(ratio_cdf(params, float(np.exp(x))))
+                  for x in (log_r, -log_r))
+    bulk_mass = (hi - lo) / pos_mass
     if not bulk_mass > 0.0:
         return _LL_FLOOR
     return ((total + n_ok * math.log(2.0 / (scale * pos_mass))
@@ -691,17 +695,18 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         raise DomainError("changes contain non-finite values")
     fams = check_fit_options(candidates, threshold_quantile, rho)
 
-    a = np.abs(c)
-    u, q95 = quantile(a, threshold_quantile), quantile(a, 0.95)
-    exc = a[a > u]
+    # one select of a transient |c|; |c| <= u just where -u <= c <= u
+    u, q95 = quantile(np.abs(c), (threshold_quantile, 0.95),
+                      overwrite_input=True)
+    inside = (c >= -u) & (c <= u)
+    exc = np.abs(c[~inside])
     if exc.size < MIN_TAIL_POINTS:
         raise InsufficientTailError(
             f"{exc.size} exceedances above the {threshold_quantile:g} "
             f"quantile; need >= {MIN_TAIL_POINTS}")
     if not (q95 > 0.0):
         raise DomainError("changes are identically zero; nothing to fit")
-    bulk = c[a <= u]
-    del a  # |c| is dead; its memory offsets the search threads' arenas
+    bulk = c[inside]
     p_tail = exc.size / c.size
 
     def search(fam: Family):
@@ -728,6 +733,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         score = (1.0 - p_tail) * bulk_ll + p_tail * tail_ll
         fitted[fam] = (spec, param, nu, scale, bound_notes)
         scores[fam.value] = score
+    del bulk  # dead before the bootstrap builds its pool
 
     ranked = sorted(fams, key=lambda f: scores[f.value], reverse=True)
     best = ranked[0]
@@ -747,7 +753,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
 
     spec, param, nu, scale, bound_notes = fitted[best]
     notes.extend(bound_notes)
-    stderr = _param_stderr(best, param, c, windows, threshold_quantile,
+    stderr = _param_stderr(best, param, windows, threshold_quantile,
                            n_boot, boot_seed, exc.size)
     return FitResult(response=spec, param_estimate=param, param_stderr=stderr,
                      implied_tail=spec.predicted_tail(), scores=scores,
@@ -756,8 +762,8 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
                      rho=rho)
 
 
-def _param_stderr(family: Family, param, changes, windows,
-                  threshold_quantile, n_boot, boot_seed, k_exc):
+def _param_stderr(family: Family, param, windows, threshold_quantile,
+                  n_boot, boot_seed, k_exc):
     if param is None:
         return None
     n_boot = 50 if n_boot is None else int(n_boot)
@@ -781,8 +787,9 @@ def _param_stderr(family: Family, param, changes, windows,
 
 
 class _ExceedancePool:
-    """|windows| flattened once, and its values at or above a cutoff c,
-    the full sample's 1 - 4(1 - q) quantile, each with its window.
+    """The windows' values, flat (a 2-D array's own), and the magnitudes at
+    or above a cutoff c, the full sample's 1 - 4(1 - q) quantile, each with
+    its window.
 
     A resample is a vector of window counts: every value of a window,
     repeated in place as often as the window was drawn.  When the pooled
@@ -797,10 +804,12 @@ class _ExceedancePool:
     def __init__(self, windows, q: float):
         self.q = q
         self.sizes = np.array([len(w) for w in windows], dtype=np.intp)
-        self.values = np.abs(np.concatenate(windows))
-        c = quantile(self.values, max(0.0, 1.0 - 4.0 * (1.0 - q)))
-        keep = np.flatnonzero(self.values >= c)
-        self.pool = self.values[keep]
+        flat = np.ravel if isinstance(windows, np.ndarray) else np.concatenate
+        v = self.values = flat(windows)
+        c = quantile(np.abs(v), max(0.0, 1.0 - 4.0 * (1.0 - q)),
+                     overwrite_input=True)
+        keep = np.flatnonzero((v >= c) | (v <= -c))
+        self.pool = np.abs(v[keep])
         self.owner = np.searchsorted(np.cumsum(self.sizes), keep, side="right")
         self.pool_sizes = np.bincount(self.owner, minlength=self.sizes.size)
         self.cutoff = c
@@ -813,7 +822,9 @@ class _ExceedancePool:
         k = math.floor(index)
         if below <= k < n - 1:
             pooled = np.repeat(self.pool, counts[self.owner])
-            u = interpolate(*_neighbours(pooled, k - below), index - k)
+            part, j = pooled.copy(), k - below  # pooled keeps its order
+            _select(part, (j,))
+            u = interpolate(part[j], part[j + 1:].min(), index - k)
             if u >= self.cutoff:
                 return u, pooled[pooled > u]
         sample = self.full(counts)
@@ -821,8 +832,9 @@ class _ExceedancePool:
         return u, sample[sample > u]
 
     def full(self, counts: np.ndarray) -> np.ndarray:
-        """The whole resample with window ``counts``."""
-        return np.repeat(self.values, np.repeat(counts, self.sizes))
+        """The whole resample with window ``counts``, as magnitudes."""
+        sample = np.repeat(self.values, np.repeat(counts, self.sizes))
+        return np.abs(sample, out=sample)
 
 
 def fit_price_series(series: PriceSeries, w: WindowSpec,
@@ -835,9 +847,10 @@ def fit_price_series(series: PriceSeries, w: WindowSpec,
     changes being the flat values the fit saw."""
     flat, windows, notes = relative_changes(series, w, interpolate=interpolate,
                                             return_windows=True)
+    rej = series.meta.get("rejected")
+    del series  # dead now, unless the caller holds it
     result = fit_g(flat, candidates, windows=windows, **fit_kw)
     result.notes.extend(notes)
-    rej = series.meta.get("rejected")
     if rej:
         result.notes.append(f"simulator_rejections={rej}")
     if return_changes:

@@ -70,12 +70,18 @@ def _run_chunks(fn, n: int, threads: int = 1) -> list:
 # ---------------------------------------------------------------------------
 
 def _flow_pair(rng: np.random.Generator, params: OrderFlowParams, m: int):
+    # (mu1 + sigma1 z1, mu2 + sigma2 (rho z1 + sqrt(1 - rho^2) z2)), each in
+    # its draws' buffer by the same IEEE operations, which commute
     z1 = rng.standard_normal(m)
-    z2 = rng.standard_normal(m)
-    d = params.mu1 + params.sigma1 * z1
-    s = params.mu2 + params.sigma2 * (params.rho * z1
-                                      + math.sqrt(1.0 - params.rho ** 2) * z2)
-    return d, s
+    s = rng.standard_normal(m)
+    s *= math.sqrt(1.0 - params.rho ** 2)
+    for i in range(0, m, 1 << 14):
+        s[i:i + (1 << 14)] += params.rho * z1[i:i + (1 << 14)]
+    s *= params.sigma2
+    s += params.mu2
+    z1 *= params.sigma1
+    z1 += params.mu1
+    return z1, s
 
 
 def sample_bivariate(params: OrderFlowParams, n: int, seed: int,
@@ -132,7 +138,7 @@ def sample_ratio(params: OrderFlowParams, n: int, seed: int,
             s[bad] = s2
             bad = bad[s2 == 0.0]
         counters[index] = (int(np.count_nonzero(s <= 0.0)), redraws)
-        return d / s
+        return np.divide(d, s, out=d)
 
     parts = _run_chunks(job, n, threads)
     nonpos = sum(v[0] for v in counters.values())
@@ -201,6 +207,21 @@ class SimConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _log_prices(prices, out=None) -> np.ndarray:
+    """np.log of positive, finite prices, into ``out`` if given.  A bad
+    price is reported with the count of bad ones, and the first with its
+    row, counted from 1 as a CSV's data rows under its header are."""
+    prices = np.asarray(prices, dtype=float)
+    for bad, what in ((~np.isfinite(prices), "non-finite"),
+                      (~(prices > 0), "nonpositive")):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise DomainError(
+                f"{what} prices: {rows.size} of {prices.size}, the first "
+                f"is {prices.flat[rows[0]]} at row {rows[0] + 1}")
+    return np.log(prices, out=out)
+
+
 @dataclass
 class PriceSeries:
     """An ordered price path.
@@ -226,23 +247,13 @@ class PriceSeries:
             raise DomainError(
                 f"non-finite times: {rows.size} of {self.times.size}, the "
                 f"first is {self.times[rows[0]]} at row {rows[0] + 1}")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):  # finite: diff <= 0
             raise DomainError("times must be strictly increasing")
 
     @classmethod
     def from_prices(cls, times, prices, meta=None) -> "PriceSeries":
-        """A series of the given positive, finite prices.  A bad price is
-        reported with the count of bad ones, and the first with its row,
-        counted from 1 as a CSV's data rows under its header are."""
-        prices = np.asarray(prices, dtype=float)
-        for bad, what in ((~np.isfinite(prices), "non-finite"),
-                          (~(prices > 0), "nonpositive")):
-            rows = np.flatnonzero(bad)
-            if rows.size:
-                raise DomainError(
-                    f"{what} prices: {rows.size} of {prices.size}, the first "
-                    f"is {prices.flat[rows[0]]} at row {rows[0] + 1}")
-        return cls(times, np.log(prices), meta or {})
+        """A series of the given positive, finite prices."""
+        return cls(times, _log_prices(prices), meta or {})
 
     @property
     def prices(self) -> np.ndarray:
@@ -253,6 +264,21 @@ class PriceSeries:
 
     def __len__(self):
         return len(self.times)
+
+
+def _log_path(parts: list, scale: float, p0: float, dt: float):
+    """(times, log-prices) of the path from p0 with step dt whose log
+    increments are the chunks ``parts``, which it empties, times scale."""
+    increments = parts.pop() if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    increments *= scale
+    logp = np.empty(increments.size + 1)
+    logp[0] = math.log(p0)
+    np.cumsum(increments, out=logp[1:])
+    logp[1:] += logp[0]
+    times = np.arange(logp.size, dtype=float)
+    times *= dt
+    return times, logp
 
 
 def simulate_path(cfg: SimConfig, threads: int = 1) -> PriceSeries:
@@ -269,7 +295,8 @@ def simulate_path(cfg: SimConfig, threads: int = 1) -> PriceSeries:
     def job(index, count):
         rng = stream(cfg.seed, index)
         d, s = _flow_pair(rng, params, count)
-        r = d / s
+        r = np.divide(d, s, out=d)
+        del s
         rejected = 0
         bad = np.flatnonzero(~(r > 0.0))
         if bad.size and cfg.rejection_policy is RejectionPolicy.ABORT:
@@ -294,12 +321,7 @@ def simulate_path(cfg: SimConfig, threads: int = 1) -> PriceSeries:
             f"nonpositive (rate {rate:.3%} > {MAX_REJECTION_RATE:.0%}); "
             "these parameters put too much supply mass at or below zero")
 
-    increments = (cfg.dt / cfg.tau0) * np.concatenate(parts)
-    logp = np.empty(cfg.n_steps + 1)
-    logp[0] = math.log(cfg.p0)
-    np.cumsum(increments, out=logp[1:])
-    logp[1:] += logp[0]
-    times = np.arange(cfg.n_steps + 1, dtype=float) * cfg.dt
+    times, logp = _log_path(parts, cfg.dt / cfg.tau0, cfg.p0, cfg.dt)
     meta = {"seed": int(cfg.seed), "config": cfg.digest(),
             "rejected": rejected, "model": "ratio"}
     return PriceSeries(times, logp, meta)
@@ -325,12 +347,7 @@ def simulate_gbm(mu: float, sigma: float, dt: float, n_steps: int, p0: float,
             return np.full(count, drift)
         return drift + vol * stream(seed, index).standard_normal(count)
 
-    increments = np.concatenate(_run_chunks(job, n_steps, threads))
-    logp = np.empty(n_steps + 1)
-    logp[0] = math.log(p0)
-    np.cumsum(increments, out=logp[1:])
-    logp[1:] += logp[0]
-    times = np.arange(n_steps + 1, dtype=float) * dt
+    times, logp = _log_path(_run_chunks(job, n_steps, threads), 1.0, p0, dt)
     meta = {"seed": int(seed), "model": "gbm",
             "mu": mu, "sigma": sigma}
     return PriceSeries(times, logp, meta)

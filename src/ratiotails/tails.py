@@ -7,7 +7,7 @@ maxima, on numpy alone (the stretched shape by bounded Brent, every
 scale in closed form).  No formal goodness-of-fit machinery: candidates
 are non-nested and the question is only which decay describes the
 exceedances best.  The package's quantiles come from here too:
-``quantile``, np.quantile's bit for bit from one select.
+``quantile``, np.quantile's bit for bit at any number of q, one select.
 """
 
 from __future__ import annotations
@@ -134,14 +134,18 @@ def _tied(a: np.ndarray) -> bool:
     return np.unique(probe, return_counts=True)[1].max() * 16 >= probe.size
 
 
-def _neighbours(a: np.ndarray, k: int):
-    """The (k+1)-th and (k+2)-th smallest of the flat array a, k below
-    its last index, and the min of the part above k, from one
-    np.partition: at kth = k, the select numpy runs in SIMD, or at
-    (k, k + 1), numpy's introselect, where ``_tied(a)``.  A NaN sorts
-    last, so one in a makes the second NaN."""
-    part = np.partition(a, (k, k + 1) if _tied(a) else k)
-    return part[k], part[k + 1:].min()
+def _select(a: np.ndarray, ks) -> None:
+    """Reorder the flat array a in place so that a[k] is its (k+1)-th
+    smallest, a NaN last, for each k of ``ks`` (each below its last index):
+    numpy's SIMD select at kth = k below the last k, from the largest k
+    down, or, where ``_tied(a)``, one introselect at every k and k + 1."""
+    if ks and _tied(a):
+        a.partition(sorted({j for k in ks for j in (k, k + 1)}))
+        return
+    stop = a.size
+    for k in sorted(set(ks), reverse=True):
+        a[:stop].partition(k)
+        stop = k
 
 
 def interpolate(lo: float, hi: float, gamma: float) -> float:
@@ -154,19 +158,22 @@ def interpolate(lo: float, hi: float, gamma: float) -> float:
     return float(lo) + diff * gamma
 
 
-def quantile(a, q: float) -> float:
-    """np.quantile(a, q), bit for bit, of a non-empty flat float array
-    and 0 <= q <= 1, from one partition (``_neighbours``), where
-    np.quantile partitions at four kth values.  Like numpy, it takes the
-    top value twice, at gamma = index + 1, once the index reaches the
-    last."""
+def quantile(a, q, overwrite_input: bool = False):
+    """np.quantile(a, q), bit for bit, of a non-empty flat float array at
+    0 <= q <= 1, or their list at a sequence of q, from one ``_select`` of
+    a copy of a (a itself with ``overwrite_input``) where np.quantile
+    partitions at four kth values per q.  Like numpy, it takes the top
+    value twice, at gamma = index + 1, once the index reaches the last."""
     a = np.asarray(a, dtype=float)
-    index = (a.size - 1) * q  # np.quantile's virtual index
-    k = math.floor(index)
-    if k >= a.size - 1:
-        top = a.max()
-        return interpolate(top, top, index + 1.0)
-    return interpolate(*_neighbours(a, k), index - k)
+    part = a if overwrite_input else a.copy()
+    last = a.size - 1
+    index = [last * p for p in np.atleast_1d(q).tolist()]  # numpy's
+    ks = [math.floor(i) for i in index]
+    _select(part, [k for k in ks if k < last])
+    out = [interpolate(part[k], part[k + 1:].min(), i - k) if k < last
+           else interpolate(part.max(), part.max(), i + 1.0)
+           for i, k in zip(index, ks)]
+    return out if np.ndim(q) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,35 +431,42 @@ def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
     tails alike; pass side="right" or "left" to study one side.  Bad
     candidates, samples or quantile raise DomainError.
     """
-    kinds = check_tail_options(candidates, threshold_quantile)
+    return threshold_sweep(samples, candidates, side=side,
+                           quantiles=(threshold_quantile,))[0]
+
+
+def threshold_sweep(samples, candidates=DEFAULT_CANDIDATES, *,
+                    quantiles=(0.98, 0.99, 0.995), side: str = "abs"):
+    """classify_tail across several thresholds, for sensitivity reporting,
+    from one |samples| that ``quantile`` reorders; |x| > u just where
+    x > u or x < -u."""
+    qs = tuple(quantiles)
+    kinds = [check_tail_options(candidates, q) for q in qs]
     x = np.asarray(samples, dtype=float)
     bad = x[~np.isfinite(x)]
     if bad.size:
         raise DomainError(f"non-finite samples: {bad.size} of {x.size}, "
                           f"the first is {bad.flat[0]}")
     a = _prepare(x, side)
-    u = quantile(a, threshold_quantile)
-    if u <= 0.0:
-        raise DomainError("threshold is nonpositive; samples too concentrated at 0")
-    exc = a[a > u]
-    if exc.size < MIN_TAIL_POINTS:
-        raise InsufficientTailError(
-            f"{exc.size} exceedances above quantile {threshold_quantile}; "
-            f"need >= {MIN_TAIL_POINTS}")
-    if float(np.max(exc)) == float(np.min(exc)):
-        raise DegenerateTailError("all exceedances are identical")
-
-    results = {kind: _FITTERS[kind](exc, u) for kind in kinds}
-    best = max(kinds, key=lambda k: results[k][3])
-    tail, est, err, _ = results[best]
-    return TailReport(tail=tail, estimate=est, stderr=err, k_used=int(exc.size),
-                      threshold=u, n_total=int(a.size),
-                      loglik={k: results[k][3] for k in kinds})
-
-
-def threshold_sweep(samples, candidates=DEFAULT_CANDIDATES, *,
-                    quantiles=(0.98, 0.99, 0.995), side: str = "abs"):
-    """classify_tail across several thresholds, for sensitivity reporting."""
-    return [classify_tail(samples, candidates,
-                          threshold_quantile=q, side=side)
-            for q in quantiles]
+    n_total, thresholds = int(a.size), quantile(a, qs, overwrite_input=True)
+    del a
+    reports = []
+    for q, u in zip(qs, thresholds):
+        if u <= 0.0:
+            raise DomainError("threshold is nonpositive; samples too concentrated at 0")
+        exc = (x[x > u] if side == "right" else -x[x < -u] if side == "left"
+               else np.abs(x[(x > u) | (x < -u)]))
+        if exc.size < MIN_TAIL_POINTS:
+            raise InsufficientTailError(
+                f"{exc.size} exceedances above quantile {q}; "
+                f"need >= {MIN_TAIL_POINTS}")
+        if float(np.max(exc)) == float(np.min(exc)):
+            raise DegenerateTailError("all exceedances are identical")
+        results = {kind: _FITTERS[kind](exc, u) for kind in kinds[0]}
+        best = max(kinds[0], key=lambda k: results[k][3])
+        tail, est, err, _ = results[best]
+        reports.append(TailReport(
+            tail=tail, estimate=est, stderr=err, k_used=int(exc.size),
+            threshold=u, n_total=n_total,
+            loglik={k: results[k][3] for k in kinds[0]}))
+    return reports

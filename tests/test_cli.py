@@ -422,6 +422,99 @@ def test_tails_samples_keep_the_exit_code_contract():
     assert time.perf_counter() - start <= 10.0
 
 
+def degenerate_prices(kind: str, n: int, seed: int) -> str:
+    """The t,price CSV text of n rows at step 1e-6 (2 for "two"), with one
+    defect: a constant price, a repeated, decreasing or gapped time, a
+    NaN or inf in some row, or a price at or below 0; "good" has none."""
+    rng = np.random.default_rng(seed)
+    n = 2 if kind == "two" else n
+    times = np.arange(n) * 1e-6
+    prices = np.exp(np.cumsum(rng.standard_t(3.0, n) * 1e-3))
+    row = rng.integers(1, n)
+    if kind == "constant":
+        prices[:] = rng.choice([1.0, 7.5, 1e-300])
+    elif kind == "repeated":
+        times[row] = times[row - 1]
+    elif kind == "decreasing":
+        times[[row - 1, row]] = times[[row, row - 1]]
+    elif kind == "gapped":
+        keep = np.ones(n, bool)
+        keep[row:row + rng.integers(1, 50)] = False
+        times, prices = times[keep], prices[keep]
+    elif kind == "non-finite":
+        cells = times if rng.random() < 0.5 else prices
+        cells[rng.integers(0, n)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "nonpositive":
+        prices[rng.integers(0, n)] = rng.choice([0.0, -1.0])
+    rows = zip(times.tolist(), prices.tolist())
+    return "t,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in rows)
+
+
+def main_contract(argv):
+    """main(argv) in-process: its exit code, checked against the
+    contract (0-3, nothing raised, one error line on a nonzero exit)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith("error: ") for line in lines) <= 1
+        assert code != 2 or sum(line.startswith("error: ")
+                                for line in lines) == 1
+    return code
+
+
+# working options half the time, else each option at its bound, past it
+# or at a working value
+_GOOD_FIT = ("1e-6", "1e-5", "1e-5", "0.99", "-1", None)
+_FIT_OPTIONS = st.just(_GOOD_FIT) | st.tuples(
+    st.sampled_from(["1e-6", "2e-6", "1.5e-6", "0", "-1e-6", "nan", "inf"]),
+    st.sampled_from(["1e-5", "9e-6", "3e-5", "inf"]),
+    st.sampled_from(["1e-5", "1e-6", "0", "nan"]),
+    st.sampled_from(["0.998", "0.9", "0", "1", "1.5"]),
+    st.sampled_from(["-1", "-1.0000000000000002", "1"]),
+    st.sampled_from([None, "0", "3", "-1"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["good"] * 7 + ["two", "constant", "repeated",
+                                      "decreasing", "gapped", "non-finite",
+                                      "nonpositive"]),  # half good
+       st.integers(1200, 3000) | st.integers(2, 1200), _FIT_OPTIONS,
+       st.integers(0, 2 ** 32 - 1))
+@example("good", 3000, ("1e-6", "1e-5", "1e-5", "0.998", "-1", "3"), 0)
+@example("two", 2, ("1e-6", "1e-5", "1e-5", "0.998", "-1", None), 1)
+@example("constant", 1500, ("1e-6", "1e-5", "1e-5", "0.998", "-1", None), 2)
+def fit_prices_keep_the_contract(kind, n, options, seed):
+    delta, big, stride, quantile, rho, boot = options
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "prices.csv")
+        with open(path, "w") as fh:
+            fh.write(degenerate_prices(kind, n, seed))
+        argv = ["fit", "--prices", path, f"--delta-t={delta}",
+                f"--big-delta-t={big}", f"--stride={stride}",
+                f"--threshold-quantile={quantile}", f"--rho={rho}"]
+        code = main_contract(argv + ([f"--boot={boot}"] if boot else []))
+        try:
+            load_price_series(path)
+        except ratiotails.errors.RatioTailsError:
+            # a file the shared loader rejects: fit rejects it, before
+            # or after its options, with tails' code
+            assert code == main_contract(
+                ["tails", "--prices", path, "--as-returns", "1e-6"]) == 2
+
+
+def test_fit_prices_keep_the_exit_code_contract():
+    # through main, in-process: whatever the price file and options at or
+    # past their bounds, fit exits 0-3, raises nothing, prints one error
+    # line on a bad input, and a file the loader rejects tails rejects too
+    start = time.perf_counter()
+    fit_prices_keep_the_contract()
+    assert time.perf_counter() - start <= 10.0
+
+
 def _error_types(base):
     for sub in base.__subclasses__():
         yield sub

@@ -204,6 +204,32 @@ def test_price_series_round_trip_bit_exact(tmp_path_factory, times, logs):
     assert np.array_equal(bits(back.log_prices), bits(np.log(series.prices)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=2, max_size=40, unique=True),
+       st.lists(st.floats(0.0, 1e308, exclude_min=True), min_size=40,
+                max_size=40),
+       st.sampled_from(["whole", "pieces", "lines"]))
+def test_loader_takes_the_log_from_prices_bits(tmp_path_factory, times,
+                                                prices, path_kind):
+    # the log-prices the loader writes over the parsed prices are
+    # from_prices' bits, whether the body is parsed whole, in pieces on
+    # forked workers or, for a file loadtxt may not take, line by line
+    times = np.sort(np.array(times))
+    prices = np.array(prices[:times.size])
+    loose = "\x0c" if path_kind == "lines" else ""  # not plain: the loop
+    rows = zip(times.tolist(), prices.tolist())
+    text = "t,price\n" + "".join(f"{t!r},{p!r}{loose}\n" for t, p in rows)
+    path = tmp_path_factory.mktemp("l") / "prices.csv"
+    path.write_text(text)
+    workers = 2 if path_kind == "pieces" else 1
+    with mock.patch.object(fileio, "_PIECE_MIN", 1):
+        back = load_price_series(str(path), workers)
+    want = PriceSeries.from_prices(times, prices)
+    assert np.array_equal(bits(back.times), bits(want.times))
+    assert np.array_equal(bits(back.log_prices), bits(want.log_prices))
+
+
 def outcome(read, path, *args):
     try:
         return bits(read(path, *args)).tolist()

@@ -61,6 +61,31 @@ def sim_series(family, q, n_steps, seed, scale=1e-6):
 # window spec
 # ---------------------------------------------------------------------------
 
+def step_grids():
+    """Uniform grids of even and odd length, ragged ones, and grids whose
+    steps tie at the median within the 1e-9 tolerance."""
+    rng = np.random.default_rng(31)
+    yield np.arange(1000) * 1e-6
+    yield 5.0 + np.arange(1001) * 0.25
+    yield np.cumsum(rng.uniform(0.5, 1.5, 800))
+    yield np.cumsum(rng.choice([1.0, 2.0], 801))
+    yield np.cumsum(rng.choice([1.0, 1.0 + 4e-10, 1.0 - 4e-10], 1000))
+    yield np.cumsum(rng.choice([1e-6, 1e-6 * (1 + 2e-9)], 999, p=[0.9, 0.1]))
+
+
+@pytest.mark.parametrize("times", list(step_grids()))
+def test_uniform_step_is_the_median_step(times):
+    # the median and the uniform test share one diff array, in place
+    kept = times.copy()
+    h = float(np.median(np.diff(times)))
+    uniform = bool(np.all(np.abs(np.diff(times) - h) <= 1e-9 * h))
+    got = fitting._uniform_step(times)
+    assert (got is None) == (not uniform)
+    if uniform:
+        assert got == h
+    assert np.array_equal(times, kept)
+
+
 def test_window_requires_scale_separation():
     with pytest.raises(WindowError):
         WindowSpec(delta_t=1.0, big_delta_t=5.0, stride=5.0)
@@ -924,6 +949,31 @@ def test_profile_scores_the_floor_without_a_bulk(family, q, u):
         assert profile(nu) == fitting._LL_FLOOR
 
 
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9])
+@pytest.mark.parametrize("u", [0.0, -1e-3, math.nan])
+def test_profile_scores_the_floor_without_a_bulk_at_every_rho(u, rho):
+    # the bulk mass P(1/r_u < R <= r_u | R > 0) is a difference of CDF
+    # values, 0 at r_u = 1; as 2 P(R <= r_u | R > 0) - 1 it left a
+    # rounding residue at u = 0, and the profile scored about +35
+    spec = ResponseSpec(Family.POWER, 1.0)
+    points = np.asarray(spec.value(ratio_positive(500, seed=89)))
+    profile = fitting._profile(spec, 1.0, points, u, rho)
+    for nu in (0.05, 0.38, 0.97):
+        assert profile(nu) == fitting._LL_FLOOR
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.9])
+def test_bulk_mass_is_the_complement_form_away_from_one(rho):
+    # the same mass as 2 P(R <= r_u | R > 0) - 1 where that does not
+    # cancel; with no finite point the mean is the floor less log(mass)
+    spec = ResponseSpec(Family.POWER, 1.0)
+    for nu, u in ((0.38, 1.0), (0.9, 3.0), (0.05, 0.2)):
+        ref = 2.0 * float(cdf_pos(nu, rho, float(spec.inverse(u)))) - 1.0
+        mean = fitting._mean(spec, nu, rho, 1.0, u, 1, 0, 0.0)
+        assert math.exp(fitting._LL_FLOOR - mean) == pytest.approx(
+            ref, rel=1e-9)
+
+
 _BRENT_SHAPES = {
     "quadratic": lambda c, amp, freq: lambda x: (x - c) ** 2,
     "wavy": lambda c, amp, freq: lambda x: ((x - c) ** 2
@@ -1103,8 +1153,8 @@ def bootstrap_oracle(family, windows, q, n_boot, boot_seed):
 
 
 def stderr_of(family, windows, q, n_boot, boot_seed):
-    return fitting._param_stderr(family, 1.0, None, windows, q, n_boot,
-                                 boot_seed, 100)
+    return fitting._param_stderr(family, 1.0, windows, q, n_boot, boot_seed,
+                                 100)
 
 
 @pytest.fixture(scope="module")

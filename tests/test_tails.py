@@ -338,6 +338,53 @@ def test_quantile_is_numpys_bit_for_bit(values, q):
     assert a.tolist() == values  # the input is left as it was
 
 
+# the quantile sets callers select at once: fit_g's threshold and q95,
+# the tails command's classification and sweep, a threshold below 0.95,
+# and any other, repeats included
+_QSETS = st.one_of(st.sampled_from([(0.998, 0.95), (0.99, 0.98, 0.99, 0.995),
+                                    (0.9, 0.95), (0.95, 0.5, 0.001)]),
+                   st.lists(_QS, min_size=1, max_size=5).map(tuple))
+
+
+def check_quantiles(a, qs):
+    """tails.quantile(a, qs) is np.quantile's at every q, bit for bit,
+    down both selects, reordering only a copy unless told to overwrite,
+    and then keeping a's values."""
+    with np.errstate(invalid="ignore"):
+        want = [float(np.quantile(a, q)) for q in qs]
+    for tied in (False, True):
+        for overwrite in (False, True):
+            part = a.copy()
+            with mock.patch.object(tails, "_tied", lambda _, t=tied: t):
+                got = tails.quantile(part, qs, overwrite_input=overwrite)
+            assert all(map(same_float, got, want))
+            if overwrite:
+                assert np.array_equal(np.sort(part), np.sort(a))
+            else:
+                assert np.array_equal(part, a)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=60), _QSETS)
+@example([1.0], (0.3, 1.0))
+@example([0.0, 0.0, 1.0, 1.0], (0.5, 0.5, 0.0))
+@example([3.0, 1.0, 2.0], (1.0, 0.0, 0.75))
+def test_quantiles_share_one_select_bit_for_bit(values, qs):
+    check_quantiles(np.array(values), qs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2000, 30000), st.sampled_from([None, 3, 1, 0]), _QSETS,
+       st.integers(0, 2 ** 32 - 1))
+def test_quantiles_of_large_samples_share_one_select(n, decimals, qs, seed):
+    # large enough for numpy's vectorised select; rounding makes ties,
+    # heavy ones at 0 decimals
+    a = np.abs(np.random.default_rng(seed).standard_cauchy(n))
+    if decimals is not None:
+        a = np.round(a, decimals)
+    check_quantiles(a, qs)
+
+
 @pytest.mark.parametrize("n", [9999, 10 ** 5])
 def test_order_statistics_of_large_tied_samples(n):
     # large enough for numpy's vectorised select, with heavy ties
