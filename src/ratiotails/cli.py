@@ -166,6 +166,8 @@ def _run_check(args) -> int:
 def _density_grid(args) -> np.ndarray:
     if args.points < 2:
         raise InputFormatError("--points must be at least 2")
+    if not np.isfinite([args.x_min, args.x_max]).all():
+        raise InputFormatError("--x-min and --x-max must be finite")
     if not args.x_max > args.x_min:
         raise InputFormatError("--x-max must exceed --x-min")
     if args.log_grid:
@@ -179,16 +181,19 @@ def _run_density(args) -> int:
     params = OrderFlowParams(args.mu1, args.mu2, args.sigma1, args.sigma2,
                              args.rho)
     grid = _density_grid(args)
-    if args.transform == "none":
-        fn = lambda x: ratio_density(params, x)
-    elif args.transform == "pow":
-        if args.q is None:
-            raise InputFormatError("--transform pow requires --q")
-        fn = TransformedDensity(params, PowerMap(args.q))
-    else:
-        fn = TransformedDensity(params, _build_response(args.transform, args.q))
-
-    curve = DensityCurve.from_function(fn, grid, CurveMethod.EXACT)
+    if args.transform == "pow" and args.q is None:
+        raise InputFormatError("--transform pow requires --q")
+    # means or spreads far out of scale can leave the float range on the
+    # way; the curve rejects values that are not finite
+    with np.errstate(all="ignore"):
+        if args.transform == "none":
+            fn = lambda x: ratio_density(params, x)
+        elif args.transform == "pow":
+            fn = TransformedDensity(params, PowerMap(args.q))
+        else:
+            fn = TransformedDensity(params,
+                                    _build_response(args.transform, args.q))
+        curve = DensityCurve.from_function(fn, grid, CurveMethod.EXACT)
     save_density_curve(curve, args.out)
 
     print(f"points={len(grid)} mass={curve.mass:.6f}")

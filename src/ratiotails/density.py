@@ -44,8 +44,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class OrderFlowParams:
     """Means, spreads and correlation of the (demand, supply) normal pair.
 
-    Both means must be strictly positive.  rho = -1 selects the degenerate
-    anticorrelated pair with its exact ratio density; rho = 1 is rejected.
+    Both means and both spreads must be positive and finite.  rho = -1
+    selects the degenerate anticorrelated pair with its exact ratio
+    density; rho = 1 is rejected.
     """
 
     mu1: float
@@ -60,10 +61,11 @@ class OrderFlowParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not validate:
             return
-        if not (self.mu1 > 0 and self.mu2 > 0):
-            raise DomainError("order-flow means must be strictly positive")
-        if not (self.sigma1 > 0 and self.sigma2 > 0):
-            raise DomainError("order-flow spreads must be strictly positive")
+        if not (0 < self.mu1 < math.inf and 0 < self.mu2 < math.inf):
+            raise DomainError("order-flow means must be positive and finite")
+        if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
+            raise DomainError("order-flow spreads must be positive and "
+                              "finite")
         if not (-1.0 <= self.rho < 1.0):
             raise DomainError(f"correlation must lie in [-1, 1), got {self.rho}")
 
@@ -102,7 +104,9 @@ def ratio_density_anticorr(params: OrderFlowParams, x):
     amp = (params.mu1 * params.sigma2 + params.mu2 * params.sigma1) / _SQRT_2PI
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = (params.mu2 * xf - params.mu1) / den
-        val = amp * np.exp(-0.5 * u * u) / (den * den)
+        # over den twice: den^2 underflows to 0 near x = 0 at a tiny
+        # sigma1, where the exponential is 0 too
+        val = amp * np.exp(-0.5 * u * u) / den / den
     return _at_infinity(x, np.where(den == 0.0, 0.0, val), 0.0, 0.0)
 
 
@@ -135,11 +139,14 @@ def ratio_cdf_anticorr(params: OrderFlowParams, x):
 # ---------------------------------------------------------------------------
 
 def _standardized(params: OrderFlowParams, x):
-    """(s, m1, m2, a, h, b): the ratio law in units of the spreads.
+    """(s, m1, m2, a, h, b/a): the ratio law in units of the spreads.
 
     t = x sigma2/sigma1, m_i = mu_i/sigma_i, s = sqrt(1 - rho^2),
     a = sqrt(t^2 - 2 rho t + 1), h = (m2 t - m1)/a and
     b = (m1 - rho m2) t + (m2 - rho m1), each formed without cancellation.
+    b enters the law only over a, and b/a = (m1 - rho m2) (t/a) +
+    (m2 - rho m1)/a stays in float range where b, at a large
+    standardized mean times a large t, would not.
     """
     rho = params.rho
     if not (-1.0 < rho < 1.0):
@@ -149,7 +156,9 @@ def _standardized(params: OrderFlowParams, x):
     # callers put the limits at x = +-inf back; inf/inf would be NaN
     t = _finite(x) * (params.sigma2 / params.sigma1)
     a = _hypot(t - rho, s)
-    b = (m1 - rho * m2) * t + (m2 - rho * m1)
+    b = t / a
+    b *= m1 - rho * m2
+    b += (m2 - rho * m1) / a
     return s, m1, m2, a, (m2 * t - m1) / a, b
 
 
@@ -193,15 +202,17 @@ def ratio_density(params: OrderFlowParams, x):
     from scipy.special import ndtr
 
     s, m1, m2, a, h, b = _standardized(params, x)
-    c_s2 = ((m1 - params.rho * m2) / s) ** 2 + m2 * m2
-    # b becomes the density in place: fits score a million changes per
-    # call, and each temporary of that size adds 8 MB to the peak
-    b *= 2.0 * ndtr(b / (s * a)) - 1.0
+    z = (m1 - params.rho * m2) / s
+    c_s2 = z * z + m2 * m2              # inf, not OverflowError, past range
+    # b/a becomes the density in place, divided by a twice rather than by
+    # a^3, which is inf past |t| ~ 1e102 while the density is not yet 0
+    b *= 2.0 * ndtr(b / s) - 1.0
     b *= np.exp(-0.5 * h * h)
-    with np.errstate(over="ignore"):  # a^3 = inf past |x| ~ 1e102: f -> 0
-        b /= _SQRT_2PI * a ** 3
-        b += s / (math.pi * a * a) * math.exp(-0.5 * c_s2)
-    b *= params.sigma2 / params.sigma1
+    b /= a
+    with np.errstate(over="ignore", under="ignore"):
+        b /= a * (_SQRT_2PI * params.sigma1 / params.sigma2)
+        b += (s / math.pi * math.exp(-0.5 * c_s2)
+              * (params.sigma2 / params.sigma1)) / (a * a)
     return _at_infinity(x, b, 0.0, 0.0)
 
 
@@ -224,8 +235,9 @@ def ratio_cdf(params: OrderFlowParams, x):
 
     s, m1, m2, a, h, b = _standardized(params, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_h = 2.0 * owens_t(np.abs(h), b / (np.abs(h) * a * s))
-    t_m = 2.0 * owens_t(m2, (params.rho * m2 - m1) / (m2 * s))
+        t_h = 2.0 * owens_t(np.abs(h), b / (np.abs(h) * s))
+        # m2 underflows to 0 at a tiny mean over a huge spread
+        t_m = 2.0 * owens_t(m2, np.divide(params.rho * m2 - m1, m2 * s))
     out = np.clip(np.where(h < 0.0, t_h, 1.0 - t_h) - t_m, 0.0, 1.0)
     return _at_infinity(x, out, 0.0, 1.0)
 
@@ -401,10 +413,12 @@ class DensityCurve:
             raise DomainError("curve grid must be finite")
         if np.any(np.diff(self.grid) <= 0):
             raise DomainError("curve grid must be strictly increasing")
-        if not np.all(self.values >= 0):
-            raise DomainError("density values must be nonnegative, not NaN")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):
+            raise DomainError("density values must be finite and "
+                              "nonnegative")
         self.method = CurveMethod(self.method)
-        self.mass = float(np.trapezoid(self.values, self.grid))
+        with np.errstate(over="ignore"):  # inf past the float range
+            self.mass = float(np.trapezoid(self.values, self.grid))
 
     @classmethod
     def from_function(cls, fn, grid, method: CurveMethod) -> "DensityCurve":

@@ -38,7 +38,7 @@ import numpy as np
 
 from .density import CurveMethod, DensityCurve
 from .errors import DomainError, InputFormatError
-from .simulate import PriceSeries, _log_prices
+from .simulate import PriceSeries, _log_prices, check_prices
 
 __all__ = [
     "write_atomic",
@@ -314,11 +314,14 @@ def save_price_series(series: PriceSeries, path: str,
                       workers: int = 1) -> None:
     """The t,price CSV of ``series``, formatted on up to ``workers``
     processes (see write_csv)."""
-    prices = series.prices
-    if not np.all(np.isfinite(prices)):
+    with np.errstate(over="ignore", under="ignore"):
+        prices = series.prices
+    try:
+        check_prices(prices)            # what load_price_series reads
+    except DomainError as exc:
         raise InputFormatError(
-            "prices overflow the float range; this configuration can only "
-            "be analyzed in memory via log returns")
+            f"prices leave the float range ({exc}); this configuration "
+            "can only be analyzed in memory via log returns") from None
     write_csv(path, "t,price", (series.times, prices), workers=workers)
 
 

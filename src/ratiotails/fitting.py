@@ -17,8 +17,9 @@ bounded Brent over log-scale, bracketed by the 0.95 |change| quantile,
 around a bounded Brent over the spread at each scale, on numpy and the
 standard library alone (erf closed forms, a port of scipy's bounded
 Brent).  Any other rho polishes that optimum with a damped Newton
-method of the package's own (``_newton_polish``) in some 20-70
-evaluations of f_T, the one step that loads scipy (scipy.special).  At
+method of the package's own (``_newton_polish``) on the exact spread
+derivatives of f_T and its masses, in some 10-35 evaluations, the one
+step that loads scipy (scipy.special).  At
 every rho each candidate's tail stage and search run on their own
 thread, up to the usable CPUs.  The searches run on a ~30k-point
 subsample of the bulk; each winner is then scored on the full bulk,
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import OrderFlowParams, positive_ratio_mass, ratio_cdf
 from .density import ratio_density  # noqa: F401 (perfbench traces it here)
 from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
@@ -284,24 +284,60 @@ def _bulk_score(spec: ResponseSpec, nu: float, rho: float, scale: float,
     return _mean(spec, nu, rho, scale, u, points.size, n_ok, total)
 
 
+def _t_mass(nu: float, rho: float, t: float) -> tuple[float, float, float]:
+    """P(|T| < t) at rho != -1, with its first and second nu-derivatives;
+    all 0 where t is not positive.  |T| < t is |A| < t|B| (see _log_f_t),
+    and with d = sqrt(a + t^2 b), k = 2t/d and h = 2 sqrt(a/b)/d, the
+    bivariate-normal orthants give (Owen 1956)
+
+        P(|T| < t) = erf(k/sqrt 2) erf(h/sqrt 2) + 4 T(h, k/h),
+
+    a sum of positive terms that does not cancel; as rho -> -1 it tends to
+    erf(t/(nu sqrt 2)).  Only k depends on nu, as 1/nu, and dP/dk =
+    2 phi(k) erf(h/sqrt 2).  P(R > 0) is the mass at t = 1, and the bulk
+    mass P(1/r_u < R < r_u) the mass at t_u = (r_u - 1)/(r_u + 1)."""
+    if not t > 0.0:
+        return 0.0, 0.0, 0.0
+    from scipy.special import owens_t
+
+    a, b = 2.0 * nu * nu * (1.0 - rho), 2.0 * nu * nu * (1.0 + rho)
+    d = math.sqrt(a + t * t * b)
+    k, h = 2.0 * t / d, 2.0 * math.sqrt(a / b) / d
+    erf_h = math.erf(h / _SQRT_2)
+    mass = (math.erf(k / _SQRT_2) * erf_h
+            + 4.0 * float(owens_t(h, t * math.sqrt(b / a))))
+    phi_k, phi_h = (math.exp(-0.5 * z * z) / _SQRT_2PI for z in (k, h))
+    # dP/dk, and k d2P/dk2 = 4h phi_k phi_h - k^2 dP/dk
+    dk = 2.0 * phi_k * erf_h
+    return mass, -k / nu * dk, k * ((2.0 - k * k) * dk
+                                    + 4.0 * h * phi_k * phi_h) / (nu * nu)
+
+
 def _mean(spec: ResponseSpec, nu: float, rho: float, scale: float, u: float,
-          n: int, n_ok: int, total: float) -> float:
+          n: int, n_ok: int, total: float, derivs=None):
     """The mean bulk log-likelihood of n points at rho != -1 from the sum
     ``total`` of log f_T(t) - v over the n_ok whose v is finite; the rest
-    score the floor.  P(R > 0) and the bulk mass come from ``density``,
-    the latter as (F(r_u) - F(1/r_u)) / P(R > 0) at r_u = e**(+-L) signed
-    as u, exactly 0 at r_u = 1."""
-    params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
-    pos_mass = positive_ratio_mass(params)
-    log_r = math.copysign(spec.log_ratio(u / scale), u)
-    with np.errstate(over="ignore"):
-        hi, lo = (float(ratio_cdf(params, float(np.exp(x))))
-                  for x in (log_r, -log_r))
-    bulk_mass = (hi - lo) / pos_mass
+    score the floor.  P(R > 0) and the bulk mass are ``_t_mass``'s, at
+    t = 1 and at t_u = tanh(L_u/2) signed as u; the mean is the floor
+    where the bulk mass is not positive.  Given ``derivs``, the sums of
+    the first and second nu-derivatives of log f_T over the n_ok points,
+    it returns the mean with its own two."""
+    t_u = math.copysign(math.tanh(0.5 * spec.log_ratio(u / scale)), u)
+    pos_mass, dpos, ddpos = _t_mass(nu, rho, 1.0)
+    mass_u, dmass, ddmass = _t_mass(nu, rho, t_u)
+    bulk_mass = mass_u / pos_mass
     if not bulk_mass > 0.0:
-        return _LL_FLOOR
-    return ((total + n_ok * math.log(2.0 / (scale * pos_mass))
+        return _LL_FLOOR if derivs is None else (_LL_FLOOR, 0.0, 0.0)
+    mean = ((total + n_ok * math.log(2.0 / (scale * pos_mass))
              + (n - n_ok) * _LL_FLOOR) / n - math.log(bulk_mass))
+    if derivs is None:
+        return mean
+    # mean = total/n + (1 - n_ok/n) log pos_mass - log mass_u + const
+    g_pos, g_u = dpos / pos_mass, dmass / mass_u
+    rest = 1.0 - n_ok / n
+    return (mean, derivs[0] / n + rest * g_pos - g_u,
+            derivs[1] / n + rest * (ddpos / pos_mass - g_pos * g_pos)
+            - (ddmass / mass_u - g_u * g_u))
 
 
 def _t_space(spec: ResponseSpec, y: np.ndarray):
@@ -341,7 +377,7 @@ def _profile_sums(spec: ResponseSpec, y: np.ndarray):
     return t2.size, float(np.sum(t2)), -sv
 
 
-def _log_f_t(t2: np.ndarray, nu: float, rho: float) -> np.ndarray:
+def _log_f_t(t2: np.ndarray, nu: float, rho: float, derivs: bool = False):
     """log f_T(t) at t^2 = ``t2``, a new array.  T = (R - 1)/(R + 1) =
     A/B, and A = D - S ~ N(0, a), B = D + S ~ N(2, b) are independent,
     a = 2 nu^2 (1 - rho), b = 2 nu^2 (1 + rho).  At rho = -1 f_T is
@@ -351,7 +387,13 @@ def _log_f_t(t2: np.ndarray, nu: float, rho: float) -> np.ndarray:
         f_T(t) = e**(-2 t^2/d^2) b^(3/2) / (2 sqrt(pi a))
                  * x^2 (x erf(x) + e**(-x^2)/sqrt(pi)),
 
-    and the bracket is at least 1/sqrt(pi): log f_T never underflows.
+    and the bracket H is at least 1/sqrt(pi): log f_T never underflows.
+
+    With ``derivs`` (rho != -1) the result is (log f_T, s1, s2), s1 and
+    s2 the sums over the points of the first and second nu-derivatives
+    of log f_T.  2t^2/d^2 and x go as 1/nu^2 and 1/nu, and dH/dx =
+    erf x, so with q = x erf(x)/H those are (4t^2/d^2 - q)/nu and
+    (-12t^2/d^2 + 2q + 2x^2 e**(-x^2)/(sqrt(pi) H) - q^2)/nu^2.
     """
     if rho == -1.0:
         out = np.multiply(t2, -0.5 / (nu * nu))
@@ -370,12 +412,25 @@ def _log_f_t(t2: np.ndarray, nu: float, rho: float) -> np.ndarray:
     g *= x
     np.subtract(-0.5 * math.log(math.pi), x2, out=x)
     np.exp(x, out=x)                    # e**(-x^2)/sqrt(pi)
+    if derivs:
+        q = g.copy()                    # x erf(x)
+        w = -float(np.sum(out))         # sum of 2 t^2/d^2
     g += x
+    if derivs:
+        q /= g
+        x /= g
+        x *= x2
+        x += x                          # 2 x^2 e**(-x^2)/(sqrt(pi) H)
+        sq = float(np.sum(q))
+        q *= q
+        x -= q
+        s1 = (2.0 * w - sq) / nu
+        s2 = (2.0 * sq - 6.0 * w + float(np.sum(x))) / (nu * nu)
     g *= x2
     np.log(g, out=g)
     out += g
     out += math.log(b * math.sqrt(b / (4.0 * math.pi * a)))
-    return out
+    return (out, s1, s2) if derivs else out
 
 
 def _change_log_pdf(spec: ResponseSpec, scale: float, nu: float, rho: float,
@@ -386,7 +441,7 @@ def _change_log_pdf(spec: ResponseSpec, scale: float, nu: float, rho: float,
     t2, v = _t_space(spec, np.asarray(points, dtype=float) / scale)
     out = _log_f_t(t2, nu, rho)
     out -= v
-    pos_mass = positive_ratio_mass(OrderFlowParams(1.0, 1.0, nu, nu, rho))
+    pos_mass = _pos_mass(nu) if rho == -1.0 else _t_mass(nu, rho, 1.0)[0]
     out += math.log(2.0 / (scale * pos_mass))
     return out
 
@@ -402,15 +457,21 @@ def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float,
     - log pos_mass(nu) - log bulk_mass(nu, s), so the pass keeps (count,
     sum t^2, sum v), the serial floats on any CPU count (``_chunk_sums``),
     and t_u = tanh(L_u/2) signed as u.  At any other rho it keeps the t^2
-    array and sum v, and each nu is one ``_log_f_t`` over that array.
+    array and sum v, and each nu is one ``_log_f_t`` over that array;
+    with ``derivs`` it gives the score with its first and second
+    nu-derivatives (see ``_mean``).
     """
     n = points.size
     if rho != -1.0:
         t2, sv = _finite_t(*_t_space(spec, points / scale))
 
-        def score(nu: float) -> float:
-            total = float(np.sum(_log_f_t(t2, nu, rho))) - sv
-            return _mean(spec, nu, rho, scale, u, n, t2.size, total)
+        def score(nu: float, derivs: bool = False):
+            if not derivs:
+                total = float(np.sum(_log_f_t(t2, nu, rho))) - sv
+                return _mean(spec, nu, rho, scale, u, n, t2.size, total)
+            log_f, s1, s2 = _log_f_t(t2, nu, rho, derivs=True)
+            return _mean(spec, nu, rho, scale, u, n, t2.size,
+                         float(np.sum(log_f)) - sv, (s1, s2))
 
         return score
 
@@ -445,7 +506,7 @@ def _t_from_nu(nu: float) -> float:
     return math.log((nu - _NU_LO) / (_NU_HI - nu))
 
 
-_POLISH_H = 1e-4       # half-width of the polish's difference stencil
+_POLISH_H = 1e-4       # half-width of the polish's log-scale differences
 _POLISH_XTOL = 1e-7    # an accepted step this short ends the polish
 _POLISH_EVALS = 400    # and this many evaluations end it in any case
 
@@ -453,39 +514,41 @@ _POLISH_EVALS = 400    # and this many evaluations end it in any case
 def _newton_polish(f, x: tuple[float, float]) -> tuple[float, float]:
     """A local minimum of f over the plane, by damped Newton steps from x.
 
-    Each iteration takes the gradient g and Hessian H of f at x by
-    central differences on a fixed stencil: +-h on each axis and the
-    (+h, +h) and (-h, -h) diagonal points, h = _POLISH_H.  It proposes
-    the step -(H + mu I)^-1 g, mu = 0 when H is positive definite and
-    otherwise just past minus its least eigenvalue, cut to a trust
-    radius.  A step to a point where f is no lower is rejected: the
-    radius halves below its length and the step is cut again.  An
-    accepted step sets it to at least twice its length.  A non-finite f,
-    or an OverflowError, counts as worse.  The polish stops once an
-    accepted (or rejected) step moves each coordinate by less than
-    _POLISH_XTOL, at a non-finite difference, or where another iteration
-    would pass _POLISH_EVALS evaluations of f.
+    f(p) gives (value, d/dp0, d2/dp0^2): the value with its exact first
+    and second derivatives along the first axis.  Along the second, each
+    iteration takes differences from the points (x0, x1 +- h), h =
+    _POLISH_H: the gradient and curvature from their values, the mixed
+    second derivative from their d/dp0.  A point costs one evaluation, so
+    an iteration costs two and its trials.  It proposes the step
+    -(H + mu I)^-1 g, mu = 0 when H is positive definite and otherwise
+    just past minus its least eigenvalue, cut to a trust radius.  A step
+    to a point where f is no lower is rejected: the radius halves below
+    its length and the step is cut again.  An accepted step sets it to at
+    least twice its length, and its point's derivatives serve the next
+    iteration.  A non-finite value, or an OverflowError, counts as worse.
+    The polish stops once an accepted (or rejected) step moves each
+    coordinate by less than _POLISH_XTOL, at a non-finite derivative or
+    difference, or where another iteration would pass _POLISH_EVALS
+    evaluations of f.
     """
     def value(p):
         try:
             v = f(p)
         except OverflowError:
-            return math.inf
-        return v if math.isfinite(v) else math.inf
+            return math.inf, math.nan, math.nan
+        return v if math.isfinite(v[0]) else (math.inf, math.nan, math.nan)
 
     h = _POLISH_H
-    fx = value(x)
+    fx, g0, a = value(x)
     evals, radius = 1, 1.0
-    while evals + 7 <= _POLISH_EVALS:
+    while evals + 3 <= _POLISH_EVALS:
         x0, x1 = x
-        f1p, f1m = value((x0 + h, x1)), value((x0 - h, x1))
-        f2p, f2m = value((x0, x1 + h)), value((x0, x1 - h))
-        fpp, fmm = value((x0 + h, x1 + h)), value((x0 - h, x1 - h))
-        evals += 6
-        g0, g1 = (f1p - f1m) / (2.0 * h), (f2p - f2m) / (2.0 * h)
-        a = (f1p - 2.0 * fx + f1m) / (h * h)
-        c = (f2p - 2.0 * fx + f2m) / (h * h)
-        b = 0.5 * ((fpp - 2.0 * fx + fmm) / (h * h) - a - c)
+        fp, gp, _ = value((x0, x1 + h))
+        fm, gm, _ = value((x0, x1 - h))
+        evals += 2
+        g1 = (fp - fm) / (2.0 * h)
+        c = (fp - 2.0 * fx + fm) / (h * h)
+        b = (gp - gm) / (2.0 * h)
         if not all(map(math.isfinite, (g0, g1, a, b, c))):
             break
         # H's eigenvalues hi >= lo, hi's eigenvector (cos w, sin w)
@@ -503,10 +566,10 @@ def _newton_polish(f, x: tuple[float, float]) -> tuple[float, float]:
                 s0, s1 = s0 * (radius / length), s1 * (radius / length)
                 length = radius
             trial = (x0 + s0, x1 + s1)
-            ft = value(trial)
+            ft, gt, at = value(trial)
             evals += 1
             if ft < fx:
-                x, fx = trial, ft
+                x, fx, g0, a = trial, ft, gt, at
                 radius = max(radius, 2.0 * length)
                 break
             radius = 0.5 * length
@@ -557,8 +620,8 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
     takes log-scale, 1.5 past the ``_scale_seed`` of nu = 0.93 and of 0.05
     (the seed falls as nu grows), one pass per step.  At any other rho
     ``_newton_polish`` then takes (logit nu, log-scale) from that
-    optimum, some 20-70 evaluations of one nu each on the profile of its
-    log-scale, of which the last four are kept.
+    optimum, some 10-35 evaluations, each one nu with its exact
+    derivatives on the profile of its own log-scale.
     """
     # gathered once: every pass divides the subsample by a scale, and a
     # strided view makes each of those reads miss the cache
@@ -584,13 +647,17 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
             notes.append(f"nuisance scale {scale:.6g} is on a bound of its "
                          f"search range [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
     else:
-        # a stencil of the polish takes 3 log-scales, so 3-4 profiles
-        # serve its 7 evaluations
-        profile = functools.lru_cache(maxsize=4)(
-            lambda ls: _profile(spec, math.exp(ls), sub, u, rho))
-        t, log_scale = _newton_polish(
-            lambda th: -profile(th[1])(_nu_from_t(th[0])),
-            (_t_from_nu(nu), log_scale))
+        def negative(th):
+            # minus the score, its nu-derivatives chained through the
+            # logistic of _nu_from_t
+            nu = _nu_from_t(th[0])
+            v, d1, d2 = _profile(spec, math.exp(th[1]), sub, u, rho)(
+                nu, derivs=True)
+            dnu = (nu - _NU_LO) * (_NU_HI - nu) / (_NU_HI - _NU_LO)
+            ddnu = dnu * (_NU_HI + _NU_LO - 2.0 * nu) / (_NU_HI - _NU_LO)
+            return -v, -d1 * dnu, -(d2 * dnu * dnu + d1 * ddnu)
+
+        t, log_scale = _newton_polish(negative, (_t_from_nu(nu), log_scale))
         nu, scale = _nu_from_t(t), math.exp(log_scale)
     return nu, scale, notes
 
@@ -716,7 +783,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
 
     # Each candidate's tail stage and search run on their own thread, up
     # to the usable CPUs: a few dozen t-space passes over the subsample,
-    # and at rho != -1 some 20-70 f_T evaluations on their profiles.
+    # and at rho != -1 some 10-35 f_T evaluations on their profiles.
     threads = usable_cpus()
     if threads > 1 and rho != -1.0:  # loaded here, not by two threads
         import scipy.special  # noqa: F401

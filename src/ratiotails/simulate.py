@@ -178,13 +178,13 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "rejection_policy",
                            RejectionPolicy(self.rejection_policy))
-        if not (self.tau0 > 0 and self.dt > 0):
-            raise DomainError("tau0 and dt must be positive")
+        if not (0 < self.tau0 < math.inf and 0 < self.dt < math.inf):
+            raise DomainError("tau0 and dt must be positive and finite")
         if self.dt > self.tau0:
             raise DomainError(f"dt={self.dt} exceeds tau0={self.tau0}; "
                               "the log-price step must stay O(response)")
-        if not self.p0 > 0:
-            raise DomainError("initial price must be positive")
+        if not 0 < self.p0 < math.inf:
+            raise DomainError("initial price must be positive and finite")
         if self.n_steps < 1:
             raise DomainError("need at least one step")
         if not (0 <= int(self.seed) <= _MASK64):
@@ -207,10 +207,12 @@ class SimConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _log_prices(prices, out=None) -> np.ndarray:
-    """np.log of positive, finite prices, into ``out`` if given.  A bad
-    price is reported with the count of bad ones, and the first with its
-    row, counted from 1 as a CSV's data rows under its header are."""
+def check_prices(prices) -> np.ndarray:
+    """``prices`` as a float array, once every price is positive and
+    finite: the one check of the writer and the loader of a price CSV.
+    A bad price raises DomainError with the count of bad ones, and the
+    first with its row, counted from 1 as a CSV's data rows under its
+    header are."""
     prices = np.asarray(prices, dtype=float)
     for bad, what in ((~np.isfinite(prices), "non-finite"),
                       (~(prices > 0), "nonpositive")):
@@ -219,7 +221,13 @@ def _log_prices(prices, out=None) -> np.ndarray:
             raise DomainError(
                 f"{what} prices: {rows.size} of {prices.size}, the first "
                 f"is {prices.flat[rows[0]]} at row {rows[0] + 1}")
-    return np.log(prices, out=out)
+    return prices
+
+
+def _log_prices(prices, out=None) -> np.ndarray:
+    """np.log of positive, finite prices (``check_prices``), into ``out``
+    if given."""
+    return np.log(check_prices(prices), out=out)
 
 
 @dataclass
@@ -334,13 +342,18 @@ def simulate_gbm(mu: float, sigma: float, dt: float, n_steps: int, p0: float,
     log P[k+1] = log P[k] + (mu - sigma**2 / 2) dt + sigma sqrt(dt) Z[k].
     sigma = 0 degenerates to deterministic exponential growth.
     """
-    if sigma < 0:
-        raise DomainError("volatility must be nonnegative")
-    if not (dt > 0 and p0 > 0 and n_steps >= 1):
-        raise DomainError("dt and p0 must be positive, n_steps >= 1")
+    if not sigma >= 0:
+        raise DomainError(f"volatility sigma={sigma} must be nonnegative")
+    if not (dt > 0 and 0 < p0 < math.inf and n_steps >= 1):
+        raise DomainError("dt and p0 must be positive, p0 finite, "
+                          "n_steps >= 1")
 
     drift = (mu - 0.5 * sigma * sigma) * dt
     vol = sigma * math.sqrt(dt)
+    if not (math.isfinite(drift) and math.isfinite(vol)):
+        raise DomainError(f"the log step (mu - sigma**2/2) dt + sigma "
+                          f"sqrt(dt) Z is not finite at mu={mu}, "
+                          f"sigma={sigma}, dt={dt}")
 
     def job(index, count):
         if vol == 0.0:

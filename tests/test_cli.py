@@ -515,6 +515,136 @@ def test_fit_prices_keep_the_exit_code_contract():
     assert time.perf_counter() - start <= 10.0
 
 
+# each option at a working value, at or past its bound, extreme or not
+# finite; the standardized means mu/sigma reach 1e300 and inf
+_MEANS = st.sampled_from(["1", "0.5", "1e300", "1e-300", "0", "-1", "nan",
+                          "inf"])
+_SPREADS = st.sampled_from(["0.5", "0.2", "1e-300", "1e-160", "1e300",
+                            "5e-324", "0", "-0.5", "nan", "inf"])
+_RHOS = st.sampled_from(["-1", "-0.5", "-0.2", "0", "0.3", "0.999999",
+                         "-1.0000000000000002", "1", "nan"])
+_DENSITY_TRANSFORMS = st.sampled_from(
+    ["none", "pow"] + [f.value for f in Family])
+_QS = st.sampled_from([None, "1", "2", "3", "0.5", "0", "-1", "nan", "inf"])
+_GRIDS = st.tuples(st.sampled_from(["-2", "0", "1e-300", "0.5", "-inf",
+                                    "nan"]),
+                   st.sampled_from(["6", "1e300", "0.5", "inf", "nan"]),
+                   st.sampled_from(["41", "2", "1", "0"]), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_MEANS, _MEANS), st.tuples(_SPREADS, _SPREADS), _RHOS,
+       _DENSITY_TRANSFORMS, _QS, _GRIDS)
+@example(("1", "1"), ("1e-300", "0.5"), "0.3", "none", None,
+         ("-2", "6", "41", False))
+@example(("1", "1"), ("1e-160", "0.5"), "-0.2", "none", None,
+         ("-2", "6", "41", False))
+@example(("1", "1"), ("0.5", "1e-300"), "0.3", "none", None,
+         ("-2", "6", "41", False))
+@example(("1e300", "1"), ("0.5", "0.5"), "0.3", "none", None,
+         ("-2", "6", "41", False))
+@example(("1", "1"), ("1e-300", "0.5"), "0.3", "power", "1",
+         ("1e-300", "1e300", "41", True))
+def density_keeps_the_contract(means, spreads, rho, transform, q, grid):
+    x_min, x_max, points, log_grid = grid
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "d.csv")
+        argv = ["density", f"--mu1={means[0]}", f"--mu2={means[1]}",
+                f"--sigma1={spreads[0]}", f"--sigma2={spreads[1]}",
+                f"--rho={rho}", "--transform", transform,
+                f"--x-min={x_min}", f"--x-max={x_max}", "--points", points,
+                "--out", out]
+        if q is not None:
+            argv.append(f"--q={q}")
+        if log_grid:
+            argv.append("--log-grid")
+        if main_contract(argv) == 0:
+            # a curve, finite and nonnegative, that reads back
+            assert np.all(np.isfinite(load_density_curve(out).values))
+
+
+@pytest.mark.parametrize("rho", ["-1", "0.3"])
+def test_density_curve_at_a_tiny_demand_spread(tmp_path, rho):
+    # sigma1 = 1e-300 holds D at its mean, so R = 1/S and f(x) =
+    # phi((1 - 1/x)/sigma2) / (sigma2 x^2), 0 at x = 0, though
+    # mu1/sigma1 = 1e300; at the parent rho = 0.3 raised OverflowError
+    # and rho = -1 was NaN at x = 0
+    out = tmp_path / "d.csv"
+    assert run("density", "--sigma1", "1e-300", "--rho", rho,
+               "--x-min", "-1", "--x-max", "4", "--points", "21",
+               "--out", out) == 0
+    curve = load_density_curve(str(out))
+    x = curve.grid[curve.grid != 0.0]
+    z = (1.0 - 1.0 / x) / 0.5
+    want = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / (0.5 * x * x)
+    np.testing.assert_allclose(curve.values[curve.grid != 0.0], want,
+                               rtol=1e-12)
+    assert curve.values[curve.grid == 0.0].tolist() == [0.0]
+
+
+def test_density_keeps_the_exit_code_contract():
+    # through main, in-process: whatever the means, spreads, correlation,
+    # transform and grid, density exits 0-3, raises nothing and prints one
+    # error line on a bad input
+    start = time.perf_counter()
+    density_keeps_the_contract()
+    assert time.perf_counter() - start <= 10.0
+
+
+_SIM_NUMBERS = st.sampled_from(["0.2", "1e150", "1e300", "0", "-1", "nan",
+                                "inf"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["gbm", "ratio"]), _SIM_NUMBERS, _SIM_NUMBERS,
+       st.sampled_from(["1e-4", "1", "1e300", "5e-324", "0", "nan", "inf"]),
+       st.sampled_from(["1", "1e300", "1e-300", "0", "nan", "inf"]),
+       st.sampled_from(["10", "1", "0"]),
+       st.tuples(_SPREADS, _RHOS, st.sampled_from([f.value for f in Family]),
+                 _QS, st.sampled_from(["1", "1e-300", "0", "inf"])))
+@example("gbm", "0.05", "1e150", "1e-4", "1", "10",
+         ("0.35", "-1", "sym", None, "1"))
+@example("gbm", "0.05", "nan", "1e-4", "1", "10",
+         ("0.35", "-1", "sym", None, "1"))
+@example("gbm", "nan", "0.2", "1e-4", "1", "10",
+         ("0.35", "-1", "sym", None, "1"))
+@example("ratio", "0.05", "0.2", "1e300", "1", "10",
+         ("0.35", "-1", "power", "2", "1"))
+def simulate_keeps_the_contract(model, mu, sigma, dt, p0, steps, flows):
+    spread, rho, family, q, tau0 = flows
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "s.csv")
+        argv = ["simulate", "--model", model, f"--mu={mu}",
+                f"--sigma={sigma}", f"--dt={dt}", f"--p0={p0}",
+                "--steps", steps, f"--sigma1={spread}", f"--sigma2={spread}",
+                f"--rho={rho}", "--family", family, f"--tau0={tau0}",
+                "--seed", "3", "--threads", "1", "--out", out]
+        if q is not None:
+            argv.append(f"--q={q}")
+        if main_contract(argv) == 0:
+            # what simulate writes, the loader reads
+            series = load_price_series(out)
+            assert len(series) == int(steps) + 1
+
+
+def test_simulate_keeps_the_exit_code_contract():
+    # through main, in-process: whatever the model and its options,
+    # simulate exits 0-3, raises nothing, prints one error line on a bad
+    # input, and every file it writes loads
+    start = time.perf_counter()
+    simulate_keeps_the_contract()
+    assert time.perf_counter() - start <= 10.0
+
+
+@pytest.mark.parametrize("option", ["--mu", "--sigma"])
+def test_simulate_names_a_non_finite_gbm_option(tmp_path, option, capsys):
+    assert run("simulate", "--model", "gbm", option, "nan", "--steps", 10,
+               "--out", tmp_path / "s.csv") == 2
+    err = capsys.readouterr().err
+    assert f"{option[2:]}=nan" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def _error_types(base):
     for sub in base.__subclasses__():
         yield sub

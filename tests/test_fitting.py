@@ -865,9 +865,9 @@ def test_correlated_search_matches_the_oracle(family, q, make, rho,
         if rho_ == -1.0:
             return score
 
-        def counted_score(nu):
+        def counted_score(nu, derivs=False):
             evals.append((scale, nu))
-            return score(nu)
+            return score(nu, derivs)
 
         return counted_score
 
@@ -884,6 +884,31 @@ def test_correlated_search_matches_the_oracle(family, q, make, rho,
     nu0, scale0, _ = fitting._fit_nuisance(spec, q95, bulk, u, -1.0)
     start = nelder_mead(spec, bulk, u, rho, nu0, math.log(scale0))
     assert 0 < len(evals) <= start.nfev / 2
+
+
+@pytest.mark.parametrize("family,q", [(Family.POWER, 1.0), (Family.LOG, None)],
+                         ids=["power", "log"])
+def test_correlated_polish_takes_few_passes(family, q, monkeypatch):
+    # each evaluation of the polish is one f_T pass with the exact
+    # nu-derivatives, and a step takes two more along log-scale: from the
+    # rho = -1 optimum of a fixed rho = -0.5 power q = 1 input, as the
+    # benchmark's, each candidate's ends in at most 18
+    spec = ResponseSpec(family, q)
+    r = correlated_ratios(20000, -0.5, seed=97)
+    q95, bulk, u = _split(1e-6 * (r - 1.0 / r))
+    passes = []
+    polish = fitting._newton_polish
+
+    def counted(f, x):
+        def passed(p):
+            passes.append(p)
+            return f(p)
+
+        return polish(passed, x)
+
+    monkeypatch.setattr(fitting, "_newton_polish", counted)
+    fitting._fit_nuisance(spec, q95, bulk, u, -0.5)
+    assert 0 < len(passes) <= 18
 
 
 def bulk_score_against_pointwise(family, q, rho):
@@ -974,6 +999,74 @@ def test_bulk_mass_is_the_complement_form_away_from_one(rho):
             ref, rel=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.02, 0.97), st.floats(-1.0, 0.95, exclude_min=True),
+       st.floats(1.0, 1e6, exclude_min=True))
+@example(0.38, -0.5, 1.0 + 2.0 ** -52)
+@example(0.02, -1.0 + 2.0 ** -52, 3.0)
+@example(0.97, 0.95, 1e6)
+def test_t_mass_is_the_ratio_laws(nu, rho, r_u):
+    # P(|T| < t_u) = P(1/r_u < R < r_u), and at t = 1 P(R > 0).  The
+    # reference subtracts CDF values at r_u and at the rounded 1/r_u: an
+    # absolute error of about f_R ulp(1), at most ~1e-14 for rho <= 0.95
+    params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
+    t_u = (r_u - 1.0) / (r_u + 1.0)
+    ref = float(ratio_cdf(params, r_u) - ratio_cdf(params, 1.0 / r_u))
+    mass, dmass, ddmass = fitting._t_mass(nu, rho, t_u)
+    assert mass == pytest.approx(ref, rel=1e-12, abs=2e-14)
+    assert fitting._t_mass(nu, rho, 1.0)[0] == pytest.approx(
+        positive_ratio_mass(params), rel=1e-12)
+    # the nu-derivatives against central differences
+    h = 1e-4 * nu
+    up, down = (fitting._t_mass(nu + e, rho, t_u)[0] for e in (h, -h))
+    assert dmass == pytest.approx((up - down) / (2.0 * h), rel=1e-6,
+                                  abs=1e-9)
+    assert ddmass == pytest.approx((up - 2.0 * mass + down) / (h * h),
+                                   rel=1e-3, abs=1e-4 / nu)
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.38, 0.97])
+def test_t_mass_is_nil_without_a_bulk_and_the_anticorrelated_law_at_its_limit(
+        nu):
+    for rho in (-0.5, 0.0, 0.9):
+        for t in (0.0, -0.0, -0.3, math.nan):
+            assert fitting._t_mass(nu, rho, t) == (0.0, 0.0, 0.0)
+    # as rho -> -1 the mass tends to erf(t/(nu sqrt 2)), _masses' form
+    rho = -1.0 + 1e-12
+    for t in (1e-6, 0.3, 0.9):
+        pos_mass, bulk_mass = fitting._masses(nu, t)
+        assert fitting._t_mass(nu, rho, 1.0)[0] == pytest.approx(
+            pos_mass, rel=1e-9)
+        assert fitting._t_mass(nu, rho, t)[0] == pytest.approx(
+            bulk_mass * pos_mass, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.floats(0.02, 0.97),
+       st.floats(-1.0, 0.95, exclude_min=True), st.integers(0, 2 ** 32 - 1))
+@example((Family.POWER, 0.7), 0.02, -1.0 + 2.0 ** -52, 0)
+@example((Family.LOG, None), 0.97, 0.95, 1)
+def test_f_t_nu_derivatives_are_the_differences_of_its_value(family_q, nu,
+                                                             rho, seed):
+    # the sums of d/dnu and d2/dnu2 of log f_T that the kernel takes from
+    # its own intermediates, against central differences of its value
+    spec = ResponseSpec(*family_q)
+    r = ratio_positive(200, seed=seed % 1000, nu=0.38)
+    t2, _ = fitting._t_space(spec, np.asarray(spec.value(r)))
+    log_f, s1, s2 = fitting._log_f_t(t2, nu, rho, derivs=True)
+    assert np.array_equal(log_f, fitting._log_f_t(t2, nu, rho))
+    def value(x):
+        return float(np.sum(fitting._log_f_t(t2, x, rho)))
+
+    scale = t2.size / (nu * nu)         # of the second derivative's terms
+    h = 1e-5 * nu
+    assert s1 == pytest.approx((value(nu + h) - value(nu - h)) / (2.0 * h),
+                               rel=1e-6, abs=1e-7 * scale * nu)
+    h = 1e-4 * nu
+    diff2 = (value(nu + h) - 2.0 * value(nu) + value(nu - h)) / (h * h)
+    assert s2 == pytest.approx(diff2, rel=1e-5, abs=1e-6 * scale)
+
+
 _BRENT_SHAPES = {
     "quadratic": lambda c, amp, freq: lambda x: (x - c) ** 2,
     "wavy": lambda c, amp, freq: lambda x: ((x - c) ** 2
@@ -1019,22 +1112,28 @@ def _wall(kind):
         if x > 2.5:
             if kind == "overflow":
                 raise OverflowError("math range error")
-            return math.inf
-        return math.sqrt(1.0 + (x - 1.0) ** 2 + (y + 1.0) ** 2)
+            return math.inf, math.inf, math.inf
+        v = math.sqrt(1.0 + (x - 1.0) ** 2 + (y + 1.0) ** 2)
+        return v, (x - 1.0) / v, (1.0 - ((x - 1.0) / v) ** 2) / v
 
     return f
 
 
+# each f(p) gives (value, d/dx, d2/dx2), as the polish takes it
 _POLISH_CASES = {
-    # a curved ridge along y = x**2; its third derivatives are mild
-    # enough that the stencil's O(h**2) error moves the end by < 1e-6
-    "ridge": (lambda p: (1.0 - p[0]) ** 2 + 10.0 * (p[1] - p[0] ** 2) ** 2,
+    # a curved ridge along y = x**2; its third derivatives along y are
+    # nil, so the differences along y are exact to rounding
+    "ridge": (lambda p: ((1.0 - p[0]) ** 2 + 10.0 * (p[1] - p[0] ** 2) ** 2,
+                         -2.0 * (1.0 - p[0]) - 40.0 * p[0] * (p[1] - p[0] ** 2),
+                         2.0 - 40.0 * p[1] + 120.0 * p[0] ** 2),
               (-1.2, 1.0), (1.0, 1.0)),
     "quadratic": (lambda p: ((p[0] - 3.0) ** 2 + 5.0 * (p[1] + 2.0) ** 2
-                             + 2.0 * (p[0] - 3.0) * (p[1] + 2.0)),
+                             + 2.0 * (p[0] - 3.0) * (p[1] + 2.0),
+                             2.0 * (p[0] - 3.0) + 2.0 * (p[1] + 2.0), 2.0),
                   (0.0, 0.0), (3.0, -2.0)),
     # H is indefinite at the start, near a saddle
-    "indefinite": (lambda p: math.cos(p[0]) + math.cosh(p[1] - 0.5),
+    "indefinite": (lambda p: (math.cos(p[0]) + math.cosh(p[1] - 0.5),
+                              -math.sin(p[0]), -math.cos(p[0])),
                    (0.3, 0.0), (math.pi, 0.5)),
     "wall-inf": (_wall("inf"), (-4.0, -1.0), (1.0, -1.0)),
     "wall-overflow": (_wall("overflow"), (-4.0, -1.0), (1.0, -1.0)),
@@ -1065,10 +1164,11 @@ def test_newton_polish_stops_at_its_evaluation_cap():
 
     def falling(p):
         calls.append(p)
-        return math.exp(-p[0]) + math.exp(-p[1])
+        return math.exp(-p[0]) + math.exp(-p[1]), -math.exp(-p[0]), \
+            math.exp(-p[0])
 
     x = fitting._newton_polish(falling, (0.0, 0.0))
-    assert fitting._POLISH_EVALS - 7 < len(calls) <= fitting._POLISH_EVALS
+    assert fitting._POLISH_EVALS - 3 < len(calls) <= fitting._POLISH_EVALS
     assert min(x) > 50.0
 
 
