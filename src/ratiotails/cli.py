@@ -5,10 +5,12 @@ transformed density curves), simulate (ratio-driven or GBM price paths),
 tails (tail classification of a sample), fit (family recovery from a
 price series) and replay (re-run a saved manifest).
 
-Exit codes: 0 success (for check: all conditions hold), 1 condition
-failure or numerical failure, 2 malformed input or domain violation,
-3 non-identifiable family tie.  Commands that write artifacts also write
-a ``<output>.manifest`` sidecar and never leave partial files behind.
+Exit codes follow the error's type: 0 success (for check: all
+conditions hold), 1 condition failure or numerical failure, 2 malformed
+input or domain violation (an output path that cannot be written and a
+manifest that cannot be replayed included), 3 non-identifiable family
+tie.  Commands that write artifacts also write a ``<output>.manifest``
+sidecar and never leave partial files behind.
 
 Environment: RATIOTAILS_SEED and RATIOTAILS_THREADS provide defaults for
 --seed and --threads, which only simulate (and replay, passing it on to
@@ -386,6 +388,11 @@ def _run_replay(args) -> int:
         argv.extend(["--seed", str(manifest.seed)])
     if args.threads is not None and manifest.command == "simulate":
         argv.extend(["--threads", str(args.threads)])
+    try:
+        args.parser.parse_args(argv)
+    except SystemExit:  # the parser has printed the value it refused
+        raise InputFormatError(f"{args.manifest}: its params are not valid "
+                               f"{manifest.command} options") from None
     return main(argv)
 
 

@@ -59,13 +59,22 @@ __all__ = [
 
 
 def write_atomic(path: str, text) -> None:
-    """Write text, or an iterable of chunks, via a temp file and rename."""
+    """Write text, or an iterable of chunks, via a temp file and rename.
+    A path in a directory that cannot take the file, or that names a
+    directory, raises InputFormatError and leaves no file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise InputFormatError(
+                f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         try:
             os.unlink(tmp)
@@ -284,8 +293,8 @@ def _read_lines(path: str, header: str, ncols: int, min_rows: int,
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from None
     if not lines:
         raise InputFormatError(f"{path} is empty")
     if lines[0].strip() != header:
@@ -415,8 +424,11 @@ class RunManifest:
         hashes = {k[len("input."):]: v for k, v in kv.items()
                   if k.startswith("input.")}
         seed = kv.get("seed")
-        return cls(command=kv["command"], params=params,
-                   seed=None if seed is None else int(seed),
+        try:
+            seed = None if seed is None else int(seed)
+        except ValueError:
+            raise InputFormatError(f"seed={seed} is not an integer") from None
+        return cls(command=kv["command"], params=params, seed=seed,
                    version=kv.get("version", ""), input_hashes=hashes,
                    started=kv.get("started", ""),
                    finished=kv.get("finished", ""))
@@ -426,8 +438,15 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
+        """The manifest at ``path``; one that cannot be read or decoded, or
+        that breaks the schema, raises InputFormatError naming the file."""
         try:
             with open(path, "r") as fh:
-                return cls.from_text(fh.read())
-        except OSError as exc:
-            raise InputFormatError(f"cannot read manifest {path}: {exc}")
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFormatError(f"cannot read manifest {path}: {exc}") \
+                from None
+        try:
+            return cls.from_text(text)
+        except InputFormatError as exc:
+            raise InputFormatError(f"manifest {path}: {exc}") from None

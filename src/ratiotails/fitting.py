@@ -7,28 +7,29 @@ those changes.  Fitting is two-stage: the family's shape parameter comes
 from the exceedance tail by maximum likelihood, while the order-flow
 nuisance (a symmetric coefficient of variation plus an output scale
 absorbing the adjustment time constant) is fitted by conditional
-likelihood on the bulk.  At every correlation a pass works in t-space:
-T = (R - 1)/(R + 1) has a closed-form density f_T, and each family's
-|log r| and log(r g'(r)) come in closed form from the change, with no
-ratio formed, so a point whose ratio leaves float range scores its
-density.  One pass at a scale gives the score for every spread
-(``_profile``).  At the default rho = -1, T = nu Z, and the search is a
-bounded Brent over log-scale, bracketed by the 0.95 |change| quantile,
-around a bounded Brent over the spread at each scale, on numpy and the
-standard library alone (erf closed forms, a port of scipy's bounded
-Brent).  Any other rho polishes that optimum with a damped Newton
-method of the package's own (``_newton_polish``) on the exact spread
-derivatives of f_T and its masses, in some 10-35 evaluations, the one
-step that loads scipy (scipy.special).  At
-every rho each candidate's tail stage and search run on their own
-thread, up to the usable CPUs.  The searches run on a ~30k-point
-subsample of the bulk; each winner is then scored on the full bulk,
-whose fixed 65 536-point chunks map over the usable CPUs.  The result
-does not depend on how many CPUs there are.  Families are then ranked
-by a composite average log-likelihood over bulk and tail, and near-ties
-go to the family with fewer parameters or are reported as
-non-identifiable.  The threshold and the 0.95 quantile are
-``tails.quantile``'s: np.quantile's, bit for bit, from one select.
+likelihood on the bulk.  One law scores every correlation, in t-space:
+T = (R - 1)/(R + 1) = A/B, a ratio of independent normals, has the
+closed-form density f_T (``_log_f_t``) and masses (``_t_mass``), and
+each family's |log r| and log(r g'(r)) come in closed form from the
+change, with no ratio formed, so a point whose ratio leaves float range
+scores its density.  One pass at a scale gives the score for every
+spread (``_profile``).  rho = -1 is the case b = 0 of that law, T = nu Z,
+where the pass keeps only the sum of t^2 and no scipy loads; the search
+is a bounded Brent over log-scale, bracketed by the 0.95 |change|
+quantile, around a bounded Brent over the spread at each scale (a port
+of scipy's bounded Brent).  Any other rho polishes that optimum with a
+damped Newton method of the package's own (``_newton_polish``) on the
+exact spread derivatives of f_T and its masses, in some 10-35
+evaluations, the one step that loads scipy (scipy.special).  At every
+rho each candidate's tail stage and search run on their own thread, up
+to the usable CPUs.  The searches run on a ~30k-point subsample of the
+bulk; each winner is then scored on the full bulk, whose fixed 65 536-
+point chunks map over the usable CPUs.  The result does not depend on
+how many CPUs there are.  Families are then ranked by a composite
+average log-likelihood over bulk and tail, and near-ties go to the
+family with fewer parameters or are reported as non-identifiable.  The
+threshold and the 0.95 quantile are ``tails.quantile``'s: np.quantile's,
+bit for bit, from one select.
 
 All reported response shapes are identified only up to the time-constant
 scale, which no price series can pin down by itself.
@@ -242,20 +243,9 @@ def _chunk_sums(sums, points: np.ndarray, scale: float):
             for column in zip(*parts)]
 
 
-def _pos_mass(nu: float) -> float:
-    """P(R > 0) = P(|Z| < 1/nu) of the rho = -1 law with spread nu:
-    positive_ratio_mass's erf form at unit means, bit for bit."""
-    return math.erf(1.0 / nu / _SQRT_2)
-
-
-def _masses(nu: float, t_u: float) -> tuple[float, float]:
-    """(P(R > 0), P(1/r_u < R < r_u | R > 0)) of the rho = -1 law with
-    spread nu, where t_u = (r_u - 1)/(r_u + 1): R < r_u exactly when
-    Z < t_u/nu, so the bulk mass is P(|Z| < t_u/nu) / P(|Z| < 1/nu), a
-    ratio of erf values that does not cancel.  It is not positive when
-    t_u <= 0, and NaN when t_u is."""
-    pos_mass = _pos_mass(nu)
-    return pos_mass, math.erf(t_u / (nu * _SQRT_2)) / pos_mass
+def _t_u(spec: ResponseSpec, u: float, scale: float) -> float:
+    """t_u = tanh(L_u/2) of the threshold u over the scale, signed as u."""
+    return math.copysign(math.tanh(0.5 * spec.log_ratio(u / scale)), u)
 
 
 def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
@@ -264,7 +254,7 @@ def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
     quantile given R > 0, through R = (1 + nu Z)/(1 - nu Z)."""
     from statistics import NormalDist  # fractions and decimal: not at import
 
-    z = NormalDist().inv_cdf(0.5 + 0.475 * _pos_mass(nu))
+    z = NormalDist().inv_cdf(0.5 + 0.475 * _t_mass(nu, -1.0, 1.0)[0])
     r = (1.0 + nu * z) / (1.0 - nu * z)
     return math.log(q95 / float(spec.value(r)))
 
@@ -272,71 +262,79 @@ def _scale_seed(spec: ResponseSpec, nu: float, q95: float) -> float:
 def _bulk_score(spec: ResponseSpec, nu: float, rho: float, scale: float,
                 points: np.ndarray, u: float) -> float:
     """Average conditional log-likelihood of the sub-threshold points
-    under the unit-mean pair with spread nu and correlation rho."""
-    if rho == -1.0:
-        return _profile(spec, scale, points, u, rho)(nu)
-
+    under the unit-mean pair with spread nu and correlation rho, its
+    t-space pass chunk by chunk (``_chunk_sums``)."""
     def sums(y):
-        t2, sv = _finite_t(*_t_space(spec, y))
-        return t2.size, float(np.sum(_log_f_t(t2, nu, rho))) - sv
+        n_ok, t2, sv, mean = _kept(*_t_space(spec, y), rho, points.size)
+        return n_ok, mean(_log_f_t(t2, nu, rho)[1]), sv
 
-    n_ok, total = _chunk_sums(sums, points, scale)
-    return _mean(spec, nu, rho, scale, u, points.size, n_ok, total)
+    n_ok, log_f, sv = _chunk_sums(sums, points, scale)
+    norm = _log_f_t(np.empty(0), nu, rho)[0]  # no t^2 moves it
+    return _mean(nu, rho, _t_u(spec, u, scale), scale, points.size, n_ok, sv,
+                 norm, log_f)
 
 
 def _t_mass(nu: float, rho: float, t: float) -> tuple[float, float, float]:
-    """P(|T| < t) at rho != -1, with its first and second nu-derivatives;
-    all 0 where t is not positive.  |T| < t is |A| < t|B| (see _log_f_t),
-    and with d = sqrt(a + t^2 b), k = 2t/d and h = 2 sqrt(a/b)/d, the
-    bivariate-normal orthants give (Owen 1956)
+    """P(|T| < t), with its first and second nu-derivatives; all 0 where t
+    is not positive.  |T| < t is |A| < t|B| (see _log_f_t), and with
+    d = sqrt(a + t^2 b), k = 2t/d and h = 2 sqrt(a/b)/d, the bivariate-
+    normal orthants give (Owen 1956)
 
         P(|T| < t) = erf(k/sqrt 2) erf(h/sqrt 2) + 4 T(h, k/h),
 
-    a sum of positive terms that does not cancel; as rho -> -1 it tends to
-    erf(t/(nu sqrt 2)).  Only k depends on nu, as 1/nu, and dP/dk =
-    2 phi(k) erf(h/sqrt 2).  P(R > 0) is the mass at t = 1, and the bulk
-    mass P(1/r_u < R < r_u) the mass at t_u = (r_u - 1)/(r_u + 1)."""
+    a sum of positive terms that does not cancel.  Only k depends on nu,
+    as 1/nu, and dP/dk = 2 phi(k) erf(h/sqrt 2).  At rho = -1 (b = 0,
+    T = nu Z) k = t/nu and h is infinite, so P = erf(k/sqrt 2),
+    erf(h/sqrt 2) = 1 and phi(h) = 0, and no scipy loads.  P(R > 0) is
+    the mass at t = 1, and the bulk mass P(1/r_u < R < r_u) the mass at
+    t_u = (r_u - 1)/(r_u + 1)."""
     if not t > 0.0:
         return 0.0, 0.0, 0.0
-    from scipy.special import owens_t
+    if rho == -1.0:
+        k = t / nu
+        mass, erf_h, h_phi_h = math.erf(k / _SQRT_2), 1.0, 0.0
+    else:
+        from scipy.special import owens_t
 
-    a, b = 2.0 * nu * nu * (1.0 - rho), 2.0 * nu * nu * (1.0 + rho)
-    d = math.sqrt(a + t * t * b)
-    k, h = 2.0 * t / d, 2.0 * math.sqrt(a / b) / d
-    erf_h = math.erf(h / _SQRT_2)
-    mass = (math.erf(k / _SQRT_2) * erf_h
-            + 4.0 * float(owens_t(h, t * math.sqrt(b / a))))
-    phi_k, phi_h = (math.exp(-0.5 * z * z) / _SQRT_2PI for z in (k, h))
+        a, b = 2.0 * nu * nu * (1.0 - rho), 2.0 * nu * nu * (1.0 + rho)
+        d = math.sqrt(a + t * t * b)
+        k, h = 2.0 * t / d, 2.0 * math.sqrt(a / b) / d
+        erf_h = math.erf(h / _SQRT_2)
+        mass = (math.erf(k / _SQRT_2) * erf_h
+                + 4.0 * float(owens_t(h, t * math.sqrt(b / a))))
+        h_phi_h = h * math.exp(-0.5 * h * h) / _SQRT_2PI
+    phi_k = math.exp(-0.5 * k * k) / _SQRT_2PI
     # dP/dk, and k d2P/dk2 = 4h phi_k phi_h - k^2 dP/dk
     dk = 2.0 * phi_k * erf_h
     return mass, -k / nu * dk, k * ((2.0 - k * k) * dk
-                                    + 4.0 * h * phi_k * phi_h) / (nu * nu)
+                                    + 4.0 * phi_k * h_phi_h) / (nu * nu)
 
 
-def _mean(spec: ResponseSpec, nu: float, rho: float, scale: float, u: float,
-          n: int, n_ok: int, total: float, derivs=None):
-    """The mean bulk log-likelihood of n points at rho != -1 from the sum
-    ``total`` of log f_T(t) - v over the n_ok whose v is finite; the rest
-    score the floor.  P(R > 0) and the bulk mass are ``_t_mass``'s, at
-    t = 1 and at t_u = tanh(L_u/2) signed as u; the mean is the floor
-    where the bulk mass is not positive.  Given ``derivs``, the sums of
-    the first and second nu-derivatives of log f_T over the n_ok points,
-    it returns the mean with its own two."""
-    t_u = math.copysign(math.tanh(0.5 * spec.log_ratio(u / scale)), u)
+def _mean(nu: float, rho: float, t_u: float, scale: float, n: int, n_ok: int,
+          sv: float, norm: float, log_f: float, derivs=None):
+    """The mean bulk log-likelihood of n points at spread nu, from per-point
+    pieces: the n_ok whose v is finite have the sum ``sv`` of v, and the
+    rest score the floor; ``log_f`` is the mean over all n of log(norm
+    f_T(t)), f_T's normaliser 1/norm folded into the masses' log.  P(R > 0)
+    and the bulk mass are ``_t_mass``'s, at t = 1 and at ``t_u``; the mean
+    is the floor where the bulk mass is not positive.  Given ``derivs``,
+    the means over all n of the first and second nu-derivatives of
+    log f_T, it returns the mean with its own two."""
     pos_mass, dpos, ddpos = _t_mass(nu, rho, 1.0)
     mass_u, dmass, ddmass = _t_mass(nu, rho, t_u)
     bulk_mass = mass_u / pos_mass
     if not bulk_mass > 0.0:
         return _LL_FLOOR if derivs is None else (_LL_FLOOR, 0.0, 0.0)
-    mean = ((total + n_ok * math.log(2.0 / (scale * pos_mass))
-             + (n - n_ok) * _LL_FLOOR) / n - math.log(bulk_mass))
+    share = n_ok / n
+    rest = (-sv - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
+    mean = (share * math.log(2.0 / (norm * pos_mass)) + log_f + rest
+            - math.log(bulk_mass))
     if derivs is None:
         return mean
-    # mean = total/n + (1 - n_ok/n) log pos_mass - log mass_u + const
+    # mean = mean log f_T + (1 - share) log pos_mass - log mass_u + const
     g_pos, g_u = dpos / pos_mass, dmass / mass_u
-    rest = 1.0 - n_ok / n
-    return (mean, derivs[0] / n + rest * g_pos - g_u,
-            derivs[1] / n + rest * (ddpos / pos_mass - g_pos * g_pos)
+    return (mean, derivs[0] + (1.0 - share) * g_pos - g_u,
+            derivs[1] + (1.0 - share) * (ddpos / pos_mass - g_pos * g_pos)
             - (ddmass / mass_u - g_u * g_u))
 
 
@@ -361,44 +359,42 @@ def _t_space(spec: ResponseSpec, y: np.ndarray):
     return e, v
 
 
-def _finite_t(t2: np.ndarray, v: np.ndarray):
-    """(t^2, sum v) of the points whose v is finite."""
+def _kept(t2: np.ndarray, v: np.ndarray, rho: float, n: int):
+    """(count, t^2, sum v, mean) of the points whose v is finite, where
+    mean(g) is the sum over them of g = log(norm f_T) (``_log_f_t``) at
+    the t^2 kept, over n.  t^2 is their array, or at rho = -1, where g is
+    linear in t^2, their sum over n, whose g is that mean already."""
     sv = float(np.sum(v))
-    if math.isfinite(sv):               # so is every v
-        return t2, sv
-    ok = np.isfinite(v)
-    return t2[ok], float(np.sum(v[ok]))
-
-
-def _profile_sums(spec: ResponseSpec, y: np.ndarray):
-    """(count, sum t^2, -sum v) of the changes over the scale ``y`` whose
-    v is finite."""
-    t2, sv = _finite_t(*_t_space(spec, y))
-    return t2.size, float(np.sum(t2)), -sv
+    if not math.isfinite(sv):           # else so is every v
+        ok = np.isfinite(v)
+        t2, sv = t2[ok], float(np.sum(v[ok]))
+    if rho == -1.0:
+        return t2.size, float(np.sum(t2)) / n, sv, float
+    return t2.size, t2, sv, lambda g: float(np.sum(g)) / n
 
 
 def _log_f_t(t2: np.ndarray, nu: float, rho: float, derivs: bool = False):
-    """log f_T(t) at t^2 = ``t2``, a new array.  T = (R - 1)/(R + 1) =
-    A/B, and A = D - S ~ N(0, a), B = D + S ~ N(2, b) are independent,
-    a = 2 nu^2 (1 - rho), b = 2 nu^2 (1 + rho).  At rho = -1 f_T is
-    phi(t/nu)/nu; otherwise Hinkley's (1969) two terms, with
-    d^2 = a + b t^2 and x^2 = 2a/(b d^2), are
+    """(norm, g) with f_T(t) = e**g/norm at t^2 = ``t2``, g a new array.
+    T = (R - 1)/(R + 1) = A/B, and A = D - S ~ N(0, a), B = D + S ~
+    N(2, b) are independent, a = 2 nu^2 (1 - rho), b = 2 nu^2 (1 + rho).
+    At rho = -1 f_T is phi(t/nu)/nu: norm = sqrt(2 pi) nu and g =
+    -t^2/(2 nu^2), linear in t^2 (an array or a float).
+    Otherwise Hinkley's (1969) two terms, with d^2 = a + b t^2 and
+    x^2 = 2a/(b d^2), are
 
         f_T(t) = e**(-2 t^2/d^2) b^(3/2) / (2 sqrt(pi a))
                  * x^2 (x erf(x) + e**(-x^2)/sqrt(pi)),
 
     and the bracket H is at least 1/sqrt(pi): log f_T never underflows.
 
-    With ``derivs`` (rho != -1) the result is (log f_T, s1, s2), s1 and
+    With ``derivs`` (rho != -1) the result is (norm, g, s1, s2), s1 and
     s2 the sums over the points of the first and second nu-derivatives
     of log f_T.  2t^2/d^2 and x go as 1/nu^2 and 1/nu, and dH/dx =
     erf x, so with q = x erf(x)/H those are (4t^2/d^2 - q)/nu and
     (-12t^2/d^2 + 2q + 2x^2 e**(-x^2)/(sqrt(pi) H) - q^2)/nu^2.
     """
     if rho == -1.0:
-        out = np.multiply(t2, -0.5 / (nu * nu))
-        out -= math.log(_SQRT_2PI * nu)
-        return out
+        return _SQRT_2PI * nu, t2 / (-2.0 * nu * nu)
     from scipy.special import erf
 
     a, b = 2.0 * nu * nu * (1.0 - rho), 2.0 * nu * nu * (1.0 + rho)
@@ -429,8 +425,8 @@ def _log_f_t(t2: np.ndarray, nu: float, rho: float, derivs: bool = False):
     g *= x2
     np.log(g, out=g)
     out += g
-    out += math.log(b * math.sqrt(b / (4.0 * math.pi * a)))
-    return (out, s1, s2) if derivs else out
+    norm = math.sqrt(4.0 * math.pi * a / b) / b
+    return (norm, out, s1, s2) if derivs else (norm, out)
 
 
 def _change_log_pdf(spec: ResponseSpec, scale: float, nu: float, rho: float,
@@ -439,10 +435,9 @@ def _change_log_pdf(spec: ResponseSpec, scale: float, nu: float, rho: float,
     log f_T(t) + log 2 - v - log s - log P(R > 0); not finite where v is
     not."""
     t2, v = _t_space(spec, np.asarray(points, dtype=float) / scale)
-    out = _log_f_t(t2, nu, rho)
+    norm, out = _log_f_t(t2, nu, rho)
     out -= v
-    pos_mass = _pos_mass(nu) if rho == -1.0 else _t_mass(nu, rho, 1.0)[0]
-    out += math.log(2.0 / (scale * pos_mass))
+    out += math.log(2.0 / (scale * norm * _t_mass(nu, rho, 1.0)[0]))
     return out
 
 
@@ -451,43 +446,20 @@ def _profile(spec: ResponseSpec, scale: float, points: np.ndarray, u: float,
     """The mean bulk log-likelihood at correlation rho and ``scale`` as a
     function of nu, from one t-space pass over ``points``.
 
-    The pass keeps what does not depend on nu, of the points whose v is
-    finite (``_t_space``); the rest score the floor, whatever nu.  At
-    rho = -1 the score is c(nu) - sum(t^2)/(2 n nu^2) - sum(v)/n - log s
-    - log pos_mass(nu) - log bulk_mass(nu, s), so the pass keeps (count,
-    sum t^2, sum v), the serial floats on any CPU count (``_chunk_sums``),
-    and t_u = tanh(L_u/2) signed as u.  At any other rho it keeps the t^2
-    array and sum v, and each nu is one ``_log_f_t`` over that array;
-    with ``derivs`` it gives the score with its first and second
-    nu-derivatives (see ``_mean``).
+    The pass keeps what does not depend on nu: t_u = tanh(L_u/2) of the
+    threshold, and what ``_kept`` keeps of the points whose v is finite;
+    the rest score the floor, whatever nu.  Each nu is then one
+    ``_log_f_t`` and ``_mean``; with ``derivs`` (rho != -1) it gives the
+    score with its first and second nu-derivatives.
     """
     n = points.size
-    if rho != -1.0:
-        t2, sv = _finite_t(*_t_space(spec, points / scale))
+    n_ok, t2, sv, mean = _kept(*_t_space(spec, points / scale), rho, n)
+    t_u = _t_u(spec, u, scale)
 
-        def score(nu: float, derivs: bool = False):
-            if not derivs:
-                total = float(np.sum(_log_f_t(t2, nu, rho))) - sv
-                return _mean(spec, nu, rho, scale, u, n, t2.size, total)
-            log_f, s1, s2 = _log_f_t(t2, nu, rho, derivs=True)
-            return _mean(spec, nu, rho, scale, u, n, t2.size,
-                         float(np.sum(log_f)) - sv, (s1, s2))
-
-        return score
-
-    n_ok, st2, sw = _chunk_sums(functools.partial(_profile_sums, spec),
-                                points, scale)
-    t_u = math.copysign(math.tanh(0.5 * spec.log_ratio(u / scale)), u)
-    share = n_ok / n
-    rest = (sw - n_ok * math.log(scale) + (n - n_ok) * _LL_FLOOR) / n
-    half_st2 = 0.5 * st2 / n
-
-    def score(nu: float) -> float:
-        pos_mass, bulk_mass = _masses(nu, t_u)
-        if not bulk_mass > 0.0:
-            return _LL_FLOOR
-        return (share * math.log(2.0 / (_SQRT_2PI * nu * pos_mass))
-                - half_st2 / (nu * nu) + rest - math.log(bulk_mass))
+    def score(nu: float, derivs: bool = False):
+        norm, log_f, *sums = _log_f_t(t2, nu, rho, derivs)
+        return _mean(nu, rho, t_u, scale, n, n_ok, sv, norm, mean(log_f),
+                     [s / n for s in sums] if derivs else None)
 
     return score
 
@@ -608,9 +580,10 @@ def _tail_stage(family: Family, exc: np.ndarray, u: float):
 
 def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
                   u: float, rho: float):
-    """(nu, scale, notes) of the largest conditional bulk likelihood;
-    at rho = -1 a note names each of nu and scale that ends on a bound of
-    its search, where it need not be the maximum.
+    """(nu, scale, notes) of the largest conditional bulk likelihood; a
+    note names nu if it ends on a bound of its range, and at rho = -1 the
+    scale if it ends on a bound of its search, where neither need be the
+    maximum.
 
     The surface has a long curved ridge (bulk width pins only nu * scale).
     The search runs on a deterministic subsample of the bulk; the caller
@@ -638,15 +611,10 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
     hi = _scale_seed(spec, 0.05, q95) + 1.5
     log_scale, _ = _bounded_brent(negative, lo, hi, 1e-7)
     nu, scale = best_nu[log_scale], math.exp(log_scale)
-    notes = []
     if rho == -1.0:
-        if not _interior(nu, _NU_LO, _NU_HI, 1e-9):
-            notes.append(f"nuisance spread {nu:.6g} is on a bound of its "
-                         f"search range [{_NU_LO:g}, {_NU_HI:g}]")
-        if not _interior(log_scale, lo, hi, 1e-7):
-            notes.append(f"nuisance scale {scale:.6g} is on a bound of its "
-                         f"search range [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
+        scale_inside = _interior(log_scale, lo, hi, 1e-7)
     else:
+        scale_inside = True  # the polish's log-scale has no bounds
         def negative(th):
             # minus the score, its nu-derivatives chained through the
             # logistic of _nu_from_t
@@ -659,6 +627,13 @@ def _fit_nuisance(spec: ResponseSpec, q95: float, bulk: np.ndarray,
 
         t, log_scale = _newton_polish(negative, (_t_from_nu(nu), log_scale))
         nu, scale = _nu_from_t(t), math.exp(log_scale)
+    notes = []
+    if not _interior(nu, _NU_LO, _NU_HI, 1e-9):
+        notes.append(f"nuisance spread {nu:.6g} is on a bound of its "
+                     f"search range [{_NU_LO:g}, {_NU_HI:g}]")
+    if not scale_inside:
+        notes.append(f"nuisance scale {scale:.6g} is on a bound of its "
+                     f"search range [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
     return nu, scale, notes
 
 

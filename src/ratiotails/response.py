@@ -55,16 +55,6 @@ def _is_odd_integer(value: float) -> bool:
     return float(value).is_integer() and int(value) % 2 == 1
 
 
-def _sym_inverse(y, a):
-    """The x > 0 with (x - 1/x)/2 = a for y >= 0 and -a for y < 0, a >= 0.
-
-    a + hypot(a, 1) neither cancels nor squares a; the y < 0 branch
-    is its reciprocal, as SYM(1/x) = -SYM(x).
-    """
-    x = a + np.hypot(a, 1.0)
-    return np.where(y < 0.0, 1.0 / x, x)
-
-
 def _log_2cosh(x: np.ndarray) -> np.ndarray:
     """log(2 cosh x) = x + log1p(exp(-2x)) of x >= 0, in place: no
     overflow, however large x."""
@@ -263,47 +253,21 @@ class ResponseSpec:
 
     # no fit calls it; TransformedDensity, check and perfbench do
     def inverse(self, y):
-        """Analytic inverse restricted to ratios r > 0.
+        """Analytic inverse restricted to ratios r > 0: exp(+-L) with
+        L = ``log_ratio(y)``, signed as y.
 
         Every built-in family is a bijection from (0, inf) onto the reals,
-        so the inverse is total.  Closed forms; see ``invert_monotone`` for
-        the generic bracketed alternative.  SYM and ODD_POWER are formed
-        at |y| and inverted through inverse(-y) = 1/inverse(y), POWER and
-        LOG_POWER take the sign inside their exp, so no branch cancels at
-        large negative y, and no square of y overflows.  A scalar goes
-        through a 1-element array: numpy's 0-d powers can round otherwise.
+        so the inverse is total; see ``invert_monotone`` for the generic
+        bracketed alternative.  Each family's map is the one closed form
+        of ``log_ratio``, so no branch cancels at large negative y, and no
+        square of y overflows.  A scalar goes through a 1-element array,
+        as in ``log_ratio``, and gives the array entry bit for bit.
         """
-        scalar = np.ndim(y) == 0
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        fam = self.family
-        q = self.param
-        if fam is Family.SYM:
-            out = _sym_inverse(y, np.abs(y))
-        elif fam is Family.POWER:
-            # u = x**q solves u - 1/u = y; log form keeps huge |y| finite
-            ay = np.abs(y)
-            with np.errstate(over="ignore"):
-                u = np.multiply(ay, ay)
-                u += 4.0
-                np.sqrt(u, out=u)
-                u += ay
-                u *= 0.5
-            big = np.isinf(u)
-            if big.any():  # ay * ay overflowed; u rounds to ay there
-                u[big] = ay[big]
-            del ay, big
-            np.log(u, out=u)
-            u *= np.sign(y)
-            u /= q
-            out = np.exp(u, out=u)
-        elif fam is Family.ODD_POWER:
-            # x - 1/x = w for w**q = y is SYM at w/2
-            out = _sym_inverse(y, 0.5 * np.abs(y) ** (1.0 / q))
-        elif fam is Family.LOG_POWER:
-            out = np.exp(np.sign(y) * np.abs(y) ** (1.0 / q))
-        else:
-            out = np.exp(y)
-        return float(out[0]) if scalar else out
+        y = np.asarray(y, dtype=float)
+        out = self.log_ratio(np.atleast_1d(y))
+        np.copysign(out, y, out=out)
+        np.exp(out, out=out)
+        return float(out[0]) if y.ndim == 0 else out
 
     # -- structural facts used by the admissibility checker -----------------
 

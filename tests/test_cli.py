@@ -104,6 +104,79 @@ def test_check_normalized_response(capsys):
     assert "admissible: yes" in capsys.readouterr().out
 
 
+def _table_text(kind: str) -> bytes:
+    """An x,g table: the tabulated log (admissible but for (iv) on the
+    grid), a wrong header, too few rows, a decreasing x, or bytes that
+    are not UTF-8."""
+    xs = np.geomspace(1 / 32, 32, 41)
+    rows = [(x, math.log(x)) for x in xs.tolist()]
+    header = "x,g"
+    if kind == "header":
+        header = "a,b"
+    elif kind == "short":
+        rows = rows[:3]
+    elif kind == "decreasing":
+        rows = rows[::-1]
+    text = header + "\n" + "".join(f"{x!r},{g!r}\n" for x, g in rows)
+    data = text.encode()
+    return data[:20] + b"\xff\xfe" + data[20:] if kind == "bytes" else data
+
+
+# each option at a working value, at or past its bound, or not finite
+_CHECK_QS = st.sampled_from([None, "1", "2", "3", "0.5", "0", "-1", "nan",
+                             "inf", "1e300"])
+_MAX_LOGS = st.sampled_from(["6", "1", "1e-300", "0", "-1", "300", "709.78",
+                             "709.79", "inf", "nan"])
+_GRID_POINTS = st.sampled_from(["120", "40", "3", "2", "0", "-1"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None] + [f.value for f in Family]), _CHECK_QS,
+       st.booleans(), _MAX_LOGS, _GRID_POINTS,
+       st.sampled_from([None, None, "good", "header", "short", "decreasing",
+                        "bytes", "absent"]),
+       st.sampled_from(["file", "file", "missing", "directory"]))
+@example("sym", None, False, "6", "120", None, "missing")
+@example(None, None, False, "3", "40", "bytes", "file")
+@example("power", "2", True, "6", "120", None, "directory")
+def check_keeps_the_contract(family, q, normalize, max_log, points, table,
+                             out):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {"file": os.path.join(tmp, "c.txt"),
+                "missing": os.path.join(tmp, "missing", "c.txt"),
+                "directory": tmp}[out]
+        argv = ["check", f"--grid-max-log={max_log}",
+                f"--grid-points={points}", "--out", path]
+        if family is not None:
+            argv += ["--family", family]
+        if q is not None:
+            argv.append(f"--q={q}")
+        if normalize:
+            argv.append("--normalize")
+        if table is not None:
+            argv += ["--table", os.path.join(tmp, "g.csv")]
+            if table != "absent":
+                with open(os.path.join(tmp, "g.csv"), "wb") as fh:
+                    fh.write(_table_text(table))
+        code = main_contract(argv)
+        if out == "file":
+            # a report is written just when the check ran
+            assert os.path.exists(path) == (code in (0, 1))
+        else:
+            assert code == 2
+            assert sorted(os.listdir(tmp)) in ([], ["g.csv"])
+
+
+def test_check_keeps_the_exit_code_contract():
+    # through main, in-process: whatever the family, parameter, table,
+    # grid and --out, check exits 0-3, raises nothing, prints one error
+    # line on a bad input, and an --out it cannot write is bad input (2)
+    # that leaves no file
+    start = time.perf_counter()
+    check_keeps_the_contract()
+    assert time.perf_counter() - start <= 10.0
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -940,6 +1013,85 @@ def test_manifest_started_stamped_when_the_command_starts(tmp_path):
 
 def test_replay_missing_manifest(tmp_path):
     assert run("replay", tmp_path / "nope.manifest") == 2
+
+
+def _defective_manifest(text: str, defect: str, value: str) -> bytes:
+    """``text``, a manifest, with one defect: a line dropped, a line that
+    is not key=value, a seed, command or param set to ``value`` (a
+    "key=value" for a param), or bytes that are not UTF-8."""
+    lines = text.splitlines()
+    if defect == "drop":
+        lines = [line for line in lines if not line.startswith(value)]
+    elif defect == "line":
+        lines.insert(1, value)
+    elif defect in ("seed", "command"):
+        lines = [line for line in lines
+                 if not line.startswith(defect + "=")] + [f"{defect}={value}"]
+    elif defect == "param":
+        lines.append(f"param.{value}")
+    data = ("\n".join(lines) + "\n").encode()
+    return data[:9] + b"\xff\xfe" + data[9:] if defect == "bytes" else data
+
+
+_DEFECTS = st.one_of(
+    st.tuples(st.just("none"), st.just("")),
+    st.tuples(st.just("drop"), st.sampled_from(
+        ["command=", "version=", "seed=", "param.family=", "param.out="])),
+    st.tuples(st.just("line"), st.sampled_from(["garbage", "=", ""])),
+    st.tuples(st.just("seed"), st.sampled_from(
+        ["abc", "1.5", "", "-1", "3", "99999999999999999999999"])),
+    st.tuples(st.just("command"), st.sampled_from(
+        ["nosuch", "density", "fit", "replay", "", "check", "simulate"])),
+    st.tuples(st.just("param"), st.sampled_from(
+        ["colour=red", "grid-points=abc", "grid-points=2", "family=foo",
+         "steps=abc", "steps=-5", "dt=nan", "q=nan", "model=foo",
+         "threads=2", "seed=4", "normalize=maybe", "out="])),
+    st.tuples(st.just("bytes"), st.just("")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["check", "simulate"]), _DEFECTS,
+       st.sampled_from(["file", "file", "missing", "none"]))
+@example("check", ("seed", "abc"), "file")
+@example("check", ("bytes", ""), "file")
+@example("check", ("none", ""), "missing")
+@example("simulate", ("param", "steps=abc"), "file")
+def replay_keeps_the_contract(command, defect, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = os.path.join(tmp, "first.txt")
+        argv = (["check", "--family", "sym", "--grid-points", "40"]
+                if command == "check" else
+                ["simulate", "--model", "gbm", "--steps", "10", "--seed", "3",
+                 "--threads", "1"])
+        assert main_contract(argv + ["--out", first]) == 0
+        with open(first + ".manifest") as fh:
+            text = fh.read()
+        manifest = os.path.join(tmp, "run.manifest")
+        with open(manifest, "wb") as fh:
+            fh.write(_defective_manifest(text, *defect))
+        again = {"file": os.path.join(tmp, "again.txt"),
+                 "missing": os.path.join(tmp, "missing", "again.txt"),
+                 "none": None}[out]
+        code = main_contract(
+            ["replay", manifest] + (["--out", again] if again else []))
+        if out == "missing":
+            # the override reaches a manifest that has an out
+            assert code == 2 or defect == ("drop", "param.out=")
+            assert not os.path.exists(os.path.dirname(again))
+        if code == 0 and again is not None and defect[0] == "none":
+            with open(first, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
+
+
+def test_replay_keeps_the_exit_code_contract():
+    # through main, in-process: whatever the defect of the manifest (bad
+    # or missing keys, a seed that is no integer, bytes that are not
+    # UTF-8, an unknown command, params that are not options or whose
+    # values the command refuses) and an --out it cannot write, replay
+    # exits 0-3, raises nothing and prints one error line on a bad input
+    start = time.perf_counter()
+    replay_keeps_the_contract()
+    assert time.perf_counter() - start <= 10.0
 
 
 def test_replay_threads_reach_only_simulate(tmp_path):

@@ -407,6 +407,19 @@ def test_correlated_fit_does_not_depend_on_the_cpu_count(fams, monkeypatch):
     assert results[0].rho == -0.5
 
 
+@pytest.mark.parametrize("seed", [20260901, 20260904, 20260905])
+def test_a_correlated_spread_on_its_bound_is_noted(seed):
+    # at rho != -1 the polish ends the spread within the same stopping
+    # width of its 0.02 bound as the rho = -1 search, and says so too
+    w = WindowSpec(1.0, 100.0, 100.0)
+    result = fit_price_series(
+        simulate_gbm(1e-4, 0.01, 1.0, 200000, 1.0, seed), w, [Family.LOG],
+        rho=-0.5, n_boot=0)
+    assert 0.0 < result.nuisance_spread - fitting._NU_LO < 1e-9
+    assert result.notes == ["nuisance spread 0.02 is on a bound of its "
+                            "search range [0.02, 0.97]"]
+
+
 def _multi_chunk_changes():
     # power q = 4 changes: a bulk of three full chunks and part of a
     # fourth, where LOG's fitted scale leaves points of several chunks
@@ -508,19 +521,31 @@ ALL_FAMILIES = [(Family.POWER, 0.7), (Family.POWER, 2.0), (Family.SYM, None),
                 (Family.ODD_POWER, 1), (Family.ODD_POWER, 3)]
 
 
+def pass_sums(spec, y):
+    """(count, sum t^2, -sum v) that the t-space pass keeps at rho = -1,
+    over the changes over the scale y whose v is finite."""
+    n, st2, sv, _ = fitting._kept(*fitting._t_space(spec, y), -1.0, 1)
+    return n, st2, -sv
+
+
 @pytest.mark.parametrize("family,q", ALL_FAMILIES)
 def test_t_space_sums_are_the_r_space_ones(family, q):
     # where the ratio behind every point is finite, the t-space pass of
-    # one chunk keeps the r-space sums to 1e-12
+    # one chunk keeps the r-space sums to 1e-12, at rho = -1 (sum t^2)
+    # and at any other rho (the t^2 array)
     spec = ResponseSpec(family, q)
     y = np.asarray(spec.value(ratio_positive(fitting._CHUNK, seed=97)))
     y = y[y != 0.0]  # g'(1) = 0 under q >= 3 leaves w = -inf at y = 0
     ok, st2, sw = r_space_sums(spec, y)
     assert ok.all()
-    n, st2_t, sw_t = fitting._profile_sums(spec, y.copy())
+    n, st2_t, sw_t = pass_sums(spec, y.copy())
     assert n == y.size
     assert st2_t == pytest.approx(st2, rel=1e-12)
     assert sw_t == pytest.approx(sw, rel=1e-12)
+    n, t2, sv, _ = fitting._kept(*fitting._t_space(spec, y.copy()), 0.5, 1)
+    assert n == t2.size == y.size
+    assert float(np.sum(t2)) == st2_t
+    assert -sv == sw_t
 
 
 @pytest.mark.parametrize("family,q,y", [
@@ -595,7 +620,7 @@ def test_profile_sums_are_the_serial_chunk_sums(family, q, monkeypatch):
     points[far] = [2e3, -2e3]
     scale = 0.9
 
-    sums = functools.partial(fitting._profile_sums, spec)
+    sums = functools.partial(pass_sums, spec)
     serial = serial_sums(sums, points, scale)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
@@ -955,12 +980,45 @@ def test_profile_masses_are_the_laws(nu, t):
     # t_u = (r_u - 1)/(r_u + 1) of the threshold ratio r_u, as here
     r_u = (1.0 + t) / (1.0 - t)
     t_u = (r_u - 1.0) / (r_u + 1.0)
-    pos_mass, bulk_mass = fitting._masses(nu, t_u)
+    pos_mass = fitting._t_mass(nu, -1.0, 1.0)[0]
+    bulk_mass = fitting._t_mass(nu, -1.0, t_u)[0] / pos_mass
     assert pos_mass == positive_ratio_mass(
         OrderFlowParams(1.0, 1.0, nu, nu, -1.0))
-    # the reference subtracts CDF values near 1/2: ~1e-15 absolute error
+    # the reference subtracts CDF values near 1/2: ~1e-15 absolute error;
+    # at t_u <= 0 (r_u <= 1) there is no bulk, where it is not positive
     ref = 2.0 * float(cdf_pos(nu, -1.0, r_u)) - 1.0
-    assert bulk_mass == pytest.approx(ref, rel=1e-14, abs=2e-15)
+    if t_u > 0.0:
+        assert bulk_mass == pytest.approx(ref, rel=1e-14, abs=2e-15)
+    else:
+        assert bulk_mass == 0.0 and ref <= 2e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.floats(0.02, 0.97),
+       st.floats(0.1, 10.0), st.floats(0.5, 0.999), st.integers(0, 999))
+@example((Family.LOG, None), 0.02, 0.1, 0.999, 0)
+def test_the_anticorrelated_profile_is_the_mean_of_its_f_t_array(
+        family_q, nu, scale, quantile, seed):
+    # at rho = -1 the profile keeps sum t^2 alone: it is the mean taken
+    # from the explicit log f_T array of every point to 1e-12, and the
+    # masses from their erf forms; a change of 0 has no finite v where
+    # g'(1) = 0 (q >= 3), and scores the floor
+    spec = ResponseSpec(*family_q)
+    points = np.asarray(spec.value(ratio_positive(400, seed=seed)))
+    points[:2] = [0.0, 2e3]
+    u = float(np.quantile(np.abs(points), quantile))
+    got = fitting._profile(spec, scale, points, u, -1.0)(nu)
+
+    t2, v = fitting._t_space(spec, points / scale)
+    ok = np.isfinite(v)
+    norm, log_f = fitting._log_f_t(t2[ok], nu, -1.0)
+    pos_mass = math.erf(1.0 / (nu * math.sqrt(2.0)))
+    t_u = math.tanh(0.5 * spec.log_ratio(u / scale))
+    bulk_mass = math.erf(t_u / (nu * math.sqrt(2.0))) / pos_mass
+    total = (np.sum(log_f - v[ok]) + ok.sum() * math.log(
+        2.0 / (norm * scale * pos_mass)) + (~ok).sum() * fitting._LL_FLOOR)
+    want = total / points.size - math.log(bulk_mass)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("u", [0.0, -1e-3, math.nan])
@@ -994,19 +1052,23 @@ def test_bulk_mass_is_the_complement_form_away_from_one(rho):
     spec = ResponseSpec(Family.POWER, 1.0)
     for nu, u in ((0.38, 1.0), (0.9, 3.0), (0.05, 0.2)):
         ref = 2.0 * float(cdf_pos(nu, rho, float(spec.inverse(u)))) - 1.0
-        mean = fitting._mean(spec, nu, rho, 1.0, u, 1, 0, 0.0)
+        t_u = fitting._t_u(spec, u, 1.0)
+        mean = fitting._mean(nu, rho, t_u, 1.0, 1, 0, 0.0, 1.0, 0.0)
         assert math.exp(fitting._LL_FLOOR - mean) == pytest.approx(
             ref, rel=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0.02, 0.97), st.floats(-1.0, 0.95, exclude_min=True),
+@given(st.floats(0.02, 0.97), st.just(-1.0) | st.floats(-1.0, 0.95),
        st.floats(1.0, 1e6, exclude_min=True))
 @example(0.38, -0.5, 1.0 + 2.0 ** -52)
 @example(0.02, -1.0 + 2.0 ** -52, 3.0)
+@example(0.02, -1.0, 3.0)
+@example(0.97, -1.0, 1e6)
 @example(0.97, 0.95, 1e6)
 def test_t_mass_is_the_ratio_laws(nu, rho, r_u):
-    # P(|T| < t_u) = P(1/r_u < R < r_u), and at t = 1 P(R > 0).  The
+    # P(|T| < t_u) = P(1/r_u < R < r_u), and at t = 1 P(R > 0), at
+    # rho = -1 too, where T = nu Z and no Owen's T is taken.  The
     # reference subtracts CDF values at r_u and at the rounded 1/r_u: an
     # absolute error of about f_R ulp(1), at most ~1e-14 for rho <= 0.95
     params = OrderFlowParams(1.0, 1.0, nu, nu, rho)
@@ -1028,17 +1090,19 @@ def test_t_mass_is_the_ratio_laws(nu, rho, r_u):
 @pytest.mark.parametrize("nu", [0.02, 0.38, 0.97])
 def test_t_mass_is_nil_without_a_bulk_and_the_anticorrelated_law_at_its_limit(
         nu):
-    for rho in (-0.5, 0.0, 0.9):
+    for rho in (-1.0, -0.5, 0.0, 0.9):
         for t in (0.0, -0.0, -0.3, math.nan):
             assert fitting._t_mass(nu, rho, t) == (0.0, 0.0, 0.0)
-    # as rho -> -1 the mass tends to erf(t/(nu sqrt 2)), _masses' form
+    # as rho -> -1 the mass tends to erf(t/(nu sqrt 2)), its form at -1
     rho = -1.0 + 1e-12
     for t in (1e-6, 0.3, 0.9):
-        pos_mass, bulk_mass = fitting._masses(nu, t)
+        pos_mass = fitting._t_mass(nu, -1.0, 1.0)[0]
+        mass = fitting._t_mass(nu, -1.0, t)[0]
+        assert mass == math.erf(t / nu / math.sqrt(2.0))
         assert fitting._t_mass(nu, rho, 1.0)[0] == pytest.approx(
             pos_mass, rel=1e-9)
         assert fitting._t_mass(nu, rho, t)[0] == pytest.approx(
-            bulk_mass * pos_mass, rel=1e-9)
+            mass, rel=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1053,10 +1117,12 @@ def test_f_t_nu_derivatives_are_the_differences_of_its_value(family_q, nu,
     spec = ResponseSpec(*family_q)
     r = ratio_positive(200, seed=seed % 1000, nu=0.38)
     t2, _ = fitting._t_space(spec, np.asarray(spec.value(r)))
-    log_f, s1, s2 = fitting._log_f_t(t2, nu, rho, derivs=True)
-    assert np.array_equal(log_f, fitting._log_f_t(t2, nu, rho))
+    norm, log_f, s1, s2 = fitting._log_f_t(t2, nu, rho, derivs=True)
+    assert norm == fitting._log_f_t(t2, nu, rho)[0]
+    assert np.array_equal(log_f, fitting._log_f_t(t2, nu, rho)[1])
     def value(x):
-        return float(np.sum(fitting._log_f_t(t2, x, rho)))
+        norm, log_f = fitting._log_f_t(t2, x, rho)
+        return float(np.sum(log_f)) - t2.size * math.log(norm)
 
     scale = t2.size / (nu * nu)         # of the second derivative's terms
     h = 1e-5 * nu
