@@ -15,8 +15,9 @@ sidecar and never leave partial files behind.
 Environment: RATIOTAILS_SEED and RATIOTAILS_THREADS provide defaults for
 --seed and --threads, which only simulate (and replay, passing it on to
 a replayed simulate) takes.  --threads caps the threads that draw the
-path and the forked processes that format its CSV; it defaults to the
-CPUs the process may use and never changes a byte of output.  fit and
+path and the threads that format its CSV, in-process (no process is
+started to write); it defaults to the CPUs the process may use and never
+changes a byte of output.  fit and
 tails parse their CSV on the usable CPUs; the values parsed never
 depend on it; they keep the parsed body as the series, its prices
 overwritten by their logs, until the changes or returns are taken.
@@ -404,7 +405,7 @@ def _add_seed_threads(p):
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: RATIOTAILS_SEED or 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for the draws and the CSV formatting "
+                   help="thread cap for the draws and the CSV formatting "
                         "(default: RATIOTAILS_THREADS or the usable "
                         "CPUs); never changes results")
 
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--out", default=None, help="override the output path")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for the draws and the CSV formatting "
+                   help="thread cap for the draws and the CSV formatting "
                         "of a replayed simulate (default: as simulate's); "
                         "never changes results")
     p.set_defaults(run=_run_replay)

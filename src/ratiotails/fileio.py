@@ -1,7 +1,7 @@
 """CSV schemas, key=value reports and run manifests.
 
-Schemas (all comma-separated, header required, floats written with
-shortest round-trip precision):
+Schemas (all comma-separated, header required, floats written as repr
+writes them, the shortest text that reads back as the same float):
 
     prices   t,price
     samples  value
@@ -13,11 +13,13 @@ one call per piece of whole lines in forked worker processes
 (``workers`` of load_price_series and load_samples); a file it cannot
 take is reread line by line, which words the error as path:line.
 Manifests and reports are plain ``key=value`` text.  All writers, CSV
-ones streaming rows in chunks, go through an atomic temp-file rename so
-a failed command never leaves a partial artifact behind.  CSV chunks may
-be formatted in worker processes (``workers`` of write_csv and
-save_price_series); the parent writes them in order.  Neither the values
-read nor the bytes written ever depend on the worker count.
+ones streaming rows in blocks, go through an atomic temp-file rename so
+a failed command never leaves a partial artifact behind.  CSV blocks are
+formatted in-process by whole-array numpy steps that give repr's exact
+bytes (see "float text" below), on up to ``workers`` threads of
+write_csv and save_price_series; no process is started to write.
+Neither the values read nor the bytes written ever depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -130,23 +132,232 @@ def parse_key_values(text: str) -> dict:
 # CSV schemas
 # ---------------------------------------------------------------------------
 
-_ROWS = 1 << 16  # rows formatted per written chunk
+_ROWS = 1 << 14  # rows formatted per block
 _LOOSE = b"\x0b\x0c\x1c\x1d\x1e\x1f"  # splitlines breaks, loadtxt spaces
+
+# ---------------------------------------------------------------------------
+# float text: repr's bytes from whole-array numpy steps
+#
+# For 1e-6 <= |x| < 1e17, k = 16 - floor(log10 |x|) lies in [0, 22], so 10^k
+# is an exact double: Dekker's two-product gives Z = |x| 10^k in [1e16, 1e17)
+# exactly, as an int64 plus a double, and u = ulp(x) 10^k / 2 is exact too.
+# The decimals that read back as x are, in units of 10^-k, the reals within
+# u of Z, both ends included when x's mantissa is even (round-half-even);
+# for x not a power of two 0.55 < u < 11.2.  repr takes the one with the
+# fewest significant digits and, of those, the one nearest x: the multiple
+# of 100 in [Z - u, Z + u] if there is one (there is at most one), its
+# trailing zeros stripped; else the multiple of 10 nearest Z if it lies
+# inside (16 digits); else the integer nearest Z (17 digits).  None of them
+# is 1e17: that would need 10^(17-k) to round down to x, and none of
+# 1e-5..1e16 does (from 1 up they are exact, below 1 they round up; 1e-6
+# rounds down, and its k = 23 is outside).  repr itself writes the rest:
+# values outside that domain (zeros, subnormals, inf and nan included),
+# powers of two (whose lower neighbour is the nearer one) and a nearest
+# candidate that is an exact tie.
+# ---------------------------------------------------------------------------
+
+_WORDS = 12  # uint32 words of one float's field, its end byte included
+
+
+@functools.cache
+def _repr_tables():
+    """The doubles 10^k for k = 0..22 with their Dekker halves, the int64
+    10^j for j = 0..18, and the 4-digit ASCII of 0..9999 as uint32."""
+    tens = np.array([float(10 ** k) for k in range(23)])
+    split = 134217729.0 * tens
+    high = split - (split - tens)
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = np.ascontiguousarray(quads + 48, dtype=np.uint8).view(np.uint32)
+    return tens, high, tens - high, 10 ** np.arange(19), quads[:, 0]
+
+
+@functools.cache
+def _repr_templates(end: int):
+    """(keep, put): uint32 masks of _WORDS words, one pair per layout
+    (negative, digits after the point, point + 5), 2 * 21 * 23 of them.
+
+    A field's bytes 0..19 hold the digits before the point right-aligned,
+    byte 19 being the point's place (a 0 digit), and its bytes 20..39 the
+    digits after the point; keep selects the digits that the text shows,
+    and put adds the sign, the point, the exponent and the ``end`` byte
+    around them."""
+    keep = np.zeros((2, 21, 23, 4 * _WORDS), np.uint8)
+    put = np.zeros_like(keep)
+    for negative, trailing, point in itertools.product(
+            range(2), range(21), range(-5, 18)):
+        k, p = keep[negative, trailing, point + 5], put[negative, trailing,
+                                                       point + 5]
+        exponent = point <= -4 or point >= 17
+        lead = 1 if exponent else max(point, 1)
+        k[19 - lead:19] = k[20:20 + trailing] = 0xFF
+        p[19] = 0 if exponent and trailing == 0 else ord(".")
+        p[18 - lead] = ord("-") if negative else 0
+        tail = f"e{point - 1:+03d}" if exponent else ""
+        tail = np.frombuffer(tail.encode() + bytes([end]), np.uint8)
+        p[20 + trailing:20 + trailing + tail.size] = tail
+    return (keep.view(np.uint32).reshape(-1, _WORDS),
+            put.view(np.uint32).reshape(-1, _WORDS))
+
+
+def _two_sum(a, b):
+    """(s, t): s = fl(a + b) and t its exact error."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _scaled(a, k, tables):
+    """(H, f): the int64 H and double f, |f| <= 1/2, with H + f = a 10^k
+    exactly (Dekker's two-product, 10^k split in the table)."""
+    tens, high, low = tables[0][k], tables[1][k], tables[2][k]
+    z = a * tens
+    split = 134217729.0 * a
+    a_high = split - (split - a)
+    a_low = a - a_high
+    error = ((a_high * high - z) + a_high * low + a_low * high) + a_low * low
+    whole = np.rint(error)
+    return z.astype(np.int64) + whole.astype(np.int64), error - whole
+
+
+def _digit_words(high, low, out, quads) -> None:
+    """out (rows, 5) <- the 20-digit ASCII of high 10^8 + low, where high <
+    10^12 and low < 10^8."""
+    top = high // 10 ** 8
+    out[:, 0] = quads.take(top)
+    high = (high - top * 10 ** 8).astype(np.int32)
+    q = high // 10000
+    out[:, 1] = quads.take(q)
+    out[:, 2] = quads.take(high - q * 10000)
+    low = low.astype(np.int32)
+    q = low // 10000
+    out[:, 3] = quads.take(q)
+    out[:, 4] = quads.take(low - q * 10000)
+
+
+def _shortest(x: np.ndarray):
+    """(D, point, digits, kernel) of the floats ``x``: repr's digits as the
+    17-digit int64 D (trailing zeros padded), the count of them before the
+    decimal point, the count of them that repr shows, and where these hold
+    (see the section note); elsewhere repr itself writes the value."""
+    tables = _repr_tables()
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        kernel = (a >= 1e-6) & (a < 1e17)
+    bits = a.view(np.int64)
+    kernel &= (bits & ((1 << 52) - 1)) != 0  # powers of two
+    a = np.where(kernel, a, 1.5)
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+
+    def outside(H, f):
+        """(below, above): whether H + f < 1e16, and whether >= 1e17."""
+        return ((H < 10 ** 16) | ((H == 10 ** 16) & (f < 0)),
+                (H > 10 ** 17) | ((H == 10 ** 17) & (f >= 0)))
+
+    H, f = _scaled(a, k, tables)
+    below, above = outside(H, f)
+    if (below | above).any():  # log10 missed floor(log10 |x|) by one
+        k = np.clip(k + below - above, 0, 22)
+        H, f = _scaled(a, k, tables)
+        below, above = outside(H, f)
+        kernel &= ~(below | above)
+    u = np.spacing(a) * tables[0][k] * 0.5
+    even = (bits & 1) == 0
+
+    def inside(m):
+        """Whether m lies in [Z - u, Z + u], its ends only for even m."""
+        s, t = _two_sum((H - m).astype(float), f)
+        d = np.abs(s)
+        return (d < u) | ((d == u) & (((t != 0) & (np.signbit(t)
+                                                   != np.signbit(s)))
+                                      | ((t == 0) & even)))
+
+    hundred = (H + 50) // 100 * 100
+    by100 = inside(hundred)
+    ten = (H + 5) // 10 * 10
+    midway = (H - ten == -5) & (f <= 0)  # Z at or below ten - 5
+    ten -= 10 * (midway & (f < 0))
+    by10 = inside(ten) & ~by100
+    D = np.where(by100, hundred, np.where(by10, ten, H))
+    kernel &= ~np.where(by100, False,
+                        np.where(by10, midway & (f == 0), np.abs(f) == 0.5))
+    # trailing zeros: D // 100 < 2^53 divides by 10^s exactly as a double,
+    # and its quotient is whole just when 10^s divides it
+    zeros = 2 * by100 + by10
+    v = (D // 100).astype(float)
+    for s in (8, 4, 2, 1):
+        q = v / 10.0 ** s
+        whole = (q == np.floor(q)) & by100
+        v = np.where(whole, q, v)
+        zeros += s * whole
+    return D, 17 - k, 17 - zeros, kernel
+
+
+def _digit_layout(x: np.ndarray):
+    """(words, layout, kernel): the digit bytes of each float of ``x`` as
+    _repr_templates places them, the index of its template (0 where repr
+    writes the value), and where the kernel holds (see _shortest)."""
+    tables = _repr_tables()
+    pow10, quads = tables[3], tables[4]
+    D, point, digits, kernel = _shortest(x)
+    words = np.empty((x.size, _WORDS), np.uint32)
+    # D's first `lead` digits (or "0"), the point, then `pad` zeros and
+    # the rest; in exponent form one digit leads
+    exponent = (point < -3) | (point > 16)
+    lead = np.where(exponent, 1, np.maximum(point, 0))
+    pad = np.where(exponent, 0, np.maximum(-point, 0))
+    trailing = np.where(exponent, digits - 1,
+                        np.where(lead > 0, np.maximum(digits - lead, 1),
+                                 digits + pad))
+    q = pow10[17 - lead]
+    head = D // q
+    rest = (D - head * q) * pow10[lead]  # 17 digits, left-aligned
+    head *= 10
+    high = head // 10 ** 8
+    _digit_words(high, head - high * 10 ** 8, words[:, :5], quads)
+    q = pow10[5 + pad]
+    high = rest // q
+    _digit_words(high, (rest - high * q) * pow10[3 - pad], words[:, 5:10],
+                 quads)
+    words[:, 10:] = 0
+    layout = ((x < 0) * 21 + trailing) * 23 + point + 5
+    layout[~kernel] = 0
+    return words, layout, kernel
+
+
+def _float_words(x: np.ndarray, end: int, out: np.ndarray) -> None:
+    """out (rows, _WORDS) uint32 <- repr of each float of ``x``, then the
+    byte ``end``, as text with NUL bytes in its gaps."""
+    words, layout, kernel = _digit_layout(x)
+    keep, put = _repr_templates(end)
+    words &= keep.take(layout, axis=0)
+    np.bitwise_or(words, put.take(layout, axis=0), out=out)
+    others = np.flatnonzero(~kernel)
+    if others.size:
+        text = [repr(v).encode() + bytes([end]) for v in x[others].tolist()]
+        out[others] = np.array(text, dtype=f"S{4 * _WORDS}").view(
+            np.uint32).reshape(-1, _WORDS)
 
 
 def _format_rows(columns, label: str | None) -> str:
-    """The CSV text of one chunk: rows of the float ``columns`` as
-    shortest round-trip text, then ``label`` if given."""
-    cells = [map(repr, c.tolist()) for c in columns]
-    cells += [] if label is None else [itertools.repeat(label)]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    """The CSV text of one block: rows of the float ``columns`` as repr
+    gives them, then ``label`` if given (text without a NUL)."""
+    tail = b"" if label is None else (label + "\n").encode()
+    tail = np.frombuffer(tail + bytes(-len(tail) % 4), np.uint32)
+    line = np.empty((columns[0].size, _WORDS * len(columns) + tail.size),
+                    np.uint32)
+    for i, c in enumerate(columns):
+        end = "," if i + 1 < len(columns) or label is not None else "\n"
+        _float_words(c, ord(end), line[:, _WORDS * i:_WORDS * (i + 1)])
+    line[:, _WORDS * len(columns):] = tail
+    text = line.view(np.uint8)
+    return str(memoryview(text[text != 0]), "utf-8")
 
 
 def _fork_context(workers: int):
-    """The fork context for a pool of ``workers`` processes, or None where
-    no pool is used: fewer than two workers, no fork on this platform, or
-    a live second thread (fork copies only the calling thread, so a pool
-    waits for a process that runs no other)."""
+    """The fork context for a parse pool of ``workers`` processes, or None
+    where no pool is used: fewer than two workers, no fork on this
+    platform, or a live second thread (fork copies only the calling
+    thread, so a pool waits for a process that runs no other)."""
     if workers < 2:
         return None
     import multiprocessing
@@ -159,26 +370,32 @@ def _fork_context(workers: int):
 
 def write_csv(path: str, header: str, columns,
               label: str | None = None, workers: int = 1) -> None:
-    """Float columns, then a constant text column ``label`` if given, as
-    shortest round-trip text under ``header``, _ROWS rows per chunk.
+    """Float columns of one length, then a constant text column ``label``
+    if given, as repr's text under ``header``, in blocks of _ROWS rows.
 
-    With ``workers`` > 1 and more than one chunk, a forked pool of up to
-    that many processes formats the chunks; the parent writes them in
-    order, so the bytes are the serial ones."""
+    With ``workers`` > 1, windows of that many blocks are formatted on as
+    many threads (see parallel.thread_map) and written in order, so the
+    bytes are the serial ones.  Columns of unequal length raise
+    InputFormatError."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    slices = [[c[i:i + _ROWS] for c in columns]
-              for i in range(0, columns[0].size, _ROWS)]
-    format_chunk = functools.partial(_format_rows, label=label)
+    if len({c.size for c in columns}) > 1:
+        raise InputFormatError(
+            f"{path}: columns of unequal length "
+            f"({' and '.join(str(c.size) for c in columns)} values)")
+    from .parallel import thread_map
 
-    processes = min(workers, len(slices))
-    context = _fork_context(processes)
-    if context is not None:
-        with context.Pool(processes) as pool:
-            write_atomic(path, itertools.chain(
-                [header + "\n"], pool.imap(format_chunk, slices)))
-        return
-    write_atomic(path, itertools.chain([header + "\n"],
-                                       map(format_chunk, slices)))
+    starts = range(0, columns[0].size, _ROWS)
+    workers = max(workers, 1)
+
+    def block(i):
+        return _format_rows([c[i:i + _ROWS] for c in columns], label)
+
+    def chunks():
+        yield header + "\n"
+        for w in range(0, len(starts), workers):
+            yield from thread_map(block, starts[w:w + workers], workers)
+
+    write_atomic(path, chunks())
 
 
 def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
@@ -322,7 +539,7 @@ def _read_lines(path: str, header: str, ncols: int, min_rows: int,
 def save_price_series(series: PriceSeries, path: str,
                       workers: int = 1) -> None:
     """The t,price CSV of ``series``, formatted on up to ``workers``
-    processes (see write_csv)."""
+    threads (see write_csv)."""
     with np.errstate(over="ignore", under="ignore"):
         prices = series.prices
     try:

@@ -1,10 +1,10 @@
 """The CPUs this process may use, and an order-keeping thread map over them.
 
 ``usable_cpus`` is the default thread count of the simulator's chunk
-draws, the worker count of the CSV parse, the thread count of the fit's
-per-candidate searches (at every correlation) and of every full-bulk
-likelihood pass of the fit; the draws, the searches and the passes run
-through ``thread_map``.
+draws and of its CSV formatting, the worker count of the CSV parse, the
+thread count of the fit's per-candidate searches (at every correlation)
+and of every full-bulk likelihood pass of the fit; the draws, the CSV
+blocks, the searches and the passes run through ``thread_map``.
 """
 
 from __future__ import annotations

@@ -271,8 +271,8 @@ def test_simulate_same_seed_byte_identical(tmp_path):
 
 
 def test_simulate_threads_do_not_change_output(tmp_path, monkeypatch):
-    # 200 000 rows are four CSV chunks: the default (the usable CPUs) and
-    # --threads 4 format them in forked workers
+    # 200 001 rows are 13 CSV blocks: the default (the usable CPUs) and
+    # --threads 4 format them on threads
     monkeypatch.delenv("RATIOTAILS_THREADS", raising=False)
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     args = ("simulate", "--model", "gbm", "--mu", 0.05, "--sigma", 0.2,
@@ -1280,7 +1280,7 @@ def _fresh_python(code: str, cwd) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_multiprocessing(tmp_path):
-    # the CSV writer imports it only when it forks workers
+    # the CSV parse imports it only when it forks workers
     out = _fresh_python("import sys, ratiotails.cli\n"
                         "print('multiprocessing' in sys.modules)", tmp_path)
     assert out.stdout.strip() == "False"

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratiotails import (CurveMethod, DensityCurve, PriceSeries, simulate_gbm)
 from ratiotails import fileio
@@ -349,8 +349,83 @@ def test_writers_stream_whole_chunks(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CSV chunks formatted in forked workers
+# CSV float text: the in-process kernel against repr
 # ---------------------------------------------------------------------------
+
+def repr_csv(header, columns, label=None):
+    """The oracle: header, then each row's floats by repr and the label."""
+    tail = [] if label is None else [label]
+    rows = zip(*[np.asarray(c, dtype=float).tolist() for c in columns])
+    return header + "\n" + "".join(
+        ",".join([repr(v) for v in row] + tail) + "\n" for row in rows)
+
+
+def assert_repr(values):
+    """The block text write_csv gives one column of ``values`` is repr's."""
+    values = np.asarray(values, dtype=float).ravel()
+    got = _format_rows([values], None).split("\n")[:-1]
+    want = [repr(v) for v in values.tolist()]
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+@example([0, 2 ** 63, 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+          0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+          0x7FF8000000000000, 0xFFF0000000000001])
+def test_float_text_is_repr_on_raw_bit_patterns(patterns):
+    # every 64-bit pattern: subnormals, +-0, inf and every nan payload
+    # (repr writes each nan as nan) included; the example holds +-0, the
+    # extreme subnormals and normals, +-inf and two nans
+    assert_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.floats(1e-6, 1e17) | st.floats(-1e17, -1e-6),
+                min_size=1, max_size=64))
+def test_float_text_is_repr_on_floats(values):
+    # any float, and floats in the kernel's domain of either sign
+    assert_repr(values)
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.concatenate([values, np.nextafter(values, np.inf),
+                               np.nextafter(values, -np.inf)])
+
+
+def test_float_text_is_repr_on_hard_sets():
+    # grids k dt, values rounded to each decimal count, integers, powers
+    # of two and of ten, and the edges of the kernel's domain, each with
+    # its float neighbours, in both signs
+    rng = np.random.default_rng(25)
+    k = np.arange(20000)
+    sets = [k * dt for dt in (1e-6, 1e-8, 1e-4, 0.1, 1 / 3, 3e-7)]
+    scales = 10.0 ** rng.integers(-7, 18, 4000)
+    sets += [neighbours(np.round(rng.random(4000) * scales, d))
+             for d in range(1, 18)]
+    sets += [neighbours(rng.integers(-2 ** 53, 2 ** 53, 4000)),
+             neighbours(np.arange(-3000, 3000)),
+             neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+             neighbours([float(f"1e{e}") for e in range(-323, 309)]),
+             neighbours([1e-6, 1e-5, 1e-4, 1e-3, 1e16, 1e17,
+                         9.999999999999999e16, 5e-324,
+                         2.2250738585072014e-308, 1.7976931348623157e308,
+                         0.0, np.inf, np.nan])]
+    values = np.concatenate(sets)
+    assert_repr(np.concatenate([values, -values]))
+
+
+def test_float_text_is_repr_on_random_bits_in_the_kernel_domain():
+    # every exponent from 2^-20 (~1e-6) to 2^56 (~7e16), random mantissas
+    rng = np.random.default_rng(26)
+    exponent = rng.integers(1023 - 20, 1023 + 57, 200000)
+    mantissa = rng.integers(0, 2 ** 52, 200000)
+    values = ((exponent << 52) | mantissa).view(np.float64)
+    assert_repr(values * rng.choice([-1.0, 1.0], values.size))
+
 
 # repr's switch points to and from exponent form, the signed zero, the
 # smallest subnormal and the largest float
@@ -358,12 +433,16 @@ EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-5, 1e-4, 1e16]
 
 
 @pytest.mark.parametrize("label", [None, "exact"])
-@pytest.mark.parametrize("n", [1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+@pytest.mark.parametrize("n", [1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5,
+                               4 * _ROWS - 1, 4 * _ROWS, 4 * _ROWS + 1,
+                               12 * _ROWS + 5])
 def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
-    # 21-bit integers times 2**-50 .. 2**29: reprs in plain and exponent form
+    # block edges, and the edges of windows of 1, 2 and 3 blocks (4 and
+    # 12 blocks end a window of each); 21-bit integers times 2**-50 ..
+    # 2**29 give reprs in plain and exponent form
     rng = np.random.default_rng(n)
     a = rng.integers(-2 ** 20, 2 ** 20, n) * 2.0 ** rng.integers(-50, 30, n)
-    b = np.roll(a, 1)
+    b = np.roll(a, 1) * np.pi
     a[np.arange(len(EDGES)) * (n // len(EDGES))] = EDGES
     b[n - 1 - np.arange(len(EDGES)) * (n // len(EDGES))] = EDGES
     header = "x,y" if label is None else "x,y,method"
@@ -371,49 +450,44 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
     for workers, path in enumerate(paths, 1):
         write_csv(path, header, (a, b), label=label, workers=workers)
     serial = open(paths[0], "rb").read()
-    last = [repr(float(a[-1])), repr(float(b[-1]))] + [label] * bool(label)
-    assert serial.count(b"\n") == n + 1
-    assert serial.endswith((",".join(last) + "\n").encode())
+    assert serial == repr_csv(header, (a, b), label).encode()
     assert [open(p, "rb").read() for p in paths[1:]] == [serial, serial]
 
 
-def _fail_on_the_second_chunk(columns, label):
-    if columns[0][0] == _ROWS:
-        raise RuntimeError(f"chunk formatted in process {os.getpid()}")
-    return _format_rows(columns, label)
-
-
-def _write_failing_chunks(tmp_path, monkeypatch) -> int:
-    """The pid that formatted the failing chunk of a workers=2 write."""
-    monkeypatch.setattr(fileio, "_format_rows", _fail_on_the_second_chunk)
-    times = np.arange(3 * _ROWS, dtype=float)
-    with pytest.raises(RuntimeError, match="chunk formatted in process") as err:
-        write_csv(str(tmp_path / "p.csv"), "t,price", (times, times + 1.0),
-                  workers=2)
+@pytest.mark.parametrize("sizes", [(3, 2), (1, 3)], ids=["3-2", "1-3"])
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path, sizes):
+    path = tmp_path / "x.csv"
+    columns = [np.arange(float(size)) for size in sizes]
+    message = f"columns of unequal length \\({sizes[0]} and {sizes[1]} values"
+    with pytest.raises(InputFormatError, match=message):
+        write_csv(str(path), "a,b", columns)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_failing_block_leaves_no_file_and_no_thread(
+        tmp_path, monkeypatch):
+    # the second of three blocks fails on any thread count; no process is
+    # started (a fork would raise), and every thread is joined
+    def fail_on_the_second_block(columns, label):
+        if columns[0][0] == _ROWS:
+            raise RuntimeError("second block")
+        return format_rows(columns, label)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    format_rows = fileio._format_rows
+    monkeypatch.setattr(fileio, "_format_rows", fail_on_the_second_block)
+    monkeypatch.setattr(os, "fork", no_fork)
+    times = np.arange(3 * _ROWS, dtype=float)
+    threads = threading.active_count()
+    for workers in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="second block"):
+            write_csv(str(tmp_path / "p.csv"), "t,price",
+                      (times, times + 0.5), workers=workers)
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == threads
     assert multiprocessing.active_children() == []
-    return int(str(err.value).split()[-1])
-
-
-def test_write_csv_worker_failure_leaves_nothing(tmp_path, monkeypatch):
-    assert _write_failing_chunks(tmp_path, monkeypatch) != os.getpid()
-
-
-def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
-                                                        monkeypatch):
-    # a live second thread, then a platform without fork: no pool
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert _write_failing_chunks(tmp_path, monkeypatch) == os.getpid()
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    assert _write_failing_chunks(tmp_path, monkeypatch) == os.getpid()
 
 
 # ---------------------------------------------------------------------------

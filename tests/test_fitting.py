@@ -656,7 +656,7 @@ def test_bulk_scores_do_not_depend_on_the_cpu_count(rho, monkeypatch):
 
 def test_a_multi_chunk_fit_leaves_no_thread_running(monkeypatch):
     # the full-bulk passes map over a worker thread, joined by the time
-    # the fit returns, so a forked CSV pool can still start after it
+    # the fit returns, so a forked CSV parse can still start after it
     started = []
     start = threading.Thread.start
 
