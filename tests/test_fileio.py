@@ -464,30 +464,65 @@ def test_write_csv_refuses_columns_of_unequal_length(tmp_path, sizes):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_csv_failing_block_leaves_no_file_and_no_thread(
-        tmp_path, monkeypatch):
-    # the second of three blocks fails on any thread count; no process is
-    # started (a fork would raise), and every thread is joined
-    def fail_on_the_second_block(columns, label):
-        if columns[0][0] == _ROWS:
-            raise RuntimeError("second block")
-        return format_rows(columns, label)
+def _fail_on_the_second_block(columns, label):
+    if columns[0][0] == _ROWS:
+        raise RuntimeError(f"block formatted in process {os.getpid()}")
+    return _format_rows(columns, label)
 
+
+def _write_failing_blocks(tmp_path, monkeypatch, workers) -> int:
+    """The pid that formatted the failing second of three blocks in a
+    ``workers`` write; the write leaves no file, no thread and no child."""
+    monkeypatch.setattr(fileio, "_format_rows", _fail_on_the_second_block)
+    times = np.arange(3 * _ROWS, dtype=float)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="block formatted in process") as err:
+        write_csv(str(tmp_path / "p.csv"), "t,price", (times, times + 0.5),
+                  workers=workers)
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
+    return int(str(err.value).split()[-1])
+
+
+def test_write_csv_worker_failure_leaves_nothing(tmp_path, monkeypatch):
+    # a block that fails on a formatting thread, at any thread count
+    for workers in (1, 2, 3):
+        assert _write_failing_blocks(tmp_path, monkeypatch,
+                                     workers) == os.getpid()
+
+
+def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
+                                                        monkeypatch):
+    # a live second thread, then a platform without fork: the blocks are
+    # formatted in this process (a fork would raise), to the serial bytes
     def no_fork():
         raise AssertionError("forked")
 
-    format_rows = fileio._format_rows
-    monkeypatch.setattr(fileio, "_format_rows", fail_on_the_second_block)
     monkeypatch.setattr(os, "fork", no_fork)
-    times = np.arange(3 * _ROWS, dtype=float)
-    threads = threading.active_count()
-    for workers in (1, 2, 3):
-        with pytest.raises(RuntimeError, match="second block"):
-            write_csv(str(tmp_path / "p.csv"), "t,price",
-                      (times, times + 0.5), workers=workers)
-        assert list(tmp_path.iterdir()) == []
-        assert threading.active_count() == threads
-    assert multiprocessing.active_children() == []
+    times = np.arange(3 * _ROWS + 5, dtype=float)
+    serial = tmp_path / "serial.csv"
+    write_csv(str(serial), "t,price", (times, times / 7.0))
+    expected = serial.read_bytes()
+    serial.unlink()
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        for workers in (2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            write_csv(str(path), "t,price", (times, times / 7.0),
+                      workers=workers)
+            assert path.read_bytes() == expected
+            path.unlink()
+        assert _write_failing_blocks(tmp_path, monkeypatch, 2) == os.getpid()
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert _write_failing_blocks(tmp_path, monkeypatch, 2) == os.getpid()
 
 
 # ---------------------------------------------------------------------------

@@ -1110,10 +1110,16 @@ def test_t_mass_is_nil_without_a_bulk_and_the_anticorrelated_law_at_its_limit(
        st.floats(-1.0, 0.95, exclude_min=True), st.integers(0, 2 ** 32 - 1))
 @example((Family.POWER, 0.7), 0.02, -1.0 + 2.0 ** -52, 0)
 @example((Family.LOG, None), 0.97, 0.95, 1)
+@example((Family.POWER, 0.7), 0.59375, -1.0 + 2.0 ** -53, 1)
 def test_f_t_nu_derivatives_are_the_differences_of_its_value(family_q, nu,
                                                              rho, seed):
     # the sums of d/dnu and d2/dnu2 of log f_T that the kernel takes from
-    # its own intermediates, against central differences of its value
+    # its own intermediates, against central differences of its value.
+    # Near rho = -1 the sum of log f_T and n log norm are each ~1e4 and
+    # cancel to O(1), so a plain second difference of the value is off
+    # by its rounding over h^2; the second derivative is taken instead
+    # from per-point differences against the value at nu, Richardson
+    # extrapolated over h and h/2 to keep the truncation error small
     spec = ResponseSpec(*family_q)
     r = ratio_positive(200, seed=seed % 1000, nu=0.38)
     t2, _ = fitting._t_space(spec, np.asarray(spec.value(r)))
@@ -1128,9 +1134,17 @@ def test_f_t_nu_derivatives_are_the_differences_of_its_value(family_q, nu,
     h = 1e-5 * nu
     assert s1 == pytest.approx((value(nu + h) - value(nu - h)) / (2.0 * h),
                                rel=1e-6, abs=1e-7 * scale * nu)
-    h = 1e-4 * nu
-    diff2 = (value(nu + h) - 2.0 * value(nu) + value(nu - h)) / (h * h)
-    assert s2 == pytest.approx(diff2, rel=1e-5, abs=1e-6 * scale)
+    def rise(x):                        # value(x) - value(nu)
+        x_norm, x_log_f = fitting._log_f_t(t2, x, rho)
+        return (float(np.sum(x_log_f - log_f))
+                - t2.size * math.log(x_norm / norm))
+
+    def diff2(h):
+        return (rise(nu + h) + rise(nu - h)) / (h * h)
+
+    h = 1e-3 * nu
+    assert s2 == pytest.approx((4.0 * diff2(h / 2.0) - diff2(h)) / 3.0,
+                               rel=1e-5, abs=1e-6 * scale)
 
 
 _BRENT_SHAPES = {
