@@ -17,17 +17,20 @@ Environment: RATIOTAILS_SEED and RATIOTAILS_THREADS provide defaults for
 a replayed simulate) takes.  --threads caps the threads that draw the
 path and the threads that format its CSV, in-process (no process is
 started to write); it defaults to the CPUs the process may use and never
-changes a byte of output.  fit and
-tails parse their CSV on the usable CPUs; the values parsed never
-depend on it; they keep the parsed body as the series, its prices
-overwritten by their logs, until the changes or returns are taken.
-fit searches each candidate's nuisance on its own
-thread, at any --rho, and scores each candidate on the full bulk
-chunk by chunk, both up to the usable CPUs, with the same result on any
+changes a byte of output; each formatting thread holds one block of the
+CSV at a time, its prices exponentiated from the path's log-prices as it
+is formatted.  fit and tails parse their CSV on the usable CPUs; the
+values parsed never depend on it.  The parse writes each piece's rows
+straight into the body (with forked workers, their shared map), and fit
+and tails keep that body as the series, its prices overwritten by their
+logs, until the changes or returns are taken: the body and one piece at
+the peak of the load.  fit searches each candidate's nuisance on its own
+thread, at any --rho, and scores each candidate on the full bulk chunk
+by chunk, both up to the usable CPUs, with the same result on any
 count.  check, density and the classification of tails compute on one
-core.  fit and tails check their options before they load any prices
-or samples; tails checks --as-returns whenever it is given, and ignores
-a valid one with --samples.
+core.  fit and tails check their options before they load any prices or
+samples; tails checks --as-returns whenever it is given, and ignores a
+valid one with --samples.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
@@ -238,8 +241,10 @@ def _run_simulate(args) -> int:
         config_digest = cfg.digest()
 
     save_price_series(series, args.out, workers=threads)
-    r, rejected = series.log_returns(), series.meta.get("rejected", 0)
-    del series  # dead before np.var's temporary
+    log_prices, rejected = series.log_prices, series.meta.get("rejected", 0)
+    del series  # its times are dead before the returns
+    r = np.diff(log_prices)
+    del log_prices  # dead before np.var's temporary
     print(f"steps={args.steps} mean_log_return={np.mean(r):.6e} "
           f"var_log_return={np.var(r):.6e} rejected={rejected}")
     manifest = _manifest_for(args, seed=seed)

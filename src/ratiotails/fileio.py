@@ -8,25 +8,27 @@ writes them, the shortest text that reads back as the same float):
     density  x,f,method
     tables   x,g
 
-Numeric CSVs are read by np.loadtxt, in one call or, for a large body,
-one call per piece of whole lines in forked worker processes
-(``workers`` of load_price_series and load_samples); a file it cannot
-take is reread line by line, which words the error as path:line.
-Manifests and reports are plain ``key=value`` text.  All writers, CSV
-ones streaming rows in blocks, go through an atomic temp-file rename so
-a failed command never leaves a partial artifact behind.  CSV blocks are
-formatted in-process by whole-array numpy steps that give repr's exact
-bytes (see "float text" below), on up to ``workers`` threads of
-write_csv and save_price_series; no process is started to write.
-Neither the values read nor the bytes written ever depend on the worker
-count.
+Numeric CSVs are read by np.loadtxt, one piece of whole lines at a
+time, each piece's rows written straight into the body that the reader
+returns; a large body's pieces are parsed in forked worker processes
+(``workers`` of load_price_series and load_samples), whose shared map is
+that body.  A file that loadtxt cannot take is reread line by line,
+which words the error as path:line.  Manifests and reports are plain
+``key=value`` text.  All writers, CSV ones streaming rows in blocks, go
+through an atomic temp-file rename so a failed command never leaves a
+partial artifact behind.  CSV blocks are formatted in-process by
+whole-array numpy steps that give repr's exact bytes (see "float text"
+below), on up to ``workers`` threads of write_csv and save_price_series,
+each holding one block at a time; save_price_series exponentiates each
+block's log-prices as it formats the block, so no price column is ever
+made.  No process is started to write.  Neither the values read nor the
+bytes written ever depend on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import itertools
 import mmap
 import os
@@ -40,7 +42,7 @@ import numpy as np
 
 from .density import CurveMethod, DensityCurve
 from .errors import DomainError, InputFormatError
-from .simulate import PriceSeries, _log_prices, check_prices
+from .simulate import PriceSeries, _log_prices, check_price_blocks
 
 __all__ = [
     "write_atomic",
@@ -64,6 +66,12 @@ def write_atomic(path: str, text) -> None:
     """Write text, or an iterable of chunks, via a temp file and rename.
     A path in a directory that cannot take the file, or that names a
     directory, raises InputFormatError and leaves no file."""
+    _write_atomic(path, lambda fh: fh.writelines(
+        [text] if isinstance(text, str) else text))
+
+
+def _write_atomic(path: str, fill) -> None:
+    """write_atomic of what fill(fh) writes to the open temp file fh."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -71,7 +79,7 @@ def write_atomic(path: str, text) -> None:
         raise InputFormatError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fill(fh)
         try:
             os.replace(tmp, path)
         except OSError as exc:
@@ -295,32 +303,42 @@ def _shortest(x: np.ndarray):
 def _digit_layout(x: np.ndarray):
     """(words, layout, kernel): the digit bytes of each float of ``x`` as
     _repr_templates places them, the index of its template (0 where repr
-    writes the value), and where the kernel holds (see _shortest)."""
+    writes the value), and where the kernel holds (see _shortest).  Each
+    int64 array is dropped, or reused, once dead."""
     tables = _repr_tables()
     pow10, quads = tables[3], tables[4]
     D, point, digits, kernel = _shortest(x)
-    words = np.empty((x.size, _WORDS), np.uint32)
     # D's first `lead` digits (or "0"), the point, then `pad` zeros and
     # the rest; in exponent form one digit leads
     exponent = (point < -3) | (point > 16)
     lead = np.where(exponent, 1, np.maximum(point, 0))
     pad = np.where(exponent, 0, np.maximum(-point, 0))
-    trailing = np.where(exponent, digits - 1,
-                        np.where(lead > 0, np.maximum(digits - lead, 1),
-                                 digits + pad))
+    layout = np.where(exponent, digits - 1,
+                      np.where(lead > 0, np.maximum(digits - lead, 1),
+                               digits + pad))  # digits after the point
+    del digits, exponent
+    layout += (x < 0) * 21
+    layout *= 23
+    layout += point + 5
+    layout[~kernel] = 0
+    del point
     q = pow10[17 - lead]
     head = D // q
-    rest = (D - head * q) * pow10[lead]  # 17 digits, left-aligned
+    D -= head * q
+    D *= pow10[lead]  # the rest: 17 digits, left-aligned
+    del q, lead
+    words = np.empty((x.size, _WORDS), np.uint32)
     head *= 10
     high = head // 10 ** 8
-    _digit_words(high, head - high * 10 ** 8, words[:, :5], quads)
+    head -= high * 10 ** 8
+    _digit_words(high, head, words[:, :5], quads)
+    del head, high
     q = pow10[5 + pad]
-    high = rest // q
-    _digit_words(high, (rest - high * q) * pow10[3 - pad], words[:, 5:10],
-                 quads)
+    high = D // q
+    D -= high * q
+    D *= pow10[3 - pad]
+    _digit_words(high, D, words[:, 5:10], quads)
     words[:, 10:] = 0
-    layout = ((x < 0) * 21 + trailing) * 23 + point + 5
-    layout[~kernel] = 0
     return words, layout, kernel
 
 
@@ -338,6 +356,9 @@ def _float_words(x: np.ndarray, end: int, out: np.ndarray) -> None:
             np.uint32).reshape(-1, _WORDS)
 
 
+_SLICE = 1 << 12  # rows of a block whose NUL bytes one mask drops
+
+
 def _format_rows(columns, label: str | None) -> str:
     """The CSV text of one block: rows of the float ``columns`` as repr
     gives them, then ``label`` if given (text without a NUL)."""
@@ -349,8 +370,12 @@ def _format_rows(columns, label: str | None) -> str:
         end = "," if i + 1 < len(columns) or label is not None else "\n"
         _float_words(c, ord(end), line[:, _WORDS * i:_WORDS * (i + 1)])
     line[:, _WORDS * len(columns):] = tail
-    text = line.view(np.uint8)
-    return str(memoryview(text[text != 0]), "utf-8")
+    line = line.view(np.uint8)
+    text = []
+    for i in range(0, len(line), _SLICE):
+        part = line[i:i + _SLICE]
+        text.append(str(memoryview(part[part != 0]), "utf-8"))
+    return "".join(text)
 
 
 def _fork_context(workers: int):
@@ -373,133 +398,183 @@ def write_csv(path: str, header: str, columns,
     """Float columns of one length, then a constant text column ``label``
     if given, as repr's text under ``header``, in blocks of _ROWS rows.
 
-    With ``workers`` > 1, windows of that many blocks are formatted on as
-    many threads (see parallel.thread_map) and written in order, so the
-    bytes are the serial ones.  Columns of unequal length raise
-    InputFormatError."""
+    With ``workers`` > 1 the blocks are formatted on as many threads and
+    written in order (see _write_blocks), so the bytes are the serial
+    ones.  Columns of unequal length raise InputFormatError."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({c.size for c in columns}) > 1:
         raise InputFormatError(
             f"{path}: columns of unequal length "
             f"({' and '.join(str(c.size) for c in columns)} values)")
-    from .parallel import thread_map
-
-    starts = range(0, columns[0].size, _ROWS)
-    workers = max(workers, 1)
 
     def block(i):
         return _format_rows([c[i:i + _ROWS] for c in columns], label)
 
-    def chunks():
-        yield header + "\n"
-        for w in range(0, len(starts), workers):
-            yield from thread_map(block, starts[w:w + workers], workers)
+    _write_blocks(path, header, columns[0].size, block, workers)
 
-    write_atomic(path, chunks())
+
+def _write_blocks(path: str, header: str, rows: int, block,
+                  workers: int) -> None:
+    """``header``, then the text block(i) of rows i to i + _ROWS for i =
+    0, _ROWS, ... below ``rows``, written atomically.
+
+    The blocks are dealt in turn to up to ``workers`` lanes, each on one
+    thread for the whole write (see parallel.thread_map): a lane formats
+    its next block, then writes it once every earlier block is written,
+    so the bytes are the serial ones and a lane holds one block at a
+    time.  A lane that fails stops the others at their next turn."""
+    from .parallel import thread_map
+
+    starts = range(0, rows, _ROWS)
+    lanes = max(1, min(workers, len(starts)))
+    turn = threading.Condition()
+    written = 0  # blocks written; None once a lane has failed
+
+    def lane(first, fh):
+        nonlocal written
+        try:
+            for j in range(first, len(starts), lanes):
+                text = block(starts[j])
+                with turn:
+                    turn.wait_for(lambda: written in (None, j))
+                    if written is None:
+                        return
+                    fh.write(text)
+                    written += 1
+                    turn.notify_all()
+                del text  # dead before the next block
+        except BaseException:
+            with turn:
+                written = None
+                turn.notify_all()
+            raise
+
+    def fill(fh):
+        fh.write(header + "\n")
+        thread_map(lambda first: lane(first, fh), range(lanes), lanes)
+
+    _write_atomic(path, fill)
 
 
 def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
                   too_few: str = "", workers: int = 1) -> np.ndarray:
-    """The (ncols, rows) columns of a numeric CSV under ``header``: np.loadtxt
-    on the body, whole or cut into pieces parsed on up to ``workers``
-    forked processes (see _parse_pieces), or the line loop, which alone
-    words errors, for a file that is not plain ASCII, that loadtxt refuses
-    or that is misshapen."""
+    """The (ncols, rows) columns of a numeric CSV under ``header``: its
+    body parsed in pieces on up to ``workers`` forked processes (see
+    _parse_pieces), or the line loop, which alone words errors, for a
+    file that is not plain ASCII, that loadtxt refuses or that is
+    misshapen."""
     try:
-        with open(path, "rb") as fh:
-            plain = all(b.isascii() and not any(c in b for c in _LOOSE)
-                        for b in iter(lambda: fh.read(1 << 20), b""))
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty body
-            if plain and fh.readline().strip() == header:
-                body = _parse_pieces(path, header, ncols, workers)
-                if body is None:
-                    body = np.loadtxt(fh, delimiter=",", comments=None,
-                                      ndmin=2).T
-                if body.shape[0] == ncols and body.shape[1] >= max(min_rows, 1):
-                    return np.ascontiguousarray(body)
+        body = _parse_pieces(path, header, ncols, workers)
+        if body is not None and body.shape[1] >= max(min_rows, 1):
+            return body
     except (OSError, ValueError):
         pass
     return _read_lines(path, header, ncols, min_rows, too_few)
 
 
-_PIECE_MIN = 1 << 20  # bytes of body per parse worker, at least
-_shared = None        # in a parse worker: the buffer its rows go to
+_PIECE_MIN = 1 << 19  # bytes of body per piece, the last one aside
+_shared = None        # in a parse worker: the body its rows go to
+
+
+def _plan_pieces(path: str, header: str):
+    """The pieces of the body of a plain file whose first line is
+    ``header``, as (offset, lines) pairs; None for any other file.
+
+    A piece is a run of whole lines, cut after the first newline once it
+    holds _PIECE_MIN bytes; a plain file is ASCII without the bytes that
+    splitlines breaks lines at and loadtxt takes for spaces.  Lines end
+    where loadtxt ends them: at a newline, a carriage return and newline,
+    or a lone carriage return."""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        line = first.split(b"\r", 1)[0].rstrip(b"\n")
+        if not _plain(first) or line.strip() != header.encode():
+            return None
+        fh.seek(len(line) + 1 + (first[len(line):len(line) + 2] == b"\r\n"))
+        pieces = []
+        while True:
+            lo = fh.tell()
+            piece = fh.read(_PIECE_MIN) + fh.readline()
+            if not piece:
+                return pieces
+            if not _plain(piece):
+                return None
+            # numpy counts a byte about 3x as fast as bytes.count
+            codes = np.frombuffer(piece, np.uint8)
+            breaks = int(np.count_nonzero(codes == ord("\n")))
+            if b"\r" in piece:
+                breaks += piece.count(b"\r") - piece.count(b"\r\n")
+            pieces.append((lo, breaks + (piece[-1:] not in b"\r\n")))
+
+
+def _plain(text: bytes) -> bool:
+    """Whether ``text`` is ASCII without a byte of _LOOSE."""
+    return text.isascii() and not any(c in text for c in _LOOSE)
 
 
 def _parse_pieces(path: str, header: str, ncols: int, workers: int):
-    """The (ncols, rows) body of a plain CSV whose first line is ``header``,
-    parsed in pieces on a forked pool; None, for a whole parse, with fewer
-    than two pieces of _PIECE_MIN bytes or where _fork_context gives none.
+    """The (ncols, rows) body of a plain CSV whose first line is ``header``
+    (see _plan_pieces), or None for any other file.
 
-    The pieces are runs of whole lines, cut after a newline.  Each worker
-    runs np.loadtxt on its piece and writes the rows, as columns, into an
-    anonymous shared mmap sized for the most rows its bytes can hold; it
-    returns only its row count.  A piece that loadtxt refuses or that has
+    np.loadtxt parses one piece at a time, and the piece's rows go, as
+    columns, straight into the body, which has a column for every line:
+    in this process into an array, or, with four pieces or more and a
+    fork context for ``workers`` (see _fork_context), on a forked pool
+    into an anonymous shared mmap, which then is the body.  Blank lines,
+    which loadtxt skips, leave gaps, closed once every piece is in: each
+    piece's rows move down to follow the previous piece's, and the body
+    is its first columns.  A piece that loadtxt refuses or that has
     another column count raises ValueError."""
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        size = os.fstat(fh.fileno()).st_size
-        pieces = min(workers, (size - len(first)) // _PIECE_MIN)
-        context = _fork_context(pieces)
-        # the body starts after the first b"\n"; a header ended by a lone
-        # "\r" leaves the file to the whole parse
-        if context is None or first.strip() != header.encode():
-            return None
-        cuts = [len(first)]
-        for i in range(1, pieces):
-            fh.seek(max(cuts[-1], cuts[0] + (size - cuts[0]) * i // pieces))
-            fh.readline()
-            if fh.tell() < size:
-                cuts.append(fh.tell())
-    if len(cuts) < 2:
+    pieces = _plan_pieces(path, header)
+    if pieces is None:
         return None
-    cuts.append(size)
-    # a row takes at least 2 ncols - 1 bytes: ncols numbers, their commas
-    # and, but for the last row, a newline
-    bounds = [(hi - lo) // (2 * ncols) + 1 for lo, hi in zip(cuts, cuts[1:])]
-    starts = np.cumsum([0] + bounds).tolist()
-    tasks = [(path, lo, hi, ncols, start, bound)
-             for lo, hi, start, bound in zip(cuts, cuts[1:], starts, bounds)]
-    with mmap.mmap(-1, 8 * ncols * starts[-1]) as buf:
-        with context.Pool(len(tasks), initializer=_share,
-                          initargs=(buf,)) as pool:
+    starts = np.cumsum([0] + [lines for _, lines in pieces]).tolist()
+    tasks = [(path, lo, ncols, start, lines)
+             for (lo, lines), start in zip(pieces, starts)]
+    # a worker for every two pieces: under four, the ~15 ms that a pool
+    # takes to start is more than it saves
+    processes = min(workers, len(tasks) // 2)
+    context = _fork_context(processes)
+    if context is None:
+        body = np.empty((ncols, starts[-1]))
+        counts = [_parse_piece(task, body) for task in tasks]
+    else:
+        body = np.frombuffer(mmap.mmap(-1, 8 * ncols * starts[-1]),
+                             float).reshape(ncols, -1)
+        with context.Pool(processes, initializer=_share,
+                          initargs=(body,)) as pool:
             counts = pool.map(_parse_piece, tasks)
-        body = np.empty((ncols, sum(counts)))
-        cols = np.cumsum([0] + counts).tolist()
-        for start, bound, n, col in zip(starts, bounds, counts, cols):
-            body[:, col:col + n] = _columns(buf, ncols, start, bound)[:, :n]
+    rows = sum(counts)
+    if rows < starts[-1]:
+        end = 0
+        for start, n in zip(starts, counts):
+            if start > end:
+                body[:, end:end + n] = body[:, start:start + n]
+            end += n
+        body = body[:, :rows]
     return body
 
 
-def _share(buf) -> None:
+def _share(body) -> None:
     global _shared
-    _shared = buf
+    _shared = body
 
 
-def _columns(buf, ncols: int, start: int, bound: int) -> np.ndarray:
-    """The (ncols, bound) block of ``buf`` for the piece whose rows start
-    at row ``start`` of the file's body."""
-    return np.frombuffer(buf, float, ncols * bound,
-                         8 * ncols * start).reshape(ncols, bound)
-
-
-def _parse_piece(task) -> int:
-    """A parse worker's piece: its rows into the shared buffer, its row
-    count back."""
-    path, lo, hi, ncols, start, bound = task
-    with open(path, "rb") as fh:
-        fh.seek(lo)
-        text = io.TextIOWrapper(io.BytesIO(fh.read(hi - lo)),
-                                encoding="ascii")
-    with warnings.catch_warnings():
+def _parse_piece(task, body=None) -> int:
+    """The rows of the ``lines`` lines from offset ``lo``, as columns, into
+    ``body`` (in a parse worker, the shared one) from column ``start`` on;
+    their count back."""
+    path, lo, ncols, start, lines = task
+    with open(path, encoding="ascii") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # blank lines only
-        rows = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        fh.seek(lo)
+        rows = np.loadtxt(itertools.islice(fh, lines), delimiter=",",
+                          comments=None, ndmin=2, max_rows=lines)
     if rows.size == 0:
         return 0
     if rows.shape[1] != ncols:
         raise ValueError(f"{rows.shape[1]} columns, not {ncols}")
-    _columns(_shared, ncols, start, bound)[:, :len(rows)] = rows.T
+    (_shared if body is None else body)[:, start:start + len(rows)] = rows.T
     return len(rows)
 
 
@@ -539,16 +614,27 @@ def _read_lines(path: str, header: str, ncols: int, min_rows: int,
 def save_price_series(series: PriceSeries, path: str,
                       workers: int = 1) -> None:
     """The t,price CSV of ``series``, formatted on up to ``workers``
-    threads (see write_csv)."""
-    with np.errstate(over="ignore", under="ignore"):
-        prices = series.prices
+    threads (see write_csv), each block's prices exponentiated from its
+    log-prices as it is formatted.  A blocked pass first checks them as
+    load_price_series would (check_prices), so a price that leaves the
+    float range raises InputFormatError before any byte is written."""
+    times, log_prices = series.times, series.log_prices
+
+    def prices(i):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(log_prices[i:i + _ROWS])
+
     try:
-        check_prices(prices)            # what load_price_series reads
+        check_price_blocks(map(prices, range(0, log_prices.size, _ROWS)))
     except DomainError as exc:
         raise InputFormatError(
             f"prices leave the float range ({exc}); this configuration "
             "can only be analyzed in memory via log returns") from None
-    write_csv(path, "t,price", (series.times, prices), workers=workers)
+
+    def block(i):
+        return _format_rows([times[i:i + _ROWS], prices(i)], None)
+
+    _write_blocks(path, "t,price", times.size, block, workers)
 
 
 def load_price_series(path: str, workers: int = 1) -> PriceSeries:

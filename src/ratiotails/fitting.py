@@ -104,7 +104,8 @@ def _uniform_step(times: np.ndarray) -> float | None:
     diffs = np.diff(times)
     h = float(np.median(diffs, overwrite_input=True))
     diffs -= h
-    if np.all(np.abs(diffs, out=diffs) <= 1e-9 * h):
+    # the largest deviation, where a mask would hold a byte a step
+    if not np.max(np.abs(diffs, out=diffs), initial=0.0) > 1e-9 * h:
         return h
     return None
 

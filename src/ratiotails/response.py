@@ -139,22 +139,40 @@ class ResponseSpec:
     def __call__(self, x):
         return self.value(x)
 
-    def value(self, x):
-        """Evaluate the response at ratio x > 0 (scalar or array)."""
+    def value(self, x, out=None):
+        """Evaluate the response at ratio x > 0 (scalar or array).
+
+        An array's values go to a new array, or into ``out``, a float
+        array of x's shape that may be x itself: then the peak is x (or
+        out) and one transient.  Either way the values are the bits of
+        the copying expressions of Family's docstring, since each
+        augmented operator takes the path of its copying one."""
         x = _require_positive(x)
+        if np.ndim(x) == 0:
+            out = None  # x is a float, which the operators below rebind
+        elif out is None:
+            out = x.copy()
+        elif out is not x:
+            np.copyto(out, x)
+        y = x if out is None else out
         q = self.param
         fam = self.family
         if fam is Family.SYM:
-            out = 0.5 * (x - 1.0 / x)
+            y -= 1.0 / y
+            y *= 0.5
         elif fam is Family.POWER:
-            out = x ** q - x ** (-q)
+            rest = y ** (-q)
+            y **= q
+            y -= rest
         elif fam is Family.ODD_POWER:
-            out = (x - 1.0 / x) ** int(q)
+            y -= 1.0 / y
+            y **= int(q)
         elif fam is Family.LOG_POWER:
-            out = np.log(x) ** int(q)
+            y = np.log(y, out=out)
+            y **= int(q)
         else:
-            out = np.log(x)
-        return out if np.ndim(out) else float(out)
+            y = np.log(y, out=out)
+        return y if np.ndim(y) else float(y)
 
     def deriv(self, x, order: int = 1):
         """Analytic first or second derivative at x > 0."""

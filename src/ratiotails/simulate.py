@@ -207,6 +207,41 @@ class SimConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+_BLOCK = 1 << 14  # values a check holds masks of at a time
+
+
+def _blocks(values: np.ndarray, overlap: int = 0):
+    """The consecutive _BLOCK-value views of the 1-d ``values``, each
+    running ``overlap`` values into the next."""
+    return (values[i:i + _BLOCK + overlap]
+            for i in range(0, max(values.size - overlap, 0), _BLOCK))
+
+
+def _check_blocks(blocks, what: str, tests) -> None:
+    """Raise DomainError for the first (label, mask) of ``tests`` whose
+    mask flags a value of the column that the 1-d ``blocks``, in order,
+    make up: "label what: count of size, the first is value at row r",
+    the count over the whole column, rows counted from 1."""
+    counts = [0] * len(tests)
+    first = [None] * len(tests)
+    size = 0
+    for block in blocks:
+        for i, (_, mask) in enumerate(tests):
+            rows = np.flatnonzero(mask(block))
+            if rows.size and first[i] is None:
+                first[i] = (block[rows[0]], size + rows[0] + 1)
+            counts[i] += rows.size
+        size += block.size
+    for (label, _), count, bad in zip(tests, counts, first):
+        if count:
+            raise DomainError(f"{label} {what}: {count} of {size}, the "
+                              f"first is {bad[0]} at row {bad[1]}")
+
+
+_PRICE_TESTS = (("non-finite", lambda p: ~np.isfinite(p)),
+                ("nonpositive", lambda p: ~(p > 0)))
+
+
 def check_prices(prices) -> np.ndarray:
     """``prices`` as a float array, once every price is positive and
     finite: the one check of the writer and the loader of a price CSV.
@@ -214,14 +249,14 @@ def check_prices(prices) -> np.ndarray:
     first with its row, counted from 1 as a CSV's data rows under its
     header are."""
     prices = np.asarray(prices, dtype=float)
-    for bad, what in ((~np.isfinite(prices), "non-finite"),
-                      (~(prices > 0), "nonpositive")):
-        rows = np.flatnonzero(bad)
-        if rows.size:
-            raise DomainError(
-                f"{what} prices: {rows.size} of {prices.size}, the first "
-                f"is {prices.flat[rows[0]]} at row {rows[0] + 1}")
+    check_price_blocks(_blocks(prices.reshape(-1)))
     return prices
+
+
+def check_price_blocks(blocks) -> None:
+    """check_prices of the column that the 1-d ``blocks``, in order, make
+    up, holding one block's masks at a time."""
+    _check_blocks(blocks, "prices", _PRICE_TESTS)
 
 
 def _log_prices(prices, out=None) -> np.ndarray:
@@ -250,12 +285,10 @@ class PriceSeries:
         self.log_prices = np.asarray(self.log_prices, dtype=float)
         if self.times.shape != self.log_prices.shape or self.times.ndim != 1:
             raise DomainError("times and prices must be aligned 1-d arrays")
-        rows = np.flatnonzero(~np.isfinite(self.times))
-        if rows.size:  # NaN would pass the order check below
-            raise DomainError(
-                f"non-finite times: {rows.size} of {self.times.size}, the "
-                f"first is {self.times[rows[0]]} at row {rows[0] + 1}")
-        if np.any(self.times[1:] <= self.times[:-1]):  # finite: diff <= 0
+        # NaN would pass the order check below
+        _check_blocks(_blocks(self.times), "times", _PRICE_TESTS[:1])
+        if any(np.any(t[1:] <= t[:-1])  # finite: diff <= 0
+               for t in _blocks(self.times, 1)):
             raise DomainError("times must be strictly increasing")
 
     @classmethod
@@ -283,6 +316,7 @@ def _log_path(parts: list, scale: float, p0: float, dt: float):
     logp = np.empty(increments.size + 1)
     logp[0] = math.log(p0)
     np.cumsum(increments, out=logp[1:])
+    del increments  # dead before times
     logp[1:] += logp[0]
     times = np.arange(logp.size, dtype=float)
     times *= dt
@@ -318,7 +352,7 @@ def simulate_path(cfg: SimConfig, threads: int = 1) -> PriceSeries:
             r[bad] = r2
             bad = bad[~(r2 > 0.0)]
         counters[index] = rejected
-        return response.value(r)
+        return response.value(r, out=r)
 
     parts = _run_chunks(job, cfg.n_steps, threads)
     rejected = sum(counters.values())

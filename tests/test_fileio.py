@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import sys
 import threading
 from unittest import mock
 
@@ -437,9 +438,9 @@ EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-5, 1e-4, 1e16]
                                4 * _ROWS - 1, 4 * _ROWS, 4 * _ROWS + 1,
                                12 * _ROWS + 5])
 def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
-    # block edges, and the edges of windows of 1, 2 and 3 blocks (4 and
-    # 12 blocks end a window of each); 21-bit integers times 2**-50 ..
-    # 2**29 give reprs in plain and exponent form
+    # block edges, and the edges of rounds of 1, 2 and 3 lanes (4 and 12
+    # blocks end a round of each); 21-bit integers times 2**-50 .. 2**29
+    # give reprs in plain and exponent form
     rng = np.random.default_rng(n)
     a = rng.integers(-2 ** 20, 2 ** 20, n) * 2.0 ** rng.integers(-50, 30, n)
     b = np.roll(a, 1) * np.pi
@@ -452,6 +453,27 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
     serial = open(paths[0], "rb").read()
     assert serial == repr_csv(header, (a, b), label).encode()
     assert [open(p, "rb").read() for p in paths[1:]] == [serial, serial]
+
+
+def test_write_lanes_keep_block_order_under_contention(tmp_path,
+                                                        monkeypatch):
+    # eight lanes on a 2-vCPU host, 3-row blocks and a switch interval of
+    # a microsecond: 700 blocks come out in order, within the timeout
+    monkeypatch.setattr(fileio, "_ROWS", 3)
+    values = np.arange(2100) / 7.0
+    path = tmp_path / "v.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=write_csv, daemon=True,
+                                  args=(str(path), "v", (values,)),
+                                  kwargs={"workers": 8})
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert path.read_bytes() == repr_csv("v", (values,)).encode()
 
 
 @pytest.mark.parametrize("sizes", [(3, 2), (1, 3)], ids=["3-2", "1-3"])
@@ -593,3 +615,56 @@ def test_parse_runs_serially_beside_a_live_thread(tmp_path, monkeypatch):
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(pairs | st.sampled_from(["", " ", "\t"]), max_size=12),
+       st.sampled_from(["\n", "\r\n"]), st.booleans(),
+       st.none() | st.tuples(st.integers(0, 12),
+                             st.sampled_from(["1,2,3", "x,1", "1", "1,"])),
+       st.integers(1, 3))
+def test_piece_loop_loads_as_the_line_loop(tmp_path_factory, body, newline,
+                                           final, bad, workers):
+    # every line a piece: blank lines, CRLF and no final newline load bit
+    # for bit as the line loop loads them, on any worker count; a bad line
+    # is worded path:line; no worker process or thread outlives the load
+    if bad is not None:
+        body.insert(min(bad[0], len(body)), bad[1])
+    text = newline.join(["t,price"] + body) + (newline if final else "")
+    path = tmp_path_factory.mktemp("q") / "p.csv"
+    path.write_bytes(text.encode())
+    threads = threading.active_count()
+    args = ("t,price", 2, 2, "few")
+    with mock.patch.object(fileio, "_PIECE_MIN", 1):
+        got = outcome(_read_numeric, str(path), *args, workers)
+    assert got == outcome(_read_lines, str(path), *args)
+    if bad is not None:
+        assert got.startswith(f"{path}:")
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("logs, message", [
+    ({-1: 800.0}, "non-finite prices: 1 of {n}, the first is inf at row {n}"),
+    ({-1: -800.0}, "nonpositive prices: 1 of {n}, the first is 0.0 at row "
+                   "{n}"),
+    ({3: 800.0, -1: 800.0}, "non-finite prices: 2 of {n}, the first is inf "
+                            "at row 4"),
+    ({3: -800.0, -1: 800.0}, "non-finite prices: 1 of {n}, the first is inf "
+                             "at row {n}"),
+], ids=["inf", "zero", "two-inf", "zero-then-inf"])
+def test_blocked_price_check_words_the_whole_column(tmp_path, logs, message):
+    # the bad prices of a three-block write, one in its last block: the
+    # pass that checks one block at a time counts over the whole column
+    # and words the first by its row, before any byte is written
+    n = 2 * _ROWS + 5
+    log_prices = np.zeros(n)
+    for row, value in logs.items():
+        log_prices[row] = value
+    series = PriceSeries(np.arange(n, dtype=float), log_prices)
+    with pytest.raises(InputFormatError) as err:
+        save_price_series(series, str(tmp_path / "p.csv"), workers=2)
+    assert str(err.value) == (
+        f"prices leave the float range ({message.format(n=n)}); this "
+        "configuration can only be analyzed in memory via log returns")
+    assert list(tmp_path.iterdir()) == []

@@ -16,7 +16,8 @@ import pytest
 
 from ratiotails import fitting
 from ratiotails.density import OrderFlowParams
-from ratiotails.fileio import load_price_series, save_price_series
+from ratiotails.fileio import (_ROWS, _format_rows, load_price_series,
+                               save_price_series)
 from ratiotails.fitting import WindowSpec, fit_price_series, scaled_returns
 from ratiotails.response import Family, ResponseSpec
 from ratiotails.simulate import SimConfig, simulate_path
@@ -56,27 +57,44 @@ def one_cpu(monkeypatch):
 
 
 def test_simulate_path_keeps_its_path_and_one_transient(config):
-    # the ratios with the response's two powers, whose difference numpy
-    # writes over the first where it can elide a temporary (3.0 here),
-    # then the path (times, log-prices); 5.1 with a copy per affine step
-    # of the draws
+    # the ratios with one power of them, the response written over the
+    # ratios, then the increments with the log-prices and, the increments
+    # dropped, the log-prices with the times: two arrays at a time (3.0
+    # with the response's values in a new array, 5.1 with a copy per
+    # affine step of the draws)
     series, arrays, _ = arrays_at_peak(
         lambda: simulate_path(config, threads=1))
     assert len(series) == STEPS + 1
-    assert arrays <= 4.2
+    assert arrays <= 2.2
+
+
+def test_save_holds_the_path_and_one_block_per_thread(config, tmp_path):
+    # each of two formatting threads holds one block at a time, its
+    # prices exponentiated from its log-prices; a price column would be
+    # one more array (8.4 with it and a block per thread of a window)
+    csv = str(tmp_path / "p.csv")
+    series = simulate_path(config)
+    head = [c[:_ROWS] for c in (series.times, series.log_prices)]
+    _, block, _ = arrays_at_peak(lambda: _format_rows(head, None))
+    del series
+    _, arrays, _ = arrays_at_peak(
+        lambda: save_price_series(simulate_path(config, threads=1), csv, 2))
+    assert arrays <= 2 + 2 * block + 0.5
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_load_takes_the_log_in_the_parsed_body(config, tmp_path, workers):
     # the series keeps the parsed (t, price) body, the log-prices written
-    # over its prices; one worker's whole parse peaks at loadtxt's rows
-    # and their column copy, and the pieces' at the body
+    # over its prices; each piece's rows go straight into the body, so
+    # the load peaks at the body and one piece (the forked pool's body is
+    # its shared map, which tracemalloc does not see; 4.0 with a whole
+    # parse and its column copy)
     csv = str(tmp_path / "p.csv")
     save_price_series(simulate_path(config), csv)
     series, arrays, kept = arrays_at_peak(
         lambda: load_price_series(csv, workers))
     assert kept <= 2.1
-    assert arrays <= 4.5
+    assert arrays <= 2.3
     assert series.times.base is series.log_prices.base is not None
 
 

@@ -64,6 +64,53 @@ def test_domain_error_on_nonpositive(spec):
         spec.deriv(-2.0)
 
 
+# the copying expressions of Family's docstring, as numpy evaluates them
+COPYING = {
+    Family.SYM: lambda x, q: 0.5 * (x - 1.0 / x),
+    Family.POWER: lambda x, q: x ** q - x ** (-q),
+    Family.ODD_POWER: lambda x, q: (x - 1.0 / x) ** int(q),
+    Family.LOG_POWER: lambda x, q: np.log(x) ** int(q),
+    Family.LOG: lambda x, q: np.log(x),
+}
+
+every_spec = (st.sampled_from([SYM, LOG])
+              | st.floats(0.01, 8.0).map(
+                  lambda q: ResponseSpec(Family.POWER, q))
+              | st.sampled_from([0.5, 1.0, 2.0]).map(  # numpy's fast powers
+                  lambda q: ResponseSpec(Family.POWER, q))
+              | st.sampled_from([1, 3, 5, 7]).map(
+                  lambda q: ResponseSpec(Family.ODD_POWER, q))
+              | st.sampled_from([1, 3, 5]).map(
+                  lambda q: ResponseSpec(Family.LOG_POWER, q)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(every_spec, st.lists(st.floats(1e-5, 1e5), min_size=1, max_size=200),
+       st.integers(0, 3000))
+def test_value_in_place_gives_the_copying_bits(spec, ratios, more):
+    # over every family and q, a new array, a buffer handed over as out
+    # and the ratios written over all hold the copying expression's bits,
+    # SIMD loop tails included (up to 3200 ratios); only a buffer handed
+    # over is written, and a float gives the float expression's bits
+    x = np.concatenate([ratios, np.geomspace(1e-3, 1e3, more)])
+    want = bits(COPYING[spec.family](x, spec.param))
+    ratios_before = x.copy()
+    assert np.array_equal(bits(spec.value(x)), want)
+    buf = np.full_like(x, np.nan)
+    assert spec.value(x, out=buf) is buf
+    assert np.array_equal(bits(buf), want)
+    assert np.array_equal(bits(x), bits(ratios_before))
+    assert spec.value(x, out=x) is x
+    assert np.array_equal(bits(x), want)
+    r = ratios[0]
+    assert bits(spec.value(r)) == bits(float(COPYING[spec.family](
+        r, spec.param)))
+
+
 def test_param_validation():
     with pytest.raises(DomainError):
         ResponseSpec(Family.POWER, -1.0)
