@@ -12,25 +12,25 @@ manifest that cannot be replayed included), 3 non-identifiable family
 tie.  Commands that write artifacts also write a ``<output>.manifest``
 sidecar and never leave partial files behind.
 
-Environment: RATIOTAILS_SEED and RATIOTAILS_THREADS provide defaults for
---seed and --threads, which only simulate (and replay, passing it on to
-a replayed simulate) takes.  --threads caps the threads that draw the
-path and the threads that format its CSV, in-process (no process is
-started to write); it defaults to the CPUs the process may use and never
-changes a byte of output; each formatting thread holds one block of the
-CSV at a time, its prices exponentiated from the path's log-prices as it
-is formatted.  fit and tails parse their CSV on the usable CPUs; the
-values parsed never depend on it.  The parse writes each piece's rows
-straight into the body (with forked workers, their shared map), and fit
-and tails keep that body as the series, its prices overwritten by their
-logs, until the changes or returns are taken: the body and one piece at
-the peak of the load.  fit searches each candidate's nuisance on its own
-thread, at any --rho, and scores each candidate on the full bulk chunk
-by chunk, both up to the usable CPUs, with the same result on any
-count.  check, density and the classification of tails compute on one
-core.  fit and tails check their options before they load any prices or
-samples; tails checks --as-returns whenever it is given, and ignores a
-valid one with --samples.
+Threads: every parallel stage runs on the CPUs the process may use
+(``taskset`` narrows them), and no output ever depends on their count.
+Only simulate takes --seed (default 0) and --threads, and replay passes
+--threads on to a replayed simulate.  --threads, a positive count,
+overrides the usable CPUs for the threads that draw the path and the
+threads that format its CSV, in-process (no process is started to
+write); each formatting thread holds one block of the CSV at a time, its
+prices exponentiated from the path's log-prices as it is formatted.  fit
+and tails parse their CSV on the usable CPUs.  The parse writes each
+piece's rows straight into the body (with forked workers, their shared
+map), and fit and tails keep that body as the series, its prices
+overwritten by their logs, until the changes or returns are taken: the
+body and one piece at the peak of the load.  fit searches each
+candidate's nuisance on its own thread, at any --rho, and scores each
+candidate on the full bulk chunk by chunk.  check, density and the
+classification of tails compute on one core.  fit and tails check their
+options before they load any prices or samples; tails checks
+--as-returns whenever it is given, and ignores a valid one with
+--samples.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
@@ -65,7 +65,6 @@ from .fileio import (RunManifest, format_key_values, key_values_csv,
                      write_atomic, write_csv)
 from .fitting import (WindowSpec, check_fit_options, exponent_report,
                       fit_price_series, scaled_returns)
-from .parallel import usable_cpus
 from .response import (Family, ResponseSpec, check_admissibility,
                        reciprocal_log_grid)
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
@@ -76,17 +75,6 @@ from .tails import (TailKind, check_tail_options, classify_tail, quantile,
 _CANDIDATE_KINDS = {"power": TailKind.POWER_LAW,
                     "exp": TailKind.EXPONENTIAL,
                     "stretched": TailKind.STRETCHED_EXPONENTIAL}
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputFormatError(f"environment variable {name}={raw!r} "
-                               "is not an integer")
 
 
 def _build_response(family: str, q) -> ResponseSpec:
@@ -221,13 +209,9 @@ def _run_density(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _env_int("RATIOTAILS_SEED", 0)
-    threads = args.threads if args.threads is not None else \
-        _env_int("RATIOTAILS_THREADS", usable_cpus())
-
     if args.model == "gbm":
         series = simulate_gbm(args.mu, args.sigma, args.dt, args.steps,
-                              args.p0, seed, threads=threads)
+                              args.p0, args.seed, threads=args.threads)
         config_digest = None
     else:
         params = OrderFlowParams(args.mu1, args.mu2, args.sigma1, args.sigma2,
@@ -235,19 +219,19 @@ def _run_simulate(args) -> int:
         spec = _build_response(args.family, args.q)
         cfg = SimConfig(params=params, response=spec, tau0=args.tau0,
                         dt=args.dt, n_steps=args.steps, p0=args.p0,
-                        seed=seed,
+                        seed=args.seed,
                         rejection_policy=RejectionPolicy(args.policy))
-        series = simulate_path(cfg, threads=threads)
+        series = simulate_path(cfg, threads=args.threads)
         config_digest = cfg.digest()
 
-    save_price_series(series, args.out, workers=threads)
+    save_price_series(series, args.out, threads=args.threads)
     log_prices, rejected = series.log_prices, series.meta.get("rejected", 0)
     del series  # its times are dead before the returns
     r = np.diff(log_prices)
     del log_prices  # dead before np.var's temporary
     print(f"steps={args.steps} mean_log_return={np.mean(r):.6e} "
           f"var_log_return={np.var(r):.6e} rejected={rejected}")
-    manifest = _manifest_for(args, seed=seed)
+    manifest = _manifest_for(args, seed=args.seed)
     if config_digest is not None:
         manifest.input_hashes["config"] = config_digest
     _finish(manifest, args.out)
@@ -280,9 +264,9 @@ def _run_tails(args) -> int:
     kinds = check_tail_options(_parse_candidates(args.candidates),
                                args.threshold_quantile, args.as_returns)
     if args.samples:
-        values = load_samples(args.samples, usable_cpus())
+        values = load_samples(args.samples)
     else:  # the series is dropped once its returns are taken
-        values = scaled_returns(load_price_series(args.prices, usable_cpus()),
+        values = scaled_returns(load_price_series(args.prices),
                                 args.as_returns)
 
     report = classify_tail(values, kinds,
@@ -316,7 +300,7 @@ def _run_fit(args) -> int:
         args.threshold_quantile, args.rho)
     # no name holds the series, so the fit drops it once it has the changes
     result, changes = fit_price_series(
-        load_price_series(args.prices, usable_cpus()), w, fams,
+        load_price_series(args.prices), w, fams,
         interpolate=args.interpolate, return_changes=True,
         threshold_quantile=args.threshold_quantile, rho=args.rho,
         n_boot=args.boot)
@@ -406,13 +390,11 @@ def _run_replay(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_seed_threads(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: RATIOTAILS_SEED or 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="thread cap for the draws and the CSV formatting "
-                        "(default: RATIOTAILS_THREADS or the usable "
-                        "CPUs); never changes results")
+def _threads(text: str) -> int:
+    """argparse type of --threads: a positive count."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive count")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.05, help="gbm drift")
     p.add_argument("--sigma", type=float, default=0.2, help="gbm volatility")
     p.add_argument("--out", required=True)
-    _add_seed_threads(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--threads", type=_threads,
+                   help="threads that draw the path and format its CSV "
+                        "(default: the usable CPUs); never changes results")
     p.set_defaults(run=_run_simulate)
 
     p = sub.add_parser("tails", help="classify the tail of a sample")
@@ -507,10 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None, help="override the output path")
-    p.add_argument("--threads", type=int, default=None,
-                   help="thread cap for the draws and the CSV formatting "
-                        "of a replayed simulate (default: as simulate's); "
-                        "never changes results")
+    p.add_argument("--threads", type=_threads,
+                   help="--threads of a replayed simulate")
     p.set_defaults(run=_run_replay)
 
     return parser

@@ -10,19 +10,19 @@ writes them, the shortest text that reads back as the same float):
 
 Numeric CSVs are read by np.loadtxt, one piece of whole lines at a
 time, each piece's rows written straight into the body that the reader
-returns; a large body's pieces are parsed in forked worker processes
-(``workers`` of load_price_series and load_samples), whose shared map is
-that body.  A file that loadtxt cannot take is reread line by line,
-which words the error as path:line.  Manifests and reports are plain
+returns; a large body's pieces are parsed in forked worker processes,
+up to the usable CPUs (parallel.usable_cpus), whose shared map is that
+body.  A file that loadtxt cannot take is reread line by line, which
+words the error as path:line.  Manifests and reports are plain
 ``key=value`` text.  All writers, CSV ones streaming rows in blocks, go
 through an atomic temp-file rename so a failed command never leaves a
 partial artifact behind.  CSV blocks are formatted in-process by
 whole-array numpy steps that give repr's exact bytes (see "float text"
-below), on up to ``workers`` threads of write_csv and save_price_series,
-each holding one block at a time; save_price_series exponentiates each
+below), on up to the usable CPUs (``threads`` of save_price_series), each
+thread holding one block at a time; save_price_series exponentiates each
 block's log-prices as it formats the block, so no price column is ever
 made.  No process is started to write.  Neither the values read nor the
-bytes written ever depend on the worker count.
+bytes written ever depend on the thread or process count.
 """
 
 from __future__ import annotations
@@ -378,12 +378,12 @@ def _format_rows(columns, label: str | None) -> str:
     return "".join(text)
 
 
-def _fork_context(workers: int):
-    """The fork context for a parse pool of ``workers`` processes, or None
-    where no pool is used: fewer than two workers, no fork on this
+def _fork_context(processes: int):
+    """The fork context for a parse pool of ``processes`` processes, or
+    None where no pool is used: fewer than two processes, no fork on this
     platform, or a live second thread (fork copies only the calling
     thread, so a pool waits for a process that runs no other)."""
-    if workers < 2:
+    if processes < 2:
         return None
     import multiprocessing
 
@@ -394,13 +394,12 @@ def _fork_context(workers: int):
 
 
 def write_csv(path: str, header: str, columns,
-              label: str | None = None, workers: int = 1) -> None:
+              label: str | None = None) -> None:
     """Float columns of one length, then a constant text column ``label``
-    if given, as repr's text under ``header``, in blocks of _ROWS rows.
-
-    With ``workers`` > 1 the blocks are formatted on as many threads and
-    written in order (see _write_blocks), so the bytes are the serial
-    ones.  Columns of unequal length raise InputFormatError."""
+    if given, as repr's text under ``header``, in blocks of _ROWS rows
+    formatted on the usable CPUs and written in order (see _write_blocks),
+    so the bytes are the serial ones.  Columns of unequal length raise
+    InputFormatError."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({c.size for c in columns}) > 1:
         raise InputFormatError(
@@ -410,23 +409,26 @@ def write_csv(path: str, header: str, columns,
     def block(i):
         return _format_rows([c[i:i + _ROWS] for c in columns], label)
 
-    _write_blocks(path, header, columns[0].size, block, workers)
+    _write_blocks(path, header, columns[0].size, block)
 
 
 def _write_blocks(path: str, header: str, rows: int, block,
-                  workers: int) -> None:
+                  threads: int | None = None) -> None:
     """``header``, then the text block(i) of rows i to i + _ROWS for i =
     0, _ROWS, ... below ``rows``, written atomically.
 
-    The blocks are dealt in turn to up to ``workers`` lanes, each on one
-    thread for the whole write (see parallel.thread_map): a lane formats
-    its next block, then writes it once every earlier block is written,
-    so the bytes are the serial ones and a lane holds one block at a
-    time.  A lane that fails stops the others at their next turn."""
-    from .parallel import thread_map
+    The blocks are dealt in turn to up to ``threads`` lanes (by default
+    the usable CPUs), each on one thread for the whole write (see
+    parallel.thread_map): a lane formats its next block, then writes it
+    once every earlier block is written, so the bytes are the serial ones
+    and a lane holds one block at a time.  A lane that fails stops the
+    others at their next turn."""
+    from . import parallel
 
+    if threads is None:
+        threads = parallel.usable_cpus()
     starts = range(0, rows, _ROWS)
-    lanes = max(1, min(workers, len(starts)))
+    lanes = max(1, min(threads, len(starts)))
     turn = threading.Condition()
     written = 0  # blocks written; None once a lane has failed
 
@@ -451,20 +453,20 @@ def _write_blocks(path: str, header: str, rows: int, block,
 
     def fill(fh):
         fh.write(header + "\n")
-        thread_map(lambda first: lane(first, fh), range(lanes), lanes)
+        parallel.thread_map(lambda first: lane(first, fh), range(lanes),
+                            lanes)
 
     _write_atomic(path, fill)
 
 
 def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
-                  too_few: str = "", workers: int = 1) -> np.ndarray:
+                  too_few: str = "") -> np.ndarray:
     """The (ncols, rows) columns of a numeric CSV under ``header``: its
-    body parsed in pieces on up to ``workers`` forked processes (see
-    _parse_pieces), or the line loop, which alone words errors, for a
-    file that is not plain ASCII, that loadtxt refuses or that is
-    misshapen."""
+    body parsed in pieces (see _parse_pieces), or the line loop, which
+    alone words errors, for a file that is not plain ASCII, that loadtxt
+    refuses or that is misshapen."""
     try:
-        body = _parse_pieces(path, header, ncols, workers)
+        body = _parse_pieces(path, header, ncols)
         if body is not None and body.shape[1] >= max(min_rows, 1):
             return body
     except (OSError, ValueError):
@@ -512,19 +514,21 @@ def _plain(text: bytes) -> bool:
     return text.isascii() and not any(c in text for c in _LOOSE)
 
 
-def _parse_pieces(path: str, header: str, ncols: int, workers: int):
+def _parse_pieces(path: str, header: str, ncols: int):
     """The (ncols, rows) body of a plain CSV whose first line is ``header``
     (see _plan_pieces), or None for any other file.
 
     np.loadtxt parses one piece at a time, and the piece's rows go, as
     columns, straight into the body, which has a column for every line:
-    in this process into an array, or, with four pieces or more and a
-    fork context for ``workers`` (see _fork_context), on a forked pool
-    into an anonymous shared mmap, which then is the body.  Blank lines,
-    which loadtxt skips, leave gaps, closed once every piece is in: each
-    piece's rows move down to follow the previous piece's, and the body
-    is its first columns.  A piece that loadtxt refuses or that has
-    another column count raises ValueError."""
+    in this process into an array, or, with four pieces or more, two
+    usable CPUs or more and a fork context (see _fork_context), on a
+    forked pool into an anonymous shared mmap, which then is the body.
+    Blank lines, which loadtxt skips, leave gaps, closed once every piece
+    is in: each piece's rows move down to follow the previous piece's,
+    and the body is its first columns.  A piece that loadtxt refuses or
+    that has another column count raises ValueError."""
+    from . import parallel
+
     pieces = _plan_pieces(path, header)
     if pieces is None:
         return None
@@ -533,7 +537,7 @@ def _parse_pieces(path: str, header: str, ncols: int, workers: int):
              for (lo, lines), start in zip(pieces, starts)]
     # a worker for every two pieces: under four, the ~15 ms that a pool
     # takes to start is more than it saves
-    processes = min(workers, len(tasks) // 2)
+    processes = min(parallel.usable_cpus(), len(tasks) // 2)
     context = _fork_context(processes)
     if context is None:
         body = np.empty((ncols, starts[-1]))
@@ -612,12 +616,13 @@ def _read_lines(path: str, header: str, ncols: int, min_rows: int,
 
 
 def save_price_series(series: PriceSeries, path: str,
-                      workers: int = 1) -> None:
-    """The t,price CSV of ``series``, formatted on up to ``workers``
-    threads (see write_csv), each block's prices exponentiated from its
-    log-prices as it is formatted.  A blocked pass first checks them as
-    load_price_series would (check_prices), so a price that leaves the
-    float range raises InputFormatError before any byte is written."""
+                      threads: int | None = None) -> None:
+    """The t,price CSV of ``series``, formatted on up to ``threads``
+    threads (by default the usable CPUs; see _write_blocks), each block's
+    prices exponentiated from its log-prices as it is formatted.  A
+    blocked pass first checks them as load_price_series would
+    (check_prices), so a price that leaves the float range raises
+    InputFormatError before any byte is written."""
     times, log_prices = series.times, series.log_prices
 
     def prices(i):
@@ -634,14 +639,14 @@ def save_price_series(series: PriceSeries, path: str,
     def block(i):
         return _format_rows([times[i:i + _ROWS], prices(i)], None)
 
-    _write_blocks(path, "t,price", times.size, block, workers)
+    _write_blocks(path, "t,price", times.size, block, threads)
 
 
-def load_price_series(path: str, workers: int = 1) -> PriceSeries:
-    """The t,price CSV at ``path``, parsed on up to ``workers`` processes
-    (see _read_numeric), its log-prices written over the parsed prices."""
+def load_price_series(path: str) -> PriceSeries:
+    """The t,price CSV at ``path`` (see _read_numeric), its log-prices
+    written over the parsed prices."""
     times, prices = _read_numeric(path, "t,price", 2, 2,
-                                  "fewer than two price rows", workers)
+                                  "fewer than two price rows")
     return PriceSeries(times, _log_prices(prices, out=prices),
                        {"source": path})
 
@@ -650,8 +655,8 @@ def save_samples(values, path: str) -> None:
     write_csv(path, "value", (values,))
 
 
-def load_samples(path: str, workers: int = 1) -> np.ndarray:
-    return _read_numeric(path, "value", 1, 1, "no sample rows", workers)[0]
+def load_samples(path: str) -> np.ndarray:
+    return _read_numeric(path, "value", 1, 1, "no sample rows")[0]
 
 
 def save_density_curve(curve: DensityCurve, path: str) -> None:

@@ -47,7 +47,7 @@ import numpy as np
 from .density import ratio_density  # noqa: F401 (perfbench traces it here)
 from .errors import (DomainError, InsufficientTailError, NonIdentifiableError,
                      TimestampError, WindowError)
-from .parallel import thread_map, usable_cpus
+from .parallel import thread_map
 from .response import Family, ResponseSpec, TailClass
 from .simulate import PriceSeries
 from .tails import (MIN_TAIL_POINTS, _bounded_brent, _interior, _select,
@@ -238,7 +238,7 @@ def _chunk_sums(sums, points: np.ndarray, scale: float):
     def chunk(start: int):
         return sums(points[start:start + _CHUNK] / scale)
 
-    parts = thread_map(chunk, range(0, points.size, _CHUNK), usable_cpus())
+    parts = thread_map(chunk, range(0, points.size, _CHUNK))
     # a plain left fold: builtins.sum compensates floats from Python 3.12
     return [functools.reduce(operator.add, column, 0)
             for column in zip(*parts)]
@@ -760,10 +760,9 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
     # Each candidate's tail stage and search run on their own thread, up
     # to the usable CPUs: a few dozen t-space passes over the subsample,
     # and at rho != -1 some 10-35 f_T evaluations on their profiles.
-    threads = usable_cpus()
-    if threads > 1 and rho != -1.0:  # loaded here, not by two threads
+    if rho != -1.0:  # loaded here, not by two threads
         import scipy.special  # noqa: F401
-    searched = thread_map(search, fams, threads)
+    searched = thread_map(search, fams)
 
     notes: list[str] = []
     fitted = {}

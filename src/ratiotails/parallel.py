@@ -1,10 +1,11 @@
 """The CPUs this process may use, and an order-keeping thread map over them.
 
-``usable_cpus`` is the default thread count of the simulator's chunk
-draws and of its CSV formatting, the worker count of the CSV parse, the
-thread count of the fit's per-candidate searches (at every correlation)
-and of every full-bulk likelihood pass of the fit; the draws, the CSV
-blocks, the searches and the passes run through ``thread_map``.
+``usable_cpus`` sizes every parallel stage: ``thread_map`` takes it when
+no thread count is given (the simulator's chunk draws, the CSV
+formatting lanes, the fit's per-candidate searches and its full-bulk
+passes), and the CSV parse takes its process count from it.  Only the
+draws and the CSV formatting of ``simulate --threads`` take another
+count.  No stage's output depends on the count.
 """
 
 from __future__ import annotations
@@ -14,19 +15,20 @@ import threading
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: the default worker count."""
+    """The CPUs this process may run on: the default thread count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def thread_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], on up to ``threads`` threads when there is
-    more than one item and more than one thread: the calling thread and
-    ``threads`` - 1 workers take the items in order from one queue.  The
-    results keep the order of ``items``, the first exception in that
-    order is raised, and every worker has been joined when this returns.
+def thread_map(fn, items, threads: int | None = None) -> list:
+    """[fn(x) for x in items], on up to ``threads`` threads (by default
+    the usable CPUs) when there is more than one item and more than one
+    thread: the calling thread and the other threads take the items in
+    order from one queue.  The results keep the order of ``items``, the
+    first exception in that order is raised, and every worker has been
+    joined when this returns.
 
     The caller takes items too, so a map starts one thread fewer, and
     keeps one malloc arena fewer resident for the rest of the process.
@@ -35,7 +37,8 @@ def thread_map(fn, items, threads: int) -> list:
     is the first in order of all the items.
     """
     items = list(items)
-    workers = min(threads, len(items)) - 1
+    workers = min(usable_cpus() if threads is None else threads,
+                  len(items)) - 1
     if workers < 1:
         return [fn(x) for x in items]
     results = [None] * len(items)

@@ -6,9 +6,12 @@ All draws come from counter-based Philox streams keyed by the pair
 (seed, stream index), where the stream index is the fixed-size chunk
 number of the output positions being filled (chunk size 2**20).  A result
 is therefore a pure function of (configuration, seed): chunks can be
-generated serially or on any number of worker threads and concatenate to
+generated serially or on any number of threads (by default the usable
+CPUs; ``threads`` of simulate_path and simulate_gbm) and concatenate to
 bit-identical arrays either way.  Rejection resampling consumes extra
-draws only from the stream of the chunk that needed them.
+draws only from the stream of the chunk that needed them.  A seed must
+fit in 64 bits: ``stream``, which every draw goes through, refuses any
+other with DomainError.
 """
 
 from __future__ import annotations
@@ -46,8 +49,11 @@ MAX_REJECTION_RATE = 0.01
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for (seed, stream index)."""
-    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+    """Independent generator for (seed, stream index); a seed outside
+    [0, 2**64) raises DomainError."""
+    if not 0 <= int(seed) <= _MASK64:
+        raise DomainError("seed must fit in 64 bits")
+    key = np.array([int(seed), int(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -60,8 +66,9 @@ def _chunks(n: int):
         index += 1
 
 
-def _run_chunks(fn, n: int, threads: int = 1) -> list:
-    """Evaluate fn(index, count) per chunk, results in chunk order."""
+def _run_chunks(fn, n: int, threads: int | None = None) -> list:
+    """Evaluate fn(index, count) per chunk, results in chunk order, on up
+    to ``threads`` threads (by default the usable CPUs)."""
     return thread_map(lambda job: fn(*job), _chunks(n), threads)
 
 
@@ -84,8 +91,7 @@ def _flow_pair(rng: np.random.Generator, params: OrderFlowParams, m: int):
     return z1, s
 
 
-def sample_bivariate(params: OrderFlowParams, n: int, seed: int,
-                     threads: int = 1):
+def sample_bivariate(params: OrderFlowParams, n: int, seed: int):
     """Draw n (demand, supply) pairs; returns two aligned arrays.
 
     rho = -1 yields the exact degenerate line (the second normal gets a
@@ -97,7 +103,7 @@ def sample_bivariate(params: OrderFlowParams, n: int, seed: int,
     def job(index, count):
         return _flow_pair(stream(seed, index), params, count)
 
-    parts = _run_chunks(job, n, threads)
+    parts = _run_chunks(job, n)
     d = np.concatenate([p[0] for p in parts])
     s = np.concatenate([p[1] for p in parts])
     return d, s
@@ -114,8 +120,7 @@ class RatioSample:
         return len(self.values)
 
 
-def sample_ratio(params: OrderFlowParams, n: int, seed: int,
-                 threads: int = 1) -> RatioSample:
+def sample_ratio(params: OrderFlowParams, n: int, seed: int) -> RatioSample:
     """Draw n ratio values R = D/S.
 
     Pairs with S exactly 0 (a measure-zero event) are redrawn from the
@@ -140,7 +145,7 @@ def sample_ratio(params: OrderFlowParams, n: int, seed: int,
         counters[index] = (int(np.count_nonzero(s <= 0.0)), redraws)
         return np.divide(d, s, out=d)
 
-    parts = _run_chunks(job, n, threads)
+    parts = _run_chunks(job, n)
     nonpos = sum(v[0] for v in counters.values())
     redrawn = sum(v[1] for v in counters.values())
     return RatioSample(values=np.concatenate(parts),
@@ -187,8 +192,6 @@ class SimConfig:
             raise DomainError("initial price must be positive and finite")
         if self.n_steps < 1:
             raise DomainError("need at least one step")
-        if not (0 <= int(self.seed) <= _MASK64):
-            raise DomainError("seed must fit in 64 bits")
 
     def key_values(self) -> dict:
         d = {"model": "ratio", "tau0": self.tau0, "dt": self.dt,
@@ -323,7 +326,7 @@ def _log_path(parts: list, scale: float, p0: float, dt: float):
     return times, logp
 
 
-def simulate_path(cfg: SimConfig, threads: int = 1) -> PriceSeries:
+def simulate_path(cfg: SimConfig, threads: int | None = None) -> PriceSeries:
     """Explicit log-space Euler path driven by per-step ratio draws.
 
     log P[k+1] = log P[k] + (dt / tau0) * response(R[k]), with R[k] a fresh
@@ -370,7 +373,7 @@ def simulate_path(cfg: SimConfig, threads: int = 1) -> PriceSeries:
 
 
 def simulate_gbm(mu: float, sigma: float, dt: float, n_steps: int, p0: float,
-                 seed: int, threads: int = 1) -> PriceSeries:
+                 seed: int, threads: int | None = None) -> PriceSeries:
     """Exact lognormal stepping of the classical diffusion baseline.
 
     log P[k+1] = log P[k] + (mu - sigma**2 / 2) dt + sigma sqrt(dt) Z[k].
@@ -390,9 +393,10 @@ def simulate_gbm(mu: float, sigma: float, dt: float, n_steps: int, p0: float,
                           f"sigma={sigma}, dt={dt}")
 
     def job(index, count):
+        rng = stream(seed, index)  # checks the seed, even at sigma = 0
         if vol == 0.0:
             return np.full(count, drift)
-        return drift + vol * stream(seed, index).standard_normal(count)
+        return drift + vol * rng.standard_normal(count)
 
     times, logp = _log_path(_run_chunks(job, n_steps, threads), 1.0, p0, dt)
     meta = {"seed": int(seed), "model": "gbm",

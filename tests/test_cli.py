@@ -270,10 +270,9 @@ def test_simulate_same_seed_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_threads_do_not_change_output(tmp_path, monkeypatch):
+def test_simulate_threads_do_not_change_output(tmp_path):
     # 200 001 rows are 13 CSV blocks: the default (the usable CPUs) and
     # --threads 4 format them on threads
-    monkeypatch.delenv("RATIOTAILS_THREADS", raising=False)
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     args = ("simulate", "--model", "gbm", "--mu", 0.05, "--sigma", 0.2,
             "--dt", 0.01, "--steps", 200000, "--seed", 11)
@@ -281,6 +280,48 @@ def test_simulate_threads_do_not_change_output(tmp_path, monkeypatch):
     assert run(*args, "--out", b, "--threads", 4) == 0
     assert run(*args, "--out", c) == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize("model", ["gbm", "ratio"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2^64"])
+def test_simulate_refuses_a_seed_outside_64_bits(tmp_path, capsys, model,
+                                                 seed):
+    # one seed range for every draw: neither model wraps the seed round
+    out = tmp_path / "s.csv"
+    assert run("simulate", "--model", model, "--steps", 10,
+               f"--seed={seed}", "--out", out) == 2
+    assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model", ["gbm", "ratio"])
+def test_simulate_takes_the_top_64_bit_seed(tmp_path, model):
+    paths = [tmp_path / f"{seed}.csv" for seed in (0, 2 ** 64 - 1)]
+    for seed, out in zip((0, 2 ** 64 - 1), paths):
+        assert run("simulate", "--model", model, "--steps", 10,
+                   "--seed", seed, "--out", out) == 0
+    assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "1.5", "x"])
+def test_threads_below_one_are_refused_by_the_parser(tmp_path, capsys,
+                                                     threads):
+    # simulate --threads and replay --threads take a positive count only
+    out, again = tmp_path / "s.csv", tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--model", "gbm", "--steps", 10,
+            f"--threads={threads}", "--out", out)
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert run("simulate", "--model", "gbm", "--steps", 10, "--out", out) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("replay", f"{out}.manifest", "--out", again,
+            f"--threads={threads}")
+    assert exc.value.code == 2
+    assert not again.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"error: argument --threads: {threads!r} is not a "
+                     "positive count") == 2
 
 
 def test_simulate_gbm_zero_vol_exact(tmp_path):
@@ -529,7 +570,12 @@ def main_contract(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser refused an option
+            assert exc.code == 2
+            assert err.getvalue().count(": error: argument ") == 1
+            return 2
     assert code in (0, 1, 2, 3)
     if code:
         lines = err.getvalue().splitlines()
@@ -668,42 +714,64 @@ _SIM_NUMBERS = st.sampled_from(["0.2", "1e150", "1e300", "0", "-1", "nan",
                                 "inf"])
 
 
+# a seed inside and outside [0, 2**64), and a --threads count
+_SEED_THREADS = st.tuples(
+    st.sampled_from(["3", "0", str(2 ** 64 - 1), "-1", str(2 ** 64)]),
+    st.sampled_from(["1", "2", "0", "-5"]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["gbm", "ratio"]), _SIM_NUMBERS, _SIM_NUMBERS,
        st.sampled_from(["1e-4", "1", "1e300", "5e-324", "0", "nan", "inf"]),
        st.sampled_from(["1", "1e300", "1e-300", "0", "nan", "inf"]),
        st.sampled_from(["10", "1", "0"]),
        st.tuples(_SPREADS, _RHOS, st.sampled_from([f.value for f in Family]),
-                 _QS, st.sampled_from(["1", "1e-300", "0", "inf"])))
+                 _QS, st.sampled_from(["1", "1e-300", "0", "inf"])),
+       _SEED_THREADS)
 @example("gbm", "0.05", "1e150", "1e-4", "1", "10",
-         ("0.35", "-1", "sym", None, "1"))
+         ("0.35", "-1", "sym", None, "1"), ("3", "1"))
 @example("gbm", "0.05", "nan", "1e-4", "1", "10",
-         ("0.35", "-1", "sym", None, "1"))
+         ("0.35", "-1", "sym", None, "1"), ("3", "1"))
 @example("gbm", "nan", "0.2", "1e-4", "1", "10",
-         ("0.35", "-1", "sym", None, "1"))
+         ("0.35", "-1", "sym", None, "1"), ("3", "1"))
 @example("ratio", "0.05", "0.2", "1e300", "1", "10",
-         ("0.35", "-1", "power", "2", "1"))
-def simulate_keeps_the_contract(model, mu, sigma, dt, p0, steps, flows):
+         ("0.35", "-1", "power", "2", "1"), ("3", "1"))
+@example("gbm", "0.05", "0.2", "1e-4", "1", "10",
+         ("0.35", "-1", "sym", None, "1"), ("-1", "2"))
+@example("ratio", "0.05", "0.2", "1e-4", "1", "10",
+         ("0.35", "-1", "sym", None, "1"), (str(2 ** 64), "1"))
+@example("gbm", "0.05", "0.2", "1e-4", "1", "10",
+         ("0.35", "-1", "sym", None, "1"), ("3", "0"))
+def simulate_keeps_the_contract(model, mu, sigma, dt, p0, steps, flows,
+                                seed_threads):
     spread, rho, family, q, tau0 = flows
+    seed, threads = seed_threads
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "s.csv")
         argv = ["simulate", "--model", model, f"--mu={mu}",
                 f"--sigma={sigma}", f"--dt={dt}", f"--p0={p0}",
                 "--steps", steps, f"--sigma1={spread}", f"--sigma2={spread}",
                 f"--rho={rho}", "--family", family, f"--tau0={tau0}",
-                "--seed", "3", "--threads", "1", "--out", out]
+                f"--seed={seed}", f"--threads={threads}", "--out", out]
         if q is not None:
             argv.append(f"--q={q}")
-        if main_contract(argv) == 0:
+        code = main_contract(argv)
+        if not (0 <= int(seed) < 2 ** 64 and int(threads) >= 1):
+            # either model refuses the seed, and the parser the count
+            assert code == 2
+            assert not os.path.exists(out)
+        elif code == 0:
             # what simulate writes, the loader reads
             series = load_price_series(out)
             assert len(series) == int(steps) + 1
 
 
 def test_simulate_keeps_the_exit_code_contract():
-    # through main, in-process: whatever the model and its options,
-    # simulate exits 0-3, raises nothing, prints one error line on a bad
-    # input, and every file it writes loads
+    # through main, in-process: whatever the model, its options, seed and
+    # --threads, simulate exits 0-3, raises nothing, prints one error line
+    # on a bad input (the parser's for a --threads below 1), exits 2 on a
+    # seed outside 64 bits with either model, and every file it writes
+    # loads
     start = time.perf_counter()
     simulate_keeps_the_contract()
     assert time.perf_counter() - start <= 10.0
@@ -1051,12 +1119,15 @@ _DEFECTS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["check", "simulate"]), _DEFECTS,
-       st.sampled_from(["file", "file", "missing", "none"]))
-@example("check", ("seed", "abc"), "file")
-@example("check", ("bytes", ""), "file")
-@example("check", ("none", ""), "missing")
-@example("simulate", ("param", "steps=abc"), "file")
-def replay_keeps_the_contract(command, defect, out):
+       st.sampled_from(["file", "file", "missing", "none"]),
+       st.sampled_from([None, None, "1", "2", "0", "-5"]))
+@example("check", ("seed", "abc"), "file", None)
+@example("check", ("bytes", ""), "file", None)
+@example("check", ("none", ""), "missing", None)
+@example("simulate", ("param", "steps=abc"), "file", None)
+@example("simulate", ("none", ""), "file", "0")
+@example("simulate", ("seed", "-1"), "file", "2")
+def replay_keeps_the_contract(command, defect, out, threads):
     with tempfile.TemporaryDirectory() as tmp:
         first = os.path.join(tmp, "first.txt")
         argv = (["check", "--family", "sym", "--grid-points", "40"]
@@ -1073,7 +1144,13 @@ def replay_keeps_the_contract(command, defect, out):
                  "missing": os.path.join(tmp, "missing", "again.txt"),
                  "none": None}[out]
         code = main_contract(
-            ["replay", manifest] + (["--out", again] if again else []))
+            ["replay", manifest] + (["--out", again] if again else [])
+            + ([f"--threads={threads}"] if threads else []))
+        if threads is not None and int(threads) < 1:
+            assert code == 2  # the parser refuses the count
+        if command == "simulate" and defect in (
+                ("seed", "-1"), ("seed", "99999999999999999999999")):
+            assert code == 2  # a seed outside 64 bits, as simulate's
         if out == "missing":
             # the override reaches a manifest that has an out
             assert code == 2 or defect == ("drop", "param.out=")
@@ -1087,16 +1164,18 @@ def test_replay_keeps_the_exit_code_contract():
     # through main, in-process: whatever the defect of the manifest (bad
     # or missing keys, a seed that is no integer, bytes that are not
     # UTF-8, an unknown command, params that are not options or whose
-    # values the command refuses) and an --out it cannot write, replay
-    # exits 0-3, raises nothing and prints one error line on a bad input
+    # values the command refuses, a seed outside 64 bits), an --out it
+    # cannot write and a --threads below 1, replay exits 0-3, raises
+    # nothing and prints one error line on a bad input
     start = time.perf_counter()
     replay_keeps_the_contract()
     assert time.perf_counter() - start <= 10.0
 
 
 def test_replay_threads_reach_only_simulate(tmp_path):
-    # check, density, tails and fit are serial and take no --threads;
-    # replay --threads still replays their manifests byte-identically
+    # only simulate takes --threads: check and density compute on one
+    # core, and fit and tails parse and fit on the usable CPUs; replay
+    # --threads still replays their manifests byte-identically
     prices = _simulate_prices(tmp_path, "p.csv", seed=29)
     commands = {
         "check.txt": ["check", "--family", "sym"],
@@ -1369,17 +1448,6 @@ def test_simulate_rejection_rate_exit_code(tmp_path):
                "--dt", 1e-4, "--steps", 20000, "--seed", 3, "--out", out)
     assert code == 1
     assert not out.exists()
-
-
-def test_seed_env_default(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("RATIOTAILS_SEED", "4242")
-    assert run("simulate", "--model", "gbm", "--dt", 0.01, "--steps", 1000,
-               "--out", a) == 0
-    monkeypatch.delenv("RATIOTAILS_SEED")
-    assert run("simulate", "--model", "gbm", "--dt", 0.01, "--steps", 1000,
-               "--seed", 4242, "--out", b) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_tails_csv_sweep_rows(tmp_path):

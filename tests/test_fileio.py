@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratiotails import (CurveMethod, DensityCurve, PriceSeries, simulate_gbm)
-from ratiotails import fileio
+from ratiotails import fileio, parallel
 from ratiotails.errors import DomainError, InputFormatError
 from ratiotails.fileio import (RunManifest, format_key_values,
                                load_density_curve, load_price_series,
@@ -20,6 +20,11 @@ from ratiotails.fileio import (RunManifest, format_key_values,
                                save_price_series, save_samples, sha256_file,
                                write_atomic, write_csv)
 from ratiotails.fileio import _ROWS, _format_rows, _read_lines, _read_numeric
+
+
+def on_cpus(n: int):
+    """Every stage sized for n usable CPUs, the one thread-count default."""
+    return mock.patch.object(parallel, "usable_cpus", lambda: n)
 
 
 def test_price_series_round_trip(tmp_path):
@@ -224,8 +229,8 @@ def test_loader_takes_the_log_from_prices_bits(tmp_path_factory, times,
     path = tmp_path_factory.mktemp("l") / "prices.csv"
     path.write_text(text)
     workers = 2 if path_kind == "pieces" else 1
-    with mock.patch.object(fileio, "_PIECE_MIN", 1):
-        back = load_price_series(str(path), workers)
+    with mock.patch.object(fileio, "_PIECE_MIN", 1), on_cpus(workers):
+        back = load_price_series(str(path))
     want = PriceSeries.from_prices(times, prices)
     assert np.array_equal(bits(back.times), bits(want.times))
     assert np.array_equal(bits(back.log_prices), bits(want.log_prices))
@@ -262,9 +267,9 @@ def test_vectorized_read_matches_the_line_loop(tmp_path_factory, header,
     text = "".join(l + b for l, b in zip([header] + lines, breaks))
     path = tmp_path_factory.mktemp("r") / "in.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(fileio, "_PIECE_MIN", 1):
+    with mock.patch.object(fileio, "_PIECE_MIN", 1), on_cpus(workers):
         for args in (("t,price", 2, 2, "few"), ("value", 1, 1, "none")):
-            assert (outcome(_read_numeric, str(path), *args, workers)
+            assert (outcome(_read_numeric, str(path), *args)
                     == outcome(_read_lines, str(path), *args))
 
 
@@ -449,7 +454,8 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
     header = "x,y" if label is None else "x,y,method"
     paths = [str(tmp_path / f"w{workers}.csv") for workers in (1, 2, 3)]
     for workers, path in enumerate(paths, 1):
-        write_csv(path, header, (a, b), label=label, workers=workers)
+        with on_cpus(workers):
+            write_csv(path, header, (a, b), label=label)
     serial = open(paths[0], "rb").read()
     assert serial == repr_csv(header, (a, b), label).encode()
     assert [open(p, "rb").read() for p in paths[1:]] == [serial, serial]
@@ -460,14 +466,14 @@ def test_write_lanes_keep_block_order_under_contention(tmp_path,
     # eight lanes on a 2-vCPU host, 3-row blocks and a switch interval of
     # a microsecond: 700 blocks come out in order, within the timeout
     monkeypatch.setattr(fileio, "_ROWS", 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
     values = np.arange(2100) / 7.0
     path = tmp_path / "v.csv"
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         thread = threading.Thread(target=write_csv, daemon=True,
-                                  args=(str(path), "v", (values,)),
-                                  kwargs={"workers": 8})
+                                  args=(str(path), "v", (values,)))
         thread.start()
         thread.join(timeout=60)
     finally:
@@ -492,15 +498,16 @@ def _fail_on_the_second_block(columns, label):
     return _format_rows(columns, label)
 
 
-def _write_failing_blocks(tmp_path, monkeypatch, workers) -> int:
+def _write_failing_blocks(tmp_path, monkeypatch, cpus) -> int:
     """The pid that formatted the failing second of three blocks in a
-    ``workers`` write; the write leaves no file, no thread and no child."""
+    write on ``cpus`` usable CPUs; the write leaves no file, no thread and
+    no child."""
     monkeypatch.setattr(fileio, "_format_rows", _fail_on_the_second_block)
     times = np.arange(3 * _ROWS, dtype=float)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="block formatted in process") as err:
-        write_csv(str(tmp_path / "p.csv"), "t,price", (times, times + 0.5),
-                  workers=workers)
+    with on_cpus(cpus), pytest.raises(
+            RuntimeError, match="block formatted in process") as err:
+        write_csv(str(tmp_path / "p.csv"), "t,price", (times, times + 0.5))
     assert list(tmp_path.iterdir()) == []
     assert threading.active_count() == threads
     assert multiprocessing.active_children() == []
@@ -533,8 +540,8 @@ def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
     try:
         for workers in (2, 3):
             path = tmp_path / f"w{workers}.csv"
-            write_csv(str(path), "t,price", (times, times / 7.0),
-                      workers=workers)
+            with on_cpus(workers):
+                write_csv(str(path), "t,price", (times, times / 7.0))
             assert path.read_bytes() == expected
             path.unlink()
         assert _write_failing_blocks(tmp_path, monkeypatch, 2) == os.getpid()
@@ -562,14 +569,15 @@ def test_pieces_cut_inside_blank_lines(tmp_path, monkeypatch, workers,
     path = tmp_path / "p.csv"
     path.write_bytes(newline.join(["t,price"] + body + [""]).encode())
     monkeypatch.setattr(fileio, "_PIECE_MIN", 1)
-    pieces = fileio._parse_pieces(str(path), "t,price", 2, workers)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+    pieces = fileio._parse_pieces(str(path), "t,price", 2)
     serial = _read_lines(str(path), "t,price", 2, 2, "few")
     assert pieces is not None and pieces.shape == (2, 200)
     assert np.array_equal(bits(pieces), bits(serial))
     assert multiprocessing.active_children() == []
 
 
-def test_parse_in_pieces_over_the_minimum(tmp_path):
+def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
     # two pieces of over _PIECE_MIN bytes each: the serial values, bit for
     # bit, and a bad row in the last piece words the serial error
     path = tmp_path / "p.csv"
@@ -577,16 +585,20 @@ def test_parse_in_pieces_over_the_minimum(tmp_path):
     write_csv(str(path), "t,price", (times, np.exp(np.sin(times))))
     text = path.read_bytes()
     assert len(text) > 2 * fileio._PIECE_MIN + len("t,price\n")
-    parallel, serial = (load_price_series(str(path), workers=w)
-                        for w in (2, 1))
-    assert np.array_equal(bits(parallel.times), bits(serial.times))
-    assert np.array_equal(bits(parallel.log_prices), bits(serial.log_prices))
-    pieces = fileio._parse_pieces(str(path), "t,price", 2, 2)
+    loads = []
+    for cpus in (2, 1):
+        with on_cpus(cpus):
+            loads.append(load_price_series(str(path)))
+    forked, serial = loads
+    assert np.array_equal(bits(forked.times), bits(serial.times))
+    assert np.array_equal(bits(forked.log_prices), bits(serial.log_prices))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    pieces = fileio._parse_pieces(str(path), "t,price", 2)
     lines = _read_lines(str(path), "t,price", 2, 2, "few")
     assert np.array_equal(bits(pieces), bits(lines))
     path.write_bytes(text[:-1] + b"x\n")
     with pytest.raises(InputFormatError) as err:
-        load_price_series(str(path), workers=2)
+        load_price_series(str(path))
     last = text.count(b"\n")
     assert str(err.value) == f"{path}:{last}: non-numeric value"
     assert multiprocessing.active_children() == []
@@ -599,18 +611,19 @@ def test_parse_runs_serially_beside_a_live_thread(tmp_path, monkeypatch):
     values = np.linspace(-1.0, 1.0, 5000)
     save_samples(values, str(path))
     monkeypatch.setattr(fileio, "_PIECE_MIN", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
     def no_fork():
         raise RuntimeError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(RuntimeError, match="forked"):
-        load_samples(str(path), workers=2)
+        load_samples(str(path))
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        assert np.array_equal(load_samples(str(path), workers=2), values)
+        assert np.array_equal(load_samples(str(path)), values)
     finally:
         done.set()
         thread.join(timeout=10)
@@ -635,8 +648,8 @@ def test_piece_loop_loads_as_the_line_loop(tmp_path_factory, body, newline,
     path.write_bytes(text.encode())
     threads = threading.active_count()
     args = ("t,price", 2, 2, "few")
-    with mock.patch.object(fileio, "_PIECE_MIN", 1):
-        got = outcome(_read_numeric, str(path), *args, workers)
+    with mock.patch.object(fileio, "_PIECE_MIN", 1), on_cpus(workers):
+        got = outcome(_read_numeric, str(path), *args)
     assert got == outcome(_read_lines, str(path), *args)
     if bad is not None:
         assert got.startswith(f"{path}:")
@@ -663,7 +676,7 @@ def test_blocked_price_check_words_the_whole_column(tmp_path, logs, message):
         log_prices[row] = value
     series = PriceSeries(np.arange(n, dtype=float), log_prices)
     with pytest.raises(InputFormatError) as err:
-        save_price_series(series, str(tmp_path / "p.csv"), workers=2)
+        save_price_series(series, str(tmp_path / "p.csv"), threads=2)
     assert str(err.value) == (
         f"prices leave the float range ({message.format(n=n)}); this "
         "configuration can only be analyzed in memory via log returns")

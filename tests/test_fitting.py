@@ -16,7 +16,7 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         SimConfig, TailKind, WindowSpec, exponent_report,
                         fit_g, fit_price_series, invert_monotone,
                         relative_changes, simulate_gbm, simulate_path)
-from ratiotails import fileio, fitting, tails
+from ratiotails import fileio, fitting, parallel, tails
 from ratiotails.density import (positive_ratio_mass, ratio_cdf,
                                 ratio_density)
 from ratiotails.errors import (DomainError, NonIdentifiableError,
@@ -400,7 +400,7 @@ def test_correlated_fit_does_not_depend_on_the_cpu_count(fams, monkeypatch):
     changes = _correlated_power_changes()
     results = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
         results.append(fit_g(changes, fams, rho=-0.5, threshold_quantile=0.99))
     assert results[0] == results[1] == results[2]
     assert sorted(results[0].scores) == sorted(f.value for f in fams)
@@ -442,7 +442,7 @@ def test_a_multi_chunk_fit_does_not_depend_on_the_cpu_count(rho,
     assert len(set(floor // fitting._CHUNK)) >= 2
     results = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
         results.append(fit_g(changes, (Family.POWER, Family.LOG), rho=rho))
     assert results[0] == results[1] == results[2]
 
@@ -623,7 +623,7 @@ def test_profile_sums_are_the_serial_chunk_sums(family, q, monkeypatch):
     sums = functools.partial(pass_sums, spec)
     serial = serial_sums(sums, points, scale)
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
         assert fitting._chunk_sums(sums, points, scale) == serial
 
     ok, st2, sw = r_space_sums(spec, points / scale)
@@ -647,7 +647,7 @@ def test_bulk_scores_do_not_depend_on_the_cpu_count(rho, monkeypatch):
         ratio_positive(3 * fitting._CHUNK + 4001, seed=71)))
     scores = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(fitting, "usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
         scores.append(fitting._bulk_score(spec, 0.38, rho, 0.9, points,
                                           40.0))
     assert scores[0] == scores[1] == scores[2]
@@ -665,7 +665,7 @@ def test_a_multi_chunk_fit_leaves_no_thread_running(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted)
-    monkeypatch.setattr(fitting, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     before = threading.active_count()
     fit_g(_multi_chunk_changes(), (Family.POWER, Family.LOG))
     assert started

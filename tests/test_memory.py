@@ -5,8 +5,8 @@ the step's caller already holds: the step's live outputs plus about one
 transient array.  numpy reports its array buffers to tracemalloc; the
 parse workers' shared buffer is an mmap, which it does not see.  Each
 step runs once before it is measured, so no lazy import or first-call
-cache counts, and on one CPU, so the full-bulk pass holds one chunk's
-temporaries at a time on any host.
+cache counts, and on one usable CPU unless it names another count, so
+the full-bulk pass holds one chunk's temporaries at a time on any host.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ratiotails import fitting
+from ratiotails import parallel
 from ratiotails.density import OrderFlowParams
 from ratiotails.fileio import (_ROWS, _format_rows, load_price_series,
                                save_price_series)
@@ -53,7 +53,7 @@ def config():
 
 @pytest.fixture(autouse=True)
 def one_cpu(monkeypatch):
-    monkeypatch.setattr(fitting, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
 
 
 def test_simulate_path_keeps_its_path_and_one_transient(config):
@@ -62,8 +62,7 @@ def test_simulate_path_keeps_its_path_and_one_transient(config):
     # dropped, the log-prices with the times: two arrays at a time (3.0
     # with the response's values in a new array, 5.1 with a copy per
     # affine step of the draws)
-    series, arrays, _ = arrays_at_peak(
-        lambda: simulate_path(config, threads=1))
+    series, arrays, _ = arrays_at_peak(lambda: simulate_path(config))
     assert len(series) == STEPS + 1
     assert arrays <= 2.2
 
@@ -78,12 +77,13 @@ def test_save_holds_the_path_and_one_block_per_thread(config, tmp_path):
     _, block, _ = arrays_at_peak(lambda: _format_rows(head, None))
     del series
     _, arrays, _ = arrays_at_peak(
-        lambda: save_price_series(simulate_path(config, threads=1), csv, 2))
+        lambda: save_price_series(simulate_path(config), csv, threads=2))
     assert arrays <= 2 + 2 * block + 0.5
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_load_takes_the_log_in_the_parsed_body(config, tmp_path, workers):
+def test_load_takes_the_log_in_the_parsed_body(config, tmp_path, workers,
+                                               monkeypatch):
     # the series keeps the parsed (t, price) body, the log-prices written
     # over its prices; each piece's rows go straight into the body, so
     # the load peaks at the body and one piece (the forked pool's body is
@@ -91,8 +91,8 @@ def test_load_takes_the_log_in_the_parsed_body(config, tmp_path, workers):
     # parse and its column copy)
     csv = str(tmp_path / "p.csv")
     save_price_series(simulate_path(config), csv)
-    series, arrays, kept = arrays_at_peak(
-        lambda: load_price_series(csv, workers))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+    series, arrays, kept = arrays_at_peak(lambda: load_price_series(csv))
     assert kept <= 2.1
     assert arrays <= 2.3
     assert series.times.base is series.log_prices.base is not None

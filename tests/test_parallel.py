@@ -1,12 +1,19 @@
-"""The order-keeping thread map."""
+"""The order-keeping thread map, and the usable-CPU count that sizes
+every parallel stage."""
 
+import contextlib
+import hashlib
+import io
 import sys
 import threading
 import time
 
 import pytest
 
+from ratiotails import fileio, parallel
+from ratiotails.cli import main
 from ratiotails.parallel import thread_map
+from ratiotails.simulate import CHUNK
 
 
 def test_results_keep_the_order_of_the_items():
@@ -107,3 +114,45 @@ def test_one_thread_or_one_item_runs_on_the_caller():
         [caller] * 3
     assert thread_map(lambda i: threading.get_ident(), [0], 4) == [caller]
     assert thread_map(lambda i: i, [], 4) == []
+
+
+def test_the_pipeline_does_not_depend_on_the_usable_cpus(tmp_path,
+                                                         monkeypatch):
+    # parallel.usable_cpus sizes every stage: the path's two draw chunks,
+    # its CSV formatting, the parse of its 4 pieces or more (forked from 2
+    # CPUs on), the fit's searches and full-bulk passes, and tails; at 1,
+    # 2 and 3 usable CPUs every byte written and every value loaded is
+    # the same
+    monkeypatch.setattr(fileio, "_PIECE_MIN", 1 << 18)
+    context = fileio._fork_context
+    forked = []
+
+    def spy(processes):
+        got = context(processes)
+        forked.append(got is not None)
+        return got
+
+    monkeypatch.setattr(fileio, "_fork_context", spy)
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
+        prices, fit, tails = (str(tmp_path / f"{name}{cpus}")
+                              for name in ("p.csv", "fit.txt", "tails.txt"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--family", "power", "--q", "1",
+                         "--sigma1", "0.38", "--sigma2", "0.38",
+                         "--dt", "1e-6", "--steps", str(CHUNK + 4000),
+                         "--seed", "901", "--out", prices]) == 0
+            assert main(["fit", "--prices", prices, "--delta-t", "1e-6",
+                         "--big-delta-t", "1e-4", "--stride", "1e-4",
+                         "--out", fit]) == 0
+            assert main(["tails", "--prices", prices, "--as-returns",
+                         "1e-6", "--out", tails]) == 0
+        series = fileio.load_price_series(prices)
+        outputs.append([hashlib.sha256(data).hexdigest() for data in (
+            *(open(path, "rb").read() for path in (prices, fit, tails)),
+            series.times.tobytes(), series.log_prices.tobytes())])
+        assert any(forked) == (cpus > 1)
+        forked.clear()
+    assert len(fileio._plan_pieces(prices, "t,price")) >= 4
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -1,12 +1,14 @@
 """Seeded Monte Carlo: determinism, degeneracy, moments, path laws."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import jarque_bera, ks_2samp, norm
 
+from ratiotails import parallel
 from ratiotails import (Family, OrderFlowParams, RejectionPolicy,
                         ResponseSpec, SimConfig, TransformedDensity,
                         sample_bivariate, sample_ratio, simulate_gbm,
@@ -43,10 +45,40 @@ def test_stream_reproducible_and_distinct():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2^64"])
+def test_every_draw_refuses_a_seed_outside_64_bits(seed):
+    # the one range check sits in stream, which every draw goes through,
+    # the deterministic GBM path at sigma = 0 included
+    draws = (lambda: stream(seed, 0),
+             lambda: sample_bivariate(ANTI_WIDE, 10, seed),
+             lambda: sample_ratio(ANTI_WIDE, 10, seed),
+             lambda: simulate_path(make_config(seed=seed)),
+             lambda: simulate_gbm(0.05, 0.2, 0.01, 10, 1.0, seed),
+             lambda: simulate_gbm(0.05, 0.0, 0.01, 10, 1.0, seed))
+    for draw in draws:
+        with pytest.raises(DomainError, match="^seed must fit in 64 bits$"):
+            draw()
+
+
+def test_the_64_bit_seed_range_is_whole():
+    top = 2 ** 64 - 1
+    assert not np.array_equal(stream(top, 0).standard_normal(4),
+                              stream(0, 0).standard_normal(4))
+    assert len(simulate_gbm(0.05, 0.2, 0.01, 10, 1.0, top)) == 11
+    assert len(simulate_path(make_config(seed=top))) == 1001
+
+
+def on_cpus(n: int):
+    """Every stage sized for n usable CPUs, the one thread-count default."""
+    return mock.patch.object(parallel, "usable_cpus", lambda: n)
+
+
 def test_sample_bivariate_bit_identical_across_threads():
     n = (1 << 20) + 12345  # straddle a chunk boundary
-    d1, s1 = sample_bivariate(ANTI_WIDE, n, seed=5, threads=1)
-    d4, s4 = sample_bivariate(ANTI_WIDE, n, seed=5, threads=4)
+    with on_cpus(1):
+        d1, s1 = sample_bivariate(ANTI_WIDE, n, seed=5)
+    with on_cpus(4):
+        d4, s4 = sample_bivariate(ANTI_WIDE, n, seed=5)
     assert np.array_equal(d1, d4)
     assert np.array_equal(s1, s4)
 
@@ -58,8 +90,10 @@ AROUND_CHUNK = pytest.mark.parametrize(
 
 @AROUND_CHUNK
 def test_sample_ratio_bit_identical_across_threads(n):
-    r1 = sample_ratio(ANTI_WIDE, n, seed=6, threads=1)
-    r4 = sample_ratio(ANTI_WIDE, n, seed=6, threads=4)
+    with on_cpus(1):
+        r1 = sample_ratio(ANTI_WIDE, n, seed=6)
+    with on_cpus(4):
+        r4 = sample_ratio(ANTI_WIDE, n, seed=6)
     assert np.array_equal(r1.values, r4.values)
     assert r1.nonpositive_s_fraction == r4.nonpositive_s_fraction
 
@@ -67,17 +101,22 @@ def test_sample_ratio_bit_identical_across_threads(n):
 @AROUND_CHUNK
 def test_simulate_path_bit_identical_across_threads_and_runs(n):
     cfg = make_config(n_steps=n)
-    a = simulate_path(cfg, threads=1)
-    b = simulate_path(cfg, threads=3)
-    c = simulate_path(cfg, threads=1)
+    with on_cpus(1):
+        a = simulate_path(cfg)
+    with on_cpus(3):
+        b = simulate_path(cfg)
+    with on_cpus(1):
+        c = simulate_path(cfg)
     assert np.array_equal(a.log_prices, b.log_prices)
     assert np.array_equal(a.log_prices, c.log_prices)
 
 
 @AROUND_CHUNK
 def test_gbm_bit_identical_across_threads(n):
-    a = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8, threads=1)
-    b = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8, threads=4)
+    with on_cpus(1):
+        a = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8)
+    with on_cpus(4):
+        b = simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=8)
     assert np.array_equal(a.log_prices, b.log_prices)
 
 
@@ -91,12 +130,14 @@ def test_outputs_do_not_depend_on_the_thread_count(seed, n):
     narrow = OrderFlowParams(1.0, 1.0, 0.1, 0.1, -1.0)
     cfg = make_config(params=ANTI_PATH if n > CHUNK // 2 else narrow,
                       n_steps=n, seed=seed)
-    path, gbm, ratio = zip(*(
-        (simulate_path(cfg, threads=k).log_prices,
-         simulate_gbm(0.05, 0.2, 0.01, n, 100.0, seed=seed,
-                      threads=k).log_prices,
-         sample_ratio(ANTI_WIDE, n, seed=seed, threads=k).values)
-        for k in (1, 2, 3)))
+    runs = []
+    for k in (1, 2, 3):
+        with on_cpus(k):
+            runs.append((simulate_path(cfg).log_prices,
+                         simulate_gbm(0.05, 0.2, 0.01, n, 100.0,
+                                      seed=seed).log_prices,
+                         sample_ratio(ANTI_WIDE, n, seed=seed).values))
+    path, gbm, ratio = zip(*runs)
     for runs in (path, gbm, ratio):
         assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
