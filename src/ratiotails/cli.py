@@ -6,31 +6,25 @@ tails (tail classification of a sample), fit (family recovery from a
 price series) and replay (re-run a saved manifest).
 
 Exit codes follow the error's type: 0 success (for check: all
-conditions hold), 1 condition failure or numerical failure, 2 malformed
-input or domain violation (an output path that cannot be written and a
-manifest that cannot be replayed included), 3 non-identifiable family
-tie.  Commands that write artifacts also write a ``<output>.manifest``
-sidecar and never leave partial files behind.
+conditions hold; --help and --version), 1 condition failure or numerical
+failure, 2 malformed input or domain violation (a parser refusal, an
+output that cannot be written or would overwrite an input, another
+output or the manifest, a manifest that cannot be replayed), 3
+non-identifiable family tie.  No command leaves a partial file behind.
 
 Threads: every parallel stage runs on the CPUs the process may use
 (``taskset`` narrows them), and no output ever depends on their count.
 Only simulate takes --seed (default 0) and --threads, and replay passes
---threads on to a replayed simulate.  --threads, a positive count,
-overrides the usable CPUs for the threads that draw the path and the
-threads that format its CSV, in-process (no process is started to
-write); each formatting thread holds one block of the CSV at a time, its
-prices exponentiated from the path's log-prices as it is formatted.  fit
-and tails parse their CSV on the usable CPUs.  The parse writes each
-piece's rows straight into the body (with forked workers, their shared
-map), and fit and tails keep that body as the series, its prices
-overwritten by their logs, until the changes or returns are taken: the
-body and one piece at the peak of the load.  fit searches each
+--threads on to a replayed simulate.  --threads, a positive count (see
+parallel.thread_count), overrides the usable CPUs for the threads that
+draw the path and format its CSV, in-process.  fit and tails parse their
+CSV on the usable CPUs and keep the parsed body as the series until the
+changes or returns are taken (see fileio).  fit searches each
 candidate's nuisance on its own thread, at any --rho, and scores each
-candidate on the full bulk chunk by chunk.  check, density and the
-classification of tails compute on one core.  fit and tails check their
-options before they load any prices or samples; tails checks
---as-returns whenever it is given, and ignores a valid one with
---samples.
+candidate on the full bulk chunk by chunk.  check, density and tails'
+classification compute on one core.  fit and tails check their options
+before they load any prices or samples; tails checks --as-returns
+whenever it is given, and ignores a valid one with --samples.
 
 Start-up: the package loads numpy but no scipy module, about 0.25 s on
 a 2-vCPU host, which is all that --help, check --family, simulate,
@@ -41,9 +35,11 @@ inside the functions that compute with it, only when they run: density
 at rho != -1 and fit at --rho != -1 (scipy.special, ~0.33 s more), and
 check --table (scipy.interpolate and scipy.optimize).
 
-Manifests record one param.<option> entry per option of the command,
---seed and --threads aside, read off the parser below; replay rebuilds
-the command line from them.
+One path, _execute, takes a command line to its exit code, main's and
+the one replay rebuilds alike, and saves the ``<output>.manifest``
+beside the first output given: one param.<option> per option of the
+command but --seed and --threads, read off the parser below, from which
+replay rebuilds the command line.
 """
 
 from __future__ import annotations
@@ -69,8 +65,9 @@ from .response import (Family, ResponseSpec, check_admissibility,
                        reciprocal_log_grid)
 from .simulate import (RejectionPolicy, SimConfig, simulate_gbm,
                        simulate_path)
-from .tails import (TailKind, check_tail_options, classify_tail, quantile,
-                    threshold_sweep)
+from .tails import (SWEEP_QUANTILES, TailKind, check_tail_options,
+                    classify_tail,  # noqa: F401 (perfbench traces it here)
+                    quantile, threshold_sweep)
 
 _CANDIDATE_KINDS = {"power": TailKind.POWER_LAW,
                     "exp": TailKind.EXPONENTIAL,
@@ -86,9 +83,21 @@ def _build_response(family: str, q) -> ResponseSpec:
     return ResponseSpec(fam, float(q))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, its refusals raised as InputFormatError: bad input."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 def _input_path(path: str) -> str:
     """argparse type of an input file option: the manifest records the
     file's sha256, and replay checks it."""
+    return path
+
+
+def _output_path(path: str) -> str:
+    """argparse type of an output file option (see _execute)."""
     return path
 
 
@@ -104,28 +113,52 @@ def _options(parser: argparse.ArgumentParser, command: str) -> dict:
             if a.option_strings and a.dest not in ("help", "seed", "threads")}
 
 
-def _manifest_for(args, seed=None) -> RunManifest:
-    """The manifest of the running command, stamped with its start time:
-    one param per option (a flag as true/false, an unset option as ""),
-    and the sha256 of every input file given."""
-    params, hashes = {}, {}
-    for key, action in _options(args.parser, args.command).items():
-        value = getattr(args, action.dest)
-        if isinstance(action, argparse._StoreTrueAction):
-            params[key] = str(value).lower()
-        else:
-            params[key] = "" if value is None else str(value)
-        if action.type is _input_path and value is not None:
-            hashes[os.path.basename(value)] = sha256_file(value)
-    return RunManifest(command=args.command, params=params, seed=seed,
-                       version=__version__, input_hashes=hashes,
-                       started=args.started)
+def _refuse_overwrites(inputs: list, outputs: list) -> None:
+    """Refuse a run in which an output (the manifest last) is an input or
+    an earlier output: the same real path, or the same file where both
+    exist.  Each entry is a (name, path) pair."""
+    for i, (name, out) in enumerate(outputs):
+        for other, path in inputs + outputs[:i]:
+            if os.path.realpath(out) == os.path.realpath(path) or (
+                    os.path.exists(out) and os.path.exists(path)
+                    and os.path.samefile(out, path)):
+                raise InputFormatError(
+                    f"{name} {out} would overwrite {other} {path}")
 
 
-def _finish(manifest: RunManifest, out_path: str | None):
-    manifest.finished = RunManifest.now()
-    if out_path:
-        manifest.save(out_path + ".manifest")
+def _execute(parser: argparse.ArgumentParser, argv, source: str = "") -> int:
+    """The exit code of the command line ``argv``, parsed (a refusal
+    raises InputFormatError, after ``source``) and run once no output
+    would overwrite an input, another output or the manifest.  A command
+    with an output saves its manifest beside the first one: each option's
+    value (a flag as true/false, an unset one as ""), the seed, the
+    sha256 of each input file given, the digests the command adds to
+    args.input_hashes, and the start and end of the run."""
+    try:
+        args = parser.parse_args(argv)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{source}{exc}") from None
+    started = RunManifest.now()
+    args.parser, args.input_hashes = parser, {}
+    options = _options(parser, args.command)
+    values = {key: getattr(args, a.dest) for key, a in options.items()}
+    inputs, outputs = ([(f"--{k}", v) for k, v in values.items()
+                        if v and options[k].type is kind]
+                       for kind in (_input_path, _output_path))
+    if outputs:
+        outputs.append(("the manifest", outputs[0][1] + ".manifest"))
+    _refuse_overwrites(inputs, outputs)
+    code = args.run(args)
+    if outputs:
+        args.input_hashes.update(
+            (os.path.basename(path), sha256_file(path)) for _, path in inputs)
+        params = {k: "" if v is None else str(v).lower() if isinstance(v, bool)
+                  else str(v) for k, v in values.items()}
+        RunManifest(command=args.command, params=params,
+                    seed=getattr(args, "seed", None), version=__version__,
+                    input_hashes=args.input_hashes, started=started,
+                    finished=RunManifest.now()).save(outputs[-1][1])
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +179,8 @@ def _run_check(args) -> int:
     report = check_admissibility(response, grid)
     text = report.summary()
     print(text)
-    manifest = _manifest_for(args)
     if args.out:
         write_atomic(args.out, text + "\n")
-    _finish(manifest, args.out)
     return 0 if report.satisfies_all else 1
 
 
@@ -198,9 +229,6 @@ def _run_density(args) -> int:
             print(f"loglog_slope[{span[0]:g},{span[1]:g}]={slope:.4f}")
     except (DomainError, FloatingPointError):
         pass
-
-    manifest = _manifest_for(args)
-    _finish(manifest, args.out)
     return 0
 
 
@@ -212,7 +240,6 @@ def _run_simulate(args) -> int:
     if args.model == "gbm":
         series = simulate_gbm(args.mu, args.sigma, args.dt, args.steps,
                               args.p0, args.seed, threads=args.threads)
-        config_digest = None
     else:
         params = OrderFlowParams(args.mu1, args.mu2, args.sigma1, args.sigma2,
                                  args.rho)
@@ -222,7 +249,7 @@ def _run_simulate(args) -> int:
                         seed=args.seed,
                         rejection_policy=RejectionPolicy(args.policy))
         series = simulate_path(cfg, threads=args.threads)
-        config_digest = cfg.digest()
+        args.input_hashes["config"] = cfg.digest()
 
     save_price_series(series, args.out, threads=args.threads)
     log_prices, rejected = series.log_prices, series.meta.get("rejected", 0)
@@ -231,10 +258,6 @@ def _run_simulate(args) -> int:
     del log_prices  # dead before np.var's temporary
     print(f"steps={args.steps} mean_log_return={np.mean(r):.6e} "
           f"var_log_return={np.var(r):.6e} rejected={rejected}")
-    manifest = _manifest_for(args, seed=args.seed)
-    if config_digest is not None:
-        manifest.input_hashes["config"] = config_digest
-    _finish(manifest, args.out)
     return 0
 
 
@@ -269,11 +292,10 @@ def _run_tails(args) -> int:
         values = scaled_returns(load_price_series(args.prices),
                                 args.as_returns)
 
-    report = classify_tail(values, kinds,
-                           threshold_quantile=args.threshold_quantile,
-                           side=args.side)
+    report, *sweep = threshold_sweep(
+        values, kinds, side=args.side,
+        quantiles=(args.threshold_quantile, *SWEEP_QUANTILES))
     lines = dict(report.key_values())
-    sweep = threshold_sweep(values, kinds, side=args.side)
     for swept in sweep:
         lines[f"sweep.{swept.threshold:.6g}.class"] = swept.tail.kind.value
         lines[f"sweep.{swept.threshold:.6g}.estimate"] = swept.estimate
@@ -282,10 +304,7 @@ def _run_tails(args) -> int:
     if args.out:
         write_atomic(args.out, text)
     if args.csv:
-        write_atomic(args.csv,
-                     key_values_csv([r.key_values() for r in sweep]))
-    manifest = _manifest_for(args)
-    _finish(manifest, args.out or args.csv)
+        write_atomic(args.csv, key_values_csv([r.key_values() for r in sweep]))
     return 0
 
 
@@ -312,8 +331,6 @@ def _run_fit(args) -> int:
         write_atomic(args.csv, key_values_csv([result.key_values()]))
     if args.overlay:
         _write_overlay(changes, result, args.overlay)
-    manifest = _manifest_for(args)
-    _finish(manifest, args.out or args.overlay or args.csv)
     return 0
 
 
@@ -378,12 +395,7 @@ def _run_replay(args) -> int:
         argv.extend(["--seed", str(manifest.seed)])
     if args.threads is not None and manifest.command == "simulate":
         argv.extend(["--threads", str(args.threads)])
-    try:
-        args.parser.parse_args(argv)
-    except SystemExit:  # the parser has printed the value it refused
-        raise InputFormatError(f"{args.manifest}: its params are not valid "
-                               f"{manifest.command} options") from None
-    return main(argv)
+    return _execute(args.parser, argv, f"{args.manifest}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +403,18 @@ def _run_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _threads(text: str) -> int:
-    """argparse type of --threads: a positive count."""
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive count")
-    return int(text)
+    """argparse type of --threads: a count parallel.thread_count takes."""
+    from . import parallel
+
+    try:
+        return parallel.thread_count(int(text))
+    except ValueError:  # a DomainError too
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive count") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratiotails",
         description="Ratio-driven price dynamics: densities, simulation, "
                     "tail estimation and family recovery")
@@ -414,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rescale to unit slope at r=1 before checking")
     p.add_argument("--grid-max-log", type=float, default=6.0)
     p.add_argument("--grid-points", type=int, default=120)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_output_path)
     p.set_defaults(run=_run_check)
 
     p = sub.add_parser("density", help="evaluate a density curve to CSV")
@@ -430,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=6.0)
     p.add_argument("--points", type=int, default=401)
     p.add_argument("--log-grid", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output_path, required=True)
     p.set_defaults(run=_run_density)
 
     p = sub.add_parser("simulate", help="simulate a price path to CSV")
@@ -451,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="resample")
     p.add_argument("--mu", type=float, default=0.05, help="gbm drift")
     p.add_argument("--sigma", type=float, default=0.2, help="gbm volatility")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output_path, required=True)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--threads", type=_threads,
                    help="threads that draw the path and format its CSV "
@@ -468,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", default="power,exp")
     p.add_argument("--threshold-quantile", type=float, default=0.99)
     p.add_argument("--side", choices=["abs", "right", "left"], default="abs")
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None,
+    p.add_argument("--out", type=_output_path)
+    p.add_argument("--csv", type=_output_path,
                    help="write the threshold sweep as CSV rows")
     p.set_defaults(run=_run_tails)
 
@@ -484,9 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="correlation of the order-flow pair, in [-1, 1)")
     p.add_argument("--interpolate", action="store_true")
     p.add_argument("--boot", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--overlay", default=None)
-    p.add_argument("--csv", default=None, help="write the result as a CSV row")
+    p.add_argument("--out", type=_output_path)
+    p.add_argument("--overlay", type=_output_path)
+    p.add_argument("--csv", type=_output_path,
+                   help="write the result as a CSV row")
     p.set_defaults(run=_run_fit)
 
     p = sub.add_parser("replay", help="re-run a saved manifest")
@@ -500,12 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.started = RunManifest.now()
-    args.parser = parser
     try:
-        return args.run(args)
+        return _execute(build_parser(), argv)
     except NonIdentifiableError as exc:
         print(f"non-identifiable: {exc}", file=sys.stderr)
         for name, score in sorted(exc.scores.items()):

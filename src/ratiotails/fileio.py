@@ -417,18 +417,16 @@ def _write_blocks(path: str, header: str, rows: int, block,
     """``header``, then the text block(i) of rows i to i + _ROWS for i =
     0, _ROWS, ... below ``rows``, written atomically.
 
-    The blocks are dealt in turn to up to ``threads`` lanes (by default
-    the usable CPUs), each on one thread for the whole write (see
+    The blocks are dealt in turn to up to ``threads`` lanes (see
+    parallel.thread_count), each on one thread for the whole write (see
     parallel.thread_map): a lane formats its next block, then writes it
     once every earlier block is written, so the bytes are the serial ones
     and a lane holds one block at a time.  A lane that fails stops the
     others at their next turn."""
     from . import parallel
 
-    if threads is None:
-        threads = parallel.usable_cpus()
     starts = range(0, rows, _ROWS)
-    lanes = max(1, min(threads, len(starts)))
+    lanes = max(1, min(parallel.thread_count(threads), len(starts)))
     turn = threading.Condition()
     written = 0  # blocks written; None once a lane has failed
 

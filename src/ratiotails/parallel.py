@@ -1,11 +1,13 @@
 """The CPUs this process may use, and an order-keeping thread map over them.
 
-``usable_cpus`` sizes every parallel stage: ``thread_map`` takes it when
-no thread count is given (the simulator's chunk draws, the CSV
-formatting lanes, the fit's per-candidate searches and its full-bulk
-passes), and the CSV parse takes its process count from it.  Only the
-draws and the CSV formatting of ``simulate --threads`` take another
-count.  No stage's output depends on the count.
+``usable_cpus`` sizes every parallel stage.  ``thread_count`` turns a
+``threads`` argument into a count, the usable CPUs when none is given,
+for ``thread_map`` (the simulator's chunk draws, the fit's per-candidate
+searches and its full-bulk passes) and for the CSV formatting lanes; the
+CSV parse takes its process count from ``usable_cpus``.  Only the draws
+and the CSV formatting of ``simulate --threads`` take another count, and
+``thread_count`` refuses one below 1 for them all.  No stage's output
+depends on the count.
 """
 
 from __future__ import annotations
@@ -22,9 +24,21 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def thread_count(threads: int | None = None) -> int:
+    """The count of threads a ``threads`` argument asks for: the usable
+    CPUs for None; a count below 1 raises DomainError."""
+    if threads is None:
+        return usable_cpus()
+    if threads < 1:
+        from .errors import DomainError
+
+        raise DomainError(f"threads={threads} is not a positive count")
+    return threads
+
+
 def thread_map(fn, items, threads: int | None = None) -> list:
-    """[fn(x) for x in items], on up to ``threads`` threads (by default
-    the usable CPUs) when there is more than one item and more than one
+    """[fn(x) for x in items], on up to ``threads`` threads (see
+    thread_count) when there is more than one item and more than one
     thread: the calling thread and the other threads take the items in
     order from one queue.  The results keep the order of ``items``, the
     first exception in that order is raised, and every worker has been
@@ -37,8 +51,7 @@ def thread_map(fn, items, threads: int | None = None) -> list:
     is the first in order of all the items.
     """
     items = list(items)
-    workers = min(usable_cpus() if threads is None else threads,
-                  len(items)) - 1
+    workers = min(thread_count(threads), len(items)) - 1
     if workers < 1:
         return [fn(x) for x in items]
     results = [None] * len(items)

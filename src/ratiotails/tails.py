@@ -42,6 +42,7 @@ __all__ = [
 
 MIN_TAIL_POINTS = 10
 DEFAULT_CANDIDATES = (TailKind.POWER_LAW, TailKind.EXPONENTIAL)
+SWEEP_QUANTILES = (0.98, 0.99, 0.995)  # threshold_sweep's default
 
 
 @dataclass(frozen=True)
@@ -436,7 +437,7 @@ def classify_tail(samples, candidates=DEFAULT_CANDIDATES, *,
 
 
 def threshold_sweep(samples, candidates=DEFAULT_CANDIDATES, *,
-                    quantiles=(0.98, 0.99, 0.995), side: str = "abs"):
+                    quantiles=SWEEP_QUANTILES, side: str = "abs"):
     """classify_tail across several thresholds, for sensitivity reporting,
     from one |samples| that ``quantile`` reorders; |x| > u just where
     x > u or x < -u."""

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, artifacts, manifest replay."""
 
+import argparse
 import contextlib
 import io
 import math
@@ -306,22 +307,19 @@ def test_simulate_takes_the_top_64_bit_seed(tmp_path, model):
 @pytest.mark.parametrize("threads", ["0", "-5", "1.5", "x"])
 def test_threads_below_one_are_refused_by_the_parser(tmp_path, capsys,
                                                      threads):
-    # simulate --threads and replay --threads take a positive count only
+    # simulate --threads and replay --threads take a positive count only;
+    # the refusal is bad input told in one line, returned in-process
     out, again = tmp_path / "s.csv", tmp_path / "r.csv"
-    with pytest.raises(SystemExit) as exc:
-        run("simulate", "--model", "gbm", "--steps", 10,
-            f"--threads={threads}", "--out", out)
-    assert exc.value.code == 2
+    assert run("simulate", "--model", "gbm", "--steps", 10,
+               f"--threads={threads}", "--out", out) == 2
     assert not out.exists()
     assert run("simulate", "--model", "gbm", "--steps", 10, "--out", out) == 0
-    with pytest.raises(SystemExit) as exc:
-        run("replay", f"{out}.manifest", "--out", again,
-            f"--threads={threads}")
-    assert exc.value.code == 2
+    assert run("replay", f"{out}.manifest", "--out", again,
+               f"--threads={threads}") == 2
     assert not again.exists()
     err = capsys.readouterr().err
-    assert err.count(f"error: argument --threads: {threads!r} is not a "
-                     "positive count") == 2
+    assert err.splitlines() == [f"error: argument --threads: {threads!r} "
+                                "is not a positive count"] * 2
 
 
 def test_simulate_gbm_zero_vol_exact(tmp_path):
@@ -566,22 +564,17 @@ def degenerate_prices(kind: str, n: int, seed: int) -> str:
 
 def main_contract(argv):
     """main(argv) in-process: its exit code, checked against the
-    contract (0-3, nothing raised, one error line on a nonzero exit)."""
+    contract (0-3, nothing raised, no usage block, and one error line
+    just on a 2, a refusal of the parser included)."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # the parser refused an option
-            assert exc.code == 2
-            assert err.getvalue().count(": error: argument ") == 1
-            return 2
+        code = main(argv)
     assert code in (0, 1, 2, 3)
-    if code:
-        lines = err.getvalue().splitlines()
-        assert sum(line.startswith("error: ") for line in lines) <= 1
-        assert code != 2 or sum(line.startswith("error: ")
-                                for line in lines) == 1
+    errors = sum(line.startswith("error: ")
+                 for line in err.getvalue().splitlines())
+    assert errors == (code == 2)  # a parser refusal too: 2, one line
+    assert "usage:" not in err.getvalue()
     return code
 
 
@@ -809,6 +802,99 @@ def test_exit_code_follows_the_error_type(tmp_path, monkeypatch, capsys):
                 else 2 if issubclass(error, ValueError) else 1)
         assert run("tails", "--samples", path) == want, error.__name__
         assert "injected" in capsys.readouterr().err
+
+
+# a working command line of each command, then a value its typed option
+# refuses, a choice it lacks, an option prefix that is ambiguous and the
+# line cut short
+_COMMAND_LINES = {
+    "check": (["check", "--family", "sym"],
+              ["--grid-points=x", "--family=foo", "--grid", "--family"]),
+    "density": (["density", "--out", "d.csv"],
+                ["--points=1.5", "--transform=foo", "--mu", "--out"]),
+    "simulate": (["simulate", "--out", "s.csv"],
+                 ["--steps=x", "--model=foo", "--s", "--seed"]),
+    "tails": (["tails", "--samples", "v.csv"],
+              ["--threshold-quantile=x", "--side=foo", "--s", "--csv"]),
+    "fit": (["fit", "--prices", "p.csv", "--delta-t", "1e-6",
+             "--big-delta-t", "1e-4", "--stride", "1e-4"],
+            ["--boot=1.5", "--rho=x", "--b", "--overlay"]),
+    "replay": (["replay", "m.manifest"],
+               ["--threads=1.5", "--threads=0", "--threads", "--out"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_COMMAND_LINES)), st.integers(0, 7),
+       st.booleans())
+@example("simulate", 4, False)   # no --out
+@example("replay", 4, False)     # no manifest
+@example("check", 6, True)       # no command
+def parser_refusals_keep_the_contract(command, defect, at_end):
+    argv, refusals = _COMMAND_LINES[command]
+    if defect < 4:
+        where = len(argv) if at_end else 1
+        argv = argv[:where] + [refusals[defect]] + argv[where:]
+    elif defect == 4:  # the required options dropped; a stray word for
+        # check and tails, which have none
+        argv = argv[:1] + ([] if command == "replay" else argv[1:-2])
+        argv = argv if command not in ("check", "tails") else argv + ["x"]
+    elif defect == 5:
+        argv = argv + (["--nosuch"] if at_end else ["stray"])
+    else:
+        argv = argv[1:] if at_end else ["--nosuch"] + argv
+    assert main_contract(argv) == 2
+
+
+def test_parser_refusals_keep_the_exit_code_contract():
+    # through main, in-process: an unknown, incomplete, ambiguous or
+    # refused option, a stray or missing argument and a missing command
+    # are bad input like any other, for every command: 2 and one error
+    # line, with no usage block and nothing raised
+    start = time.perf_counter()
+    parser_refusals_keep_the_contract()
+    assert time.perf_counter() - start <= 10.0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["fit", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_no_output_overwrites_an_input_another_output_or_the_manifest(
+        tmp_path, monkeypatch, capsys):
+    # compared by real path, and as files where both exist: each run is
+    # refused as bad input before it writes, and the prices are kept
+    monkeypatch.chdir(tmp_path)
+    _simulate_prices(tmp_path, "q.csv", steps=20000, seed=31)
+    assert run("tails", "--prices", "q.csv", "--as-returns", 1e-6,
+               "--out", "t.txt") == 0
+    os.link("q.csv", "linked.csv")
+    os.symlink(tmp_path, "here")
+    sha, before = sha256_file("q.csv"), sorted(os.listdir(tmp_path))
+    tails = ["tails", "--prices", "q.csv", "--as-returns", 1e-6]
+    fit = ["fit", "--prices", "q.csv", "--delta-t", 1e-6,
+           "--big-delta-t", 1e-4, "--stride", 1e-4]
+    for argv in ([*tails, "--out", "q.csv"],
+                 [*tails, "--out", "./q.csv"],
+                 [*tails, "--out", "here/q.csv"],
+                 [*tails, "--csv", "linked.csv"],
+                 [*tails, "--out", "r.txt", "--csv", "r.txt"],
+                 [*fit, "--out", "a.txt", "--csv", "a.txt.manifest"],
+                 [*fit, "--overlay", "o.csv", "--csv", "here/o.csv"],
+                 [*fit, "--overlay", "q.csv"],
+                 ["replay", "t.txt.manifest", "--out", "q.csv"]):
+        capsys.readouterr()
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " would overwrite " in err
+        assert err.count("\n") == 1
+        assert sha256_file("q.csv") == sha
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 # ---------------------------------------------------------------------------
@@ -1185,15 +1271,59 @@ def test_replay_threads_reach_only_simulate(tmp_path):
                     "--big-delta-t", 1e-4, "--stride", 1e-4],
     }
     for name, argv in commands.items():
-        with pytest.raises(SystemExit) as exc:
-            run(*argv, "--threads", 2)
-        assert exc.value.code == 2
+        assert run(*argv, "--threads", 2) == 2
         out = tmp_path / name
         assert run(*argv, "--out", out) == 0
         again = tmp_path / ("again-" + name)
         assert run("replay", str(out) + ".manifest", "--out", again,
+                   "--threads", 0) == 2  # refused whatever the command
+        assert run("replay", str(out) + ".manifest", "--out", again,
                    "--threads", 2) == 0
         assert again.read_bytes() == out.read_bytes()
+
+
+def test_replay_parses_the_rebuilt_line_once_and_names_the_manifest(
+        tmp_path, monkeypatch, capsys):
+    # replay runs the rebuilt command line on the path main takes, with
+    # main's parser: one parser built, one parse per command line, no
+    # second call of main; a refusal names the manifest in one line
+    out = tmp_path / "s.csv"
+    assert run("simulate", "--model", "gbm", "--steps", 10, "--out", out) == 0
+    built, parsed, mains = [], [], []
+    build, main_ = cli.build_parser, cli.main
+    parse = argparse.ArgumentParser.parse_args
+
+    def spy_build():
+        built.append(build())
+        return built[-1]
+
+    def spy_parse(self, args=None, namespace=None):
+        parsed.append(list(args))
+        return parse(self, args, namespace)
+
+    def spy_main(argv=None):
+        mains.append(argv)
+        return main_(argv)
+
+    monkeypatch.setattr(cli, "build_parser", spy_build)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy_parse)
+    monkeypatch.setattr(cli, "main", spy_main)
+    again = tmp_path / "again.csv"
+    assert cli.main(["replay", f"{out}.manifest", "--out", str(again)]) == 0
+    assert len(built) == len(mains) == 1
+    assert [argv[0] for argv in parsed] == ["replay", "simulate"]
+    assert again.read_bytes() == out.read_bytes()
+
+    bad = tmp_path / "bad.manifest"
+    bad.write_text("".join(
+        "param.dt=abc\n" if line.startswith("param.dt=") else line
+        for line in (tmp_path / "s.csv.manifest").read_text().splitlines(
+            keepends=True)))
+    capsys.readouterr()
+    assert main(["replay", str(bad), "--out", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: argument --dt: invalid float value: 'abc'\n")
+    assert not (tmp_path / "b.csv").exists()
 
 
 # each command's manifest as written when the params were listed by hand

@@ -21,11 +21,10 @@ from ratiotails.fileio import (_ROWS, _format_rows, load_price_series,
 from ratiotails.fitting import WindowSpec, fit_price_series, scaled_returns
 from ratiotails.response import Family, ResponseSpec
 from ratiotails.simulate import SimConfig, simulate_path
-from ratiotails.tails import threshold_sweep
+from ratiotails.tails import SWEEP_QUANTILES, threshold_sweep
 
 STEPS = 2 * 10 ** 5
 ARRAY = 8 * STEPS  # bytes of one 8-byte-per-row array
-SWEEP = (0.98, 0.99, 0.995)  # threshold_sweep's default
 
 
 def arrays_at_peak(fn):
@@ -117,10 +116,10 @@ def test_returns_and_tail_sweep_hold_one_transient(config):
 
     def tails_command():
         values = scaled_returns(series, 1e-6)
-        return threshold_sweep(values, quantiles=(0.99, *SWEEP))
+        return threshold_sweep(values, quantiles=(0.99, *SWEEP_QUANTILES))
 
     reports, arrays, _ = arrays_at_peak(tails_command)
     assert [r.threshold for r in reports[1:]] == [
         float(np.quantile(np.abs(scaled_returns(series, 1e-6)), q))
-        for q in SWEEP]
+        for q in SWEEP_QUANTILES]
     assert arrays <= 2.5

@@ -1,5 +1,5 @@
-"""The order-keeping thread map, and the usable-CPU count that sizes
-every parallel stage."""
+"""The order-keeping thread map, the usable-CPU count that sizes every
+parallel stage, and the one check of a thread count."""
 
 import contextlib
 import hashlib
@@ -10,8 +10,10 @@ import time
 
 import pytest
 
-from ratiotails import fileio, parallel
+from ratiotails import (Family, OrderFlowParams, ResponseSpec, SimConfig,
+                        fileio, parallel, simulate)
 from ratiotails.cli import main
+from ratiotails.errors import DomainError
 from ratiotails.parallel import thread_map
 from ratiotails.simulate import CHUNK
 
@@ -114,6 +116,39 @@ def test_one_thread_or_one_item_runs_on_the_caller():
         [caller] * 3
     assert thread_map(lambda i: threading.get_ident(), [0], 4) == [caller]
     assert thread_map(lambda i: i, [], 4) == []
+
+
+def test_thread_count_reads_the_usable_cpus_when_called(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 7)
+    assert parallel.thread_count() == parallel.thread_count(None) == 7
+    assert parallel.thread_count(3) == 3
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_a_count_below_one_raises_before_any_draw_or_write(tmp_path,
+                                                            monkeypatch,
+                                                            threads):
+    # one check for the thread map, the draws and the CSV formatting
+    # lanes: no chunk is drawn, and no file is left
+    drawn = []
+    stream = simulate.stream
+    monkeypatch.setattr(simulate, "stream",
+                        lambda *a: drawn.append(a) or stream(*a))
+    cfg = SimConfig(params=OrderFlowParams(1.0, 1.0, 0.35, 0.35, -1.0),
+                    response=ResponseSpec(Family.SYM), tau0=1.0, dt=1e-4,
+                    n_steps=10, p0=1.0, seed=3)
+    with pytest.raises(DomainError, match="not a positive count"):
+        simulate.simulate_gbm(0.05, 0.2, 1e-4, 10, 1.0, 3, threads=threads)
+    with pytest.raises(DomainError, match="not a positive count"):
+        simulate.simulate_path(cfg, threads=threads)
+    with pytest.raises(DomainError, match="not a positive count"):
+        thread_map(abs, [1, 2], threads)
+    assert drawn == []
+    series = simulate.simulate_path(cfg, threads=1)
+    with pytest.raises(DomainError, match="not a positive count"):
+        fileio.save_price_series(series, str(tmp_path / "p.csv"),
+                                 threads=threads)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_pipeline_does_not_depend_on_the_usable_cpus(tmp_path,
