@@ -381,6 +381,10 @@ def _run_replay(args) -> int:
     argv = [manifest.command]
     params = dict(manifest.params)
     if args.out is not None and "out" in params:
+        # the run's other outputs go beside the new one, not over its own
+        for key, action in options.items():
+            if action.type is _output_path and params.get(key):
+                params[key] = f"{args.out}.{key}"
         params["out"] = args.out
     for key, value in params.items():
         if key not in options:
@@ -508,7 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a saved manifest")
     p.add_argument("manifest")
-    p.add_argument("--out", default=None, help="override the output path")
+    p.add_argument("--out", default=None,
+                   help="override the output path; the run's other outputs "
+                        "go to OUT.csv and OUT.overlay")
     p.add_argument("--threads", type=_threads,
                    help="--threads of a replayed simulate")
     p.set_defaults(run=_run_replay)

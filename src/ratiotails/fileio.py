@@ -8,21 +8,22 @@ writes them, the shortest text that reads back as the same float):
     density  x,f,method
     tables   x,g
 
-Numeric CSVs are read by np.loadtxt, one piece of whole lines at a
-time, each piece's rows written straight into the body that the reader
-returns; a large body's pieces are parsed in forked worker processes,
-up to the usable CPUs (parallel.usable_cpus), whose shared map is that
-body.  A file that loadtxt cannot take is reread line by line, which
-words the error as path:line.  Manifests and reports are plain
-``key=value`` text.  All writers, CSV ones streaming rows in blocks, go
-through an atomic temp-file rename so a failed command never leaves a
-partial artifact behind.  CSV blocks are formatted in-process by
-whole-array numpy steps that give repr's exact bytes (see "float text"
-below), on up to the usable CPUs (``threads`` of save_price_series), each
-thread holding one block at a time; save_price_series exponentiates each
-block's log-prices as it formats the block, so no price column is ever
-made.  No process is started to write.  Neither the values read nor the
-bytes written ever depend on the thread or process count.
+Numeric CSVs are read in pieces of whole lines, dealt to lanes on up to
+the usable CPUs (parallel.usable_cpus), each piece's rows written straight
+into the body that the reader returns.  A piece of plain decimals is read
+in-process by whole-array numpy steps that give loadtxt's exact floats
+(see "decimal text" below); any other piece goes to np.loadtxt.  A file
+that loadtxt cannot take is reread line by line, which words the error as
+path:line.  Manifests and reports are plain ``key=value`` text.  All
+writers, CSV ones streaming rows in blocks, write bytes through an atomic
+temp-file rename so a failed command never leaves a partial artifact
+behind.  CSV blocks are formatted in-process by whole-array numpy steps
+that give repr's exact bytes (see "float text" below), on up to the
+usable CPUs (``threads`` of save_price_series), each thread holding one
+block at a time; save_price_series exponentiates each block's log-prices
+as it formats the block, so no price column is ever made.  No process is
+started to read or write.  Neither the values read nor the bytes written
+ever depend on the thread count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import mmap
 import os
 import tempfile
 import threading
@@ -62,23 +62,23 @@ __all__ = [
 ]
 
 
-def write_atomic(path: str, text) -> None:
-    """Write text, or an iterable of chunks, via a temp file and rename.
-    A path in a directory that cannot take the file, or that names a
-    directory, raises InputFormatError and leaves no file."""
-    _write_atomic(path, lambda fh: fh.writelines(
-        [text] if isinstance(text, str) else text))
+def write_atomic(path: str, text: str) -> None:
+    """Write text, UTF-8 encoded, via a temp file and rename.  A path in a
+    directory that cannot take the file, or that names a directory, raises
+    InputFormatError and leaves no file."""
+    _write_atomic(path, lambda fh: fh.write(text.encode()))
 
 
 def _write_atomic(path: str, fill) -> None:
-    """write_atomic of what fill(fh) writes to the open temp file fh."""
+    """write_atomic of the bytes fill(fh) writes to the open binary temp
+    file fh."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc.strerror}") from None
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fill(fh)
         try:
             os.replace(tmp, path)
@@ -359,9 +359,9 @@ def _float_words(x: np.ndarray, end: int, out: np.ndarray) -> None:
 _SLICE = 1 << 12  # rows of a block whose NUL bytes one mask drops
 
 
-def _format_rows(columns, label: str | None) -> str:
-    """The CSV text of one block: rows of the float ``columns`` as repr
-    gives them, then ``label`` if given (text without a NUL)."""
+def _format_rows(columns, label: str | None) -> bytes:
+    """The CSV bytes of one block: rows of the float ``columns`` as repr
+    gives them, then ``label`` if given (ASCII text without a NUL)."""
     tail = b"" if label is None else (label + "\n").encode()
     tail = np.frombuffer(tail + bytes(-len(tail) % 4), np.uint32)
     line = np.empty((columns[0].size, _WORDS * len(columns) + tail.size),
@@ -374,23 +374,8 @@ def _format_rows(columns, label: str | None) -> str:
     text = []
     for i in range(0, len(line), _SLICE):
         part = line[i:i + _SLICE]
-        text.append(str(memoryview(part[part != 0]), "utf-8"))
-    return "".join(text)
-
-
-def _fork_context(processes: int):
-    """The fork context for a parse pool of ``processes`` processes, or
-    None where no pool is used: fewer than two processes, no fork on this
-    platform, or a live second thread (fork copies only the calling
-    thread, so a pool waits for a process that runs no other)."""
-    if processes < 2:
-        return None
-    import multiprocessing
-
-    if ("fork" in multiprocessing.get_all_start_methods()
-            and threading.active_count() == 1):
-        return multiprocessing.get_context("fork")
-    return None
+        text.append(part[part != 0].tobytes())
+    return b"".join(text)
 
 
 def write_csv(path: str, header: str, columns,
@@ -414,7 +399,7 @@ def write_csv(path: str, header: str, columns,
 
 def _write_blocks(path: str, header: str, rows: int, block,
                   threads: int | None = None) -> None:
-    """``header``, then the text block(i) of rows i to i + _ROWS for i =
+    """``header``, then the bytes block(i) of rows i to i + _ROWS for i =
     0, _ROWS, ... below ``rows``, written atomically.
 
     The blocks are dealt in turn to up to ``threads`` lanes (see
@@ -450,7 +435,7 @@ def _write_blocks(path: str, header: str, rows: int, block,
             raise
 
     def fill(fh):
-        fh.write(header + "\n")
+        fh.write((header + "\n").encode())
         parallel.thread_map(lambda first: lane(first, fh), range(lanes),
                             lanes)
 
@@ -460,9 +445,9 @@ def _write_blocks(path: str, header: str, rows: int, block,
 def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
                   too_few: str = "") -> np.ndarray:
     """The (ncols, rows) columns of a numeric CSV under ``header``: its
-    body parsed in pieces (see _parse_pieces), or the line loop, which
-    alone words errors, for a file that is not plain ASCII, that loadtxt
-    refuses or that is misshapen."""
+    body parsed in pieces, by the decimal kernel or by loadtxt (see
+    _parse_pieces), or the line loop, which alone words errors, for a file
+    that is not plain ASCII, that loadtxt refuses or that is misshapen."""
     try:
         body = _parse_pieces(path, header, ncols)
         if body is not None and body.shape[1] >= max(min_rows, 1):
@@ -472,16 +457,17 @@ def _read_numeric(path: str, header: str, ncols: int, min_rows: int = 0,
     return _read_lines(path, header, ncols, min_rows, too_few)
 
 
-_PIECE_MIN = 1 << 19  # bytes of body per piece, the last one aside
-_shared = None        # in a parse worker: the body its rows go to
+_PIECE_MIN = 1 << 14  # bytes of body per piece, the last one aside
+_PIECE_MAX = 1 << 18
 
 
 def _plan_pieces(path: str, header: str):
     """The pieces of the body of a plain file whose first line is
-    ``header``, as (offset, lines) pairs; None for any other file.
+    ``header``, as (offset, size, lines) triples; None for any other file.
 
     A piece is a run of whole lines, cut after the first newline once it
-    holds _PIECE_MIN bytes; a plain file is ASCII without the bytes that
+    holds 1/256 of the body's bytes, but at least _PIECE_MIN and at most
+    _PIECE_MAX of them; a plain file is ASCII without the bytes that
     splitlines breaks lines at and loadtxt takes for spaces.  Lines end
     where loadtxt ends them: at a newline, a carriage return and newline,
     or a lone carriage return."""
@@ -491,10 +477,12 @@ def _plan_pieces(path: str, header: str):
         if not _plain(first) or line.strip() != header.encode():
             return None
         fh.seek(len(line) + 1 + (first[len(line):len(line) + 2] == b"\r\n"))
+        step = (os.fstat(fh.fileno()).st_size - fh.tell()) // 256
+        step = min(max(step, _PIECE_MIN), _PIECE_MAX)
         pieces = []
         while True:
             lo = fh.tell()
-            piece = fh.read(_PIECE_MIN) + fh.readline()
+            piece = fh.read(step) + fh.readline()
             if not piece:
                 return pieces
             if not _plain(piece):
@@ -504,7 +492,8 @@ def _plan_pieces(path: str, header: str):
             breaks = int(np.count_nonzero(codes == ord("\n")))
             if b"\r" in piece:
                 breaks += piece.count(b"\r") - piece.count(b"\r\n")
-            pieces.append((lo, breaks + (piece[-1:] not in b"\r\n")))
+            pieces.append((lo, len(piece),
+                           breaks + (piece[-1:] not in b"\r\n")))
 
 
 def _plain(text: bytes) -> bool:
@@ -516,36 +505,35 @@ def _parse_pieces(path: str, header: str, ncols: int):
     """The (ncols, rows) body of a plain CSV whose first line is ``header``
     (see _plan_pieces), or None for any other file.
 
-    np.loadtxt parses one piece at a time, and the piece's rows go, as
-    columns, straight into the body, which has a column for every line:
-    in this process into an array, or, with four pieces or more, two
-    usable CPUs or more and a fork context (see _fork_context), on a
-    forked pool into an anonymous shared mmap, which then is the body.
-    Blank lines, which loadtxt skips, leave gaps, closed once every piece
-    is in: each piece's rows move down to follow the previous piece's,
-    and the body is its first columns.  A piece that loadtxt refuses or
-    that has another column count raises ValueError."""
+    The pieces are dealt, in order, to up to the usable CPUs (see
+    parallel.thread_map), each lane reusing its own scratch (_Lane).  The
+    decimal kernel parses a piece that its grammar takes (see "decimal
+    text" below), np.loadtxt any other (_parse_piece), and the piece's
+    rows go, as columns, straight into the body, which has a column for
+    every line.  Blank lines, which loadtxt skips, leave gaps, closed once
+    every piece is in: each piece's rows move down to follow the previous
+    piece's, and the body is its first columns.  A piece that loadtxt
+    refuses or that has another column count raises ValueError."""
     from . import parallel
 
     pieces = _plan_pieces(path, header)
     if pieces is None:
         return None
-    starts = np.cumsum([0] + [lines for _, lines in pieces]).tolist()
-    tasks = [(path, lo, ncols, start, lines)
-             for (lo, lines), start in zip(pieces, starts)]
-    # a worker for every two pieces: under four, the ~15 ms that a pool
-    # takes to start is more than it saves
-    processes = min(parallel.usable_cpus(), len(tasks) // 2)
-    context = _fork_context(processes)
-    if context is None:
-        body = np.empty((ncols, starts[-1]))
-        counts = [_parse_piece(task, body) for task in tasks]
-    else:
-        body = np.frombuffer(mmap.mmap(-1, 8 * ncols * starts[-1]),
-                             float).reshape(ncols, -1)
-        with context.Pool(processes, initializer=_share,
-                          initargs=(body,)) as pool:
-            counts = pool.map(_parse_piece, tasks)
+    pieces = np.array(pieces, np.int64).reshape(-1, 3)  # smaller than tuples
+    starts = np.concatenate([[0], np.cumsum(pieces[:, 2])])
+    body = np.empty((ncols, starts[-1]))
+    lanes = threading.local()
+
+    def parse(j):
+        (lo, size, lines), start = pieces[j].tolist(), int(starts[j])
+        if not hasattr(lanes, "lane"):
+            lanes.lane = _Lane()
+        rows = body[:, start:start + lines]
+        if lanes.lane.parse(path, lo, size, ncols, rows):
+            return lines
+        return _parse_piece(path, lo, lines, rows)
+
+    counts = parallel.thread_map(parse, range(len(pieces)))
     rows = sum(counts)
     if rows < starts[-1]:
         end = 0
@@ -557,27 +545,197 @@ def _parse_pieces(path: str, header: str, ncols: int):
     return body
 
 
-def _share(body) -> None:
-    global _shared
-    _shared = body
+_LOADTXT = threading.Lock()  # catch_warnings sets the process's filters
 
 
-def _parse_piece(task, body=None) -> int:
-    """The rows of the ``lines`` lines from offset ``lo``, as columns, into
-    ``body`` (in a parse worker, the shared one) from column ``start`` on;
-    their count back."""
-    path, lo, ncols, start, lines = task
-    with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+def _parse_piece(path: str, lo: int, lines: int, out: np.ndarray) -> int:
+    """np.loadtxt's rows of the ``lines`` lines from offset ``lo``, as
+    columns, into ``out`` (ncols, lines) from its first column on; their
+    count back.  One piece is parsed at a time: loadtxt holds the GIL
+    throughout, and the warning filter it runs under is global."""
+    with open(path, encoding="ascii") as fh, _LOADTXT, \
+            warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # blank lines only
         fh.seek(lo)
         rows = np.loadtxt(itertools.islice(fh, lines), delimiter=",",
                           comments=None, ndmin=2, max_rows=lines)
     if rows.size == 0:
         return 0
-    if rows.shape[1] != ncols:
-        raise ValueError(f"{rows.shape[1]} columns, not {ncols}")
-    (_shared if body is None else body)[:, start:start + len(rows)] = rows.T
+    if rows.shape[1] != len(out):
+        raise ValueError(f"{rows.shape[1]} columns, not {len(out)}")
+    out[:, :len(rows)] = rows.T
     return len(rows)
+
+
+# ---------------------------------------------------------------------------
+# decimal text: loadtxt's floats from whole-array numpy steps
+#
+# The kernel takes a piece whose every line holds the piece's ncols fields,
+# each of the form -?[0-9]+\.[0-9]+ in at most _FIELD = 24 bytes; any other
+# piece goes to loadtxt whole.  A field's digits, its point read as a 0
+# digit, make the integer F (Lemire's eight digits per uint64 word), which
+# must be below 10^18.  With k <= 22 digits after the point, the field's
+# magnitude is M / 10^k, where M = (F + 9 (F mod 10^k)) / 10 <= F (10^18
+# stands for 10^k above 18), and 10^k is an exact double.  For M < 2^53
+# the one division M / 10^k of two exact doubles is correctly rounded
+# (Clinger's fast path).  Otherwise q = fl(fl(M) / 10^k), and _scaled's
+# two-product gives H + f = q 10^k exactly, so c = ((M - H) - f) / 10^k,
+# the rest of M / 10^k beyond q, is computed with two roundings.  As
+# |M - fl(M)| <= 64 (M < 2^60) and ulp(q) >= 2^-53 q >~ 1 / 10^k, |c| <
+# 65 ulp(q), and c is off by under 2^-45 ulp(q).  y = fl(q + c), and the
+# residual s = (q - y) + c (q - y exact by Sterbenz, one rounding) is off
+# from M / 10^k - y by under 2^-44 ulp(y).  So y is the correctly rounded
+# value unless |s| lies within 2^-30 ulp(y) of ulp(y) / 2, ties included,
+# or y is a power of two (whose neighbour below is nearer): those fields
+# are read by float(), which rounds correctly, as loadtxt does.
+# ---------------------------------------------------------------------------
+
+_FIELD = 24  # bytes of the longest field the kernel reads
+
+
+@functools.cache
+def _read_tables():
+    """(keep, pow10): the uint64 masks that keep the bytes of a word from
+    byte c on, for c = 0..8, and the uint64 10^j for j = 0..18."""
+    keep = [((1 << 64) - 1) >> 8 * c << 8 * c for c in range(8)] + [0]
+    return np.array(keep, np.uint64), 10 ** np.arange(19, dtype=np.uint64)
+
+
+class _Lane:
+    """One parse lane's scratch, grown to the largest piece it has read
+    and reused for every later one: the piece's text after _FIELD bytes
+    that only the first rows read (and mask), and an arena for its flags
+    and per-field quantities."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def scratch(self, name: str, n: int, dtype=np.int64) -> np.ndarray:
+        a = self.arrays.get(name)
+        if a is None or a.size < n:
+            a = self.arrays[name] = np.empty(n, dtype)
+        return a[:n]
+
+    def parse(self, path: str, lo: int, size: int, ncols: int,
+              out: np.ndarray) -> bool:
+        """Whether the kernel takes the ``size`` bytes from offset ``lo``
+        (see the section note); if it does, their rows are in ``out``
+        (ncols, lines), as columns."""
+        lines = out.shape[1]
+        n = lines * ncols
+        text = self.scratch("text", _FIELD + size + 1, np.uint8)
+        with open(path, "rb") as fh:
+            fh.seek(lo)
+            if fh.readinto(memoryview(text)[_FIELD:_FIELD + size]) != size:
+                return False
+        if text[_FIELD + size - 1] != ord("\n"):  # the file's last line
+            text[_FIELD + size] = ord("\n")
+            size += 1
+        text = text[:_FIELD + size]
+        piece = text[_FIELD:]
+        # one arena: a flag per byte, then four uint64 slots per field
+        arena = self.scratch("arena", max(-(-size // 8), 4 * n), np.uint64)
+        flags = arena.view(bool)[:size]
+        np.less_equal(piece, ord(","), out=flags)  # separators, or refused
+        ends = np.flatnonzero(flags)
+        if ends.size != n:
+            return False
+        seps = piece[ends].reshape(lines, ncols)
+        if not ((seps[:, -1] == ord("\n")).all()
+                and (seps[:, :-1] == ord(",")).all()):
+            return False
+        np.equal(piece, ord("."), out=flags)
+        points = np.flatnonzero(flags)
+        if points.size != n:
+            return False
+        slots = arena[:4 * n].reshape(4, n)
+        k, M, y = slots[1].view(np.int64), slots[2], slots[3].view(float)
+        starts, lead = slots[0].view(np.int64), y.view(np.int64)
+        starts[0] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        negative = piece[starts] == ord("-")
+        np.subtract(ends, points, out=k)  # the point and the digits after
+        np.subtract(points, starts, out=lead)  # the sign and digits before
+        if np.add(lead, k, out=starts).max() > _FIELD:
+            return False
+        lead -= negative
+        if k.min() < 2 or lead.min() < 1:
+            return False
+        lead += k
+        np.subtract(_FIELD, lead, out=lead)  # the bytes of a row before
+        k -= 1
+        piece[points] = ord("0")
+        del points
+
+        # each field's last _FIELD bytes as one row (a strided view of
+        # _FIELD-byte items), less '0', the bytes before the digits made 0
+        rows = np.ndarray((size + 1,), f"V{_FIELD}", text, strides=(1,))
+        digits = rows[ends].view(np.uint8)
+        digits -= ord("0")
+        words = digits.view("<u8").reshape(n, _FIELD // 8)
+        keep, pow10 = _read_tables()
+        mask = slots[0]
+        for w in range(_FIELD // 8):
+            np.take(keep, lead, mode="clip", out=mask)
+            words[:, w] &= mask
+            lead -= 8
+        if digits.max() > 9:
+            return False
+        # Lemire's steps: digit pairs, then quads, then the eight digits
+        words *= 2561
+        words >>= 8
+        words &= 0x00FF00FF00FF00FF
+        words *= 6553601
+        words >>= 16
+        words &= 0x0000FFFF0000FFFF
+        words *= 42949672960001
+        words >>= 32
+        if words[:, 0].max() >= 100:  # F >= 10^18
+            return False
+        power = slots[0]
+        np.multiply(words[:, 0], 10 ** 16, out=M)
+        np.multiply(words[:, 1], 10 ** 8, out=power)
+        M += power
+        M += words[:, 2]  # F
+        del digits, words
+        np.minimum(k, 18, out=lead)
+        np.take(pow10, lead, out=power)
+        np.remainder(M, power, out=power)
+        power *= 9
+        M += power
+        M //= 10
+
+        tables = _repr_tables()
+        np.take(tables[0], k, out=y)
+        np.divide(M, y, out=y)
+        wide = np.flatnonzero(np.greater_equal(M, 1 << 53,
+                                               out=slots[0].view(bool)[:n]))
+        doubt = wide[:0]
+        if wide.size:
+            q, places = y[wide], k[wide]
+            H, c = _scaled(q, places, tables)
+            np.subtract(M[wide].view(np.int64), H, out=H)
+            np.subtract(H, c, out=c)  # (M - H) - f, rounded once
+            del H
+            c /= tables[0][places]
+            near = q + c
+            q -= near
+            q += c  # the residual s
+            del c
+            ulp = np.spacing(near)
+            np.abs(q, out=q)
+            q -= ulp * 0.5
+            np.abs(q, out=q)
+            ulp *= 2.0 ** -30
+            doubt = wide[(q <= ulp)
+                         | ((near.view(np.int64) & ((1 << 52) - 1)) == 0)]
+            y[wide] = near
+        y *= 1.0 - 2.0 * negative
+        for i in doubt.tolist():
+            piece[ends[i] - k[i] - 1] = ord(".")  # the text as read
+            y[i] = float(piece[ends[i - 1] + 1 if i else 0:ends[i]].tobytes())
+        out[...] = y.reshape(lines, ncols).T
+        return True
 
 
 def _read_lines(path: str, header: str, ncols: int, min_rows: int,

@@ -3,11 +3,11 @@
 ``usable_cpus`` sizes every parallel stage.  ``thread_count`` turns a
 ``threads`` argument into a count, the usable CPUs when none is given,
 for ``thread_map`` (the simulator's chunk draws, the fit's per-candidate
-searches and its full-bulk passes) and for the CSV formatting lanes; the
-CSV parse takes its process count from ``usable_cpus``.  Only the draws
-and the CSV formatting of ``simulate --threads`` take another count, and
-``thread_count`` refuses one below 1 for them all.  No stage's output
-depends on the count.
+searches and its full-bulk passes, and the CSV parse lanes) and for the
+CSV formatting lanes.  Only the draws and the CSV formatting of
+``simulate --threads`` take another count, and ``thread_count`` refuses
+one below 1 for them all.  No stage starts a process, and no stage's
+output depends on the count.
 """
 
 from __future__ import annotations

@@ -901,6 +901,35 @@ def test_no_output_overwrites_an_input_another_output_or_the_manifest(
 # fit
 # ---------------------------------------------------------------------------
 
+def test_replay_out_writes_the_other_outputs_beside_it(tmp_path,
+                                                       monkeypatch):
+    # with --out X, a replay writes the run's --csv and --overlay to X.csv
+    # and X.overlay, as the run wrote them, and leaves the originals as
+    # they are, a line added to each included
+    monkeypatch.chdir(tmp_path)
+    _simulate_prices(tmp_path, "q.csv", steps=20000, seed=31)
+    assert run("tails", "--prices", "q.csv", "--as-returns", 1e-6,
+               "--csv", "s.csv") == 0
+    assert run("fit", "--prices", "q.csv", "--delta-t", 1e-6,
+               "--big-delta-t", 1e-4, "--stride", 1e-4, "--out", "f.txt",
+               "--overlay", "o.csv", "--csv", "f.csv") == 0
+    written = {name: sha256_file(name) for name in ("s.csv", "o.csv")}
+    for name in written:
+        with open(name, "a") as fh:
+            fh.write("added\n")
+    before = {name: sha256_file(name) for name in os.listdir(tmp_path)}
+    assert run("replay", "s.csv.manifest", "--out", "s.txt") == 0
+    assert run("replay", "f.txt.manifest", "--out", "g.txt") == 0
+    assert {name: sha256_file(name) for name in before} == before
+    made = ["s.txt", "s.txt.csv", "s.txt.manifest", "g.txt", "g.txt.csv",
+            "g.txt.overlay", "g.txt.manifest"]
+    assert sorted(os.listdir(tmp_path)) == sorted([*before, *made])
+    for new, old in [("g.txt", "f.txt"), ("g.txt.csv", "f.csv")]:
+        assert sha256_file(new) == before[old], new
+    assert sha256_file("s.txt.csv") == written["s.csv"]
+    assert sha256_file("g.txt.overlay") == written["o.csv"]
+
+
 def _simulate_prices(tmp_path, name, family="power", q="1", steps=200000,
                      seed=29):
     path = tmp_path / name
@@ -1489,7 +1518,7 @@ def _fresh_python(code: str, cwd) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_multiprocessing(tmp_path):
-    # the CSV parse imports it only when it forks workers
+    # no command starts a process
     out = _fresh_python("import sys, ratiotails.cli\n"
                         "print('multiprocessing' in sys.modules)", tmp_path)
     assert out.stdout.strip() == "False"

@@ -2,8 +2,10 @@
 
 import multiprocessing
 import os
+import re
 import sys
 import threading
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,8 @@ from ratiotails.fileio import (RunManifest, format_key_values,
                                parse_key_values, save_density_curve,
                                save_price_series, save_samples, sha256_file,
                                write_atomic, write_csv)
-from ratiotails.fileio import _ROWS, _format_rows, _read_lines, _read_numeric
+from ratiotails.fileio import (_ROWS, _format_rows, _parse_piece, _read_lines,
+                               _read_numeric)
 
 
 def on_cpus(n: int):
@@ -220,7 +223,7 @@ def test_loader_takes_the_log_from_prices_bits(tmp_path_factory, times,
                                                 prices, path_kind):
     # the log-prices the loader writes over the parsed prices are
     # from_prices' bits, whether the body is parsed whole, in pieces on
-    # forked workers or, for a file loadtxt may not take, line by line
+    # two lanes or, for a file loadtxt may not take, line by line
     times = np.sort(np.array(times))
     prices = np.array(prices[:times.size])
     loose = "\x0c" if path_kind == "lines" else ""  # not plain: the loop
@@ -369,7 +372,7 @@ def repr_csv(header, columns, label=None):
 def assert_repr(values):
     """The block text write_csv gives one column of ``values`` is repr's."""
     values = np.asarray(values, dtype=float).ravel()
-    got = _format_rows([values], None).split("\n")[:-1]
+    got = _format_rows([values], None).decode().split("\n")[:-1]
     want = [repr(v) for v in values.tolist()]
     wrong = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not wrong, wrong[:5]
@@ -555,7 +558,7 @@ def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# CSV bodies parsed in pieces on forked workers
+# CSV bodies parsed in pieces on parse lanes
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -578,8 +581,9 @@ def test_pieces_cut_inside_blank_lines(tmp_path, monkeypatch, workers,
 
 
 def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
-    # two pieces of over _PIECE_MIN bytes each: the serial values, bit for
-    # bit, and a bad row in the last piece words the serial error
+    # pieces of _PIECE_MIN bytes or more: the serial values, bit for bit,
+    # on two lanes and on one, and a bad row in the last piece words the
+    # serial error
     path = tmp_path / "p.csv"
     times = np.arange(2 * fileio._PIECE_MIN // 25 + 1000, dtype=float)
     write_csv(str(path), "t,price", (times, np.exp(np.sin(times))))
@@ -589,9 +593,9 @@ def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
     for cpus in (2, 1):
         with on_cpus(cpus):
             loads.append(load_price_series(str(path)))
-    forked, serial = loads
-    assert np.array_equal(bits(forked.times), bits(serial.times))
-    assert np.array_equal(bits(forked.log_prices), bits(serial.log_prices))
+    lanes, serial = loads
+    assert np.array_equal(bits(lanes.times), bits(serial.times))
+    assert np.array_equal(bits(lanes.log_prices), bits(serial.log_prices))
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     pieces = fileio._parse_pieces(str(path), "t,price", 2)
     lines = _read_lines(str(path), "t,price", 2, 2, "few")
@@ -604,9 +608,9 @@ def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_parse_runs_serially_beside_a_live_thread(tmp_path, monkeypatch):
-    # any fork fails here; a pool would raise it, the serial parse never
-    # forks
+def test_the_parse_starts_no_process(tmp_path, monkeypatch):
+    # any fork fails here; the lanes are threads of this process, alone
+    # or beside a live thread
     path = tmp_path / "v.csv"
     values = np.linspace(-1.0, 1.0, 5000)
     save_samples(values, str(path))
@@ -617,8 +621,7 @@ def test_parse_runs_serially_beside_a_live_thread(tmp_path, monkeypatch):
         raise RuntimeError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    with pytest.raises(RuntimeError, match="forked"):
-        load_samples(str(path))
+    assert np.array_equal(load_samples(str(path)), values)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
@@ -628,6 +631,139 @@ def test_parse_runs_serially_beside_a_live_thread(tmp_path, monkeypatch):
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_lanes_keep_their_rows_under_contention(tmp_path,
+                                                       monkeypatch):
+    # eight lanes on a 2-vCPU host, pieces of about a dozen lines (a
+    # quarter of them, holding a value in exponent form, go to loadtxt)
+    # and a switch interval of a microsecond: every row lands in its own
+    # column, within the timeout
+    rng = np.random.default_rng(29)
+    values = rng.standard_normal(3000) * 100.0
+    values[::50] *= 1e-9
+    path = tmp_path / "v.csv"
+    save_samples(values, str(path))
+    monkeypatch.setattr(fileio, "_PIECE_MIN", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(
+            target=lambda: got.append(load_samples(str(path))), daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert np.array_equal(bits(got[0]), bits(values))
+
+
+# ---------------------------------------------------------------------------
+# decimal text: the parse kernel against np.loadtxt
+# ---------------------------------------------------------------------------
+
+def kernel_grammar(text: str) -> bool:
+    """Whether the kernel takes ``text`` as a field (see fileio)."""
+    return (re.fullmatch(r"-?[0-9]+\.[0-9]+", text) is not None
+            and len(text) <= fileio._FIELD
+            and int(text.lstrip("-").replace(".", "0")) < 10 ** 18)
+
+
+def loadtxt_bits(texts) -> list:
+    return bits(np.loadtxt(texts, ndmin=1)).tolist()
+
+
+def kernel_bits(tmp_path, texts, ncols: int = 1):
+    """The bits the kernel reads from one piece of the lines ``texts``
+    (``ncols`` fields each), or None where it refuses the piece."""
+    path = tmp_path / "k.csv"
+    path.write_bytes("".join(f"{t}\n" for t in texts).encode())
+    out = np.full((ncols, len(texts)), np.nan)
+    taken = fileio._Lane().parse(str(path), 0, path.stat().st_size, ncols,
+                                 out)
+    return bits(out.T).ravel().tolist() if taken else None
+
+
+@st.composite
+def decimals(draw):
+    """Decimal text of 1-19 significant digits, leading zeros and '5.' or
+    '.5' forms included."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    text = "0" * draw(st.integers(0, 3)) + digits
+    point = draw(st.integers(0, len(text)))
+    return (draw(st.sampled_from(["", "-"])) + text[:point] + "."
+            + text[point:])
+
+
+@st.composite
+def near_midpoints(draw):
+    """Decimal text within one unit of its last digit of the exact
+    midpoint between a double and the next one up."""
+    x = draw(st.floats(1e-6, 1e17, exclude_max=True))
+    mid = (Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2
+    places = draw(st.integers(1, 22))
+    units = max(round(mid * 10 ** places) + draw(st.integers(-1, 1)), 0)
+    text = str(units).rjust(places + 1, "0")
+    return (draw(st.sampled_from(["", "-"])) + text[:-places] + "."
+            + text[-places:])
+
+
+texts = (st.builds(repr, st.floats(allow_nan=False)) | decimals()
+         | near_midpoints())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(texts, min_size=1, max_size=40))
+@example(["-0.0", "0.0", "9007199254740993.0", "4503599627370497.5",
+          "0.30000000000000004", "1.0000000000000002", "0.5", "5.", ".5",
+          "00012.50", "1e-05", "inf", "-inf", "99999999999999999.9",
+          "2.0000000000000000", "0.999999999999999999"])
+def test_kernel_reads_loadtxt_bits(tmp_path_factory, texts):
+    # the fields in the kernel's grammar, as one piece, are read to
+    # loadtxt's bits; and every text, in pieces or whole, loads as
+    # loadtxt loads it, whichever path took each piece
+    tmp_path = tmp_path_factory.mktemp("k")
+    taken = [t for t in texts if kernel_grammar(t)]
+    if taken:
+        assert kernel_bits(tmp_path, taken) == loadtxt_bits(taken)
+    path = tmp_path / "v.csv"
+    path.write_bytes(("value\n" + "\n".join(texts) + "\n").encode())
+    for piece in (1, fileio._PIECE_MIN):
+        with mock.patch.object(fileio, "_PIECE_MIN", piece), on_cpus(2):
+            got = bits(_read_numeric(str(path), "value", 1)[0]).tolist()
+        assert got == loadtxt_bits(texts)
+
+
+@pytest.mark.parametrize("odd", ["1e-05,2.5", "+1.5,2.5", "1.5,2.5\r",
+                                 "1.5, 2.5", "1,2.5", "nan,2.5"])
+def test_a_piece_the_kernel_refuses_goes_to_loadtxt(tmp_path, monkeypatch,
+                                                     odd):
+    # one line out of the kernel's grammar among 200 in it: the piece goes
+    # to loadtxt, which gives the same values
+    lines = [f"{i / 7:.6f},{float(np.exp(i / 9))!r}" for i in range(200)]
+
+    def floats():
+        return bits([[float(x) for x in line.split(",")] for line in lines])
+
+    assert kernel_bits(tmp_path, lines, 2) == floats().ravel().tolist()
+    lines[100] = odd
+    assert kernel_bits(tmp_path, lines, 2) is None
+    path = tmp_path / "p.csv"
+    path.write_bytes(("t,price\n" + "\n".join(lines) + "\n").encode())
+    offsets = []
+
+    def spy(path, lo, *args):
+        offsets.append(lo)
+        return _parse_piece(path, lo, *args)
+
+    monkeypatch.setattr(fileio, "_parse_piece", spy)
+    assert len(fileio._plan_pieces(str(path), "t,price")) == 1
+    body = fileio._parse_pieces(str(path), "t,price", 2)
+    assert offsets == [len("t,price\n")]
+    assert np.array_equal(bits(body.T), floats())
 
 
 @settings(max_examples=60, deadline=None)

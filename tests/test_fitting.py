@@ -16,7 +16,7 @@ from ratiotails import (Family, OrderFlowParams, PriceSeries, ResponseSpec,
                         SimConfig, TailKind, WindowSpec, exponent_report,
                         fit_g, fit_price_series, invert_monotone,
                         relative_changes, simulate_gbm, simulate_path)
-from ratiotails import fileio, fitting, parallel, tails
+from ratiotails import fitting, parallel, tails
 from ratiotails.density import (positive_ratio_mass, ratio_cdf,
                                 ratio_density)
 from ratiotails.errors import (DomainError, NonIdentifiableError,
@@ -656,7 +656,7 @@ def test_bulk_scores_do_not_depend_on_the_cpu_count(rho, monkeypatch):
 
 def test_a_multi_chunk_fit_leaves_no_thread_running(monkeypatch):
     # the full-bulk passes map over a worker thread, joined by the time
-    # the fit returns, so a forked CSV parse can still start after it
+    # the fit returns
     started = []
     start = threading.Thread.start
 
@@ -670,7 +670,6 @@ def test_a_multi_chunk_fit_leaves_no_thread_running(monkeypatch):
     fit_g(_multi_chunk_changes(), (Family.POWER, Family.LOG))
     assert started
     assert threading.active_count() == before
-    assert fileio._fork_context(2) is not None
 
 
 @pytest.mark.parametrize("rho", [1.0, 1.5, -1.0000001, math.nan])

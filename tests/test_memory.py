@@ -2,11 +2,11 @@
 
 Each bound counts 8-byte-per-row arrays of a 2e5-step path, above what
 the step's caller already holds: the step's live outputs plus about one
-transient array.  numpy reports its array buffers to tracemalloc; the
-parse workers' shared buffer is an mmap, which it does not see.  Each
-step runs once before it is measured, so no lazy import or first-call
-cache counts, and on one usable CPU unless it names another count, so
-the full-bulk pass holds one chunk's temporaries at a time on any host.
+transient array.  numpy reports its array buffers to tracemalloc, so
+every thread's arrays count.  Each step runs once before it is measured,
+so no lazy import or first-call cache counts, and on one usable CPU
+unless it names another count, so the full-bulk pass holds one chunk's
+temporaries at a time on any host.
 """
 
 import tracemalloc
@@ -85,9 +85,9 @@ def test_load_takes_the_log_in_the_parsed_body(config, tmp_path, workers,
                                                monkeypatch):
     # the series keeps the parsed (t, price) body, the log-prices written
     # over its prices; each piece's rows go straight into the body, so
-    # the load peaks at the body and one piece (the forked pool's body is
-    # its shared map, which tracemalloc does not see; 4.0 with a whole
-    # parse and its column copy)
+    # the load peaks at the body and each lane's scratch, about 8 times
+    # its piece of 1/256 of the file (4.0 with a whole parse and its
+    # column copy)
     csv = str(tmp_path / "p.csv")
     save_price_series(simulate_path(config), csv)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)

@@ -154,20 +154,19 @@ def test_a_count_below_one_raises_before_any_draw_or_write(tmp_path,
 def test_the_pipeline_does_not_depend_on_the_usable_cpus(tmp_path,
                                                          monkeypatch):
     # parallel.usable_cpus sizes every stage: the path's two draw chunks,
-    # its CSV formatting, the parse of its 4 pieces or more (forked from 2
-    # CPUs on), the fit's searches and full-bulk passes, and tails; at 1,
-    # 2 and 3 usable CPUs every byte written and every value loaded is
-    # the same
-    monkeypatch.setattr(fileio, "_PIECE_MIN", 1 << 18)
-    context = fileio._fork_context
-    forked = []
+    # its CSV formatting, the parse of its pieces (the kernel's at least
+    # 4 of them at each count), the fit's searches and full-bulk passes,
+    # and tails; at 1, 2 and 3 usable CPUs every byte written and every
+    # value loaded is the same
+    parse = fileio._Lane.parse
+    taken = []
 
-    def spy(processes):
-        got = context(processes)
-        forked.append(got is not None)
+    def spy(lane, *args):
+        got = parse(lane, *args)
+        taken.append(got)
         return got
 
-    monkeypatch.setattr(fileio, "_fork_context", spy)
+    monkeypatch.setattr(fileio._Lane, "parse", spy)
     outputs = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(parallel, "usable_cpus", lambda n=cpus: n)
@@ -187,7 +186,7 @@ def test_the_pipeline_does_not_depend_on_the_usable_cpus(tmp_path,
         outputs.append([hashlib.sha256(data).hexdigest() for data in (
             *(open(path, "rb").read() for path in (prices, fit, tails)),
             series.times.tobytes(), series.log_prices.tobytes())])
-        assert any(forked) == (cpus > 1)
-        forked.clear()
+        assert taken.count(True) >= 4
+        taken.clear()
     assert len(fileio._plan_pieces(prices, "t,price")) >= 4
     assert outputs[0] == outputs[1] == outputs[2]

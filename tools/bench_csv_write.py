@@ -17,13 +17,15 @@ REV's tree, extracted with `git archive` into a temporary directory
 Pairs alternate which side runs first.
 
 Per command, the JSON holds every run (CSV seconds, the process's peak
-RSS, the largest peak RSS of its child processes, which are the forked
-parse workers of fit and tails, and the sha256 of the command's output
-file and of its stdout), each side's median and interquartile range of
-seconds and of peak RSS, the pairs the working tree won on each, whether
-every output's sha256 matches, and the gain rule's verdict on each: a
-gain needs the working tree lower in the median by more than the base's
-IQR, with equal bytes.
+RSS, the largest peak RSS of its child processes, and the sha256 of the
+command's output file and of its stdout), each side's median and
+interquartile range of seconds and of peak RSS, the pairs the working
+tree won on each, whether every output's sha256 matches, and the gain
+rule's verdict on each: a gain needs the working tree lower in the
+median by more than the base's IQR, with equal bytes.  The CSV parse
+runs on threads, so no command starts a process: the peak RSS column
+reads the command alone, and the children's column reads 0 (a base
+whose parse forked workers shows their peak there).
 """
 
 from __future__ import annotations
