@@ -8,22 +8,22 @@ writes them, the shortest text that reads back as the same float):
     density  x,f,method
     tables   x,g
 
-Numeric CSVs are read in pieces of whole lines, dealt to lanes on up to
-the usable CPUs (parallel.usable_cpus), each piece's rows written straight
-into the body that the reader returns.  A piece of plain decimals is read
-in-process by whole-array numpy steps that give loadtxt's exact floats
-(see "decimal text" below); any other piece goes to np.loadtxt.  A file
-that loadtxt cannot take is reread line by line, which words the error as
-path:line.  Manifests and reports are plain ``key=value`` text.  All
-writers, CSV ones streaming rows in blocks, write bytes through an atomic
-temp-file rename so a failed command never leaves a partial artifact
-behind.  CSV blocks are formatted in-process by whole-array numpy steps
-that give repr's exact bytes (see "float text" below), on up to the
-usable CPUs (``threads`` of save_price_series), each thread holding one
-block at a time; save_price_series exponentiates each block's log-prices
-as it formats the block, so no price column is ever made.  No process is
-started to read or write.  Neither the values read nor the bytes written
-ever depend on the thread count.
+Numeric CSVs are read once, in pieces of whole lines, one after another
+on the calling thread, each piece's rows written straight into the body
+that the reader returns.  A piece of decimals as repr writes them is read
+by whole-array numpy steps that give loadtxt's exact floats (see "decimal
+text" below); any other piece goes to np.loadtxt.  A file that loadtxt
+cannot take is reread line by line, which words the error as path:line.
+Manifests and reports are plain ``key=value`` text.  All writers, CSV
+ones streaming rows in blocks, go through an atomic temp-file rename so
+a failed command never leaves a partial artifact behind.  CSV blocks are
+formatted in-process by whole-array numpy steps that give repr's exact
+bytes (see "float text" below), on up to the usable CPUs (``threads`` of
+save_price_series), each thread holding one block at a time;
+save_price_series exponentiates each block's log-prices as it formats
+the block, so no price column is ever made.  No process is started to
+read or write.  Neither the values read nor the bytes written ever
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -63,22 +63,21 @@ __all__ = [
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text, UTF-8 encoded, via a temp file and rename.  A path in a
-    directory that cannot take the file, or that names a directory, raises
+    """Write text via a temp file and rename.  A path in a directory that
+    cannot take the file, or that names a directory, raises
     InputFormatError and leaves no file."""
-    _write_atomic(path, lambda fh: fh.write(text.encode()))
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def _write_atomic(path: str, fill) -> None:
-    """write_atomic of the bytes fill(fh) writes to the open binary temp
-    file fh."""
+    """write_atomic of what fill(fh) writes to the open temp file fh."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc.strerror}") from None
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fill(fh)
         try:
             os.replace(tmp, path)
@@ -214,15 +213,21 @@ def _two_sum(a, b):
     return s, (a - (s - v)) + (b - v)
 
 
-def _scaled(a, k, tables):
-    """(H, f): the int64 H and double f, |f| <= 1/2, with H + f = a 10^k
-    exactly (Dekker's two-product, 10^k split in the table)."""
-    tens, high, low = tables[0][k], tables[1][k], tables[2][k]
-    z = a * tens
+def _two_product(a, b, b_high, b_low):
+    """(p, e): p = fl(a b) and e its exact error (Dekker's two-product, b
+    split as b_high + b_low)."""
+    p = a * b
     split = 134217729.0 * a
     a_high = split - (split - a)
     a_low = a - a_high
-    error = ((a_high * high - z) + a_high * low + a_low * high) + a_low * low
+    return p, ((a_high * b_high - p) + a_high * b_low
+               + a_low * b_high) + a_low * b_low
+
+
+def _scaled(a, k, tables):
+    """(H, f): the int64 H and double f, |f| <= 1/2, with H + f = a 10^k
+    exactly (Dekker's two-product, 10^k split in the table)."""
+    z, error = _two_product(a, tables[0][k], tables[1][k], tables[2][k])
     whole = np.rint(error)
     return z.astype(np.int64) + whole.astype(np.int64), error - whole
 
@@ -359,9 +364,9 @@ def _float_words(x: np.ndarray, end: int, out: np.ndarray) -> None:
 _SLICE = 1 << 12  # rows of a block whose NUL bytes one mask drops
 
 
-def _format_rows(columns, label: str | None) -> bytes:
-    """The CSV bytes of one block: rows of the float ``columns`` as repr
-    gives them, then ``label`` if given (ASCII text without a NUL)."""
+def _format_rows(columns, label: str | None) -> str:
+    """The CSV text of one block: rows of the float ``columns`` as repr
+    gives them, then ``label`` if given (text without a NUL)."""
     tail = b"" if label is None else (label + "\n").encode()
     tail = np.frombuffer(tail + bytes(-len(tail) % 4), np.uint32)
     line = np.empty((columns[0].size, _WORDS * len(columns) + tail.size),
@@ -374,8 +379,8 @@ def _format_rows(columns, label: str | None) -> bytes:
     text = []
     for i in range(0, len(line), _SLICE):
         part = line[i:i + _SLICE]
-        text.append(part[part != 0].tobytes())
-    return b"".join(text)
+        text.append(str(memoryview(part[part != 0]), "utf-8"))
+    return "".join(text)
 
 
 def write_csv(path: str, header: str, columns,
@@ -399,7 +404,7 @@ def write_csv(path: str, header: str, columns,
 
 def _write_blocks(path: str, header: str, rows: int, block,
                   threads: int | None = None) -> None:
-    """``header``, then the bytes block(i) of rows i to i + _ROWS for i =
+    """``header``, then the text block(i) of rows i to i + _ROWS for i =
     0, _ROWS, ... below ``rows``, written atomically.
 
     The blocks are dealt in turn to up to ``threads`` lanes (see
@@ -435,7 +440,7 @@ def _write_blocks(path: str, header: str, rows: int, block,
             raise
 
     def fill(fh):
-        fh.write((header + "\n").encode())
+        fh.write(header + "\n")
         parallel.thread_map(lambda first: lane(first, fh), range(lanes),
                             lanes)
 
@@ -461,39 +466,57 @@ _PIECE_MIN = 1 << 14  # bytes of body per piece, the last one aside
 _PIECE_MAX = 1 << 18
 
 
-def _plan_pieces(path: str, header: str):
-    """The pieces of the body of a plain file whose first line is
-    ``header``, as (offset, size, lines) triples; None for any other file.
+def _parse_pieces(path: str, header: str, ncols: int):
+    """The (ncols, rows) body of a plain CSV whose first line is
+    ``header``, or None for any other file; a plain file is ASCII without
+    the bytes that splitlines breaks lines at and loadtxt takes for spaces.
 
-    A piece is a run of whole lines, cut after the first newline once it
-    holds 1/256 of the body's bytes, but at least _PIECE_MIN and at most
-    _PIECE_MAX of them; a plain file is ASCII without the bytes that
-    splitlines breaks lines at and loadtxt takes for spaces.  Lines end
-    where loadtxt ends them: at a newline, a carriage return and newline,
-    or a lone carriage return."""
+    The body is read once, in pieces of whole lines, each cut after the
+    first newline once it holds 1/256 of the body's bytes, but at least
+    _PIECE_MIN and at most _PIECE_MAX of them, one after another into one
+    _Lane, whose scratch every piece reuses.  The decimal kernel parses a
+    piece that its grammar takes (see "decimal text" below), np.loadtxt
+    any other (_loadtxt), and the piece's rows go, as columns, straight
+    into the body.  Its room is the rows per byte of the pieces read so
+    far times the body's bytes, a 64th over; the buffer grows in place
+    (realloc) when short, and is cut to the rows at the end, each column
+    moved as memmove moves it, so no column is copied whole.  A piece
+    that loadtxt refuses or that has another column count raises
+    ValueError."""
     with open(path, "rb") as fh:
         first = fh.readline()
         line = first.split(b"\r", 1)[0].rstrip(b"\n")
         if not _plain(first) or line.strip() != header.encode():
             return None
         fh.seek(len(line) + 1 + (first[len(line):len(line) + 2] == b"\r\n"))
-        step = (os.fstat(fh.fileno()).st_size - fh.tell()) // 256
-        step = min(max(step, _PIECE_MIN), _PIECE_MAX)
-        pieces = []
-        while True:
-            lo = fh.tell()
-            piece = fh.read(step) + fh.readline()
-            if not piece:
-                return pieces
-            if not _plain(piece):
-                return None
-            # numpy counts a byte about 3x as fast as bytes.count
-            codes = np.frombuffer(piece, np.uint8)
-            breaks = int(np.count_nonzero(codes == ord("\n")))
-            if b"\r" in piece:
-                breaks += piece.count(b"\r") - piece.count(b"\r\n")
-            pieces.append((lo, len(piece),
-                           breaks + (piece[-1:] not in b"\r\n")))
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        step = min(max(body // 256, _PIECE_MIN), _PIECE_MAX)
+        lane = _Lane()
+        flat = np.empty(0)
+        rows = room = read = 0
+        while lane.read(fh, step):
+            got = lane.parse(ncols)
+            if got is None:
+                text = lane.text[_FIELD:].tobytes()
+                if not _plain(text):
+                    return None
+                got = _loadtxt(text, ncols)
+            read += lane.text.size - _FIELD
+            end = rows + len(got)
+            if end > room:
+                grown = max(end, end * body // read)
+                grown += grown // 64
+                flat.resize(ncols * grown, refcheck=False)
+                for c in range(ncols - 1, 0, -1):  # up, as memmove moves
+                    flat[c * grown:c * grown + rows] = \
+                        flat[c * room:c * room + rows]
+                room = grown
+            flat.reshape(ncols, room)[:, rows:end] = got.T
+            rows = end
+    for c in range(1, ncols):  # down, as memmove moves
+        flat[c * rows:(c + 1) * rows] = flat[c * room:c * room + rows]
+    flat.resize(ncols * rows, refcheck=False)
+    return flat.reshape(ncols, rows)
 
 
 def _plain(text: bytes) -> bool:
@@ -501,186 +524,235 @@ def _plain(text: bytes) -> bool:
     return text.isascii() and not any(c in text for c in _LOOSE)
 
 
-def _parse_pieces(path: str, header: str, ncols: int):
-    """The (ncols, rows) body of a plain CSV whose first line is ``header``
-    (see _plan_pieces), or None for any other file.
+def _loadtxt(text: bytes, ncols: int) -> np.ndarray:
+    """np.loadtxt's (rows, ncols) floats of the plain ``text``, its lines
+    split as a text file splits them (universal newlines).  Text that
+    loadtxt refuses, or rows of another column count, raise ValueError."""
+    import io
 
-    The pieces are dealt, in order, to up to the usable CPUs (see
-    parallel.thread_map), each lane reusing its own scratch (_Lane).  The
-    decimal kernel parses a piece that its grammar takes (see "decimal
-    text" below), np.loadtxt any other (_parse_piece), and the piece's
-    rows go, as columns, straight into the body, which has a column for
-    every line.  Blank lines, which loadtxt skips, leave gaps, closed once
-    every piece is in: each piece's rows move down to follow the previous
-    piece's, and the body is its first columns.  A piece that loadtxt
-    refuses or that has another column count raises ValueError."""
-    from . import parallel
-
-    pieces = _plan_pieces(path, header)
-    if pieces is None:
-        return None
-    pieces = np.array(pieces, np.int64).reshape(-1, 3)  # smaller than tuples
-    starts = np.concatenate([[0], np.cumsum(pieces[:, 2])])
-    body = np.empty((ncols, starts[-1]))
-    lanes = threading.local()
-
-    def parse(j):
-        (lo, size, lines), start = pieces[j].tolist(), int(starts[j])
-        if not hasattr(lanes, "lane"):
-            lanes.lane = _Lane()
-        rows = body[:, start:start + lines]
-        if lanes.lane.parse(path, lo, size, ncols, rows):
-            return lines
-        return _parse_piece(path, lo, lines, rows)
-
-    counts = parallel.thread_map(parse, range(len(pieces)))
-    rows = sum(counts)
-    if rows < starts[-1]:
-        end = 0
-        for start, n in zip(starts, counts):
-            if start > end:
-                body[:, end:end + n] = body[:, start:start + n]
-            end += n
-        body = body[:, :rows]
-    return body
-
-
-_LOADTXT = threading.Lock()  # catch_warnings sets the process's filters
-
-
-def _parse_piece(path: str, lo: int, lines: int, out: np.ndarray) -> int:
-    """np.loadtxt's rows of the ``lines`` lines from offset ``lo``, as
-    columns, into ``out`` (ncols, lines) from its first column on; their
-    count back.  One piece is parsed at a time: loadtxt holds the GIL
-    throughout, and the warning filter it runs under is global."""
-    with open(path, encoding="ascii") as fh, _LOADTXT, \
-            warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # blank lines only
-        fh.seek(lo)
-        rows = np.loadtxt(itertools.islice(fh, lines), delimiter=",",
-                          comments=None, ndmin=2, max_rows=lines)
+        rows = np.loadtxt(io.StringIO(text.decode("ascii"), newline=None),
+                          delimiter=",", comments=None, ndmin=2)
     if rows.size == 0:
-        return 0
-    if rows.shape[1] != len(out):
-        raise ValueError(f"{rows.shape[1]} columns, not {len(out)}")
-    out[:, :len(rows)] = rows.T
-    return len(rows)
+        return rows.reshape(0, ncols)
+    if rows.shape[1] != ncols:
+        raise ValueError(f"{rows.shape[1]} columns, not {ncols}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # decimal text: loadtxt's floats from whole-array numpy steps
 #
-# The kernel takes a piece whose every line holds the piece's ncols fields,
-# each of the form -?[0-9]+\.[0-9]+ in at most _FIELD = 24 bytes; any other
-# piece goes to loadtxt whole.  A field's digits, its point read as a 0
-# digit, make the integer F (Lemire's eight digits per uint64 word), which
-# must be below 10^18.  With k <= 22 digits after the point, the field's
-# magnitude is M / 10^k, where M = (F + 9 (F mod 10^k)) / 10 <= F (10^18
-# stands for 10^k above 18), and 10^k is an exact double.  For M < 2^53
-# the one division M / 10^k of two exact doubles is correctly rounded
-# (Clinger's fast path).  Otherwise q = fl(fl(M) / 10^k), and _scaled's
-# two-product gives H + f = q 10^k exactly, so c = ((M - H) - f) / 10^k,
-# the rest of M / 10^k beyond q, is computed with two roundings.  As
-# |M - fl(M)| <= 64 (M < 2^60) and ulp(q) >= 2^-53 q >~ 1 / 10^k, |c| <
-# 65 ulp(q), and c is off by under 2^-45 ulp(q).  y = fl(q + c), and the
-# residual s = (q - y) + c (q - y exact by Sterbenz, one rounding) is off
-# from M / 10^k - y by under 2^-44 ulp(y).  So y is the correctly rounded
-# value unless |s| lies within 2^-30 ulp(y) of ulp(y) / 2, ties included,
-# or y is a power of two (whose neighbour below is nearer): those fields
-# are read by float(), which rounds correctly, as loadtxt does.
+# The kernel takes a piece whose every line holds ncols fields and ends in
+# a newline or a carriage return and newline; a field is a mantissa
+# -?[0-9]+\.[0-9]+ of at most _FIELD = 24 bytes, then, as repr writes it,
+# maybe an exponent [eE][+-][0-9]{2,3}.  Any other piece goes to loadtxt
+# whole.  The mantissa's digits, its point read as a 0 digit, make the
+# integer F (Lemire's eight digits per uint64 word), which must be below
+# 10^18.  With k <= 22 digits after the point and the exponent x, the
+# field's magnitude is M 10^-K, where M = (F + 9 (F mod 10^k)) / 10 <= F
+# (10^18 stands for 10^k above 18) and K = k - x.
+#
+# For M < 2^53 and 0 <= K <= 22, M and 10^K are exact doubles, so the one
+# division M / 10^K is correctly rounded (Clinger's fast path).  Otherwise,
+# for |K| <= _SCALE, M = Mh + Ml with Mh = fl(M) and |Ml| <= 64 (M < 2^60),
+# both exact, and 10^-K = Ph + Pl + d, |d| <= 2^-106 10^-K, from the table.
+# Dekker's two-product gives p + e = Mh Ph exactly; t = e + fl(Mh Pl + Ml
+# Ph) drops Ml Pl and d and rounds three terms of at most 2^-47 p, so p + t
+# is off from M 10^-K by under 2^-97 p, 2^-44 ulp(p).  y = fl(p + t), and
+# the residual s = (p - y) + t (p - y exact by Sterbenz, one rounding) is
+# off from M 10^-K - y by under 2^-43 ulp(y).  So y is the correctly
+# rounded value unless |s| lies within 2^-30 ulp(y) of ulp(y) / 2, ties
+# included, or y is a power of two (whose neighbour below is nearer).
+# Those fields, and those with |K| > _SCALE, are read by float(), which
+# rounds correctly, as loadtxt does.  |K| <= _SCALE keeps every product
+# and its error term away from overflow and subnormals.
 # ---------------------------------------------------------------------------
 
-_FIELD = 24  # bytes of the longest field the kernel reads
+_FIELD = 24   # bytes of the longest mantissa the kernel reads
+_SCALE = 250  # the largest |K| of the product path
 
 
 @functools.cache
 def _read_tables():
-    """(keep, pow10): the uint64 masks that keep the bytes of a word from
-    byte c on, for c = 0..8, and the uint64 10^j for j = 0..18."""
+    """(keep, pow10, scale): the uint64 masks that keep the bytes of a word
+    from byte c on, for c = 0..8; the uint64 10^j for j = 0..18; and the
+    double-double 10^-K for K = -_SCALE.._SCALE (at K + _SCALE) as its high
+    part, that part's Dekker halves and its low part, each correctly
+    rounded (int / int is)."""
     keep = [((1 << 64) - 1) >> 8 * c << 8 * c for c in range(8)] + [0]
-    return np.array(keep, np.uint64), 10 ** np.arange(19, dtype=np.uint64)
+    high, low = [], []
+    for K in range(-_SCALE, _SCALE + 1):
+        num, den = (10 ** -K, 1) if K <= 0 else (1, 10 ** K)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        high.append(h)
+        low.append((num * b - a * den) / (den * b))
+    high = np.array(high)
+    split = 134217729.0 * high
+    halves = split - (split - high)
+    return (np.array(keep, np.uint64), 10 ** np.arange(19, dtype=np.uint64),
+            (high, halves, high - halves, np.array(low)))
 
 
 class _Lane:
-    """One parse lane's scratch, grown to the largest piece it has read
-    and reused for every later one: the piece's text after _FIELD bytes
-    that only the first rows read (and mask), and an arena for its flags
-    and per-field quantities."""
+    """The parse's scratch, grown to the largest piece read and reused for
+    every later one: the piece's text after _FIELD zero bytes that only
+    the first rows read (and mask), and an arena for its flags and
+    per-field quantities."""
 
     def __init__(self):
         self.arrays = {}
+        self.text = None
 
     def scratch(self, name: str, n: int, dtype=np.int64) -> np.ndarray:
         a = self.arrays.get(name)
         if a is None or a.size < n:
-            a = self.arrays[name] = np.empty(n, dtype)
+            a = self.arrays[name] = np.zeros(n, dtype)
         return a[:n]
 
-    def parse(self, path: str, lo: int, size: int, ncols: int,
-              out: np.ndarray) -> bool:
-        """Whether the kernel takes the ``size`` bytes from offset ``lo``
-        (see the section note); if it does, their rows are in ``out``
-        (ncols, lines), as columns."""
-        lines = out.shape[1]
-        n = lines * ncols
-        text = self.scratch("text", _FIELD + size + 1, np.uint8)
-        with open(path, "rb") as fh:
-            fh.seek(lo)
-            if fh.readinto(memoryview(text)[_FIELD:_FIELD + size]) != size:
-                return False
-        if text[_FIELD + size - 1] != ord("\n"):  # the file's last line
-            text[_FIELD + size] = ord("\n")
+    def read(self, fh, step: int) -> bool:
+        """Whether a piece was read from the binary file ``fh`` into
+        self.text, after its _FIELD bytes: the next ``step`` bytes and the
+        rest of their last line, a newline added if the file ends without
+        one."""
+        text = self.scratch("text", _FIELD + step + 256, np.uint8)
+        got = fh.readinto(memoryview(text)[_FIELD:_FIELD + step])
+        if not got:
+            return False
+        rest = fh.readline() if got == step else b""
+        size = _FIELD + got + len(rest)
+        if size >= text.size:  # a line longer than the slack
+            old, text = text, self.scratch("text", size + 1, np.uint8)
+            text[:_FIELD + got] = old[:_FIELD + got]
+        text[_FIELD + got:size] = np.frombuffer(rest, np.uint8)
+        if text[size - 1] != ord("\n"):  # the file's last line
+            text[size] = ord("\n")
             size += 1
-        text = text[:_FIELD + size]
+        self.text = text[:size]
+        return True
+
+    def parse(self, ncols: int):
+        """The (lines, ncols) floats of the piece last read, in the lane's
+        scratch, where the kernel takes it (see the section note); else
+        None, the piece's text as it was read."""
+        text = self.text
         piece = text[_FIELD:]
-        # one arena: a flag per byte, then four uint64 slots per field
-        arena = self.scratch("arena", max(-(-size // 8), 4 * n), np.uint64)
+        size = piece.size
+        # the fields' ends: commas, newlines and the carriage returns just
+        # before newlines; below '-', only '+' may be there too
+        arena = self.scratch("arena", -(-size // 8), np.uint64)
+        ends = np.flatnonzero(np.less(piece, ord("-"),
+                                      out=arena.view(bool)[:size]))
+        codes = piece[ends]
+        odd = np.flatnonzero((codes != ord(",")) & (codes != ord("\n")))
+        exponents = piece.max() > ord("9")
+        crlf = plus = 0
+        if odd.size:
+            kinds = codes[odd]
+            cr = odd[kinds == ord("\r")]
+            crlf = cr.size
+            plus = odd.size - crlf
+            if (plus and not exponents
+                    or np.count_nonzero(kinds == ord("+")) != plus
+                    or not (ends[cr + 1] == ends[cr] + 1).all()
+                    or not (codes[cr + 1] == ord("\n")).all()):
+                return None  # a space, a tab, a lone CR, a '+' sign
+            keep = np.ones(ends.size, bool)
+            keep[odd[kinds == ord("+")]] = False
+            keep[cr + 1] = False
+            ends, codes = ends[keep], codes[keep]
+        n = ends.size
+        lines = n // ncols
+        if n % ncols:
+            return None
+        seps = codes.reshape(lines, ncols)
+        last = seps[:, -1] == ord("\n")
+        if crlf:
+            last |= seps[:, -1] == ord("\r")
+        if not ((seps[:, :-1] == ord(",")).all() and last.all()):
+            return None
+        del codes, seps, last
+        arena = self.scratch("arena", max(-(-size // 8),
+                                          (4 + 2 * exponents) * n), np.uint64)
         flags = arena.view(bool)[:size]
-        np.less_equal(piece, ord(","), out=flags)  # separators, or refused
-        ends = np.flatnonzero(flags)
-        if ends.size != n:
-            return False
-        seps = piece[ends].reshape(lines, ncols)
-        if not ((seps[:, -1] == ord("\n")).all()
-                and (seps[:, :-1] == ord(",")).all()):
-            return False
-        np.equal(piece, ord("."), out=flags)
-        points = np.flatnonzero(flags)
+        if exponents:  # the letters must all be e or E
+            letters = np.flatnonzero(np.greater(piece, ord("9"), out=flags))
+            if not ((piece[letters] | 0x20) == ord("e")).all():
+                return None
+        points = np.flatnonzero(np.equal(piece, ord("."), out=flags))
         if points.size != n:
-            return False
-        slots = arena[:4 * n].reshape(4, n)
+            return None
+        slots = arena[:(4 + 2 * exponents) * n].reshape(-1, n)
         k, M, y = slots[1].view(np.int64), slots[2], slots[3].view(float)
         starts, lead = slots[0].view(np.int64), y.view(np.int64)
         starts[0] = 0
         np.add(ends[:-1], 1, out=starts[1:])
+        if crlf:
+            starts[1:] += piece[ends[:-1]] == ord("\r")
         negative = piece[starts] == ord("-")
-        np.subtract(ends, points, out=k)  # the point and the digits after
+        me, x = ends, 0  # the mantissas' ends, the exponents
+        if exponents:
+            me, x = slots[4].view(np.int64), slots[5].view(np.int64)
+            # the five bytes before each field's end: e, a sign and three
+            # digits, or a mantissa byte, e, a sign and two digits
+            tail = np.ndarray((size,), "V5", text, offset=_FIELD - 5,
+                              strides=(1,))[ends].view(np.uint8)
+            tail = tail.reshape(n, 5)
+            five = (tail[:, 0] | 0x20) == ord("e")
+            four = (tail[:, 1] | 0x20) == ord("e")
+            sign = np.where(five, tail[:, 1], tail[:, 2])
+            up = sign == ord("+")
+            tail -= ord("0")
+            exact = (tail[:, 3:] <= 9).all(axis=1) & ((tail[:, 2] <= 9) | four)
+            exact &= up | (sign == ord("-"))
+            five |= four
+            if (np.count_nonzero(five) != letters.size
+                    or np.count_nonzero(up & five) != plus
+                    or not exact[five].all()):
+                return None
+            del letters, up, exact
+            digits = tail[:, 2:].astype(np.int64)
+            digits[four, 0] = 0  # the sign
+            np.dot(digits, np.array([100, 10, 1]), out=x)
+            np.negative(x, out=x, where=sign == ord("-"))
+            x[~five] = 0
+            np.subtract(ends, five, out=me)
+            me -= 4 * five
+            me += four
+            del tail, digits, sign, five, four
+        np.subtract(me, points, out=k)  # the point and the digits after
         np.subtract(points, starts, out=lead)  # the sign and digits before
         if np.add(lead, k, out=starts).max() > _FIELD:
-            return False
+            return None
         lead -= negative
         if k.min() < 2 or lead.min() < 1:
-            return False
+            return None
         lead += k
         np.subtract(_FIELD, lead, out=lead)  # the bytes of a row before
         k -= 1
         piece[points] = ord("0")
         del points
 
-        # each field's last _FIELD bytes as one row (a strided view of
+        def refuse():
+            piece[me - k - 1] = ord(".")  # the text as read, for loadtxt
+            return None
+
+        # each mantissa's last _FIELD bytes as one row (a strided view of
         # _FIELD-byte items), less '0', the bytes before the digits made 0
         rows = np.ndarray((size + 1,), f"V{_FIELD}", text, strides=(1,))
-        digits = rows[ends].view(np.uint8)
+        digits = rows[me].view(np.uint8)
         digits -= ord("0")
         words = digits.view("<u8").reshape(n, _FIELD // 8)
-        keep, pow10 = _read_tables()
+        keep, pow10, scale = _read_tables()
         mask = slots[0]
         for w in range(_FIELD // 8):
             np.take(keep, lead, mode="clip", out=mask)
             words[:, w] &= mask
             lead -= 8
         if digits.max() > 9:
-            return False
+            return refuse()
         # Lemire's steps: digit pairs, then quads, then the eight digits
         words *= 2561
         words >>= 8
@@ -691,7 +763,7 @@ class _Lane:
         words *= 42949672960001
         words >>= 32
         if words[:, 0].max() >= 100:  # F >= 10^18
-            return False
+            return refuse()
         power = slots[0]
         np.multiply(words[:, 0], 10 ** 16, out=M)
         np.multiply(words[:, 1], 10 ** 8, out=power)
@@ -699,43 +771,53 @@ class _Lane:
         M += words[:, 2]  # F
         del digits, words
         np.minimum(k, 18, out=lead)
-        np.take(pow10, lead, out=power)
+        np.take(pow10, lead, mode="clip", out=power)
         np.remainder(M, power, out=power)
         power *= 9
         M += power
         M //= 10
 
-        tables = _repr_tables()
-        np.take(tables[0], k, out=y)
+        K = np.subtract(k, x, out=x) if exponents else k
+        fast = slots[0].view(np.int64)
+        np.clip(K, 0, 22, out=fast)
+        np.take(_repr_tables()[0], fast, mode="clip", out=y)
         np.divide(M, y, out=y)
-        wide = np.flatnonzero(np.greater_equal(M, 1 << 53,
-                                               out=slots[0].view(bool)[:n]))
-        doubt = wide[:0]
-        if wide.size:
-            q, places = y[wide], k[wide]
-            H, c = _scaled(q, places, tables)
-            np.subtract(M[wide].view(np.int64), H, out=H)
-            np.subtract(H, c, out=c)  # (M - H) - f, rounded once
-            del H
-            c /= tables[0][places]
-            near = q + c
-            q -= near
-            q += c  # the residual s
-            del c
+        slow = M >= 1 << 53
+        if exponents:
+            slow |= K != fast
+        slow = np.flatnonzero(slow)
+        doubt = slow[:0]
+        if slow.size:
+            at = K[slow]
+            far = np.abs(at) > _SCALE
+            np.clip(at, -_SCALE, _SCALE, out=at)
+            at += _SCALE
+            high, halves, rests, low = (part[at] for part in scale)
+            m = M[slow]
+            mh = m.astype(float)
+            ml = (m.view(np.int64) - mh.astype(np.int64)).astype(float)
+            del m, at
+            p, t = _two_product(mh, high, halves, rests)
+            del halves, rests
+            t += mh * low + ml * high
+            del mh, ml, high, low
+            near = p + t
+            p -= near
+            p += t  # the residual s
+            del t
             ulp = np.spacing(near)
-            np.abs(q, out=q)
-            q -= ulp * 0.5
-            np.abs(q, out=q)
+            np.abs(p, out=p)
+            p -= ulp * 0.5
+            np.abs(p, out=p)
             ulp *= 2.0 ** -30
-            doubt = wide[(q <= ulp)
+            doubt = slow[far | (p <= ulp)
                          | ((near.view(np.int64) & ((1 << 52) - 1)) == 0)]
-            y[wide] = near
+            y[slow] = near
         y *= 1.0 - 2.0 * negative
         for i in doubt.tolist():
-            piece[ends[i] - k[i] - 1] = ord(".")  # the text as read
+            piece[me[i] - k[i] - 1] = ord(".")  # the text as read
             y[i] = float(piece[ends[i - 1] + 1 if i else 0:ends[i]].tobytes())
-        out[...] = y.reshape(lines, ncols).T
-        return True
+        return y.reshape(lines, ncols)
 
 
 def _read_lines(path: str, header: str, ncols: int, min_rows: int,

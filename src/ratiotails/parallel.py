@@ -3,8 +3,8 @@
 ``usable_cpus`` sizes every parallel stage.  ``thread_count`` turns a
 ``threads`` argument into a count, the usable CPUs when none is given,
 for ``thread_map`` (the simulator's chunk draws, the fit's per-candidate
-searches and its full-bulk passes, and the CSV parse lanes) and for the
-CSV formatting lanes.  Only the draws and the CSV formatting of
+searches and its full-bulk passes) and for the CSV formatting lanes; the
+CSV parse runs on the calling thread.  Only the draws and the CSV formatting of
 ``simulate --threads`` take another count, and ``thread_count`` refuses
 one below 1 for them all.  No stage starts a process, and no stage's
 output depends on the count.

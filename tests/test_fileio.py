@@ -21,7 +21,7 @@ from ratiotails.fileio import (RunManifest, format_key_values,
                                parse_key_values, save_density_curve,
                                save_price_series, save_samples, sha256_file,
                                write_atomic, write_csv)
-from ratiotails.fileio import (_ROWS, _format_rows, _parse_piece, _read_lines,
+from ratiotails.fileio import (_ROWS, _format_rows, _loadtxt, _read_lines,
                                _read_numeric)
 
 
@@ -222,8 +222,8 @@ def test_price_series_round_trip_bit_exact(tmp_path_factory, times, logs):
 def test_loader_takes_the_log_from_prices_bits(tmp_path_factory, times,
                                                 prices, path_kind):
     # the log-prices the loader writes over the parsed prices are
-    # from_prices' bits, whether the body is parsed whole, in pieces on
-    # two lanes or, for a file loadtxt may not take, line by line
+    # from_prices' bits, whether the body is parsed whole, in pieces at
+    # two usable CPUs or, for a file loadtxt may not take, line by line
     times = np.sort(np.array(times))
     prices = np.array(prices[:times.size])
     loose = "\x0c" if path_kind == "lines" else ""  # not plain: the loop
@@ -372,7 +372,7 @@ def repr_csv(header, columns, label=None):
 def assert_repr(values):
     """The block text write_csv gives one column of ``values`` is repr's."""
     values = np.asarray(values, dtype=float).ravel()
-    got = _format_rows([values], None).decode().split("\n")[:-1]
+    got = _format_rows([values], None).split("\n")[:-1]
     want = [repr(v) for v in values.tolist()]
     wrong = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not wrong, wrong[:5]
@@ -558,7 +558,7 @@ def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# CSV bodies parsed in pieces on parse lanes
+# CSV bodies parsed in pieces
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -566,7 +566,7 @@ def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
 def test_pieces_cut_inside_blank_lines(tmp_path, monkeypatch, workers,
                                        newline):
     # the middle of the body is blank lines, so every cut falls among
-    # them and with three workers one piece holds no row at all
+    # them and some pieces hold no row at all, at any CPU count
     body = ([f"{i},{i / 7!r}" for i in range(100)] + [""] * 10000
             + [f"{i}e-3,{-i!r}" for i in range(100)])
     path = tmp_path / "p.csv"
@@ -581,9 +581,9 @@ def test_pieces_cut_inside_blank_lines(tmp_path, monkeypatch, workers,
 
 
 def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
-    # pieces of _PIECE_MIN bytes or more: the serial values, bit for bit,
-    # on two lanes and on one, and a bad row in the last piece words the
-    # serial error
+    # pieces of _PIECE_MIN bytes or more: the line loop's values, bit for
+    # bit, at two usable CPUs and at one, and a bad row in the last piece
+    # words the line loop's error
     path = tmp_path / "p.csv"
     times = np.arange(2 * fileio._PIECE_MIN // 25 + 1000, dtype=float)
     write_csv(str(path), "t,price", (times, np.exp(np.sin(times))))
@@ -593,9 +593,9 @@ def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
     for cpus in (2, 1):
         with on_cpus(cpus):
             loads.append(load_price_series(str(path)))
-    lanes, serial = loads
-    assert np.array_equal(bits(lanes.times), bits(serial.times))
-    assert np.array_equal(bits(lanes.log_prices), bits(serial.log_prices))
+    two, one = loads
+    assert np.array_equal(bits(two.times), bits(one.times))
+    assert np.array_equal(bits(two.log_prices), bits(one.log_prices))
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     pieces = fileio._parse_pieces(str(path), "t,price", 2)
     lines = _read_lines(str(path), "t,price", 2, 2, "few")
@@ -609,8 +609,8 @@ def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
 
 
 def test_the_parse_starts_no_process(tmp_path, monkeypatch):
-    # any fork fails here; the lanes are threads of this process, alone
-    # or beside a live thread
+    # any fork fails here; the parse runs in this process, alone or
+    # beside a live thread
     path = tmp_path / "v.csv"
     values = np.linspace(-1.0, 1.0, 5000)
     save_samples(values, str(path))
@@ -634,57 +634,37 @@ def test_the_parse_starts_no_process(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_parse_lanes_keep_their_rows_under_contention(tmp_path,
-                                                       monkeypatch):
-    # eight lanes on a 2-vCPU host, pieces of about a dozen lines (a
-    # quarter of them, holding a value in exponent form, go to loadtxt)
-    # and a switch interval of a microsecond: every row lands in its own
-    # column, within the timeout
-    rng = np.random.default_rng(29)
-    values = rng.standard_normal(3000) * 100.0
-    values[::50] *= 1e-9
-    path = tmp_path / "v.csv"
-    save_samples(values, str(path))
-    monkeypatch.setattr(fileio, "_PIECE_MIN", 1)
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        thread = threading.Thread(
-            target=lambda: got.append(load_samples(str(path))), daemon=True)
-        thread.start()
-        thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not thread.is_alive()
-    assert np.array_equal(bits(got[0]), bits(values))
-
-
 # ---------------------------------------------------------------------------
 # decimal text: the parse kernel against np.loadtxt
 # ---------------------------------------------------------------------------
 
 def kernel_grammar(text: str) -> bool:
     """Whether the kernel takes ``text`` as a field (see fileio)."""
-    return (re.fullmatch(r"-?[0-9]+\.[0-9]+", text) is not None
-            and len(text) <= fileio._FIELD
-            and int(text.lstrip("-").replace(".", "0")) < 10 ** 18)
+    match = re.fullmatch(r"(-?([0-9]+\.[0-9]+))([eE][+-][0-9]{2,3})?", text)
+    return (match is not None and len(match[1]) <= fileio._FIELD
+            and int(match[2].replace(".", "0")) < 10 ** 18)
 
 
 def loadtxt_bits(texts) -> list:
     return bits(np.loadtxt(texts, ndmin=1)).tolist()
 
 
-def kernel_bits(tmp_path, texts, ncols: int = 1):
+def kernel_bits(tmp_path, texts, ncols: int = 1, newline: str = "\n"):
     """The bits the kernel reads from one piece of the lines ``texts``
-    (``ncols`` fields each), or None where it refuses the piece."""
+    (``ncols`` fields each), or None where it refuses the piece, which it
+    then leaves as it was read."""
     path = tmp_path / "k.csv"
-    path.write_bytes("".join(f"{t}\n" for t in texts).encode())
-    out = np.full((ncols, len(texts)), np.nan)
-    taken = fileio._Lane().parse(str(path), 0, path.stat().st_size, ncols,
-                                 out)
-    return bits(out.T).ravel().tolist() if taken else None
+    data = "".join(t + newline for t in texts).encode()
+    path.write_bytes(data)
+    lane = fileio._Lane()
+    with open(path, "rb") as fh:
+        assert lane.read(fh, len(data))
+    got = lane.parse(ncols)
+    if got is None:
+        assert lane.text[fileio._FIELD:].tobytes() == data
+        return None
+    assert got.shape == (len(texts), ncols)
+    return bits(got).ravel().tolist()
 
 
 @st.composite
@@ -711,38 +691,94 @@ def near_midpoints(draw):
             + text[-places:])
 
 
+@st.composite
+def near_midpoints_with_exponents(draw):
+    """Text d.ddd...e[+-]XX, 1-17 significant digits, within one unit of
+    its last digit of the exact midpoint between a double and the next
+    one up, anywhere in the normal range."""
+    x = draw(st.floats(1e-300, 1e300))
+    mid = (Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2
+    exponent = len(str(int(mid))) - 1 if mid >= 1 else \
+        -len(str(int(1 / mid)))  # 10^exponent <= mid, or 10x it
+    places = draw(st.integers(0, 16))
+    units = round(mid / Fraction(10) ** (exponent - places))
+    text = str(max(units + draw(st.integers(-1, 1)), 1))
+    exponent += len(text) - places - 1
+    return (draw(st.sampled_from(["", "-"])) + text[0] + "."
+            + (text[1:] or "0") + f"e{exponent:+03d}")
+
+
 texts = (st.builds(repr, st.floats(allow_nan=False)) | decimals()
-         | near_midpoints())
+         | near_midpoints() | near_midpoints_with_exponents())
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(texts, min_size=1, max_size=40))
+@given(st.lists(texts, min_size=1, max_size=40),
+       st.sampled_from(["\n", "\r\n"]))
 @example(["-0.0", "0.0", "9007199254740993.0", "4503599627370497.5",
           "0.30000000000000004", "1.0000000000000002", "0.5", "5.", ".5",
           "00012.50", "1e-05", "inf", "-inf", "99999999999999999.9",
-          "2.0000000000000000", "0.999999999999999999"])
-def test_kernel_reads_loadtxt_bits(tmp_path_factory, texts):
+          "2.0000000000000000", "0.999999999999999999", "1.5e-07",
+          "2.2250738585072014e-308", "5e-324", "1.7976931348623157e+308",
+          "9.9e+250", "1.0E-251", "-1.234e+016", "1.5e5", "1.5e+5"], "\n")
+def test_kernel_reads_loadtxt_bits(tmp_path_factory, texts, newline):
     # the fields in the kernel's grammar, as one piece, are read to
     # loadtxt's bits; and every text, in pieces or whole, loads as
     # loadtxt loads it, whichever path took each piece
     tmp_path = tmp_path_factory.mktemp("k")
     taken = [t for t in texts if kernel_grammar(t)]
     if taken:
-        assert kernel_bits(tmp_path, taken) == loadtxt_bits(taken)
+        assert kernel_bits(tmp_path, taken, 1, newline) == \
+            loadtxt_bits(taken)
     path = tmp_path / "v.csv"
-    path.write_bytes(("value\n" + "\n".join(texts) + "\n").encode())
+    path.write_bytes(("value" + newline + newline.join(texts)
+                      + newline).encode())
     for piece in (1, fileio._PIECE_MIN):
         with mock.patch.object(fileio, "_PIECE_MIN", piece), on_cpus(2):
             got = bits(_read_numeric(str(path), "value", 1)[0]).tolist()
         assert got == loadtxt_bits(texts)
 
 
-@pytest.mark.parametrize("odd", ["1e-05,2.5", "+1.5,2.5", "1.5,2.5\r",
-                                 "1.5, 2.5", "1,2.5", "nan,2.5"])
+# decimals of 17 significant digits within 2^-60 ulp of the midpoint
+# between two doubles, found as convergents of 2^(e-1) 10^K: the kernel's
+# product path lands on the wrong side of each of these midpoints, so
+# they are the fields that float() reads
+NEAR_TIES = ["1.2164181315445567e-227", "5.5347597072099743e-175",
+             "1.8033553323887070e-142", "4.8393687780416253e-98",
+             "9.8980439871403039e-48", "2.7912358749942586e+43",
+             "2.5324255020244969e+84", "9.6724197111354068e+118",
+             "2.0754476271560580e+189", "1.1554948484863046e+239",
+             "4.0033950534738767e+257"]
+
+
+def test_fields_nearest_a_midpoint_are_read_by_float(tmp_path):
+    texts = NEAR_TIES + ["-" + t for t in NEAR_TIES]
+    assert all(kernel_grammar(t) for t in texts)
+    assert kernel_bits(tmp_path, texts) == loadtxt_bits(texts)
+
+
+def pieces_to_loadtxt(path, monkeypatch, ncols: int = 2):
+    """The body of ``path``, parsed in pieces, and the count of them that
+    went to loadtxt."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _loadtxt(*args)
+
+    monkeypatch.setattr(fileio, "_loadtxt", spy)
+    header = open(path).readline().strip()
+    return fileio._parse_pieces(str(path), header, ncols), len(calls)
+
+
+@pytest.mark.parametrize("odd", ["1e-05,2.5", "+1.5,2.5", "1.5e5,2.5",
+                                 "1.5e+5,2.5", "1.5e+0005,2.5", "5.,2.5",
+                                 "1.5,.5", "1.5, 2.5", "1,2.5", "nan,2.5",
+                                 "1.5,2.5 ", "1.5\t,2.5", "-inf,2.5"])
 def test_a_piece_the_kernel_refuses_goes_to_loadtxt(tmp_path, monkeypatch,
                                                      odd):
     # one line out of the kernel's grammar among 200 in it: the piece goes
-    # to loadtxt, which gives the same values
+    # to loadtxt as it was read, and loadtxt gives the same values
     lines = [f"{i / 7:.6f},{float(np.exp(i / 9))!r}" for i in range(200)]
 
     def floats():
@@ -753,17 +789,29 @@ def test_a_piece_the_kernel_refuses_goes_to_loadtxt(tmp_path, monkeypatch,
     assert kernel_bits(tmp_path, lines, 2) is None
     path = tmp_path / "p.csv"
     path.write_bytes(("t,price\n" + "\n".join(lines) + "\n").encode())
-    offsets = []
-
-    def spy(path, lo, *args):
-        offsets.append(lo)
-        return _parse_piece(path, lo, *args)
-
-    monkeypatch.setattr(fileio, "_parse_piece", spy)
-    assert len(fileio._plan_pieces(str(path), "t,price")) == 1
-    body = fileio._parse_pieces(str(path), "t,price", 2)
-    assert offsets == [len("t,price\n")]
+    body, loadtxt = pieces_to_loadtxt(path, monkeypatch)
+    assert loadtxt == 1
     assert np.array_equal(bits(body.T), floats())
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_the_kernel_takes_exponents_and_crlf(tmp_path, monkeypatch,
+                                             newline):
+    # repr's exponent forms, e or E, with CRLF or LF line ends and no
+    # final line end: no piece goes to loadtxt, and the values are
+    # float()'s
+    rng = np.random.default_rng(29)
+    values = rng.standard_normal((3000, 2)) * 10.0 ** rng.integers(
+        -300, 300, (3000, 2))
+    lines = [f"{a!r},{b!r}" for a, b in values.tolist()]
+    lines[7] = lines[7].replace("e", "E")
+    assert sum("e" in line for line in lines) > 2900
+    path = tmp_path / "p.csv"
+    path.write_bytes(newline.join(["x,g"] + lines).encode())
+    monkeypatch.setattr(fileio, "_PIECE_MIN", 1 << 10)
+    body, loadtxt = pieces_to_loadtxt(path, monkeypatch)
+    assert loadtxt == 0
+    assert np.array_equal(bits(body.T), bits(values))
 
 
 @settings(max_examples=60, deadline=None)

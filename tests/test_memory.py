@@ -84,10 +84,11 @@ def test_save_holds_the_path_and_one_block_per_thread(config, tmp_path):
 def test_load_takes_the_log_in_the_parsed_body(config, tmp_path, workers,
                                                monkeypatch):
     # the series keeps the parsed (t, price) body, the log-prices written
-    # over its prices; each piece's rows go straight into the body, so
-    # the load peaks at the body and each lane's scratch, about 8 times
-    # its piece of 1/256 of the file (4.0 with a whole parse and its
-    # column copy)
+    # over its prices; each piece's rows go straight into the body, whose
+    # room is a 64th over its rows, so the load peaks at that room and the
+    # parse's scratch, about 8 times its piece of 1/256 of the file (4.0
+    # with a whole parse and its column copy); the parse does not depend
+    # on the usable CPUs
     csv = str(tmp_path / "p.csv")
     save_price_series(simulate_path(config), csv)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)

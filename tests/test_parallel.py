@@ -163,7 +163,7 @@ def test_the_pipeline_does_not_depend_on_the_usable_cpus(tmp_path,
 
     def spy(lane, *args):
         got = parse(lane, *args)
-        taken.append(got)
+        taken.append(got is not None)
         return got
 
     monkeypatch.setattr(fileio._Lane, "parse", spy)
@@ -188,5 +188,4 @@ def test_the_pipeline_does_not_depend_on_the_usable_cpus(tmp_path,
             series.times.tobytes(), series.log_prices.tobytes())])
         assert taken.count(True) >= 4
         taken.clear()
-    assert len(fileio._plan_pieces(prices, "t,price")) >= 4
     assert outputs[0] == outputs[1] == outputs[2]

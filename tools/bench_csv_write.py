@@ -23,9 +23,9 @@ interquartile range of seconds and of peak RSS, the pairs the working
 tree won on each, whether every output's sha256 matches, and the gain
 rule's verdict on each: a gain needs the working tree lower in the
 median by more than the base's IQR, with equal bytes.  The CSV parse
-runs on threads, so no command starts a process: the peak RSS column
-reads the command alone, and the children's column reads 0 (a base
-whose parse forked workers shows their peak there).
+runs in the command's process, so no command starts one: the peak RSS
+column reads the command alone, and the children's column reads 0 (a
+base whose parse forked workers shows their peak there).
 """
 
 from __future__ import annotations
