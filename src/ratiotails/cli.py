@@ -18,7 +18,7 @@ Only simulate takes --seed (default 0) and --threads, and replay passes
 --threads on to a replayed simulate.  --threads, a positive count (see
 parallel.thread_count), overrides the usable CPUs for the threads that
 draw the path and format its CSV, in-process.  fit and tails parse their
-CSV on the usable CPUs and keep the parsed body as the series until the
+CSV on one thread and keep the parsed body as the series until the
 changes or returns are taken (see fileio).  fit searches each
 candidate's nuisance on its own thread, at any --rho, and scores each
 candidate on the full bulk chunk by chunk.  check, density and tails'
@@ -316,7 +316,7 @@ def _run_fit(args) -> int:
     w = WindowSpec(args.delta_t, args.big_delta_t, args.stride)
     fams = check_fit_options(
         [f.strip() for f in args.candidates.split(",") if f.strip()],
-        args.threshold_quantile, args.rho)
+        args.threshold_quantile, args.rho, args.boot)
     # no name holds the series, so the fit drops it once it has the changes
     result, changes = fit_price_series(
         load_price_series(args.prices), w, fams,

@@ -19,11 +19,12 @@ ones streaming rows in blocks, go through an atomic temp-file rename so
 a failed command never leaves a partial artifact behind.  CSV blocks are
 formatted in-process by whole-array numpy steps that give repr's exact
 bytes (see "float text" below), on up to the usable CPUs (``threads`` of
-save_price_series), each thread holding one block at a time;
-save_price_series exponentiates each block's log-prices as it formats
-the block, so no price column is ever made.  No process is started to
-read or write.  Neither the values read nor the bytes written ever
-depend on the thread count.
+save_price_series) by parallel.thread_map, which hands them to the file
+in order, each thread holding one block at a time; save_price_series
+exponentiates each block's log-prices as it formats the block, so no
+price column is ever made.  No process is started to read or write.
+Neither the values read nor the bytes written ever depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import hashlib
 import itertools
 import os
 import tempfile
-import threading
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,6 +42,7 @@ import numpy as np
 
 from .density import CurveMethod, DensityCurve
 from .errors import DomainError, InputFormatError
+from .parallel import thread_map
 from .simulate import PriceSeries, _log_prices, check_price_blocks
 
 __all__ = [
@@ -141,6 +142,28 @@ def parse_key_values(text: str) -> dict:
 
 _ROWS = 1 << 14  # rows formatted per block
 _LOOSE = b"\x0b\x0c\x1c\x1d\x1e\x1f"  # splitlines breaks, loadtxt spaces
+_SCALE = 250  # the largest |K| of the reader's product path
+
+
+@functools.cache
+def _tens():
+    """(pow10, scale), the powers of ten of both decimal kernels: the int64
+    10^j for j = 0..18, and the double-double 10^K for K = -_SCALE..
+    _SCALE (at _SCALE + K) as its high part, that part's Dekker halves and
+    its low part, each correctly rounded (int / int is); for 0 <= K <= 22
+    the high part is exact."""
+    high, low = [], []
+    for K in range(-_SCALE, _SCALE + 1):
+        num, den = (10 ** K, 1) if K >= 0 else (1, 10 ** -K)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        high.append(h)
+        low.append((num * b - a * den) / (den * b))
+    high = np.array(high)
+    split = 134217729.0 * high
+    halves = split - (split - high)
+    return 10 ** np.arange(19), (high, halves, high - halves, np.array(low))
+
 
 # ---------------------------------------------------------------------------
 # float text: repr's bytes from whole-array numpy steps
@@ -167,15 +190,11 @@ _WORDS = 12  # uint32 words of one float's field, its end byte included
 
 
 @functools.cache
-def _repr_tables():
-    """The doubles 10^k for k = 0..22 with their Dekker halves, the int64
-    10^j for j = 0..18, and the 4-digit ASCII of 0..9999 as uint32."""
-    tens = np.array([float(10 ** k) for k in range(23)])
-    split = 134217729.0 * tens
-    high = split - (split - tens)
+def _quads():
+    """The 4-digit ASCII of 0..9999 as uint32."""
     quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     quads = np.ascontiguousarray(quads + 48, dtype=np.uint8).view(np.uint32)
-    return tens, high, tens - high, 10 ** np.arange(19), quads[:, 0]
+    return quads[:, 0]
 
 
 @functools.cache
@@ -224,10 +243,10 @@ def _two_product(a, b, b_high, b_low):
                + a_low * b_high) + a_low * b_low
 
 
-def _scaled(a, k, tables):
+def _scaled(a, k, tens):
     """(H, f): the int64 H and double f, |f| <= 1/2, with H + f = a 10^k
-    exactly (Dekker's two-product, 10^k split in the table)."""
-    z, error = _two_product(a, tables[0][k], tables[1][k], tables[2][k])
+    exactly (Dekker's two-product, 10^k split in ``tens``)."""
+    z, error = _two_product(a, tens[0][k], tens[1][k], tens[2][k])
     whole = np.rint(error)
     return z.astype(np.int64) + whole.astype(np.int64), error - whole
 
@@ -252,7 +271,7 @@ def _shortest(x: np.ndarray):
     17-digit int64 D (trailing zeros padded), the count of them before the
     decimal point, the count of them that repr shows, and where these hold
     (see the section note); elsewhere repr itself writes the value."""
-    tables = _repr_tables()
+    tens = [part[_SCALE:] for part in _tens()[1]]
     a = np.abs(x)
     with np.errstate(invalid="ignore"):
         kernel = (a >= 1e-6) & (a < 1e17)
@@ -266,14 +285,14 @@ def _shortest(x: np.ndarray):
         return ((H < 10 ** 16) | ((H == 10 ** 16) & (f < 0)),
                 (H > 10 ** 17) | ((H == 10 ** 17) & (f >= 0)))
 
-    H, f = _scaled(a, k, tables)
+    H, f = _scaled(a, k, tens)
     below, above = outside(H, f)
     if (below | above).any():  # log10 missed floor(log10 |x|) by one
         k = np.clip(k + below - above, 0, 22)
-        H, f = _scaled(a, k, tables)
+        H, f = _scaled(a, k, tens)
         below, above = outside(H, f)
         kernel &= ~(below | above)
-    u = np.spacing(a) * tables[0][k] * 0.5
+    u = np.spacing(a) * tens[0][k] * 0.5
     even = (bits & 1) == 0
 
     def inside(m):
@@ -310,8 +329,7 @@ def _digit_layout(x: np.ndarray):
     _repr_templates places them, the index of its template (0 where repr
     writes the value), and where the kernel holds (see _shortest).  Each
     int64 array is dropped, or reused, once dead."""
-    tables = _repr_tables()
-    pow10, quads = tables[3], tables[4]
+    pow10, quads = _tens()[0], _quads()
     D, point, digits, kernel = _shortest(x)
     # D's first `lead` digits (or "0"), the point, then `pad` zeros and
     # the rest; in exponent form one digit leads
@@ -405,44 +423,15 @@ def write_csv(path: str, header: str, columns,
 def _write_blocks(path: str, header: str, rows: int, block,
                   threads: int | None = None) -> None:
     """``header``, then the text block(i) of rows i to i + _ROWS for i =
-    0, _ROWS, ... below ``rows``, written atomically.
-
-    The blocks are dealt in turn to up to ``threads`` lanes (see
-    parallel.thread_count), each on one thread for the whole write (see
-    parallel.thread_map): a lane formats its next block, then writes it
-    once every earlier block is written, so the bytes are the serial ones
-    and a lane holds one block at a time.  A lane that fails stops the
-    others at their next turn."""
-    from . import parallel
-
-    starts = range(0, rows, _ROWS)
-    lanes = max(1, min(parallel.thread_count(threads), len(starts)))
-    turn = threading.Condition()
-    written = 0  # blocks written; None once a lane has failed
-
-    def lane(first, fh):
-        nonlocal written
-        try:
-            for j in range(first, len(starts), lanes):
-                text = block(starts[j])
-                with turn:
-                    turn.wait_for(lambda: written in (None, j))
-                    if written is None:
-                        return
-                    fh.write(text)
-                    written += 1
-                    turn.notify_all()
-                del text  # dead before the next block
-        except BaseException:
-            with turn:
-                written = None
-                turn.notify_all()
-            raise
+    0, _ROWS, ... below ``rows``, written atomically.  The blocks are
+    formatted on up to ``threads`` threads (see parallel.thread_map),
+    which hands each to the file once every earlier block is written, so
+    the bytes are the serial ones and a thread holds one block at a
+    time."""
 
     def fill(fh):
         fh.write(header + "\n")
-        parallel.thread_map(lambda first: lane(first, fh), range(lanes),
-                            lanes)
+        thread_map(block, range(0, rows, _ROWS), threads, then=fh.write)
 
     _write_atomic(path, fill)
 
@@ -557,7 +546,7 @@ def _loadtxt(text: bytes, ncols: int) -> np.ndarray:
 # For M < 2^53 and 0 <= K <= 22, M and 10^K are exact doubles, so the one
 # division M / 10^K is correctly rounded (Clinger's fast path).  Otherwise,
 # for |K| <= _SCALE, M = Mh + Ml with Mh = fl(M) and |Ml| <= 64 (M < 2^60),
-# both exact, and 10^-K = Ph + Pl + d, |d| <= 2^-106 10^-K, from the table.
+# both exact, and 10^-K = Ph + Pl + d, |d| <= 2^-106 10^-K, from _tens.
 # Dekker's two-product gives p + e = Mh Ph exactly; t = e + fl(Mh Pl + Ml
 # Ph) drops Ml Pl and d and rounds three terms of at most 2^-47 p, so p + t
 # is off from M 10^-K by under 2^-97 p, 2^-44 ulp(p).  y = fl(p + t), and
@@ -570,30 +559,9 @@ def _loadtxt(text: bytes, ncols: int) -> np.ndarray:
 # and its error term away from overflow and subnormals.
 # ---------------------------------------------------------------------------
 
-_FIELD = 24   # bytes of the longest mantissa the kernel reads
-_SCALE = 250  # the largest |K| of the product path
-
-
-@functools.cache
-def _read_tables():
-    """(keep, pow10, scale): the uint64 masks that keep the bytes of a word
-    from byte c on, for c = 0..8; the uint64 10^j for j = 0..18; and the
-    double-double 10^-K for K = -_SCALE.._SCALE (at K + _SCALE) as its high
-    part, that part's Dekker halves and its low part, each correctly
-    rounded (int / int is)."""
-    keep = [((1 << 64) - 1) >> 8 * c << 8 * c for c in range(8)] + [0]
-    high, low = [], []
-    for K in range(-_SCALE, _SCALE + 1):
-        num, den = (10 ** -K, 1) if K <= 0 else (1, 10 ** K)
-        h = num / den
-        a, b = h.as_integer_ratio()
-        high.append(h)
-        low.append((num * b - a * den) / (den * b))
-    high = np.array(high)
-    split = 134217729.0 * high
-    halves = split - (split - high)
-    return (np.array(keep, np.uint64), 10 ** np.arange(19, dtype=np.uint64),
-            (high, halves, high - halves, np.array(low)))
+_FIELD = 24  # bytes of the longest mantissa the kernel reads
+_KEEP = np.array([((1 << 64) - 1) >> 8 * c << 8 * c for c in range(8)]
+                 + [0], np.uint64)  # keep a word's bytes from byte c on
 
 
 class _Lane:
@@ -745,10 +713,10 @@ class _Lane:
         digits = rows[me].view(np.uint8)
         digits -= ord("0")
         words = digits.view("<u8").reshape(n, _FIELD // 8)
-        keep, pow10, scale = _read_tables()
+        pow10, scale = _tens()
         mask = slots[0]
         for w in range(_FIELD // 8):
-            np.take(keep, lead, mode="clip", out=mask)
+            np.take(_KEEP, lead, mode="clip", out=mask)
             words[:, w] &= mask
             lead -= 8
         if digits.max() > 9:
@@ -771,7 +739,7 @@ class _Lane:
         M += words[:, 2]  # F
         del digits, words
         np.minimum(k, 18, out=lead)
-        np.take(pow10, lead, mode="clip", out=power)
+        np.take(pow10.view(np.uint64), lead, mode="clip", out=power)
         np.remainder(M, power, out=power)
         power *= 9
         M += power
@@ -780,7 +748,7 @@ class _Lane:
         K = np.subtract(k, x, out=x) if exponents else k
         fast = slots[0].view(np.int64)
         np.clip(K, 0, 22, out=fast)
-        np.take(_repr_tables()[0], fast, mode="clip", out=y)
+        np.take(scale[0][_SCALE:], fast, mode="clip", out=y)
         np.divide(M, y, out=y)
         slow = M >= 1 << 53
         if exponents:
@@ -791,7 +759,7 @@ class _Lane:
             at = K[slow]
             far = np.abs(at) > _SCALE
             np.clip(at, -_SCALE, _SCALE, out=at)
-            at += _SCALE
+            np.subtract(_SCALE, at, out=at)  # 10^-K
             high, halves, rests, low = (part[at] for part in scale)
             m = M[slow]
             mh = m.astype(float)

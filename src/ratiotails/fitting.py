@@ -129,17 +129,24 @@ def _step_multiple(times: np.ndarray, delta_t: float) -> tuple[int, float]:
     return int(round(j)), h
 
 
+def _changes(lp: np.ndarray, j: int, h: float) -> np.ndarray:
+    """expm1(lp[..., j:] - lp[..., :-j]) / (j h), in one new array: the
+    scaled changes over j steps of h along the last axis of the log-prices
+    ``lp``, exact even when the changes are tiny."""
+    out = np.subtract(lp[..., j:], lp[..., :-j])
+    return np.divide(np.expm1(out, out=out), j * h, out=out)
+
+
 def scaled_returns(series: PriceSeries, delta_t: float) -> np.ndarray:
     """(P(t + delta_t) - P(t)) / (P(t) delta_t) at every stamp t of a
-    uniformly stamped series, as expm1 of log-price differences.  A
-    delta_t that reaches past the series' span raises WindowError."""
+    uniformly stamped series (see _changes).  A delta_t that reaches past
+    the series' span raises WindowError."""
     j, h = _step_multiple(series.times, delta_t)
     lp = series.log_prices
     if j >= lp.size:
         raise WindowError(f"returns over {delta_t:g} need a longer series; "
                           f"it spans {series.times[-1] - series.times[0]:g}")
-    out = np.subtract(lp[j:], lp[:-j])
-    return np.divide(np.expm1(out, out=out), j * h, out=out)
+    return _changes(lp, j, h)
 
 
 def _resample_uniform(series: PriceSeries, step: float, allow_gaps: bool
@@ -170,10 +177,9 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
 
     For each window of length big_delta_t advanced by the stride, emits
     (P(s + delta_t) - P(s)) / (P(s) * delta_t) for every subinterval start
-    s on the sampling grid.  Computed as expm1 of log-price differences,
-    which is exact even when the changes are tiny.  Overlapping windows
-    are allowed; the window structure is the unit for bootstrap
-    resampling downstream.  The windows are the rows of one 2-D array,
+    s on the sampling grid (see _changes).  Overlapping windows are
+    allowed; the window structure is the unit for bootstrap resampling
+    downstream.  The windows are the rows of one 2-D array,
     taken from a strided view of the log-prices, and the values are that
     array flattened.
 
@@ -195,7 +201,6 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
         j, h = 1, w.delta_t
         if frac > 0.001:
             notes.append(f"interpolated={frac:.4%}")
-    dt_eff = j * h
     m = int(math.floor(w.big_delta_t / h * (1 + 1e-12)))
     if m <= j:
         raise WindowError("window shorter than one sampling subinterval")
@@ -206,9 +211,7 @@ def relative_changes(series: PriceSeries, w: WindowSpec, *,
         raise WindowError(
             f"series of {n} points holds no window of {m} points")
     segs = np.lib.stride_tricks.sliding_window_view(logp, m)[::stride_pts]
-    rows = segs[:, j:] - segs[:, :-j]
-    np.expm1(rows, out=rows)
-    rows /= dt_eff
+    rows = _changes(segs, j, h)
     flat = rows.reshape(-1)
     if return_windows:
         return flat, rows, notes
@@ -681,12 +684,12 @@ class FitResult:
         return d
 
 
-def check_fit_options(candidates, threshold_quantile: float,
-                      rho: float) -> list[Family]:
+def check_fit_options(candidates, threshold_quantile: float, rho: float,
+                      n_boot: int | None = None) -> list[Family]:
     """The candidate families of a fit, once its options are known good:
-    unknown or repeated candidates, a threshold quantile outside (0, 1)
-    and a ``rho`` outside [-1, 1) raise DomainError.  ``fit_g`` checks
-    its options here, and the command line before it loads any prices."""
+    unknown or repeated candidates, a quantile outside (0, 1), a ``rho``
+    outside [-1, 1) and a negative ``n_boot`` raise DomainError; ``fit_g``
+    checks its options here, and the command line before any prices load."""
     try:
         fams = [Family(f) for f in candidates]
     except ValueError as exc:
@@ -698,6 +701,8 @@ def check_fit_options(candidates, threshold_quantile: float,
                           "outside (0, 1)")
     if not -1.0 <= rho < 1.0:
         raise DomainError(f"correlation rho={rho} is outside [-1, 1)")
+    if n_boot is not None and n_boot < 0:
+        raise DomainError(f"bootstrap count {n_boot} is negative")
     return fams
 
 
@@ -726,9 +731,10 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
 
     ``windows`` (the rows of relative_changes, or a list of windows,
     ragged ones included) enables window-level bootstrap of
-    the parameter standard error, appropriate when windows overlap;
-    otherwise a tail-asymptotic standard error is reported for the POWER
-    family and none for the discrete families.  Bad options raise
+    the parameter standard error, appropriate when windows overlap, with
+    ``n_boot`` resamples (50 by default); without windows, or at
+    ``n_boot=0``, a tail-asymptotic standard error is reported for the
+    POWER family and none for the discrete families.  Bad options raise
     DomainError (see ``check_fit_options``).
     """
     c = np.asarray(changes, dtype=float)
@@ -736,7 +742,7 @@ def fit_g(changes, candidates=(Family.POWER, Family.LOG), *,
         raise DomainError("need a flat sample of at least 100 changes")
     if not np.all(np.isfinite(c)):
         raise DomainError("changes contain non-finite values")
-    fams = check_fit_options(candidates, threshold_quantile, rho)
+    fams = check_fit_options(candidates, threshold_quantile, rho, n_boot)
 
     # one select of a transient |c|; |c| <= u just where -u <= c <= u
     u, q95 = quantile(np.abs(c), (threshold_quantile, 0.95),

@@ -2,12 +2,12 @@
 
 ``usable_cpus`` sizes every parallel stage.  ``thread_count`` turns a
 ``threads`` argument into a count, the usable CPUs when none is given,
-for ``thread_map`` (the simulator's chunk draws, the fit's per-candidate
-searches and its full-bulk passes) and for the CSV formatting lanes; the
-CSV parse runs on the calling thread.  Only the draws and the CSV formatting of
-``simulate --threads`` take another count, and ``thread_count`` refuses
-one below 1 for them all.  No stage starts a process, and no stage's
-output depends on the count.
+for ``thread_map``, the one place where threads start: the simulator's
+chunk draws, the CSV formatting (handed to the file in order) and the
+fit's per-candidate searches and full-bulk passes.  Only the draws and
+the CSV formatting of ``simulate --threads`` take another count, and
+``thread_count`` refuses one below 1 for them all.  No stage starts a
+process, and no stage's output depends on the count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def thread_count(threads: int | None = None) -> int:
     return threads
 
 
-def thread_map(fn, items, threads: int | None = None) -> list:
+def thread_map(fn, items, threads: int | None = None, then=None):
     """[fn(x) for x in items], on up to ``threads`` threads (see
     thread_count) when there is more than one item and more than one
     thread: the calling thread and the other threads take the items in
@@ -44,32 +44,50 @@ def thread_map(fn, items, threads: int | None = None) -> list:
     first exception in that order is raised, and every worker has been
     joined when this returns.
 
+    With ``then``, None is returned, and the thread that made a result
+    calls then(result) once every earlier result has been handed over,
+    then drops it: the calls run in item order, a thread holds one result
+    at a time, and an exception of ``then`` counts as its item's.
+
     The caller takes items too, so a map starts one thread fewer, and
     keeps one malloc arena fewer resident for the rest of the process.
-    After an exception no item is taken, but every item taken before it
-    runs to its end; they are the earlier ones, so the exception raised
-    is the first in order of all the items.
+    After an exception no item is taken and no result is handed over,
+    but every item taken before it runs to its end; they are the earlier
+    ones, so the exception raised is the first in order of all the items.
     """
     items = list(items)
     workers = min(thread_count(threads), len(items)) - 1
-    if workers < 1:
-        return [fn(x) for x in items]
     results = [None] * len(items)
     errors = {}
-    lock = threading.Lock()
+    turn = threading.Condition()
     order = iter(range(len(items)))
+    handed = 0
 
     def drain():
+        nonlocal handed
         while True:
-            with lock:
+            with turn:
                 i = None if errors else next(order, None)
             if i is None:
                 return
             try:
-                results[i] = fn(items[i])
+                result = fn(items[i])
+                if then is None:
+                    results[i] = result
+                    continue
+                with turn:
+                    turn.wait_for(lambda: errors or handed == i)
+                    if errors:
+                        return
+                then(result)
+                del result  # dead before the next item
+                with turn:
+                    handed += 1
+                    turn.notify_all()
             except BaseException as exc:  # raised by the caller, in order
-                with lock:
+                with turn:
                     errors[i] = exc
+                    turn.notify_all()
 
     pool = []
     try:
@@ -83,4 +101,4 @@ def thread_map(fn, items, threads: int | None = None) -> list:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    return results
+    return results if then is None else None

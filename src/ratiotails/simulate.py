@@ -5,11 +5,12 @@ Reproducibility contract
 All draws come from counter-based Philox streams keyed by the pair
 (seed, stream index), where the stream index is the fixed-size chunk
 number of the output positions being filled (chunk size 2**20).  A result
-is therefore a pure function of (configuration, seed): chunks can be
-generated serially or on any number of threads (by default the usable
-CPUs; ``threads`` of simulate_path and simulate_gbm) and concatenate to
-bit-identical arrays either way.  Rejection resampling consumes extra
-draws only from the stream of the chunk that needed them.  A seed must
+is therefore a pure function of (configuration, seed): thread_map draws
+the chunks serially or on any number of threads (by default the usable
+CPUs; ``threads`` of simulate_path and simulate_gbm), and they
+concatenate to bit-identical arrays either way.  Rejection resampling
+consumes extra draws only from the stream of the chunk that needed them,
+and each chunk returns its counts of them with its values.  A seed must
 fit in 64 bits: ``stream``, which every draw goes through, refuses any
 other with DomainError.
 """
@@ -57,21 +58,6 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunks(n: int):
-    start = 0
-    index = 0
-    while start < n:
-        yield index, min(CHUNK, n - start)
-        start += CHUNK
-        index += 1
-
-
-def _run_chunks(fn, n: int, threads: int | None = None) -> list:
-    """Evaluate fn(index, count) per chunk, results in chunk order, on up
-    to ``threads`` threads (by default the usable CPUs)."""
-    return thread_map(lambda job: fn(*job), _chunks(n), threads)
-
-
 # ---------------------------------------------------------------------------
 # order-flow sampling
 # ---------------------------------------------------------------------------
@@ -100,13 +86,12 @@ def sample_bivariate(params: OrderFlowParams, n: int, seed: int):
     if n < 1:
         raise DomainError(f"need n >= 1 draws, got {n}")
 
-    def job(index, count):
-        return _flow_pair(stream(seed, index), params, count)
+    def job(start):
+        return _flow_pair(stream(seed, start // CHUNK), params,
+                          min(CHUNK, n - start))
 
-    parts = _run_chunks(job, n)
-    d = np.concatenate([p[0] for p in parts])
-    s = np.concatenate([p[1] for p in parts])
-    return d, s
+    d, s = zip(*thread_map(job, range(0, n, CHUNK)))
+    return np.concatenate(d), np.concatenate(s)
 
 
 @dataclass
@@ -129,11 +114,10 @@ def sample_ratio(params: OrderFlowParams, n: int, seed: int) -> RatioSample:
     """
     if n < 1:
         raise DomainError(f"need n >= 1 draws, got {n}")
-    counters = {}
 
-    def job(index, count):
-        rng = stream(seed, index)
-        d, s = _flow_pair(rng, params, count)
+    def job(start):
+        rng = stream(seed, start // CHUNK)
+        d, s = _flow_pair(rng, params, min(CHUNK, n - start))
         redraws = 0
         bad = np.flatnonzero(s == 0.0)
         while bad.size:
@@ -142,15 +126,13 @@ def sample_ratio(params: OrderFlowParams, n: int, seed: int) -> RatioSample:
             d[bad] = d2
             s[bad] = s2
             bad = bad[s2 == 0.0]
-        counters[index] = (int(np.count_nonzero(s <= 0.0)), redraws)
-        return np.divide(d, s, out=d)
+        nonpos = int(np.count_nonzero(s <= 0.0))
+        return np.divide(d, s, out=d), nonpos, redraws
 
-    parts = _run_chunks(job, n)
-    nonpos = sum(v[0] for v in counters.values())
-    redrawn = sum(v[1] for v in counters.values())
+    parts, nonpos, redrawn = zip(*thread_map(job, range(0, n, CHUNK)))
     return RatioSample(values=np.concatenate(parts),
-                       nonpositive_s_fraction=nonpos / n,
-                       zero_s_resampled=redrawn, seed=seed)
+                       nonpositive_s_fraction=sum(nonpos) / n,
+                       zero_s_resampled=sum(redrawn), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +317,16 @@ def simulate_path(cfg: SimConfig, threads: int | None = None) -> PriceSeries:
     had to be replaced, because heavier truncation would bias the tails.
     """
     params, response = cfg.params, cfg.response
-    counters = {}
 
-    def job(index, count):
-        rng = stream(cfg.seed, index)
-        d, s = _flow_pair(rng, params, count)
+    def job(start):
+        rng = stream(cfg.seed, start // CHUNK)
+        d, s = _flow_pair(rng, params, min(CHUNK, cfg.n_steps - start))
         r = np.divide(d, s, out=d)
         del s
         rejected = 0
         bad = np.flatnonzero(~(r > 0.0))
         if bad.size and cfg.rejection_policy is RejectionPolicy.ABORT:
-            k = index * CHUNK + int(bad[0])
+            k = start + int(bad[0])
             raise NonpositiveRatioError(
                 f"nonpositive ratio {r[bad[0]]:g} at step {k} under abort policy")
         while bad.size:
@@ -354,11 +335,11 @@ def simulate_path(cfg: SimConfig, threads: int | None = None) -> PriceSeries:
             r2 = d2 / s2
             r[bad] = r2
             bad = bad[~(r2 > 0.0)]
-        counters[index] = rejected
-        return response.value(r, out=r)
+        return response.value(r, out=r), rejected
 
-    parts = _run_chunks(job, cfg.n_steps, threads)
-    rejected = sum(counters.values())
+    parts, counts = map(list, zip(*thread_map(
+        job, range(0, cfg.n_steps, CHUNK), threads)))
+    rejected = sum(counts)
     rate = rejected / (cfg.n_steps + rejected)
     if rate > MAX_REJECTION_RATE:
         raise RejectionRateError(
@@ -392,13 +373,15 @@ def simulate_gbm(mu: float, sigma: float, dt: float, n_steps: int, p0: float,
                           f"sqrt(dt) Z is not finite at mu={mu}, "
                           f"sigma={sigma}, dt={dt}")
 
-    def job(index, count):
-        rng = stream(seed, index)  # checks the seed, even at sigma = 0
+    def job(start):
+        rng = stream(seed, start // CHUNK)  # checks the seed at sigma = 0
+        count = min(CHUNK, n_steps - start)
         if vol == 0.0:
             return np.full(count, drift)
         return drift + vol * rng.standard_normal(count)
 
-    times, logp = _log_path(_run_chunks(job, n_steps, threads), 1.0, p0, dt)
+    parts = thread_map(job, range(0, n_steps, CHUNK), threads)
+    times, logp = _log_path(parts, 1.0, p0, dt)
     meta = {"seed": int(seed), "model": "gbm",
             "mu": mu, "sigma": sigma}
     return PriceSeries(times, logp, meta)

@@ -1094,12 +1094,15 @@ def test_malformed_fit_options_exit_2(tmp_path, capsys, command, option,
     ("tails --samples", "--as-returns", 0),
     ("tails --samples", "--as-returns", -1),
     ("tails --samples", "--as-returns", "inf"),
+    ("fit", "--boot", -1),
+    ("fit", "--boot", -50),
 ], ids=["rho", "window-inf", "unknown-candidate", "repeated-candidate",
         "fit-quantile", "tails-unknown-candidate",
         "tails-repeated-candidate", "tails-quantile", "returns-nan",
         "returns-zero", "returns-negative", "returns-inf",
         "samples-returns-nan", "samples-returns-zero",
-        "samples-returns-negative", "samples-returns-inf"])
+        "samples-returns-negative", "samples-returns-inf", "boot-negative",
+        "boot-minus-50"])
 def test_bad_options_exit_2_before_any_price_loads(tmp_path, monkeypatch,
                                                    capsys, command, option,
                                                    value):

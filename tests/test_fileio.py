@@ -1,6 +1,5 @@
 """CSV schemas, key=value reports, manifests."""
 
-import multiprocessing
 import os
 import re
 import sys
@@ -446,9 +445,9 @@ EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-5, 1e-4, 1e16]
                                4 * _ROWS - 1, 4 * _ROWS, 4 * _ROWS + 1,
                                12 * _ROWS + 5])
 def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
-    # block edges, and the edges of rounds of 1, 2 and 3 lanes (4 and 12
-    # blocks end a round of each); 21-bit integers times 2**-50 .. 2**29
-    # give reprs in plain and exponent form
+    # block edges, and block counts that 1, 2 and 3 threads share evenly
+    # (4 and 12) or not; 21-bit integers times 2**-50 .. 2**29 give reprs
+    # in plain and exponent form
     rng = np.random.default_rng(n)
     a = rng.integers(-2 ** 20, 2 ** 20, n) * 2.0 ** rng.integers(-50, 30, n)
     b = np.roll(a, 1) * np.pi
@@ -466,8 +465,9 @@ def test_write_csv_bytes_do_not_depend_on_workers(tmp_path, n, label):
 
 def test_write_lanes_keep_block_order_under_contention(tmp_path,
                                                         monkeypatch):
-    # eight lanes on a 2-vCPU host, 3-row blocks and a switch interval of
-    # a microsecond: 700 blocks come out in order, within the timeout
+    # eight formatting threads on a 2-vCPU host, 3-row blocks and a switch
+    # interval of a microsecond: 700 blocks come out in order, within the
+    # timeout
     monkeypatch.setattr(fileio, "_ROWS", 3)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
     values = np.arange(2100) / 7.0
@@ -497,41 +497,33 @@ def test_write_csv_refuses_columns_of_unequal_length(tmp_path, sizes):
 
 def _fail_on_the_second_block(columns, label):
     if columns[0][0] == _ROWS:
-        raise RuntimeError(f"block formatted in process {os.getpid()}")
+        raise RuntimeError("the second block failed")
     return _format_rows(columns, label)
 
 
-def _write_failing_blocks(tmp_path, monkeypatch, cpus) -> int:
-    """The pid that formatted the failing second of three blocks in a
-    write on ``cpus`` usable CPUs; the write leaves no file, no thread and
-    no child."""
+def _write_failing_blocks(tmp_path, monkeypatch, cpus) -> None:
+    """A write on ``cpus`` usable CPUs whose second of three blocks fails
+    raises that failure and leaves no file and no thread."""
     monkeypatch.setattr(fileio, "_format_rows", _fail_on_the_second_block)
     times = np.arange(3 * _ROWS, dtype=float)
     threads = threading.active_count()
-    with on_cpus(cpus), pytest.raises(
-            RuntimeError, match="block formatted in process") as err:
+    with on_cpus(cpus), pytest.raises(RuntimeError,
+                                      match="the second block failed"):
         write_csv(str(tmp_path / "p.csv"), "t,price", (times, times + 0.5))
     assert list(tmp_path.iterdir()) == []
     assert threading.active_count() == threads
-    assert multiprocessing.active_children() == []
-    return int(str(err.value).split()[-1])
 
 
 def test_write_csv_worker_failure_leaves_nothing(tmp_path, monkeypatch):
     # a block that fails on a formatting thread, at any thread count
     for workers in (1, 2, 3):
-        assert _write_failing_blocks(tmp_path, monkeypatch,
-                                     workers) == os.getpid()
+        _write_failing_blocks(tmp_path, monkeypatch, workers)
 
 
 def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
                                                         monkeypatch):
-    # a live second thread, then a platform without fork: the blocks are
-    # formatted in this process (a fork would raise), to the serial bytes
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    # beside a live second thread, the blocks formatted on two and three
+    # threads give the serial bytes, and a failing block leaves nothing
     times = np.arange(3 * _ROWS + 5, dtype=float)
     serial = tmp_path / "serial.csv"
     write_csv(str(serial), "t,price", (times, times / 7.0))
@@ -547,14 +539,11 @@ def test_write_csv_formats_serially_without_a_safe_fork(tmp_path,
                 write_csv(str(path), "t,price", (times, times / 7.0))
             assert path.read_bytes() == expected
             path.unlink()
-        assert _write_failing_blocks(tmp_path, monkeypatch, 2) == os.getpid()
+        _write_failing_blocks(tmp_path, monkeypatch, 2)
     finally:
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    assert _write_failing_blocks(tmp_path, monkeypatch, 2) == os.getpid()
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +566,6 @@ def test_pieces_cut_inside_blank_lines(tmp_path, monkeypatch, workers,
     serial = _read_lines(str(path), "t,price", 2, 2, "few")
     assert pieces is not None and pieces.shape == (2, 200)
     assert np.array_equal(bits(pieces), bits(serial))
-    assert multiprocessing.active_children() == []
 
 
 def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
@@ -605,7 +593,6 @@ def test_parse_in_pieces_over_the_minimum(tmp_path, monkeypatch):
         load_price_series(str(path))
     last = text.count(b"\n")
     assert str(err.value) == f"{path}:{last}: non-numeric value"
-    assert multiprocessing.active_children() == []
 
 
 def test_the_parse_starts_no_process(tmp_path, monkeypatch):
@@ -631,7 +618,6 @@ def test_the_parse_starts_no_process(tmp_path, monkeypatch):
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +823,6 @@ def test_piece_loop_loads_as_the_line_loop(tmp_path_factory, body, newline,
     assert got == outcome(_read_lines, str(path), *args)
     if bad is not None:
         assert got.startswith(f"{path}:")
-    assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
 
 

@@ -1426,3 +1426,20 @@ def test_fit_g_stderr_is_the_oracle_bootstrap(path_windows):
     assert result.response.family is Family.POWER
     assert result.param_stderr == bootstrap_oracle(
         Family.POWER, path_windows, 0.998, 20, 9)
+
+
+@pytest.mark.parametrize("n_boot", [-1, -50])
+def test_a_negative_bootstrap_count_is_refused_and_zero_means_none(
+        path_windows, n_boot):
+    # a negative count raises DomainError; 0 takes the tail-asymptotic
+    # stderr, q-hat / sqrt(k), as no windows do
+    flat = path_windows.reshape(-1)
+    with pytest.raises(DomainError, match=f"bootstrap count {n_boot} is "
+                                          "negative"):
+        fit_g(flat, windows=path_windows, n_boot=n_boot)
+    with pytest.raises(DomainError, match="negative"):
+        fitting.check_fit_options(["power"], 0.998, -1.0, n_boot)
+    none = fit_g(flat, windows=path_windows, n_boot=0)
+    assert none.param_stderr == fit_g(flat).param_stderr == (
+        none.param_estimate / math.sqrt(flat.size - int(
+            np.count_nonzero(np.abs(flat) <= none.threshold))))

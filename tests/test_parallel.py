@@ -110,6 +110,95 @@ def test_every_item_runs_once_under_frequent_switches():
     assert sorted(calls) == list(range(5000))
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_then_sees_every_result_once_in_item_order(threads):
+    # a switch every microsecond, and items that finish out of order: the
+    # hand-offs still come one at a time, in item order
+    before = threading.active_count()
+    handed, busy = [], []
+
+    def fn(i):
+        if i % 7 == 0:
+            time.sleep(1e-4)
+        return -i
+
+    def then(result):
+        assert not busy
+        busy.append(result)
+        handed.append(result)
+        busy.pop()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert thread_map(fn, range(2000), threads, then=then) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert handed == [-i for i in range(2000)]
+    assert threading.active_count() == before
+
+
+def test_then_holds_a_result_until_every_earlier_one_is_handed():
+    # item 0 is slow, so the other threads finish items 1 and 2 and wait
+    # for their turn; none takes item 3 before item 0 is handed over
+    started, handed, seen = [], [], []
+    release = threading.Event()
+
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            assert release.wait(10)
+        return i
+
+    def slow_release():
+        time.sleep(0.1)
+        seen.extend(started)
+        release.set()
+
+    waker = threading.Thread(target=slow_release)
+    waker.start()
+    thread_map(fn, range(6), 3, then=handed.append)
+    waker.join()
+    assert sorted(seen) == [0, 1, 2]
+    assert handed == list(range(6))
+
+
+@pytest.mark.parametrize("fail", ["fn", "then"])
+def test_a_failed_item_stops_the_hand_offs_after_every_join(fail):
+    # item 3 is done and waits for its turn behind the slow item 2 when
+    # item 2 fails, in fn or in then (and with fn, item 4 fails first):
+    # item 2's error is raised once every worker has returned, and no
+    # result after item 1 is handed over
+    before = threading.active_count()
+    handed, ran = [], []
+    later = threading.Event()
+
+    def fn(i):
+        ran.append(i)
+        if i == 2:
+            assert later.wait(10)
+            time.sleep(0.02)
+            if fail == "fn":
+                raise KeyError(i)
+        if i == 3:
+            later.set()
+        if fail == "fn" and i == 4:
+            raise ValueError(i)
+        return i
+
+    def then(i):
+        if fail == "then" and i == 2:
+            raise KeyError(i)
+        handed.append(i)
+
+    with pytest.raises(KeyError) as err:
+        thread_map(fn, range(40), 3, then=then)
+    assert err.value.args == (2,)
+    assert handed == [0, 1]
+    assert 3 in ran and len(ran) < 40
+    assert threading.active_count() == before
+
+
 def test_one_thread_or_one_item_runs_on_the_caller():
     caller = threading.get_ident()
     assert thread_map(lambda i: threading.get_ident(), range(3), 1) == \
@@ -128,8 +217,8 @@ def test_thread_count_reads_the_usable_cpus_when_called(monkeypatch):
 def test_a_count_below_one_raises_before_any_draw_or_write(tmp_path,
                                                             monkeypatch,
                                                             threads):
-    # one check for the thread map, the draws and the CSV formatting
-    # lanes: no chunk is drawn, and no file is left
+    # one check for the thread map, the draws and the CSV formatting: no
+    # chunk is drawn, and no file is left
     drawn = []
     stream = simulate.stream
     monkeypatch.setattr(simulate, "stream",

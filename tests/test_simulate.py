@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import jarque_bera, ks_2samp, norm
 
-from ratiotails import parallel
+from ratiotails import parallel, simulate
 from ratiotails import (Family, OrderFlowParams, RejectionPolicy,
                         ResponseSpec, SimConfig, TransformedDensity,
                         sample_bivariate, sample_ratio, simulate_gbm,
@@ -81,6 +81,26 @@ def test_sample_bivariate_bit_identical_across_threads():
         d4, s4 = sample_bivariate(ANTI_WIDE, n, seed=5)
     assert np.array_equal(d1, d4)
     assert np.array_equal(s1, s4)
+
+
+def test_each_chunk_draws_from_the_stream_of_its_number():
+    # the second chunk's draws are stream(seed, 1)'s, in each sampler
+    n = CHUNK + 5
+    d, s = sample_bivariate(ANTI_WIDE, n, seed=5)
+    d1, s1 = simulate._flow_pair(stream(5, 1), ANTI_WIDE, 5)
+    assert np.array_equal(d[CHUNK:], d1) and np.array_equal(s[CHUNK:], s1)
+    assert np.array_equal(sample_ratio(ANTI_WIDE, n, seed=5).values[CHUNK:],
+                          d1 / s1)
+    steps = np.concatenate([-0.5 + stream(8, k).standard_normal(m)
+                            for k, m in ((0, CHUNK), (1, 5))])
+    gbm = simulate_gbm(0.0, 1.0, 1.0, n, 1.0, seed=8)
+    assert np.array_equal(gbm.log_prices[1:], np.cumsum(steps))
+    cfg = make_config(params=ANTI_NARROW, n_steps=n, seed=9)
+    d1, s1 = simulate._flow_pair(stream(9, 1), ANTI_NARROW, 5)
+    g = cfg.response.value(d1 / s1) * (cfg.dt / cfg.tau0)
+    path = simulate_path(cfg)
+    assert np.allclose(np.diff(path.log_prices)[CHUNK:], g, rtol=1e-9,
+                       atol=0)
 
 
 # one step either side of a chunk boundary and on it
